@@ -99,9 +99,6 @@ AdvisorService::AdvisorService(cost::ClusterStats default_cluster,
           : std::max<size_t>(1, (options_.memo_cache_capacity + n - 1) / n);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-  if (options_.server_threads > 0) {
-    server_pool_ = std::make_unique<TaskPool>(options_.server_threads);
-  }
 }
 
 AdvisorService::~AdvisorService() = default;
@@ -340,19 +337,6 @@ Result<ft::SchemePlan> AdvisorService::Advise(const plan::Plan& plan) {
   return Advise(request);
 }
 
-void AdvisorService::AdviseAsync(AdvisorRequest request, Callback done) {
-  auto shared_request = std::make_shared<AdvisorRequest>(std::move(request));
-  auto shared_done = std::make_shared<Callback>(std::move(done));
-  TaskPool::Task task = [this, shared_request, shared_done] {
-    (*shared_done)(Advise(*shared_request));
-  };
-  if (server_pool_ != nullptr && server_pool_->TrySubmit(task)) return;
-  // Pool saturated or server_threads == 0: caller-runs backpressure.
-  async_inline_.fetch_add(1, std::memory_order_relaxed);
-  XDBFT_COUNTER_INC("advisor_service.async_inline");
-  task();
-}
-
 void AdvisorService::RecordObservation(const ft::ObservedExecution& observed,
                                        int num_nodes,
                                        int correlated_failures) {
@@ -426,7 +410,6 @@ AdvisorServiceStats AdvisorService::stats() const {
   s.bypassed = bypassed_.load(std::memory_order_relaxed);
   s.memo_warm_starts = memo_warm_starts_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
-  s.async_inline = async_inline_.load(std::memory_order_relaxed);
   s.inflight = inflight_.load(std::memory_order_relaxed);
   s.drift_invalidations =
       drift_invalidations_.load(std::memory_order_relaxed);

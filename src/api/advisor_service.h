@@ -15,10 +15,7 @@
 //     shared_memo contract);
 //   * bounded admission: at most max_inflight distinct enumerations run
 //     concurrently; excess misses bypass the cache and enumerate
-//     uncached, so an overload of cold keys cannot wedge the cache;
-//   * optional async admission of whole requests on a work-stealing
-//     TaskPool (AdviseAsync), with caller-runs fallback when the pool's
-//     queues are full.
+//     uncached, so an overload of cold keys cannot wedge the cache.
 //
 // Serving invariant: a cached, coalesced, warm-started or bypassed answer
 // is bit-identical to a fresh one-shot enumeration of the same request —
@@ -28,7 +25,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -38,7 +34,6 @@
 
 #include "api/advisor.h"
 #include "api/fingerprint.h"
-#include "common/task_pool.h"
 #include "ft/explain.h"
 
 namespace xdbft::api {
@@ -67,9 +62,6 @@ struct AdvisorServiceOptions {
   /// false = serve every request by fresh enumeration (cold baseline for
   /// the perf_advisor load generator).
   bool cache_enabled = true;
-  /// Workers of the service-owned TaskPool that AdviseAsync admits
-  /// requests on; 0 = AdviseAsync degenerates to a synchronous call.
-  int server_threads = 0;
   /// Enumeration configuration shared by every request (pruning rules,
   /// per-enumeration worker threads). trace/shared_memo are overridden
   /// per call by the service.
@@ -101,8 +93,6 @@ struct AdvisorServiceStats {
   uint64_t memo_warm_starts = 0;
   /// Requests answered with a non-OK status (never cached).
   uint64_t errors = 0;
-  /// AdviseAsync submissions that ran caller-inline (pool full/absent).
-  uint64_t async_inline = 0;
   /// Executions folded into the observed-cluster accumulator.
   uint64_t observations = 0;
   /// Ready entries evicted because their assumed cluster statistics
@@ -124,8 +114,6 @@ struct AdvisorServiceStats {
 
 class AdvisorService {
  public:
-  using Callback = std::function<void(Result<ft::SchemePlan>)>;
-
   /// \brief `default_cluster`/`default_model` serve the single-plan
   /// convenience overload; explicit AdvisorRequests carry their own.
   explicit AdvisorService(cost::ClusterStats default_cluster,
@@ -143,13 +131,6 @@ class AdvisorService {
   /// \brief Convenience: one plan under the service's default cluster
   /// state and model constants.
   Result<ft::SchemePlan> Advise(const plan::Plan& plan);
-
-  /// \brief Admit `request` on the service TaskPool and invoke `done`
-  /// with the answer from a pool worker. Falls back to running inline on
-  /// the calling thread when the pool is saturated or server_threads == 0
-  /// (caller-runs backpressure; `done` is always invoked exactly once,
-  /// before the call returns in the inline case).
-  void AdviseAsync(AdvisorRequest request, Callback done);
 
   AdvisorServiceStats stats() const;
 
@@ -222,7 +203,6 @@ class AdvisorService {
   size_t memo_shard_capacity_ = 0;  // parked memos per shard
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<TaskPool> server_pool_;
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> hits_{0};
@@ -232,7 +212,6 @@ class AdvisorService {
   std::atomic<uint64_t> bypassed_{0};
   std::atomic<uint64_t> memo_warm_starts_{0};
   std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> async_inline_{0};
   std::atomic<uint64_t> inflight_{0};
   std::atomic<uint64_t> drift_invalidations_{0};
 

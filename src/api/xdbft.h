@@ -35,8 +35,8 @@
 #include "ft/scheme.h"              // IWYU pragma: export
 #include "obs/attempt_log.h"        // IWYU pragma: export
 #include "obs/flight_recorder.h"    // IWYU pragma: export
-#include "obs/postmortem.h"         // IWYU pragma: export
 #include "obs/query_profile.h"      // IWYU pragma: export
+#include "obs/run_report.h"         // IWYU pragma: export
 #include "optimizer/join_enumerator.h"  // IWYU pragma: export
 #include "plan/plan.h"              // IWYU pragma: export
 #include "plan/plan_text.h"         // IWYU pragma: export

@@ -76,279 +76,149 @@ void ClusterSimulator::TraceInstant(const std::string& name,
                              options_.trace_pid, node_idx);
 }
 
-double ClusterSimulator::RunPartition(double ready, double duration,
-                                      FailureTrace& node, int* restarts,
-                                      bool* aborted, const std::string& label,
-                                      int node_idx) const {
+template <typename FailureSource>
+double ClusterSimulator::RunRetryUnit(double ready, double duration,
+                                      double replay_factor,
+                                      FailureSource& failures,
+                                      const RetryUnit& unit, int* restarts,
+                                      bool* aborted) const {
   if (duration <= 0.0) return ready;
+  const bool whole_query = unit.node < 0;
+  double logged = 0.0;  // durable logged progress, in work seconds
   double start = ready;
-  int unit_restarts = 0;
-  while (true) {
-    const double fail = node.NextFailureAfter(start);
-    if (fail >= start + duration) {
-      TraceSpan(label, "subplan", start, duration, node_idx);
-      XDBFT_COUNTER_INC("simulator.subplan_runs");
-      LogAttempt(options_.attempt_log, label, node_idx, unit_restarts,
-                 start, start + duration, /*killed=*/false);
-      return start + duration;
-    }
-    // The node fails mid-execution: all partition work on this sub-plan is
-    // lost. The coordinator notices at the next monitoring tick, then
-    // redeploys (MTTR) and starts over from the materialized inputs.
-    ++(*restarts);
-    ++unit_restarts;
-    XDBFT_COUNTER_INC("simulator.failures");
-    XDBFT_FLIGHT("simulator", "failure", node_idx, unit_restarts);
-    TraceSpan(label + " (killed)", "killed", start, fail - start, node_idx);
-    TraceInstant("failure", "failure", fail, node_idx);
-    LogAttempt(options_.attempt_log, label, node_idx, unit_restarts - 1,
-               start, fail, /*killed=*/true);
-    double detected = fail;
-    if (options_.monitoring_interval > 0.0) {
-      const double ticks =
-          std::ceil(fail / options_.monitoring_interval);
-      detected = ticks * options_.monitoring_interval;
-      TraceSpan("detect", "wait", fail, detected - fail, node_idx);
-    }
-    XDBFT_GAUGE_ADD("simulator.mttr_wait_seconds",
-                    (detected - fail) + stats_.mttr_seconds);
-    if (unit_restarts >= options_.max_restarts) {
-      // This retry unit keeps dying: give up after max_restarts attempts,
-      // like RunFullRestart does for whole-query restarts (and like the
-      // executor's per-task max_attempts), so fine-grained and full
-      // restart are compared under the same abort semantics.
-      XDBFT_COUNTER_INC("simulator.aborts");
-      XDBFT_FLIGHT("simulator", "abort: max restarts exhausted", node_idx,
-                   unit_restarts);
-      *aborted = true;
-      return detected + stats_.mttr_seconds;
-    }
-    TraceSpan("mttr", "wait", detected, stats_.mttr_seconds, node_idx);
-    start = detected + stats_.mttr_seconds;
-  }
-}
-
-double ClusterSimulator::RunWalPartition(double ready, double duration,
-                                         FailureTrace& node, int* restarts,
-                                         bool* aborted,
-                                         const std::string& label,
-                                         int node_idx) const {
-  if (duration <= 0.0) return ready;
-  const double replay_factor = options_.wal_replay_factor;
-  double logged = 0.0;  // durable logged progress, in work units
-  double start = ready;
-  int unit_restarts = 0;
-  while (true) {
+  for (int attempt = 0;; ++attempt) {
     // One attempt: replay the logged frontier, then run the fresh rest.
     // The span is written as duration - (1 - f)*logged rather than
     // f*logged + (duration - logged): algebraically identical, but at
-    // f == 1 the subtrahend is exactly 0.0, keeping the unity-replay
-    // span bit-identical to the fine-grained attempt span.
+    // f == 1 the subtrahend is exactly 0.0, so a recompute attempt spans
+    // exactly `duration`.
     const double replay = replay_factor * logged;
     const double span = duration - (1.0 - replay_factor) * logged;
-    const double fail = node.NextFailureAfter(start);
+    const double fail = failures.NextFailureAfter(start);
     if (fail >= start + span) {
-      TraceSpan(label, "subplan", start, span, node_idx);
-      XDBFT_COUNTER_INC("simulator.subplan_runs");
-      LogAttempt(options_.attempt_log, label, node_idx, unit_restarts,
-                 start, start + span, /*killed=*/false);
+      TraceSpan(unit.label, whole_query ? "query" : "subplan", start, span,
+                unit.lane);
+      if (!whole_query) XDBFT_COUNTER_INC("simulator.subplan_runs");
+      LogAttempt(options_.attempt_log, unit.label, unit.node, attempt, start,
+                 start + span, /*killed=*/false);
       return start + span;
     }
-    // The node fails mid-attempt. Work done past the replay phase was
-    // logged *before* its results flowed on, so it survives the failure;
-    // work lost inside the replay phase costs nothing extra (the log is
-    // still there).
+    // The failure kills the attempt. Work done past the replay phase was
+    // logged *before* its results flowed on, so it survives; work lost
+    // inside the replay phase costs nothing extra (the log is still
+    // there). At f == 1 the logged progress never shortens an attempt.
     const double elapsed = fail - start;
     if (elapsed > replay) logged += elapsed - replay;
     ++(*restarts);
-    ++unit_restarts;
     XDBFT_COUNTER_INC("simulator.failures");
-    XDBFT_FLIGHT("simulator", "failure (wal)", node_idx, unit_restarts);
-    TraceSpan(label + " (killed)", "killed", start, elapsed, node_idx);
-    TraceInstant("failure", "failure", fail, node_idx);
-    LogAttempt(options_.attempt_log, label, node_idx, unit_restarts - 1,
-               start, fail, /*killed=*/true);
+    XDBFT_FLIGHT("simulator", "failure", unit.node, attempt + 1);
+    if (options_.trace != nullptr) {
+      TraceSpan(unit.label + " (killed)", "killed", start, elapsed,
+                unit.lane);
+      TraceInstant("failure", "failure", fail, unit.lane);
+    }
+    LogAttempt(options_.attempt_log, unit.label, unit.node, attempt, start,
+               fail, /*killed=*/true);
+    // The coordinator notices the failure at the next monitoring tick,
+    // then redeploys (MTTR) and starts the unit over.
     double detected = fail;
     if (options_.monitoring_interval > 0.0) {
       const double ticks = std::ceil(fail / options_.monitoring_interval);
       detected = ticks * options_.monitoring_interval;
-      TraceSpan("detect", "wait", fail, detected - fail, node_idx);
+      TraceSpan("detect", "wait", fail, detected - fail, unit.lane);
     }
     XDBFT_GAUGE_ADD("simulator.mttr_wait_seconds",
                     (detected - fail) + stats_.mttr_seconds);
-    if (unit_restarts >= options_.max_restarts) {
+    if (attempt + 1 >= options_.max_restarts) {
+      // This retry unit keeps dying: give up after max_restarts restarts,
+      // as the paper aborts after 100 (and like the executor's per-task
+      // max_attempts), so every recovery mode shares one abort semantics.
       XDBFT_COUNTER_INC("simulator.aborts");
-      XDBFT_FLIGHT("simulator", "abort: max restarts exhausted", node_idx,
-                   unit_restarts);
+      XDBFT_FLIGHT("simulator", "abort: max restarts exhausted", unit.node,
+                   attempt + 1);
       *aborted = true;
       return detected + stats_.mttr_seconds;
     }
-    TraceSpan("mttr", "wait", detected, stats_.mttr_seconds, node_idx);
+    TraceSpan("mttr", "wait", detected, stats_.mttr_seconds, unit.lane);
     start = detected + stats_.mttr_seconds;
   }
 }
 
-Result<SimulationResult> ClusterSimulator::RunWalReplay(
-    const CollapsedPlan& cp, const std::vector<std::string>& op_labels,
-    ClusterTrace& trace, double start_time) const {
+SimulationResult ClusterSimulator::Walk(
+    const CollapsedPlan& cp, const std::vector<std::string>& labels,
+    RecoveryMode recovery, ClusterTrace& trace, double start_time) const {
   SimulationResult result;
   bool aborted = false;
-  std::vector<double> finish(cp.num_ops(), start_time);
-  for (const auto& c : cp.ops()) {  // ascending id = topological
-    const std::string& label =
-        static_cast<size_t>(c.id) < op_labels.size()
-            ? op_labels[static_cast<size_t>(c.id)]
-            : StrFormat("c%d", c.id);
-    double ready = start_time;
-    for (ft::CollapsedId in : c.inputs) {
-      ready = std::max(ready, finish[static_cast<size_t>(in)]);
-    }
-    // The lineage log is written ahead of the pipelined intermediates:
-    // the durable duration pays the log-write overhead up front.
-    const double durable =
-        c.total_cost() + options_.wal_write_cost * c.lineage_volume;
-    double done = ready;
-    for (int k = 0; k < trace.num_nodes(); ++k) {
-      const double duration =
-          durable * (1.0 + options_.partition_skew * NodeSkew(k));
-      const double completion =
-          RunWalPartition(ready, duration, trace.node(k), &result.restarts,
-                          &aborted, label, k);
-      if (aborted) {
-        result.runtime = completion - start_time;
-        result.completed = false;
-        result.aborted = 1;
-        result.aborted_seconds = result.runtime;
-        result.failures_hit = result.restarts;
-        return result;
-      }
-      done = std::max(done, completion);
-    }
-    finish[static_cast<size_t>(c.id)] = done;
-  }
-  for (ft::CollapsedId sink : cp.sinks()) {
-    result.runtime =
-        std::max(result.runtime, finish[static_cast<size_t>(sink)]);
-  }
-  result.runtime -= start_time;
-  result.failures_hit = result.restarts;
-  result.completed = true;
-  return result;
-}
-
-Result<SimulationResult> ClusterSimulator::RunFineGrained(
-    const CollapsedPlan& cp, const std::vector<std::string>& op_labels,
-    ClusterTrace& trace, double start_time) const {
-  SimulationResult result;
-  bool aborted = false;
-  std::vector<double> finish(cp.num_ops(), start_time);
-  for (const auto& c : cp.ops()) {  // ascending id = topological
-    const std::string& label =
-        static_cast<size_t>(c.id) < op_labels.size()
-            ? op_labels[static_cast<size_t>(c.id)]
-            : StrFormat("c%d", c.id);
-    double ready = start_time;
-    for (ft::CollapsedId in : c.inputs) {
-      ready = std::max(ready, finish[static_cast<size_t>(in)]);
-    }
-    double done = ready;
-    for (int k = 0; k < trace.num_nodes(); ++k) {
-      const double duration =
-          c.total_cost() * (1.0 + options_.partition_skew * NodeSkew(k));
-      const int segments = ft::NumCheckpointSegments(
-          duration, options_.checkpoint_interval);
-      double completion = ready;
-      if (segments == 1) {
-        completion = RunPartition(ready, duration, trace.node(k),
-                                  &result.restarts, &aborted, label, k);
-      } else {
-        // Intra-operator checkpointing: each segment is its own retry
-        // unit; all but the last also write a state checkpoint.
-        const double work = duration / static_cast<double>(segments);
-        for (int s = 0; s < segments && !aborted; ++s) {
-          const double seg =
-              work + (s + 1 < segments ? options_.checkpoint_cost : 0.0);
-          completion = RunPartition(
-              completion, seg, trace.node(k), &result.restarts, &aborted,
-              StrFormat("%s [seg %d/%d]", label.c_str(), s + 1, segments), k);
-        }
-      }
-      if (aborted) {
-        // A retry unit hit max_restarts: the query gives up, reporting the
-        // cluster time it burned (like RunFullRestart's abort path).
-        result.runtime = completion - start_time;
-        result.completed = false;
-        result.aborted = 1;
-        result.aborted_seconds = result.runtime;
-        result.failures_hit = result.restarts;
-        return result;
-      }
-      done = std::max(done, completion);
-    }
-    finish[static_cast<size_t>(c.id)] = done;
-  }
-  for (ft::CollapsedId sink : cp.sinks()) {
-    result.runtime =
-        std::max(result.runtime, finish[static_cast<size_t>(sink)]);
-  }
-  result.runtime -= start_time;
-  result.failures_hit = result.restarts;
-  result.completed = true;
-  return result;
-}
-
-Result<SimulationResult> ClusterSimulator::RunFullRestart(
-    const CollapsedPlan& cp, ClusterTrace& trace,
-    double start_time) const {
-  SimulationResult result;
-  const double makespan = cp.MakespanNoFailure();
-  double start = start_time;
-  while (true) {
-    const double fail = trace.NextFailureAfter(start);
-    if (fail >= start + makespan) {
-      TraceSpan("query", "query", start, makespan, /*node_idx=*/0);
-      LogAttempt(options_.attempt_log, "query", /*node=*/-1,
-                 result.restarts, start, start + makespan,
-                 /*killed=*/false);
-      result.runtime = start + makespan - start_time;
-      result.completed = true;
-      return result;
-    }
-    ++result.restarts;
-    ++result.failures_hit;
-    XDBFT_COUNTER_INC("simulator.failures");
-    XDBFT_FLIGHT("simulator", "failure (full restart)", -1,
-                 result.restarts);
-    TraceSpan(StrFormat("query (attempt %d, killed)", result.restarts),
-              "killed", start, fail - start, /*node_idx=*/0);
-    TraceInstant("failure", "failure", fail, /*node_idx=*/0);
-    LogAttempt(options_.attempt_log, "query", /*node=*/-1,
-               result.restarts - 1, start, fail, /*killed=*/true);
-    // The coordinator notices the failure at the next monitoring tick —
-    // the same detection delay RunPartition charges, so the full-restart
-    // baseline is not biased low against fine-grained recovery.
-    double detected = fail;
-    if (options_.monitoring_interval > 0.0) {
-      const double ticks = std::ceil(fail / options_.monitoring_interval);
-      detected = ticks * options_.monitoring_interval;
-      TraceSpan("detect", "wait", fail, detected - fail, /*node_idx=*/0);
-    }
-    XDBFT_GAUGE_ADD("simulator.mttr_wait_seconds",
-                    (detected - fail) + stats_.mttr_seconds);
-    if (result.restarts >= options_.max_restarts) {
-      // Aborted, like the paper after 100 restarts; report the time spent.
-      XDBFT_COUNTER_INC("simulator.aborts");
-      XDBFT_FLIGHT("simulator", "abort: max restarts exhausted", -1,
-                   result.restarts);
-      result.runtime = detected + stats_.mttr_seconds - start_time;
-      result.completed = false;
+  // The query finished (or gave up) at `end`.
+  auto conclude = [&](double end) {
+    result.runtime = end - start_time;
+    result.failures_hit = result.restarts;
+    result.completed = !aborted;
+    if (aborted) {
       result.aborted = 1;
       result.aborted_seconds = result.runtime;
-      return result;
     }
-    TraceSpan("mttr", "wait", detected, stats_.mttr_seconds, /*node_idx=*/0);
-    start = detected + stats_.mttr_seconds;
+    return result;
+  };
+  if (recovery == RecoveryMode::kFullRestart) {
+    static const std::string kQuery = "query";
+    return conclude(RunRetryUnit(start_time, cp.MakespanNoFailure(),
+                                 /*replay_factor=*/1.0, trace,
+                                 {kQuery, /*lane=*/0, /*node=*/-1},
+                                 &result.restarts, &aborted));
   }
+  // Write-ahead lineage pays the log writes up front and is never cut
+  // into checkpoint segments: the log holds lineage, not operator state.
+  const bool wal = recovery == RecoveryMode::kWalReplay;
+  const double replay_factor = wal ? options_.wal_replay_factor : 1.0;
+  static const std::string kNoLabel;
+  std::vector<double> finish(cp.num_ops(), start_time);
+  for (const auto& c : cp.ops()) {  // ascending id = topological
+    const std::string& label =
+        labels.empty() ? kNoLabel : labels[static_cast<size_t>(c.id)];
+    double ready = start_time;
+    for (ft::CollapsedId in : c.inputs) {
+      ready = std::max(ready, finish[static_cast<size_t>(in)]);
+    }
+    const double t =
+        wal ? c.total_cost() + options_.wal_write_cost * c.lineage_volume
+            : c.total_cost();
+    double done = ready;
+    for (int k = 0; k < trace.num_nodes(); ++k) {
+      const double duration =
+          t * (1.0 + options_.partition_skew * NodeSkew(k));
+      const int segments =
+          wal ? 1
+              : ft::NumCheckpointSegments(duration,
+                                          options_.checkpoint_interval);
+      const double work = duration / static_cast<double>(segments);
+      double completion = ready;
+      for (int s = 0; s < segments && !aborted; ++s) {
+        std::string seg_label;
+        if (segments > 1 && !labels.empty()) {
+          seg_label =
+              StrFormat("%s [seg %d/%d]", label.c_str(), s + 1, segments);
+        }
+        // All but the last segment also write a state checkpoint.
+        completion = RunRetryUnit(
+            completion,
+            work + (s + 1 < segments ? options_.checkpoint_cost : 0.0),
+            replay_factor, trace.node(k),
+            {seg_label.empty() ? label : seg_label, k, k}, &result.restarts,
+            &aborted);
+      }
+      // A retry unit hit max_restarts: the query gives up at that unit's
+      // give-up time.
+      if (aborted) return conclude(completion);
+      done = std::max(done, completion);
+    }
+    finish[static_cast<size_t>(c.id)] = done;
+  }
+  double end = start_time;
+  for (ft::CollapsedId sink : cp.sinks()) {
+    end = std::max(end, finish[static_cast<size_t>(sink)]);
+  }
+  return conclude(end);
 }
 
 Result<SimulationResult> ClusterSimulator::Run(
@@ -362,28 +232,24 @@ Result<SimulationResult> ClusterSimulator::Run(
   XDBFT_ASSIGN_OR_RETURN(
       CollapsedPlan cp,
       CollapsedPlan::Create(plan, config, options_.pipe_constant));
-  std::vector<std::string> op_labels;
-  if (options_.trace != nullptr) {
-    // Label collapsed ops by their materializing anchor for the timeline.
-    op_labels.reserve(cp.num_ops());
+  // Timeline labels only when a trace or a ledger shows them: collapsed
+  // ops by their materializing anchor in a trace, by id in a ledger.
+  std::vector<std::string> labels;
+  if (options_.trace != nullptr || options_.attempt_log != nullptr) {
+    labels.reserve(cp.num_ops());
     for (const auto& c : cp.ops()) {
-      op_labels.push_back(StrFormat("c%d:%s", c.id,
-                                    plan.node(c.anchor).label.c_str()));
+      labels.push_back(
+          options_.trace != nullptr
+              ? StrFormat("c%d:%s", c.id, plan.node(c.anchor).label.c_str())
+              : StrFormat("c%d", c.id));
     }
   }
-  Result<SimulationResult> result =
-      recovery == RecoveryMode::kFineGrained
-          ? RunFineGrained(cp, op_labels, trace, start_time)
-          : recovery == RecoveryMode::kWalReplay
-                ? RunWalReplay(cp, op_labels, trace, start_time)
-                : RunFullRestart(cp, trace, start_time);
-  if (result.ok()) {
-    result->runtime_p50 = result->runtime;
-    result->runtime_p95 = result->runtime;
-    XDBFT_COUNTER_INC("simulator.runs");
-    XDBFT_COUNTER_ADD("simulator.restarts", result->restarts);
-    XDBFT_GAUGE_SET("simulator.last_runtime_seconds", result->runtime);
-  }
+  SimulationResult result = Walk(cp, labels, recovery, trace, start_time);
+  result.runtime_p50 = result.runtime;
+  result.runtime_p95 = result.runtime;
+  XDBFT_COUNTER_INC("simulator.runs");
+  XDBFT_COUNTER_ADD("simulator.restarts", result.restarts);
+  XDBFT_GAUGE_SET("simulator.last_runtime_seconds", result.runtime);
   return result;
 }
 

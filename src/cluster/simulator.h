@@ -7,19 +7,27 @@
 // parallelism follows the collapsed DAG, intermediates are written to
 // fault-tolerant storage and never lost (§2.2), and a failure of node k
 // while it executes a sub-plan restarts that sub-plan on that node after
-// MTTR. Recovery granularity follows ft::RecoveryMode:
-//   kFineGrained  - only the failed sub-plan (collapsed op x partition)
-//                   restarts from its last materialized inputs; under a
-//                   no-mat configuration this degenerates to lineage-style
-//                   recomputation of the failed partition's full chain.
-//   kFullRestart  - any failure during execution restarts the entire query
-//                   (the parallel-database strategy); aborts after
-//                   max_restarts attempts, as the paper aborts after 100.
-//   kWalReplay    - write-ahead lineage: sub-plans log lineage ahead of
-//                   their results (paying wal_write_cost up front); a
-//                   failed partition replays the logged frontier at
-//                   wal_replay_factor speed instead of recomputing, and
-//                   logged progress survives the failure.
+// MTTR.
+//
+// Every recovery discipline is one DAG walk over one retry unit, the
+// simulated counterpart of T(c) = t + a*w + a*MTTR (Eq. 8). A retry unit
+// runs some work, restarts after each failure (detection at the next
+// monitoring tick, then MTTR) and gives up after max_restarts. What each
+// ft::RecoveryMode feeds it:
+//   kFineGrained  - per (collapsed op, node): t(c), cut into
+//                   checkpoint_interval segments that are retry units of
+//                   their own, recomputed from the materialized inputs
+//                   (replay factor 1); under a no-mat configuration this
+//                   is lineage-style recomputation of the failed
+//                   partition's full chain.
+//   kWalReplay    - write-ahead lineage: per (collapsed op, node),
+//                   t(c) + wal_write_cost * lineage_volume, unsegmented; a
+//                   retry replays the logged progress at wal_replay_factor
+//                   speed, and logged progress survives the failure.
+//   kFullRestart  - one unit of the failure-free makespan over the
+//                   cluster-wide failure stream: any failure restarts the
+//                   entire query (the parallel-database strategy); the
+//                   paper aborts after 100 restarts.
 #pragma once
 
 #include <string>
@@ -165,23 +173,35 @@ class ClusterSimulator {
   const SimulationOptions& options() const { return options_; }
 
  private:
-  /// Completion time of one collapsed op on one node, starting at `ready`.
-  /// `label`/`node_idx` identify the sub-plan and trace lane for the
-  /// exported timeline. One call is one retry unit: if the unit fails
-  /// options_.max_restarts times, `*aborted` is set and the returned time
-  /// is when the query gave up (the last failure's detection + MTTR).
-  double RunPartition(double ready, double duration, FailureTrace& node,
-                      int* restarts, bool* aborted, const std::string& label,
-                      int node_idx) const;
+  /// Identity of one retry unit in the exported timeline and the attempt
+  /// ledger: `label` names its spans and records, `lane` is its trace
+  /// lane and `node` its ledger node (-1 = the whole query).
+  struct RetryUnit {
+    const std::string& label;
+    int lane;
+    int node;
+  };
 
-  /// Completion time of one collapsed op on one node under write-ahead
-  /// lineage: `duration` must already include the log-write overhead.
-  /// Progress is durable the moment it is logged; each attempt first
-  /// replays the logged frontier at wal_replay_factor speed, then runs the
-  /// remaining fresh work. Same abort semantics as RunPartition.
-  double RunWalPartition(double ready, double duration, FailureTrace& node,
-                         int* restarts, bool* aborted,
-                         const std::string& label, int node_idx) const;
+  /// One retry unit: `duration` seconds of work that start at `ready` and
+  /// restart whenever `failures` (a node's FailureTrace, or the
+  /// ClusterTrace for a full restart) fails during an attempt. Progress
+  /// survives a failure as a durable log that the next attempt replays at
+  /// `replay_factor` speed; at 1 an attempt recomputes everything. Returns
+  /// the completion time. After max_restarts restarts it sets `*aborted`
+  /// and returns the time the query gave up (last detection + MTTR).
+  template <typename FailureSource>
+  double RunRetryUnit(double ready, double duration, double replay_factor,
+                      FailureSource& failures, const RetryUnit& unit,
+                      int* restarts, bool* aborted) const;
+
+  /// The DAG walk behind Run: feeds each recovery mode's retry units (see
+  /// the file comment) and folds their completion times. `labels` holds
+  /// one timeline label per collapsed op, or is empty when neither a
+  /// trace nor a ledger is attached.
+  SimulationResult Walk(const ft::CollapsedPlan& cp,
+                        const std::vector<std::string>& labels,
+                        ft::RecoveryMode recovery, ClusterTrace& trace,
+                        double start_time) const;
 
   /// Virtual-time trace emission helpers (no-ops when options_.trace is
   /// null). Durations/timestamps are simulated seconds.
@@ -189,18 +209,6 @@ class ClusterSimulator {
                  double start_s, double dur_s, int node_idx) const;
   void TraceInstant(const std::string& name, const std::string& category,
                     double at_s, int node_idx) const;
-
-  Result<SimulationResult> RunFineGrained(const ft::CollapsedPlan& cp,
-                                          const std::vector<std::string>& op_labels,
-                                          ClusterTrace& trace,
-                                          double start_time) const;
-  Result<SimulationResult> RunFullRestart(const ft::CollapsedPlan& cp,
-                                          ClusterTrace& trace,
-                                          double start_time) const;
-  Result<SimulationResult> RunWalReplay(
-      const ft::CollapsedPlan& cp,
-      const std::vector<std::string>& op_labels, ClusterTrace& trace,
-      double start_time) const;
 
   cost::ClusterStats stats_;
   SimulationOptions options_;

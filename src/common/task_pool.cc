@@ -78,8 +78,6 @@ void TaskPool::Submit(Task task) {
   task();
 }
 
-bool TaskPool::TrySubmit(Task task) { return EnqueueTask(task); }
-
 bool TaskPool::PopTask(int worker_id, Task* task, bool* stolen) {
   const size_t n = queues_.size();
   if (n == 0) return false;

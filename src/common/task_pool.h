@@ -59,14 +59,6 @@ class TaskPool {
   /// pool has no workers. Must not be called after the destructor started.
   void Submit(Task task);
 
-  /// \brief Bounded admission: enqueue `task` and return true, or return
-  /// false — without running anything — when the pool has no workers or
-  /// every queue is full. The caller keeps control of overload handling
-  /// (run inline, retry later, shed the request); pass an lvalue if the
-  /// task must still run on rejection, since the by-value argument is
-  /// consumed either way.
-  bool TrySubmit(Task task);
-
   /// \brief Run fn(i) for every i in [0, n), blocking until all complete.
   /// The calling thread executes queued tasks while waiting. If any task
   /// throws, the first captured exception is rethrown after the join (the

@@ -7,7 +7,7 @@
 #include "common/string_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/postmortem.h"
+#include "obs/run_report.h"
 
 namespace xdbft::engine {
 
@@ -174,6 +174,35 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
     last_record[static_cast<size_t>(s)].assign(slots_of(s), -1);
   }
 
+  // Demand closure from the final stage: a task is required iff it is not
+  // `present` and it is a final-stage task or feeds a required task.
+  // Returns the required marks per (stage, slot) and their count.
+  auto demand_closure = [&](auto present) {
+    std::vector<std::vector<char>> required(static_cast<size_t>(num_stages));
+    for (int s = 0; s < num_stages; ++s) {
+      required[static_cast<size_t>(s)].assign(slots_of(s), 0);
+    }
+    std::vector<std::pair<int, int>> work;
+    auto demand = [&](int s, int slot) {
+      if (present(s, slot)) return;
+      char& mark =
+          required[static_cast<size_t>(s)][static_cast<size_t>(slot)];
+      if (mark) return;
+      mark = 1;
+      work.emplace_back(s, slot);
+    };
+    for (size_t slot = 0; slot < slots_of(last); ++slot) {
+      demand(last, static_cast<int>(slot));
+    }
+    for (size_t scan = 0; scan < work.size(); ++scan) {
+      const auto [s, slot] = work[scan];
+      for (const auto& [ps, pslot] : plan_->TaskInputs(s, slot, n)) {
+        demand(ps, pslot);
+      }
+    }
+    return std::make_pair(std::move(required), work.size());
+  };
+
   // Runs one attempt: resolves inputs per edge mode from the current
   // state (read-only during a wave), executes the stage, records the
   // span on the executing worker's lane. The attempt's time includes its
@@ -244,36 +273,13 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
   // Iterative by construction: recovery depth never touches the C++
   // stack, however adversarial the injector.
   while (true) {
-    // (1) Demand closure: a task is required iff its output is missing
-    // and it is the final stage or feeds a required task.
-    std::vector<std::vector<char>> required(
-        static_cast<size_t>(num_stages));
-    for (int s = 0; s < num_stages; ++s) {
-      required[static_cast<size_t>(s)].assign(slots_of(s), 0);
-    }
-    std::vector<std::pair<int, int>> frontier;
-    auto demand = [&](int s, int slot) {
-      if (state[static_cast<size_t>(s)][static_cast<size_t>(slot)]
-              .output.has_value()) {
-        return;
-      }
-      char& mark =
-          required[static_cast<size_t>(s)][static_cast<size_t>(slot)];
-      if (mark) return;
-      mark = 1;
-      frontier.emplace_back(s, slot);
-    };
-    for (size_t slot = 0; slot < slots_of(last); ++slot) {
-      demand(last, static_cast<int>(slot));
-    }
-    size_t scan = 0;
-    while (scan < frontier.size()) {
-      const auto [s, slot] = frontier[scan++];
-      for (const auto& [ps, pslot] : plan_->TaskInputs(s, slot, n)) {
-        demand(ps, pslot);
-      }
-    }
-    if (frontier.empty()) break;  // every final output present
+    // (1) Demand closure of the missing outputs.
+    const auto [required, num_required] =
+        demand_closure([&](int s, int slot) {
+          return state[static_cast<size_t>(s)][static_cast<size_t>(slot)]
+              .output.has_value();
+        });
+    if (num_required == 0) break;  // every final output present
 
     // (2) Ready frontier in ascending (stage, slot) order.
     std::vector<WaveTask> wave;
@@ -313,7 +319,7 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
                      t.slot);
         std::string suffix;
         if (!postmortem_dir_.empty()) {
-          obs::PostMortem pm;
+          obs::RunReport pm;
           pm.tool = "ft_executor";
           pm.reason = reason;
           pm.params["plan"] = plan_->name();
@@ -519,31 +525,8 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
   // counts iff it is a final-stage task or transitively feeds one. Stages
   // the final stage never consumes are not executed (step 1), so counting
   // them here would deflate (even negate) the recovery tally.
-  int minimal = 0;
-  {
-    std::vector<std::vector<char>> needed(static_cast<size_t>(num_stages));
-    for (int s = 0; s < num_stages; ++s) {
-      needed[static_cast<size_t>(s)].assign(slots_of(s), 0);
-    }
-    std::vector<std::pair<int, int>> work;
-    auto need = [&](int s, int slot) {
-      char& mark = needed[static_cast<size_t>(s)][static_cast<size_t>(slot)];
-      if (mark) return;
-      mark = 1;
-      work.emplace_back(s, slot);
-    };
-    for (size_t slot = 0; slot < slots_of(last); ++slot) {
-      need(last, static_cast<int>(slot));
-    }
-    size_t scan = 0;
-    while (scan < work.size()) {
-      const auto [s, slot] = work[scan++];
-      for (const auto& [ps, pslot] : plan_->TaskInputs(s, slot, n)) {
-        need(ps, pslot);
-      }
-    }
-    minimal = static_cast<int>(work.size());
-  }
+  const int minimal = static_cast<int>(
+      demand_closure([](int, int) { return false; }).second);
   result.recovery_executions = result.task_executions - minimal;
   XDBFT_COUNTER_ADD("executor.recoveries", result.recovery_executions);
   XDBFT_COUNTER_INC("executor.runs");

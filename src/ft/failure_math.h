@@ -88,29 +88,27 @@ double WastedTime(double t, const FailureParams& params);
 /// clamped one ulp below 1 so the result stays finite for finite t/mtbf.
 double ExpectedAttempts(double t, double mtbf_cost, double success_target);
 
-/// \brief T(c), Eq. 8: t + a*w + a*MTTR — the operator's total runtime under
-/// mid-query failures at the S-percentile, priced against the effective
-/// (burst-adjusted) MTBF.
-double OperatorTotalRuntime(double t, const FailureParams& params);
+/// \brief Per-attempt recovery terms of T(c) beyond plain Eq. 8.
+struct RecoveryTerms {
+  /// Share of the wasted time w(c) a failed attempt re-pays. Write-ahead
+  /// lineage (arXiv:2403.08062) logs lineage before results flow
+  /// downstream, so a retry replays the logged frontier instead of
+  /// recomputing it; must be in [0, 1], and 1 is plain recomputation.
+  double replay_factor = 1.0;
+  /// Extra charge per attempt (shared-fate refetch of co-placed
+  /// materialized inputs); must be >= 0.
+  double extra_cost_per_attempt = 0.0;
+};
 
-/// \brief T(c) with an extra per-attempt recovery charge (shared-fate
-/// refetch of co-placed materialized inputs): t + a*(w + MTTR + extra).
-/// `extra_cost_per_attempt` must be >= 0; 0 reproduces the plain overload.
+/// \brief T(c), Eq. 8 — the operator's total runtime under mid-query
+/// failures at the S-percentile, priced against the effective
+/// (burst-adjusted) MTBF:
+///   T = t + a * (replay_factor * w) + a * MTTR [+ a * extra].
+/// Under write-ahead lineage `t` must already include the log-write
+/// overhead (the durable runtime). The default terms are plain Eq. 8,
+/// bit for bit.
 double OperatorTotalRuntime(double t, const FailureParams& params,
-                            double extra_cost_per_attempt);
-
-/// \brief T(c) under write-ahead-lineage recovery (arXiv:2403.08062): the
-/// operator logs lineage before results flow downstream, so a failed
-/// attempt replays from the last logged frontier instead of re-running the
-/// lost work from scratch. Only `replay_factor` of the wasted time w(c) is
-/// paid per attempt (replay reads the log sequentially — no recomputation):
-///   T = t + a * (replay_factor * w + MTTR + extra).
-/// `t` must already include the log-write overhead (the durable runtime).
-/// replay_factor must be in [0, 1]; 1.0 reproduces OperatorTotalRuntime
-/// bit-for-bit.
-double OperatorTotalRuntimeWalReplay(double t, const FailureParams& params,
-                                     double replay_factor,
-                                     double extra_cost_per_attempt = 0.0);
+                            const RecoveryTerms& terms = {});
 
 /// \brief Probability that a query of duration t finishes without any
 /// failure on a cluster of n nodes with per-node MTBF (Fig. 1):

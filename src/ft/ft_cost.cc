@@ -10,11 +10,11 @@ double CollapsedOpTotalRuntime(double t, double lineage_volume,
   // -0.0 and, more importantly, signals intent): bit-identical to the
   // pre-WAL model.
   if (!wal.enabled) {
-    return OperatorTotalRuntime(t, fparams, extra_cost_per_attempt);
+    return OperatorTotalRuntime(t, fparams, {1.0, extra_cost_per_attempt});
   }
   const double durable = t + wal.write_cost * lineage_volume;
-  return OperatorTotalRuntimeWalReplay(durable, fparams, wal.replay_factor,
-                                       extra_cost_per_attempt);
+  return OperatorTotalRuntime(durable, fparams,
+                              {wal.replay_factor, extra_cost_per_attempt});
 }
 
 PlacementResult ComputePlacement(const CollapsedPlan& cp,

@@ -64,9 +64,10 @@ struct WalParams {
 };
 
 /// \brief T(c) of one collapsed operator under the active recovery
-/// discipline: plain Eq. 8 (`OperatorTotalRuntime`) when WAL is disabled,
-/// the lineage-log variant (durable runtime + replay-discounted wasted
-/// time) when enabled.
+/// discipline: plain Eq. 8 (`OperatorTotalRuntime`) when WAL is disabled;
+/// when enabled, the durable runtime t + write_cost * lineage_volume with
+/// the wasted time discounted by replay_factor. The one place that turns
+/// WalParams into a durable t and RecoveryTerms.
 double CollapsedOpTotalRuntime(double t, double lineage_volume,
                                const FailureParams& fparams,
                                const WalParams& wal,

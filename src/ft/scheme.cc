@@ -70,7 +70,7 @@ Result<SchemePlan> ApplyScheme(SchemeKind kind, const plan::Plan& plan,
       out.recovery = RecoveryMode::kFullRestart;
       out.config = MaterializationConfig::NoMat(plan);
       // Full restart is priced as one query-level retry unit, matching the
-      // simulator's RunFullRestart semantics; the shared fine-grained
+      // simulator's full-restart retry unit; the shared fine-grained
       // estimate below would price the single-machine dominant path
       // instead and underestimate badly on large clusters.
       XDBFT_ASSIGN_OR_RETURN(

@@ -1,10 +1,33 @@
 #include "obs/run_report.h"
 
+#include <atomic>
+#include <filesystem>
 #include <fstream>
 
+#include "common/string_util.h"
 #include "obs/json.h"
 
 namespace xdbft::obs {
+
+namespace {
+
+std::string SanitizeForFilename(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '-' || c == '_';
+    out += ok ? c : '_';
+  }
+  return out.empty() ? std::string("run") : out;
+}
+
+// Drops trailing newlines/spaces so an embedded document stays tidy.
+std::string TrimTrailing(std::string s) {
+  while (!s.empty() && (s.back() == '\n' || s.back() == ' ')) s.pop_back();
+  return s;
+}
+
+}  // namespace
 
 std::string RunReport::ToJson() const {
   std::string out = "{\n  \"tool\": ";
@@ -22,15 +45,41 @@ std::string RunReport::ToJson() const {
     out += ": ";
     out += JsonQuote(value);
   }
-  out += "\n  },\n  \"profiles\": [";
+  out += "\n  },";
+  if (!reason.empty()) {
+    out += "\n  \"reason\": ";
+    out += JsonQuote(reason);
+    out += StrFormat(",\n  \"seed\": %llu", (unsigned long long)seed);
+    out += ",\n  \"replay\": ";
+    out += JsonQuote(replay);
+    out += ",\n  \"events\": [";
+    for (size_t i = 0; i < events.size(); ++i) {
+      const FlightEvent& e = events[i];
+      out += i == 0 ? "\n    " : ",\n    ";
+      out += StrFormat("{\"seq\": %llu, \"t_seconds\": ",
+                       (unsigned long long)e.seq);
+      out += JsonNumber(e.t_seconds);
+      out += ", \"category\": ";
+      out += JsonQuote(e.category);
+      out += ", \"message\": ";
+      out += JsonQuote(e.message);
+      out += StrFormat(", \"a\": %lld, \"b\": %lld}", (long long)e.a,
+                       (long long)e.b);
+    }
+    out += "\n  ],\n  \"timeline\": ";
+    out += timeline.ToJson();
+    out += ",\n  \"reproducer\": ";
+    // Already a complete JSON document; embedded verbatim.
+    out += reproducer_json.empty() ? "null" : TrimTrailing(reproducer_json);
+    out += ",";
+  }
+  out += "\n  \"profiles\": [";
   for (size_t i = 0; i < profiles.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
     out += profiles[i].ToJson();
   }
   out += "\n  ],\n  \"metrics\": ";
-  out += metrics.ToJson();
-  // metrics.ToJson() ends with "}\n"; close the report object.
-  while (!out.empty() && (out.back() == '\n')) out.pop_back();
+  out += TrimTrailing(metrics.ToJson());
   out += "\n}\n";
   return out;
 }
@@ -45,6 +94,30 @@ Status RunReport::WriteFile(const std::string& path) const {
     return Status::Internal("failed writing report output file: " + path);
   }
   return Status::OK();
+}
+
+void CaptureProcessState(RunReport* report) {
+  report->events = FlightRecorder::Default().Tail();
+  report->metrics = MetricsRegistry::Default().Snapshot();
+}
+
+Result<std::string> WritePostMortem(const std::string& dir,
+                                    const RunReport& report) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return Status::Internal("cannot create post-mortem dir " + dir + ": " +
+                            ec.message());
+  }
+  // Process-local counter keeps multiple bundles from one run distinct.
+  static std::atomic<uint64_t> bundle_counter{0};
+  const uint64_t n = bundle_counter.fetch_add(1);
+  const std::string path =
+      dir + "/postmortem-" + SanitizeForFilename(report.tool) +
+      StrFormat("-%llu-%llu.json", (unsigned long long)report.seed,
+                (unsigned long long)n);
+  XDBFT_RETURN_NOT_OK(report.WriteFile(path));
+  return path;
 }
 
 }  // namespace xdbft::obs

@@ -18,7 +18,7 @@
 #include "ft/ft_cost.h"
 #include "ft/scheme.h"
 #include "obs/metrics.h"
-#include "obs/postmortem.h"
+#include "obs/run_report.h"
 #include "validate/generator.h"
 
 namespace xdbft::validate {
@@ -507,11 +507,15 @@ std::optional<std::string> CheckCorrelationZeroIdentity(const ReproCase& c) {
   if (!cp.ok()) return "collapse failed: " + cp.status().ToString();
   for (const auto& op : cp->ops()) {
     const double t = op.total_cost();
-    const double two_arg = ft::OperatorTotalRuntime(t, params);
-    const double three_arg = ft::OperatorTotalRuntime(t, params, 0.0);
-    if (two_arg != three_arg) {
-      return StrFormat("T(t=%.9g) with extra=0 is %.17g, without %.17g", t,
-                       three_arg, two_arg);
+    // Default recovery terms are Eq. 8 written out, in the same order.
+    const double a = ft::ExpectedAttempts(t, params.effective_mtbf_cost(),
+                                          params.success_target);
+    const double eq8 =
+        t + a * ft::WastedTime(t, params) + a * params.mttr_cost;
+    const double total = ft::OperatorTotalRuntime(t, params);
+    if (total != eq8) {
+      return StrFormat("T(t=%.9g) is %.17g, Eq. 8 written out %.17g", t,
+                       total, eq8);
     }
     const double independent =
         ft::QuerySuccessProbability(t, params.mtbf_cost,
@@ -1162,7 +1166,7 @@ Result<CrosscheckReport> RunCrosscheck(const CrosscheckOptions& options) {
           "seed %llu [%s]: %s", static_cast<unsigned long long>(seed),
           entry.name, minimized.detail.c_str());
       if (!options.postmortem_dir.empty()) {
-        obs::PostMortem pm;
+        obs::RunReport pm;
         pm.tool = "crosscheck";
         pm.reason = message;
         pm.seed = seed;

@@ -227,33 +227,6 @@ TEST(AdvisorServiceTest, SinglePlanOverloadUsesDefaults) {
   EXPECT_GT(chosen.ValueOrDie().estimated_cost, 0.0);
 }
 
-TEST(AdvisorServiceTest, AdviseAsyncDeliversOnPoolAndInline) {
-  const AdvisorRequest request = MakeRequest(SmallPlan("p"));
-  for (const int server_threads : {0, 2}) {
-    AdvisorServiceOptions options;
-    options.server_threads = server_threads;
-    AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0), {}, options);
-    std::mutex mu;
-    std::condition_variable cv;
-    int delivered = 0;
-    bool all_ok = true;
-    constexpr int kRequests = 4;
-    for (int i = 0; i < kRequests; ++i) {
-      service.AdviseAsync(request, [&](Result<ft::SchemePlan> result) {
-        std::lock_guard<std::mutex> lock(mu);
-        all_ok = all_ok && result.ok();
-        if (++delivered == kRequests) cv.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return delivered == kRequests; });
-    EXPECT_TRUE(all_ok);
-    if (server_threads == 0) {
-      EXPECT_EQ(service.stats().async_inline, static_cast<uint64_t>(kRequests));
-    }
-  }
-}
-
 TEST(AdvisorServiceTest, RecordObservationAccumulates) {
   AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
   ft::ObservedExecution obs;

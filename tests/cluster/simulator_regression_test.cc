@@ -2,19 +2,21 @@
 //  1. RunMany over a trace set where *every* run aborted reported
 //     runtime 0.0 — an impossible workload looked like an instant
 //     success. It now reports the time the aborted runs burned.
-//  2. RunFullRestart ignored options_.monitoring_interval: fine-grained
-//     recovery paid the failure-detection delay (RunPartition ceils the
-//     failure time to the next monitoring tick before MTTR) while the
+//  2. Full restart ignored options_.monitoring_interval: fine-grained
+//     recovery paid the failure-detection delay (the failure time is
+//     ceiled to the next monitoring tick before MTTR) while the
 //     full-restart baseline restarted instantly, biasing every
 //     fine-vs-full comparison against fine-grained recovery.
-//  3. RunFineGrained ignored options_.max_restarts: a retry unit could
-//     spin forever while RunFullRestart aborted after max_restarts, so
-//     the two recovery schemes were compared under different abort
+//  3. Fine-grained recovery ignored options_.max_restarts: a retry unit
+//     could spin forever while full restart aborted after max_restarts,
+//     so the two recovery schemes were compared under different abort
 //     semantics. Fine-grained now aborts when any single retry unit
 //     (collapsed op x node, or checkpoint segment) hits the cap.
 //  4. RunMany with a mixed trace set (some completed, some aborted)
 //     dropped the aborted runs' burned time entirely; aborted_seconds is
 //     now the mean over aborted traces and runtime stays completed-basis.
+// Plus exact-clock pins of the write-ahead-lineage replay factor and of
+// checkpoint segments on a scheduled failure.
 #include "cluster/simulator.h"
 
 #include <gtest/gtest.h>
@@ -302,6 +304,54 @@ TEST(SimulatorRegressionTest, DetectionDelayParityWithFineGrained) {
     if (fine->restarts > 0) ++failed_runs;
   }
   EXPECT_GT(failed_runs, 0);  // the parity claim was actually exercised
+}
+
+// One 100 s scan on one node (MTTR 10) with a single scheduled failure at
+// t=60: pins the exact clock of the replay-factor and checkpoint-segment
+// paths, which no statistical test resolves to the last bit.
+Plan SingleScanPlan() {
+  PlanBuilder b("scan");
+  const OpId scan = b.Scan("R", 1e6, 64, 100.0);
+  b.plan().mutable_node(scan).materialize_cost = 0.0;
+  return std::move(b).Build();
+}
+
+TEST(SimulatorRegressionTest, WalReplayScheduledFailureExactClock) {
+  // Attempt 1 runs [0, 60) and logs 60 s of progress before the failure.
+  // The retry starts at 70 (MTTR 10), replays the log at 0.25 speed
+  // (15 s), then runs the 40 s of fresh work: done at exactly 125.
+  Plan p = SingleScanPlan();
+  cost::ClusterStats stats = cost::MakeCluster(1, 1e9, 10.0);
+  SimulationOptions opts;
+  opts.wal_replay_factor = 0.25;
+  ClusterSimulator sim(stats, opts);
+  ClusterTrace trace = ClusterTrace::FromScheduled({{60.0}});
+  auto r = sim.Run(p, MaterializationConfig::NoMat(p),
+                   RecoveryMode::kWalReplay, trace);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->completed);
+  EXPECT_EQ(r->restarts, 1);
+  EXPECT_EQ(r->runtime, 125.0);
+}
+
+TEST(SimulatorRegressionTest, CheckpointSegmentsScheduledFailureExactClock) {
+  // interval 40 splits the 100 s scan into three segments of 100/3 s; the
+  // first two also write a 2 s checkpoint. The failure at 60 kills
+  // segment 2 (started at 35.33), which reruns from 70 after MTTR; then
+  // segment 3 runs to 138.67.
+  Plan p = SingleScanPlan();
+  cost::ClusterStats stats = cost::MakeCluster(1, 1e9, 10.0);
+  SimulationOptions opts;
+  opts.checkpoint_interval = 40.0;
+  opts.checkpoint_cost = 2.0;
+  ClusterSimulator sim(stats, opts);
+  ClusterTrace trace = ClusterTrace::FromScheduled({{60.0}});
+  auto r = sim.Run(p, MaterializationConfig::NoMat(p),
+                   RecoveryMode::kFineGrained, trace);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->completed);
+  EXPECT_EQ(r->restarts, 1);
+  EXPECT_EQ(r->runtime, 138.66666666666669);
 }
 
 }  // namespace

@@ -136,44 +136,5 @@ TEST(TaskPoolTest, StatsAccountEveryExecutedTask) {
   EXPECT_LE(s.tasks_stolen, s.tasks_executed);
 }
 
-TEST(TaskPoolTest, TrySubmitRejectsWithNoWorkers) {
-  TaskPool pool(0);
-  std::atomic<int> count{0};
-  EXPECT_FALSE(pool.TrySubmit([&] { count.fetch_add(1); }));
-  EXPECT_EQ(count.load(), 0);  // rejected task never ran
-}
-
-TEST(TaskPoolTest, TrySubmitRejectsWhenEveryQueueIsFullThenDrains) {
-  TaskPool pool(1, /*queue_capacity=*/2);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> count{0};
-  pool.Submit([&] {
-    started.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  // Wait until the worker holds the blocker (so it no longer occupies a
-  // queue slot): the 2-slot queue then fills, and further TrySubmits must
-  // report rejection instead of running inline.
-  while (!started.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  int accepted = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (pool.TrySubmit([&] { count.fetch_add(1); })) ++accepted;
-  }
-  EXPECT_EQ(accepted, 2);
-  release.store(true, std::memory_order_release);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (count.load() < accepted &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(count.load(), accepted);  // accepted tasks all ran, no extras
-}
-
 }  // namespace
 }  // namespace xdbft

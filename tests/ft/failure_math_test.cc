@@ -254,11 +254,21 @@ TEST(FailureMathTest, BurstsRaiseTotalRuntime) {
 TEST(FailureMathTest, ExtraPerAttemptChargeZeroIsIdentity) {
   FailureParams p;
   p.mtbf_cost = 60.0;
-  // extra == 0 must reproduce the 2-arg overload bit-for-bit.
-  EXPECT_EQ(OperatorTotalRuntime(40.0, p, 0.0),
-            OperatorTotalRuntime(40.0, p));
-  EXPECT_GT(OperatorTotalRuntime(40.0, p, 3.0),
-            OperatorTotalRuntime(40.0, p));
+  // Zero extra (and unity replay) must reproduce Eq. 8 written out, in the
+  // same summation order, bit for bit.
+  const double a = ExpectedAttempts(40.0, p.mtbf_cost, p.success_target);
+  const double eq8 = 40.0 + a * WastedTime(40.0, p) + a * p.mttr_cost;
+  EXPECT_EQ(OperatorTotalRuntime(40.0, p), eq8);
+  EXPECT_EQ(OperatorTotalRuntime(40.0, p, {1.0, 0.0}), eq8);
+  EXPECT_GT(OperatorTotalRuntime(40.0, p, {1.0, 3.0}), eq8);
+}
+
+TEST(FailureMathTest, ReplayFactorDiscountsOnlyWastedTime) {
+  FailureParams p;
+  p.mtbf_cost = 60.0;
+  const double a = ExpectedAttempts(40.0, p.mtbf_cost, p.success_target);
+  EXPECT_EQ(OperatorTotalRuntime(40.0, p, {0.25, 0.0}),
+            40.0 + a * (0.25 * WastedTime(40.0, p)) + a * p.mttr_cost);
 }
 
 TEST(FailureMathTest, QuerySuccessProbabilityCorrelatedDegrades) {

@@ -3,7 +3,7 @@
 // non-empty event tail (with metrics on), an attempt timeline / profile
 // tree, and a seed that deterministically replays the case. Also checks
 // the attempt-timeline accounting invariants on a recovering execution.
-#include "obs/postmortem.h"
+#include "obs/run_report.h"
 
 #include <gtest/gtest.h>
 
@@ -146,7 +146,7 @@ TEST(PostMortemTest, CrosscheckStyleBundleEmbedsReplayableReproducer) {
   const uint64_t seed = 5;
   validate::ReproCase c = validate::MakeSimCase(seed, /*traces=*/4);
   c.check = "synthetic";
-  obs::PostMortem pm;
+  obs::RunReport pm;
   pm.tool = "crosscheck";
   pm.reason = "synthetic violation for bundle validation";
   pm.seed = seed;
@@ -197,8 +197,9 @@ TEST(PostMortemTest, CrosscheckStyleBundleEmbedsReplayableReproducer) {
 }
 
 TEST(PostMortemTest, EmptyBundleStillParses) {
-  obs::PostMortem pm;
+  obs::RunReport pm;
   pm.tool = "unit test";
+  pm.reason = "unit test";
   auto doc = obs::ParseJson(pm.ToJson());
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_TRUE(doc->Find("reproducer")->is_null());

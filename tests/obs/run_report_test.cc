@@ -65,6 +65,9 @@ TEST(RunReportTest, EmptyReportIsStillValidJson) {
   auto doc = ParseJson(report.ToJson());
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_TRUE(doc->Find("params")->object.empty());
+  // No failure reason: the post-mortem keys are left out.
+  EXPECT_EQ(doc->Find("reason"), nullptr);
+  EXPECT_EQ(doc->Find("reproducer"), nullptr);
 }
 
 }  // namespace

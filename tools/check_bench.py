@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Warn-only perf-regression gate over the BENCH_*.json artifacts.
+"""Bench gate over the BENCH_*.json artifacts.
 
-Compares the JSON-lines bench artifacts of the current run (BENCH_enum,
-BENCH_exec, BENCH_advisor) against the committed snapshots in
-bench/baselines/. Rows are joined per bench on stable keys (workload +
-threads, mode + clients + hot fraction, ...) and each watched metric is
-checked against the baseline with a relative tolerance: latency-style
-metrics may not grow past it, rate-style metrics may not shrink past it.
+Compares the JSON-lines bench artifacts of the current run against the
+committed snapshots in bench/baselines/. Rows are joined per bench on
+stable keys (workload + threads, mode + clients + hot fraction, ...).
 
-Regressions are reported as GitHub `::warning::` annotations (rendered on
-the workflow run) and a human-readable summary — the exit code is ALWAYS 0
-for comparisons, because shared CI runners make wall-clock numbers too
-noisy to fail a build on; the annotations exist so a real regression is
-visible on the PR, not to block it. Correctness (bit-identity, determinism)
-is enforced by the harness binaries themselves, which do exit non-zero.
+Two kinds of bench:
+
+* Wall-clock benches (enum, exec, advisor) are warn-only. Each watched
+  metric is checked against the baseline with a relative tolerance:
+  latency-style metrics may not grow past it, rate-style metrics may not
+  shrink past it. Regressions are reported as GitHub `::warning::`
+  annotations (rendered on the workflow run) and a human-readable summary,
+  never as a failure: shared CI runners make wall-clock numbers too noisy
+  to fail a build on.
+* Deterministic benches (schemes, correlated) are exact. They simulate
+  fixed failure traces, so every row must equal its baseline row field for
+  field, to the last digit, with no row missing or added. A mismatch is
+  reported as an `::error::` annotation and the script exits 1.
 
 Usage:
   python3 tools/check_bench.py --baseline-dir bench/baselines \
@@ -26,10 +30,13 @@ baseline yet; commit one under bench/baselines/ to start tracking it).
 
 import argparse
 import json
+import math
 import os
 import sys
+import tempfile
 
-# Per-bench comparison spec: which row fields form the join key, and which
+# Per-bench comparison spec: which row fields form the join key, and either
+# `exact` (every row equals its baseline row field for field) or the
 # metrics to watch. Direction 'higher_bad' = current may not exceed
 # baseline * (1 + tol); 'lower_bad' = current may not fall below
 # baseline * (1 - tol).
@@ -43,22 +50,15 @@ SPECS = {
             "p50_speedup_vs_cold": "lower_bad",
         },
     },
+    # Model accuracy and simulated makespans over fixed trace seeds:
+    # deterministic, so any change is a behaviour change.
     "correlated": {
         "keys": ("mean_interval", "fanout"),
-        "metrics": {
-            # Accuracy, not wall-clock: the correlated model's error as a
-            # fraction of the independent model's at the same grid point.
-            "err_ratio": "higher_bad",
-        },
+        "exact": True,
     },
     "schemes": {
         "keys": ("scale", "scheme"),
-        "metrics": {
-            # Simulated-seconds makespan (deterministic for a fixed trace
-            # seed, so the tolerance only absorbs intentional model
-            # changes, not runner noise).
-            "makespan_seconds": "higher_bad",
-        },
+        "exact": True,
     },
     "enum": {
         "keys": ("workload", "threads"),
@@ -99,8 +99,37 @@ def row_key(row, keys):
     return tuple(row.get(k) for k in keys)
 
 
+def row_label(spec, key):
+    return ", ".join(
+        f"{k}={v}" for k, v in zip(spec["keys"], key) if v is not None)
+
+
+def compare_exact(name, baseline_rows, current_rows):
+    """Return a list of mismatch message strings (exact benches)."""
+    spec = SPECS[name]
+    mismatches = []
+    baseline_by_key = {row_key(r, spec["keys"]): r for r in baseline_rows}
+    current_by_key = {row_key(r, spec["keys"]): r for r in current_rows}
+    for key, base in baseline_by_key.items():
+        label = row_label(spec, key)
+        cur = current_by_key.get(key)
+        if cur is None:
+            mismatches.append(f"{name} [{label}]: row missing")
+            continue
+        for field in sorted(set(base) | set(cur)):
+            if base.get(field) != cur.get(field):
+                mismatches.append(
+                    f"{name} [{label}]: {field} {cur.get(field)!r} vs "
+                    f"baseline {base.get(field)!r}")
+    for key in current_by_key:
+        if key not in baseline_by_key:
+            mismatches.append(
+                f"{name} [{row_label(spec, key)}]: row not in baseline")
+    return mismatches
+
+
 def compare_bench(name, baseline_rows, current_rows, tolerance):
-    """Return a list of regression message strings."""
+    """Return a list of regression message strings (tolerance benches)."""
     spec = SPECS[name]
     regressions = []
     baseline_by_key = {row_key(r, spec["keys"]): r for r in baseline_rows}
@@ -109,8 +138,7 @@ def compare_bench(name, baseline_rows, current_rows, tolerance):
         base = baseline_by_key.get(key)
         if base is None:
             continue  # new sweep point: nothing to compare against
-        label = ", ".join(
-            f"{k}={v}" for k, v in zip(spec["keys"], key) if v is not None)
+        label = row_label(spec, key)
         for metric, direction in spec["metrics"].items():
             if metric not in base or metric not in cur:
                 continue
@@ -133,6 +161,7 @@ def compare_bench(name, baseline_rows, current_rows, tolerance):
 def run_compare(baseline_dir, current_dir, tolerance):
     any_compared = False
     all_regressions = []
+    all_mismatches = []
     for name in sorted(SPECS):
         baseline_path = os.path.join(baseline_dir, f"BENCH_{name}.json")
         current_path = os.path.join(current_dir, f"BENCH_{name}.json")
@@ -143,9 +172,16 @@ def run_compare(baseline_dir, current_dir, tolerance):
             print(f"note: no baseline for {name} "
                   f"(commit one under {baseline_dir}/ to track it)")
             continue
+        any_compared = True
+        if SPECS[name].get("exact"):
+            mismatches = compare_exact(name, load_rows(baseline_path),
+                                       load_rows(current_path))
+            all_mismatches.extend(mismatches)
+            if not mismatches:
+                print(f"ok: {name} identical to baseline")
+            continue
         regressions = compare_bench(name, load_rows(baseline_path),
                                     load_rows(current_path), tolerance)
-        any_compared = True
         if regressions:
             all_regressions.extend(regressions)
         else:
@@ -154,11 +190,15 @@ def run_compare(baseline_dir, current_dir, tolerance):
         # GitHub annotation (warn-only) + plain line for local runs.
         print(f"::warning title=bench regression::{msg}")
         print(f"REGRESSION (warn-only): {msg}")
+    for msg in all_mismatches:
+        print(f"::error title=bench identity::{msg}")
+        print(f"MISMATCH: {msg}")
     if not any_compared:
         print("note: nothing compared")
     print(f"checked against {baseline_dir}: "
-          f"{len(all_regressions)} regression(s) flagged (exit 0 either way)")
-    return 0
+          f"{len(all_regressions)} warn-only regression(s), "
+          f"{len(all_mismatches)} exact mismatch(es)")
+    return 1 if all_mismatches else 0
 
 
 def self_test():
@@ -190,20 +230,52 @@ def self_test():
     eworse = [dict(ebase[0], speedup_vs_1=2.0)]
     found = compare_bench("enum", ebase, eworse, 0.25)
     assert len(found) == 1 and "speedup_vs_1" in found[0], found
-    # correlated spec joins on the burst grid and watches model accuracy.
-    cbase = [{"type": "row", "mean_interval": 250.0, "fanout": 1.0,
-              "err_ratio": 0.2}]
-    cworse = [dict(cbase[0], err_ratio=0.6)]
-    found = compare_bench("correlated", cbase, cworse, 0.25)
-    assert len(found) == 1 and "err_ratio" in found[0], found
-    assert compare_bench("correlated", cbase, [dict(cbase[0])], 0.25) == []
+    # Exact specs: identical rows pass; a last-digit change, a new field,
+    # a missing row or an extra row each fail.
+    sbase = [{"type": "row", "scale": 0.5, "scheme": "wal",
+              "makespan_seconds": 780.17213156444484, "aborted": 0}]
+    assert compare_exact("schemes", sbase, [dict(sbase[0])]) == []
+    last_digit = math.nextafter(sbase[0]["makespan_seconds"], math.inf)
+    found = compare_exact(
+        "schemes", sbase, [dict(sbase[0], makespan_seconds=last_digit)])
+    assert len(found) == 1 and "makespan_seconds" in found[0], found
+    found = compare_exact("schemes", sbase, [dict(sbase[0], extra=1)])
+    assert len(found) == 1 and "extra" in found[0], found
+    found = compare_exact("schemes", sbase, [])
+    assert len(found) == 1 and "missing" in found[0], found
+    found = compare_exact(
+        "schemes", sbase, [dict(sbase[0]), dict(sbase[0], scheme="all-mat")])
+    assert len(found) == 1 and "not in baseline" in found[0], found
+    # run_compare exits 1 on an exact mismatch and 0 on identity, even
+    # with a warn-only regression alongside.
+    with tempfile.TemporaryDirectory() as tmp:
+        base_dir = os.path.join(tmp, "base")
+        cur_dir = os.path.join(tmp, "cur")
+        os.makedirs(base_dir)
+        os.makedirs(cur_dir)
+
+        def write(directory, name, rows):
+            with open(os.path.join(directory, f"BENCH_{name}.json"), "w",
+                      encoding="utf-8") as f:
+                for row in rows:
+                    f.write(json.dumps(row) + "\n")
+
+        cbase = [{"type": "row", "mean_interval": 250.0, "fanout": 1.0,
+                  "err_ratio": 0.2}]
+        write(base_dir, "correlated", cbase)
+        write(base_dir, "advisor", base)
+        write(cur_dir, "correlated", cbase)
+        write(cur_dir, "advisor", [worse])
+        assert run_compare(base_dir, cur_dir, 0.25) == 0
+        write(cur_dir, "correlated", [dict(cbase[0], err_ratio=0.21)])
+        assert run_compare(base_dir, cur_dir, 0.25) == 1
     print("self-test passed")
     return 0
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="warn-only bench regression check")
+        description="bench regression and identity check")
     parser.add_argument("--baseline-dir", default="bench/baselines")
     parser.add_argument("--current-dir", default="bench-json")
     parser.add_argument("--tolerance", type=float, default=0.25,

@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the execution engine: operator
-// throughputs (scan, filter, hash join, merge join, aggregation, sort),
+// throughputs (scan, filter, hash join, aggregation, sort),
 // TPC-H data generation rate and partition-parallel Q5 end-to-end.
 //
 // Before the microbenchmarks, main() runs a thread-scaling sweep of the
@@ -89,19 +89,6 @@ void BM_HashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HashJoin)->Arg(100000);
-
-void BM_MergeJoin(benchmark::State& state) {
-  const Table build = MakeInts(state.range(0) / 10, 10000, 3);
-  const Table probe = MakeInts(state.range(0), 10000, 4);
-  for (auto _ : state) {
-    auto op = exec::MakeMergeJoin(exec::MakeScan(&build),
-                                  exec::MakeScan(&probe), 0, 0);
-    auto r = exec::Drain(op.get());
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MergeJoin)->Arg(100000);
 
 void BM_HashAggregate(benchmark::State& state) {
   const Table t = MakeInts(state.range(0), 1000, 5);

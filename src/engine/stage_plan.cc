@@ -114,23 +114,24 @@ Result<Table> RunStageNode(const ExecOptions& opts,
                            const exec::VecNodePtr& plan,
                            obs::QueryProfile* profile) {
   const bool vectorized = opts.mode == ExecMode::kVectorized;
-  exec::VecExecOptions vopts;
-  vopts.morsel_rows = opts.morsel_rows;
-  if (!opts.profile) return exec::RunPlan(plan, vectorized, vopts);
-  profile->engine = vectorized ? "vectorized" : "row";
+  obs::OperatorProfile* root = opts.profile ? &profile->root : nullptr;
   const auto start = std::chrono::steady_clock::now();
   Result<Table> result = Table{};
   if (vectorized) {
-    vopts.profile = &profile->root;
+    exec::VecExecOptions vopts;
+    vopts.morsel_rows = opts.morsel_rows;
+    vopts.profile = root;
     result = exec::ExecuteVectorized(plan, vopts);
   } else {
-    const exec::OperatorPtr op =
-        exec::ToOperatorProfiled(plan, &profile->root);
+    const exec::OperatorPtr op = exec::ToOperator(plan, root);
     result = exec::Drain(op.get());
   }
-  profile->seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
+  if (root != nullptr) {
+    profile->engine = vectorized ? "vectorized" : "row";
+    profile->seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  }
   return result;
 }
 

@@ -35,12 +35,22 @@ struct AggState {
   Value min, max;
 };
 
-/// \brief Every non-count spec needs an argument expression.
-inline Status ValidateAggSpecs(const std::vector<AggSpec>& aggs) {
+/// \brief Every non-count spec needs an argument expression, each
+/// argument must type-check over `input` (InferExprType), and SUM/AVG
+/// arguments must not be strings.
+inline Status ValidateAggSpecs(const std::vector<AggSpec>& aggs,
+                               const Schema& input) {
   for (const auto& a : aggs) {
-    if (a.func != AggFunc::kCount && a.arg == nullptr) {
+    if (a.arg == nullptr) {
+      if (a.func == AggFunc::kCount) continue;
       return Status::InvalidArgument("aggregate '" + a.name +
                                      "' needs an argument expression");
+    }
+    XDBFT_ASSIGN_OR_RETURN(const ValueType t, InferExprType(*a.arg, input));
+    if (t == ValueType::kString &&
+        (a.func == AggFunc::kSum || a.func == AggFunc::kAvg)) {
+      return Status::InvalidArgument("aggregate '" + a.name +
+                                     "' sums a string argument");
     }
   }
   return Status::OK();

@@ -31,7 +31,6 @@ struct Batch {
     return columns.empty() ? 0 : columns[0].size();
   }
   size_t num_columns() const { return columns.size(); }
-  bool empty() const { return num_rows() == 0; }
 
   /// \brief Reset to `ncols` empty columns, keeping capacity.
   void Reset(size_t ncols) {
@@ -42,11 +41,6 @@ struct Batch {
   /// \brief Reserve room for `nrows` in every column.
   void Reserve(size_t nrows) {
     for (auto& c : columns) c.reserve(nrows);
-  }
-
-  /// \brief Append row `r` of this batch to `row` (column order).
-  void AppendRowTo(size_t r, Row* row) const {
-    for (const auto& c : columns) row->push_back(c[r]);
   }
 };
 

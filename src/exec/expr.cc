@@ -478,4 +478,123 @@ Expr::Ptr Not(Expr::Ptr a) {
   return Expr::Make(ExprOp::kNot, {std::move(a)});
 }
 
+namespace {
+
+bool IsNumeric(ValueType t) {
+  return t == ValueType::kInt64 || t == ValueType::kDouble;
+}
+
+// The one operand combination Value::Compare cannot order.
+bool MixesStringAndNumeric(ValueType a, ValueType b) {
+  return (a == ValueType::kString && IsNumeric(b)) ||
+         (IsNumeric(a) && b == ValueType::kString);
+}
+
+}  // namespace
+
+Result<ValueType> InferExprType(const Expr& expr, const Schema& input) {
+  switch (expr.op()) {
+    case ExprOp::kColumn:
+      if (expr.column_index() >= static_cast<int>(input.num_columns())) {
+        return Status::InvalidArgument(
+            "column $" + std::to_string(expr.column_index()) +
+            " out of range (input has " +
+            std::to_string(input.num_columns()) + " columns)");
+      }
+      return input.column(expr.column_index()).type;
+    case ExprOp::kLiteral:
+      return expr.literal().type();
+    default:
+      break;
+  }
+  const size_t arity = expr.op() == ExprOp::kNot ? 1 : 2;
+  if (expr.children().size() != arity) {
+    return Status::InvalidArgument("expression needs " +
+                                   std::to_string(arity) + " operands");
+  }
+  ValueType t[2] = {ValueType::kNull, ValueType::kNull};
+  for (size_t i = 0; i < arity; ++i) {
+    if (expr.children()[i] == nullptr) {
+      return Status::InvalidArgument("null expression operand");
+    }
+    XDBFT_ASSIGN_OR_RETURN(t[i], InferExprType(*expr.children()[i], input));
+  }
+  switch (expr.op()) {
+    case ExprOp::kAdd:
+    case ExprOp::kSub:
+    case ExprOp::kMul:
+    case ExprOp::kDiv:
+      if (t[0] == ValueType::kString || t[1] == ValueType::kString) {
+        return Status::InvalidArgument("arithmetic on a string operand: " +
+                                       expr.ToString(&input));
+      }
+      return t[0] == ValueType::kInt64 && t[1] == ValueType::kInt64 &&
+                     expr.op() != ExprOp::kDiv
+                 ? ValueType::kInt64
+                 : ValueType::kDouble;
+    case ExprOp::kEq:
+    case ExprOp::kNe:
+    case ExprOp::kLt:
+    case ExprOp::kLe:
+    case ExprOp::kGt:
+    case ExprOp::kGe:
+      if (MixesStringAndNumeric(t[0], t[1])) {
+        return Status::InvalidArgument("comparing string with numeric: " +
+                                       expr.ToString(&input));
+      }
+      return ValueType::kInt64;
+    default:  // kAnd, kOr, kNot: booleans are int64 0/1
+      return ValueType::kInt64;
+  }
+}
+
+Schema ProjectSchema(const std::vector<Expr::Ptr>& exprs,
+                     std::vector<std::string> names, const Schema& input) {
+  std::vector<Column> cols;
+  cols.reserve(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    ValueType type = ValueType::kNull;
+    if (i < exprs.size() && exprs[i] != nullptr) {
+      const Result<ValueType> t = InferExprType(*exprs[i], input);
+      if (t.ok()) type = *t;
+    }
+    cols.push_back({std::move(names[i]), type});
+  }
+  return Schema(std::move(cols));
+}
+
+Status CheckProjectExprs(const std::vector<Expr::Ptr>& exprs,
+                         const Schema& output, const Schema& input) {
+  if (exprs.size() != output.num_columns()) {
+    return Status::InvalidArgument("project: exprs/names size mismatch");
+  }
+  for (const auto& e : exprs) {
+    if (e == nullptr) return Status::InvalidArgument("null project expression");
+    XDBFT_RETURN_NOT_OK(InferExprType(*e, input).status());
+  }
+  return Status::OK();
+}
+
+Status CheckJoinKeys(const Schema& build, const std::vector<int>& build_keys,
+                     const Schema& probe, const std::vector<int>& probe_keys) {
+  if (build_keys.size() != probe_keys.size() || build_keys.empty()) {
+    return Status::InvalidArgument("join: bad key columns");
+  }
+  for (size_t i = 0; i < build_keys.size(); ++i) {
+    const int b = build_keys[i], p = probe_keys[i];
+    if (b < 0 || b >= static_cast<int>(build.num_columns()) || p < 0 ||
+        p >= static_cast<int>(probe.num_columns())) {
+      return Status::InvalidArgument("join: key column out of range");
+    }
+    if (MixesStringAndNumeric(build.column(b).type, probe.column(p).type)) {
+      return Status::InvalidArgument(
+          "join: key '" + build.column(b).name + "' (" +
+          ValueTypeName(build.column(b).type) + ") vs '" +
+          probe.column(p).name + "' (" +
+          ValueTypeName(probe.column(p).type) + ")");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace xdbft::exec

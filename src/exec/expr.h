@@ -1,6 +1,7 @@
 // Minimal expression tree evaluated against rows: column references,
 // literals, arithmetic, comparisons and boolean connectives. Used by the
-// filter/project operators of the execution engine.
+// filter/project operators of the execution engine. InferExprType is the
+// one type check both engines run before evaluating an expression.
 #pragma once
 
 #include <cstdint>
@@ -113,5 +114,31 @@ Expr::Ptr Ge(Expr::Ptr a, Expr::Ptr b);
 Expr::Ptr And(Expr::Ptr a, Expr::Ptr b);
 Expr::Ptr Or(Expr::Ptr a, Expr::Ptr b);
 Expr::Ptr Not(Expr::Ptr a);
+
+/// \brief Type of `expr` over rows of `input`: a column has its column
+/// type, a literal its own type, arithmetic is numeric (kInt64 for int64
+/// operands other than division, else kDouble), comparisons and boolean
+/// operators are kInt64. kNull means unknown and is never rejected.
+/// Returns InvalidArgument when a comparison mixes a string with a numeric
+/// operand, when arithmetic has a string operand (the evaluators would
+/// abort on either), for a column index outside `input`, and for a null
+/// or missing operand.
+Result<ValueType> InferExprType(const Expr& expr, const Schema& input);
+
+/// \brief Output schema of a projection: `names`, each typed by
+/// InferExprType over `input` (kNull where unknown or ill-typed).
+Schema ProjectSchema(const std::vector<Expr::Ptr>& exprs,
+                     std::vector<std::string> names, const Schema& input);
+
+/// \brief Projection check run at Open by both engines: one non-null,
+/// well-typed expression per column of `output`.
+Status CheckProjectExprs(const std::vector<Expr::Ptr>& exprs,
+                         const Schema& output, const Schema& input);
+
+/// \brief Hash-join key check run at Open by both engines: equally many,
+/// non-empty, in-range key columns, and no pair of keys that mixes a
+/// string with a numeric column.
+Status CheckJoinKeys(const Schema& build, const std::vector<int>& build_keys,
+                     const Schema& probe, const std::vector<int>& probe_keys);
 
 }  // namespace xdbft::exec

@@ -1,29 +1,8 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <chrono>
-
-#include "common/logging.h"
 
 namespace xdbft::exec {
-
-Result<bool> Operator::NextBatch(Batch* out) {
-  const size_t ncols = schema().num_columns();
-  out->Reset(ncols);
-  if (ncols == 0) return false;
-  size_t produced = 0;
-  Row row;
-  while (produced < kDefaultBatchRows) {
-    XDBFT_ASSIGN_OR_RETURN(const bool more, Next(&row));
-    if (!more) break;
-    for (size_t c = 0; c < ncols; ++c) {
-      out->columns[c].push_back(std::move(row[c]));
-    }
-    row.clear();
-    ++produced;
-  }
-  return produced > 0;
-}
 
 namespace {
 
@@ -40,18 +19,6 @@ class ScanOperator final : public Operator {
   Result<bool> Next(Row* out) override {
     if (pos_ >= table_->rows.size()) return false;
     *out = table_->rows[pos_++];
-    return true;
-  }
-
-  Result<bool> NextBatch(Batch* out) override {
-    const size_t n = table_->rows.size();
-    if (pos_ >= n) {
-      out->Reset(table_->schema.num_columns());
-      return false;
-    }
-    const size_t end = std::min(n, pos_ + kDefaultBatchRows);
-    BatchFromTable(*table_, pos_, end, out);
-    pos_ = end;
     return true;
   }
 
@@ -77,6 +44,7 @@ class FilterOperator final : public Operator {
     if (predicate_ == nullptr) {
       return Status::InvalidArgument("null predicate");
     }
+    XDBFT_RETURN_NOT_OK(InferExprType(*predicate_, input_->schema()).status());
     return input_->Open();
   }
 
@@ -100,17 +68,13 @@ class ProjectOperator final : public Operator {
  public:
   ProjectOperator(OperatorPtr input, std::vector<Expr::Ptr> exprs,
                   std::vector<std::string> names)
-      : input_(std::move(input)), exprs_(std::move(exprs)) {
-    std::vector<Column> cols;
-    cols.reserve(names.size());
-    for (auto& n : names) cols.push_back({std::move(n), ValueType::kNull});
-    schema_ = Schema(std::move(cols));
-  }
+      : input_(std::move(input)),
+        exprs_(std::move(exprs)),
+        schema_(ProjectSchema(exprs_, std::move(names), input_->schema())) {}
 
   Status Open() override {
-    if (exprs_.size() != schema_.num_columns()) {
-      return Status::InvalidArgument("project: exprs/names size mismatch");
-    }
+    XDBFT_RETURN_NOT_OK(
+        CheckProjectExprs(exprs_, schema_, input_->schema()));
     return input_->Open();
   }
 
@@ -145,9 +109,8 @@ class HashJoinOperator final : public Operator {
   }
 
   Status Open() override {
-    if (build_keys_.size() != probe_keys_.size() || build_keys_.empty()) {
-      return Status::InvalidArgument("join: bad key columns");
-    }
+    XDBFT_RETURN_NOT_OK(CheckJoinKeys(build_->schema(), build_keys_,
+                                      probe_->schema(), probe_keys_));
     // Re-Open without Close must not duplicate build rows (recovery
     // replays re-open operator trees).
     table_.clear();
@@ -213,7 +176,7 @@ class HashAggregateOperator final : public Operator {
   }
 
   Status Open() override {
-    XDBFT_RETURN_NOT_OK(ValidateAggSpecs(aggs_));
+    XDBFT_RETURN_NOT_OK(ValidateAggSpecs(aggs_, input_->schema()));
     XDBFT_RETURN_NOT_OK(input_->Open());
     index_.clear();
     keys_.clear();
@@ -304,20 +267,7 @@ class SortOperator final : public Operator {
       rows_.push_back(row);
     }
     input_->Close();
-    std::stable_sort(rows_.begin(), rows_.end(),
-                     [this](const Row& a, const Row& b) {
-                       for (size_t i = 0; i < keys_.size(); ++i) {
-                         const int c = a[static_cast<size_t>(keys_[i])]
-                                           .Compare(
-                                               b[static_cast<size_t>(
-                                                   keys_[i])]);
-                         if (c != 0) return ascending_[i] ? c < 0 : c > 0;
-                       }
-                       return false;
-                     });
-    if (limit_ >= 0 && rows_.size() > static_cast<size_t>(limit_)) {
-      rows_.resize(static_cast<size_t>(limit_));
-    }
+    SortRows(&rows_, keys_, ascending_, limit_);
     pos_ = 0;
     return Status::OK();
   }
@@ -338,94 +288,6 @@ class SortOperator final : public Operator {
   int64_t limit_;
   std::vector<Row> rows_;
   size_t pos_ = 0;
-};
-
-class LimitOperator final : public Operator {
- public:
-  LimitOperator(OperatorPtr input, int64_t limit)
-      : input_(std::move(input)), limit_(limit) {}
-
-  Status Open() override {
-    if (limit_ < 0) return Status::InvalidArgument("negative limit");
-    produced_ = 0;
-    return input_->Open();
-  }
-
-  Result<bool> Next(Row* out) override {
-    if (produced_ >= limit_) return false;
-    XDBFT_ASSIGN_OR_RETURN(const bool more, input_->Next(out));
-    if (!more) return false;
-    ++produced_;
-    return true;
-  }
-
-  void Close() override { input_->Close(); }
-  const Schema& schema() const override { return input_->schema(); }
-
- private:
-  OperatorPtr input_;
-  int64_t limit_;
-  int64_t produced_ = 0;
-};
-
-class UnionAllOperator final : public Operator {
- public:
-  explicit UnionAllOperator(std::vector<OperatorPtr> inputs)
-      : inputs_(std::move(inputs)) {}
-
-  Status Open() override {
-    if (inputs_.empty()) return Status::InvalidArgument("empty union");
-    XDBFT_RETURN_NOT_OK(CheckSchemasCompatible());
-    for (auto& in : inputs_) XDBFT_RETURN_NOT_OK(in->Open());
-    current_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* out) override {
-    while (current_ < inputs_.size()) {
-      XDBFT_ASSIGN_OR_RETURN(const bool more, inputs_[current_]->Next(out));
-      if (more) return true;
-      ++current_;
-    }
-    return false;
-  }
-
-  void Close() override {
-    for (auto& in : inputs_) in->Close();
-  }
-  const Schema& schema() const override { return inputs_[0]->schema(); }
-
- private:
-  Status CheckSchemasCompatible() const {
-    const Schema& first = inputs_[0]->schema();
-    for (size_t i = 1; i < inputs_.size(); ++i) {
-      const Schema& s = inputs_[i]->schema();
-      if (s.num_columns() != first.num_columns()) {
-        return Status::InvalidArgument(
-            "union: input " + std::to_string(i) + " has " +
-            std::to_string(s.num_columns()) + " columns, expected " +
-            std::to_string(first.num_columns()));
-      }
-      for (size_t c = 0; c < first.num_columns(); ++c) {
-        const Column& a = first.column(static_cast<int>(c));
-        const Column& b = s.column(static_cast<int>(c));
-        // kNull is a wildcard: project/aggregate outputs carry it.
-        const bool type_ok = a.type == b.type ||
-                             a.type == ValueType::kNull ||
-                             b.type == ValueType::kNull;
-        if (a.name != b.name || !type_ok) {
-          return Status::InvalidArgument(
-              "union: column " + std::to_string(c) + " mismatch ('" +
-              a.name + "' " + ValueTypeName(a.type) + " vs '" + b.name +
-              "' " + ValueTypeName(b.type) + ")");
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  std::vector<OperatorPtr> inputs_;
-  size_t current_ = 0;
 };
 
 }  // namespace
@@ -468,12 +330,20 @@ OperatorPtr MakeSort(OperatorPtr input, std::vector<int> keys,
                                         std::move(ascending), limit);
 }
 
-OperatorPtr MakeLimit(OperatorPtr input, int64_t limit) {
-  return std::make_unique<LimitOperator>(std::move(input), limit);
-}
-
-OperatorPtr MakeUnionAll(std::vector<OperatorPtr> inputs) {
-  return std::make_unique<UnionAllOperator>(std::move(inputs));
+void SortRows(std::vector<Row>* rows, const std::vector<int>& keys,
+              const std::vector<bool>& ascending, int64_t limit) {
+  std::stable_sort(rows->begin(), rows->end(),
+                   [&](const Row& a, const Row& b) {
+                     for (size_t i = 0; i < keys.size(); ++i) {
+                       const size_t k = static_cast<size_t>(keys[i]);
+                       const int c = a[k].Compare(b[k]);
+                       if (c != 0) return ascending[i] ? c < 0 : c > 0;
+                     }
+                     return false;
+                   });
+  if (limit >= 0 && rows->size() > static_cast<size_t>(limit)) {
+    rows->resize(static_cast<size_t>(limit));
+  }
 }
 
 Result<Table> Drain(Operator* op) {
@@ -489,17 +359,6 @@ Result<Table> Drain(Operator* op) {
   }
   op->Close();
   return out;
-}
-
-Result<DrainStats> DrainTimed(Operator* op) {
-  const auto start = std::chrono::steady_clock::now();
-  XDBFT_ASSIGN_OR_RETURN(Table table, Drain(op));
-  const auto end = std::chrono::steady_clock::now();
-  DrainStats stats;
-  stats.table = std::move(table);
-  stats.wall_seconds =
-      std::chrono::duration<double>(end - start).count();
-  return stats;
 }
 
 }  // namespace xdbft::exec

@@ -1,6 +1,6 @@
 // Pull-based (Volcano-style open/next/close) physical operators of the
 // in-process execution engine: scan, filter, project, hash join, hash
-// aggregate, sort, limit and union-all.
+// aggregate and sort (with optional top-k).
 #pragma once
 
 #include <memory>
@@ -9,28 +9,23 @@
 
 #include "common/result.h"
 #include "exec/agg.h"
-#include "exec/batch.h"
 #include "exec/expr.h"
 #include "exec/schema.h"
 #include "exec/value.h"
 
 namespace xdbft::exec {
 
-/// \brief Base iterator. Usage: Open() once, Next() (or NextBatch()) until
-/// it yields false, Close(). Operators own their children. Re-Open without
-/// an intervening Close must reset all state (recovery replays re-open
-/// operator trees).
+/// \brief Base iterator. Usage: Open() once, Next() until it yields false,
+/// Close(). Operators own their children. Re-Open without an intervening
+/// Close must reset all state (recovery replays re-open operator trees).
+/// Open validates the operator's arguments, including the expression type
+/// check of exec/expr.h, and returns InvalidArgument on a bad plan.
 class Operator {
  public:
   virtual ~Operator() = default;
   virtual Status Open() = 0;
   /// \brief Produce the next row into *out; yields false when exhausted.
   virtual Result<bool> Next(Row* out) = 0;
-  /// \brief Produce up to kDefaultBatchRows rows into *out (columns reset
-  /// to schema width); yields false when no rows remain. The default
-  /// implementation adapts Next(); ScanOperator overrides it with a
-  /// columnar transpose. Do not interleave Next() and NextBatch() calls.
-  virtual Result<bool> NextBatch(Batch* out);
   virtual void Close() = 0;
   virtual const Schema& schema() const = 0;
 };
@@ -52,8 +47,9 @@ OperatorPtr MakeScan(const Table* table);
 /// \brief Rows of `input` satisfying `predicate`.
 OperatorPtr MakeFilter(OperatorPtr input, Expr::Ptr predicate);
 
-/// \brief Computed columns. `names` labels the output schema; types are
-/// inferred from the first row (defaults to the expression literal type).
+/// \brief Computed columns. `names` labels the output schema; column types
+/// are inferred from the expressions against the input schema
+/// (InferExprType; kNull where the type is unknown).
 OperatorPtr MakeProject(OperatorPtr input, std::vector<Expr::Ptr> exprs,
                         std::vector<std::string> names);
 
@@ -63,20 +59,6 @@ OperatorPtr MakeProject(OperatorPtr input, std::vector<Expr::Ptr> exprs,
 OperatorPtr MakeHashJoin(OperatorPtr build, OperatorPtr probe,
                          std::vector<int> build_keys,
                          std::vector<int> probe_keys);
-
-/// \brief Nested-loop join with an arbitrary theta predicate evaluated
-/// over the concatenated row (left columns first, then right columns with
-/// duplicate names prefixed "right."). The left input is buffered; the
-/// right input streams. Output schema = left ++ right.
-OperatorPtr MakeNestedLoopJoin(OperatorPtr left, OperatorPtr right,
-                               Expr::Ptr predicate);
-
-/// \brief Sort-merge equi join on single key columns (inputs need not be
-/// pre-sorted; both sides are buffered and sorted). Handles duplicate
-/// keys on both sides (cross product per key group). Output schema =
-/// left ++ right.
-OperatorPtr MakeMergeJoin(OperatorPtr left, OperatorPtr right,
-                          int left_key, int right_key);
 
 // AggFunc/AggSpec live in exec/agg.h (shared with the vectorized engine).
 
@@ -93,22 +75,14 @@ OperatorPtr MakeSort(OperatorPtr input, std::vector<int> keys,
                      std::vector<bool> ascending,
                      int64_t limit = -1);
 
-/// \brief First `limit` rows of the input.
-OperatorPtr MakeLimit(OperatorPtr input, int64_t limit);
-
-/// \brief Concatenation of same-schema inputs. Open fails with
-/// InvalidArgument when input schemas disagree in column count, name, or
-/// type (a kNull column type is a wildcard: project outputs carry it).
-OperatorPtr MakeUnionAll(std::vector<OperatorPtr> inputs);
+/// \brief The sort of MakeSort, shared with the vectorized sort sink so
+/// both engines order rows (ties included) identically: stable sort by
+/// `keys` (true = ascending), then keep the first `limit` rows (all when
+/// negative).
+void SortRows(std::vector<Row>* rows, const std::vector<int>& keys,
+              const std::vector<bool>& ascending, int64_t limit);
 
 /// \brief Drain an operator tree into a materialized table.
 Result<Table> Drain(Operator* op);
-
-/// \brief Drain + wall-clock timing (used by the cost calibrator).
-struct DrainStats {
-  Table table;
-  double wall_seconds = 0.0;
-};
-Result<DrainStats> DrainTimed(Operator* op);
 
 }  // namespace xdbft::exec

@@ -39,11 +39,8 @@ VecNodePtr VFilter(VecNodePtr input, Expr::Ptr predicate) {
 VecNodePtr VProject(VecNodePtr input, std::vector<Expr::Ptr> exprs,
                     std::vector<std::string> names) {
   auto n = NewNode(VecOp::kProject, {std::move(input)});
+  n->schema = ProjectSchema(exprs, std::move(names), n->children[0]->schema);
   n->exprs = std::move(exprs);
-  std::vector<Column> cols;
-  cols.reserve(names.size());
-  for (auto& name : names) cols.push_back({std::move(name), ValueType::kNull});
-  n->schema = Schema(std::move(cols));
   return n;
 }
 
@@ -54,23 +51,6 @@ VecNodePtr VHashJoin(VecNodePtr build, VecNodePtr probe,
   n->schema = Schema::Concat(probe->schema, build->schema);
   n->build_keys = std::move(build_keys);
   n->probe_keys = std::move(probe_keys);
-  return n;
-}
-
-VecNodePtr VNestedLoopJoin(VecNodePtr left, VecNodePtr right,
-                           Expr::Ptr predicate) {
-  auto n = NewNode(VecOp::kNestedLoopJoin, {left, right});
-  n->schema = Schema::Concat(left->schema, right->schema);
-  n->predicate = std::move(predicate);
-  return n;
-}
-
-VecNodePtr VMergeJoin(VecNodePtr left, VecNodePtr right, int left_key,
-                      int right_key) {
-  auto n = NewNode(VecOp::kMergeJoin, {left, right});
-  n->schema = Schema::Concat(left->schema, right->schema);
-  n->left_key = left_key;
-  n->right_key = right_key;
   return n;
 }
 
@@ -98,63 +78,6 @@ VecNodePtr VSort(VecNodePtr input, std::vector<int> keys,
   return n;
 }
 
-VecNodePtr VLimit(VecNodePtr input, int64_t limit) {
-  auto n = NewNode(VecOp::kLimit, {input});
-  n->schema = n->children[0]->schema;
-  n->limit = limit;
-  return n;
-}
-
-VecNodePtr VUnionAll(std::vector<VecNodePtr> inputs) {
-  auto n = NewNode(VecOp::kUnionAll, std::move(inputs));
-  if (!n->children.empty()) n->schema = n->children[0]->schema;
-  return n;
-}
-
-OperatorPtr ToOperator(const VecNodePtr& plan) {
-  if (plan == nullptr) return nullptr;
-  const VecNode& n = *plan;
-  switch (n.op) {
-    case VecOp::kScan:
-      return MakeScan(n.table);
-    case VecOp::kFilter:
-      return MakeFilter(ToOperator(n.children[0]), n.predicate);
-    case VecOp::kProject: {
-      std::vector<std::string> names;
-      names.reserve(n.schema.num_columns());
-      for (const auto& c : n.schema.columns()) names.push_back(c.name);
-      return MakeProject(ToOperator(n.children[0]), n.exprs,
-                         std::move(names));
-    }
-    case VecOp::kHashJoin:
-      return MakeHashJoin(ToOperator(n.children[0]),
-                          ToOperator(n.children[1]), n.build_keys,
-                          n.probe_keys);
-    case VecOp::kNestedLoopJoin:
-      return MakeNestedLoopJoin(ToOperator(n.children[0]),
-                                ToOperator(n.children[1]), n.predicate);
-    case VecOp::kMergeJoin:
-      return MakeMergeJoin(ToOperator(n.children[0]),
-                           ToOperator(n.children[1]), n.left_key,
-                           n.right_key);
-    case VecOp::kHashAggregate:
-      return MakeHashAggregate(ToOperator(n.children[0]), n.group_by,
-                               n.aggs);
-    case VecOp::kSort:
-      return MakeSort(ToOperator(n.children[0]), n.sort_keys, n.ascending,
-                      n.limit);
-    case VecOp::kLimit:
-      return MakeLimit(ToOperator(n.children[0]), n.limit);
-    case VecOp::kUnionAll: {
-      std::vector<OperatorPtr> inputs;
-      inputs.reserve(n.children.size());
-      for (const auto& c : n.children) inputs.push_back(ToOperator(c));
-      return MakeUnionAll(std::move(inputs));
-    }
-  }
-  return nullptr;
-}
-
 namespace {
 
 const char* VecOpName(VecOp op) {
@@ -167,18 +90,10 @@ const char* VecOpName(VecOp op) {
       return "Project";
     case VecOp::kHashJoin:
       return "HashJoin";
-    case VecOp::kNestedLoopJoin:
-      return "NestedLoopJoin";
-    case VecOp::kMergeJoin:
-      return "MergeJoin";
     case VecOp::kHashAggregate:
       return "HashAggregate";
     case VecOp::kSort:
       return "Sort";
-    case VecOp::kLimit:
-      return "Limit";
-    case VecOp::kUnionAll:
-      return "UnionAll";
   }
   return "?";
 }
@@ -193,21 +108,17 @@ void BuildSkeletonNode(const VecNode& n, obs::OperatorProfile* out) {
 
 // Memory-footprint estimates, derived after execution from the recorded
 // row counts so both engines report identical numbers: materializing
-// breakers are charged their output, joins their buffered build / left
+// breakers are charged their output, joins their buffered build
 // side — rows x columns x sizeof(Value), the same convention as the FT
 // executor's table-size accounting.
 void FinalizeMemoryEstimates(const VecNode& n, obs::OperatorProfile* p) {
   switch (n.op) {
     case VecOp::kHashAggregate:
     case VecOp::kSort:
-    case VecOp::kMergeJoin:
-    case VecOp::kLimit:
-    case VecOp::kUnionAll:
       p->est_memory_bytes =
           p->rows_out * n.schema.num_columns() * sizeof(Value);
       break;
     case VecOp::kHashJoin:
-    case VecOp::kNestedLoopJoin:
       if (!p->children.empty()) {
         p->est_memory_bytes = p->children[0].rows_out *
                               n.children[0]->schema.num_columns() *
@@ -222,8 +133,9 @@ void FinalizeMemoryEstimates(const VecNode& n, obs::OperatorProfile* p) {
   }
 }
 
-}  // namespace
-
+// Resets `root` to the EXPLAIN ANALYZE skeleton of `plan`: same tree
+// shape, operator names filled in, all counters zero. Both engines fill
+// this identical shape.
 void BuildProfileSkeleton(const VecNodePtr& plan,
                           obs::OperatorProfile* root) {
   if (plan == nullptr || root == nullptr) return;
@@ -233,12 +145,10 @@ void BuildProfileSkeleton(const VecNodePtr& plan,
 
 #if !defined(XDBFT_DISABLE_METRICS)
 
-namespace {
-
-// Volcano-tree decorator: charges inclusive wall time of Open/Next/
-// NextBatch (the operator plus everything below it) and counts produced
-// rows into one skeleton node. The root decorator additionally fills the
-// memory estimates at Close, when the counts are complete.
+// Volcano-tree decorator: charges inclusive wall time of Open/Next (the
+// operator plus everything below it) and counts produced rows into one
+// skeleton node. The root decorator additionally fills the memory
+// estimates at Close, when the counts are complete.
 class ProfilingOperator final : public Operator {
  public:
   ProfilingOperator(OperatorPtr inner, obs::OperatorProfile* node)
@@ -264,17 +174,6 @@ class ProfilingOperator final : public Operator {
     return r;
   }
 
-  Result<bool> NextBatch(Batch* out) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    Result<bool> r = inner_->NextBatch(out);
-    node_->seconds += Elapsed(t0);
-    if (r.ok() && *r) {
-      ++node_->batches;
-      node_->rows_out += out->num_rows();
-    }
-    return r;
-  }
-
   void Close() override {
     inner_->Close();
     if (finalize_root_ != nullptr) {
@@ -297,14 +196,16 @@ class ProfilingOperator final : public Operator {
   obs::OperatorProfile* finalize_root_ = nullptr;
 };
 
-// Mirror of ToOperator that wraps every operator (including children) in
-// a ProfilingOperator bound to the matching skeleton node.
-OperatorPtr BuildProfiledTree(const VecNodePtr& plan,
-                              obs::OperatorProfile* node) {
+#endif  // !XDBFT_DISABLE_METRICS
+
+// Lowers `plan` to the row engine; with `node` set, every operator is
+// wrapped in a ProfilingOperator bound to its skeleton node.
+OperatorPtr Lower(const VecNodePtr& plan, obs::OperatorProfile* node) {
   if (plan == nullptr) return nullptr;
   const VecNode& n = *plan;
-  auto child = [&](size_t i) {
-    return BuildProfiledTree(n.children[i], &node->children[i]);
+  const auto child = [&](size_t i) {
+    return Lower(n.children[i],
+                 node == nullptr ? nullptr : &node->children[i]);
   };
   OperatorPtr op;
   switch (n.op) {
@@ -324,57 +225,36 @@ OperatorPtr BuildProfiledTree(const VecNodePtr& plan,
     case VecOp::kHashJoin:
       op = MakeHashJoin(child(0), child(1), n.build_keys, n.probe_keys);
       break;
-    case VecOp::kNestedLoopJoin:
-      op = MakeNestedLoopJoin(child(0), child(1), n.predicate);
-      break;
-    case VecOp::kMergeJoin:
-      op = MakeMergeJoin(child(0), child(1), n.left_key, n.right_key);
-      break;
     case VecOp::kHashAggregate:
       op = MakeHashAggregate(child(0), n.group_by, n.aggs);
       break;
     case VecOp::kSort:
       op = MakeSort(child(0), n.sort_keys, n.ascending, n.limit);
       break;
-    case VecOp::kLimit:
-      op = MakeLimit(child(0), n.limit);
-      break;
-    case VecOp::kUnionAll: {
-      std::vector<OperatorPtr> inputs;
-      inputs.reserve(n.children.size());
-      for (size_t i = 0; i < n.children.size(); ++i) {
-        inputs.push_back(child(i));
-      }
-      op = MakeUnionAll(std::move(inputs));
-      break;
-    }
   }
-  if (op == nullptr) return nullptr;
-  return std::make_unique<ProfilingOperator>(std::move(op), node);
+#if !defined(XDBFT_DISABLE_METRICS)
+  if (node != nullptr && op != nullptr) {
+    op = std::make_unique<ProfilingOperator>(std::move(op), node);
+  }
+#endif
+  return op;
 }
 
 }  // namespace
 
-OperatorPtr ToOperatorProfiled(const VecNodePtr& plan,
-                               obs::OperatorProfile* root) {
-  if (root == nullptr) return ToOperator(plan);
-  BuildProfileSkeleton(plan, root);
-  OperatorPtr op = BuildProfiledTree(plan, root);
-  if (op != nullptr) {
-    static_cast<ProfilingOperator*>(op.get())->set_finalize(plan, root);
+OperatorPtr ToOperator(const VecNodePtr& plan,
+                       obs::OperatorProfile* profile) {
+  BuildProfileSkeleton(plan, profile);
+#if defined(XDBFT_DISABLE_METRICS)
+  return Lower(plan, nullptr);
+#else
+  OperatorPtr op = Lower(plan, profile);
+  if (profile != nullptr && op != nullptr) {
+    static_cast<ProfilingOperator*>(op.get())->set_finalize(plan, profile);
   }
   return op;
+#endif
 }
-
-#else  // XDBFT_DISABLE_METRICS: no decorators, plain lowering.
-
-OperatorPtr ToOperatorProfiled(const VecNodePtr& plan,
-                               obs::OperatorProfile* root) {
-  BuildProfileSkeleton(plan, root);
-  return ToOperator(plan);
-}
-
-#endif  // XDBFT_DISABLE_METRICS
 
 namespace {
 
@@ -419,22 +299,6 @@ struct Morsel {
 // w.r.t. shared state (they only read build tables), so morsels can run
 // them concurrently.
 using StreamStep = std::function<void(Morsel*)>;
-
-// Sort comparator shared with the row SortOperator (same key order, same
-// stable_sort => identical output order including ties).
-void StableSortRows(std::vector<Row>* rows, const std::vector<int>& keys,
-                    const std::vector<bool>& ascending) {
-  std::stable_sort(rows->begin(), rows->end(),
-                   [&](const Row& a, const Row& b) {
-                     for (size_t i = 0; i < keys.size(); ++i) {
-                       const int c =
-                           a[static_cast<size_t>(keys[i])].Compare(
-                               b[static_cast<size_t>(keys[i])]);
-                       if (c != 0) return ascending[i] ? c < 0 : c > 0;
-                     }
-                     return false;
-                   });
-}
 
 /// \brief Serial consumer of one pipeline's morsel outputs. Consume is
 /// called in morsel-index order (never concurrently), which pins every
@@ -599,11 +463,7 @@ class SortSink final : public Sink {
   }
 
   Result<Table> Finish() override {
-    StableSortRows(&out_.rows, node_.sort_keys, node_.ascending);
-    if (node_.limit >= 0 &&
-        out_.rows.size() > static_cast<size_t>(node_.limit)) {
-      out_.rows.resize(static_cast<size_t>(node_.limit));
-    }
+    SortRows(&out_.rows, node_.sort_keys, node_.ascending, node_.limit);
     return std::move(out_);
   }
 
@@ -652,37 +512,10 @@ void BuildProfileMap(
 
 Result<Table> ExecNode(const VecNode& node, ExecContext* ctx);
 
-Status CheckUnionSchemas(const VecNode& node) {
-  const Schema& first = node.children[0]->schema;
-  for (size_t i = 1; i < node.children.size(); ++i) {
-    const Schema& s = node.children[i]->schema;
-    if (s.num_columns() != first.num_columns()) {
-      return Status::InvalidArgument(
-          "union: input " + std::to_string(i) + " has " +
-          std::to_string(s.num_columns()) + " columns, expected " +
-          std::to_string(first.num_columns()));
-    }
-    for (size_t c = 0; c < first.num_columns(); ++c) {
-      const Column& a = first.column(static_cast<int>(c));
-      const Column& b = s.column(static_cast<int>(c));
-      const bool type_ok = a.type == b.type ||
-                           a.type == ValueType::kNull ||
-                           b.type == ValueType::kNull;
-      if (a.name != b.name || !type_ok) {
-        return Status::InvalidArgument(
-            "union: column " + std::to_string(c) + " mismatch ('" +
-            a.name + "' " + ValueTypeName(a.type) + " vs '" + b.name +
-            "' " + ValueTypeName(b.type) + ")");
-      }
-    }
-  }
-  return Status::OK();
-}
-
 // Runs the streaming pipeline rooted at `node` (a chain of filters,
 // projects and join probes over one source) and feeds `sink` in morsel
-// order. Breaker children (hash-build sides, NLJ left sides, any blocking
-// node used as the source) are materialized first via ExecNode.
+// order. Breaker children (hash-build sides, any blocking node used as the
+// source) are materialized first via ExecNode.
 Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
   std::vector<StreamStep> steps;  // collected top-down, applied bottom-up
   // Skeleton nodes of the chain, parallel to `steps` (null when not
@@ -708,6 +541,9 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
         if (cur->predicate == nullptr) {
           return Status::InvalidArgument("null predicate");
         }
+        XDBFT_RETURN_NOT_OK(
+            InferExprType(*cur->predicate, cur->children[0]->schema)
+                .status());
         Expr::Ptr pred = cur->predicate;
         if (cur->children[0]->op == VecOp::kScan &&
             cur->children[0]->table != nullptr) {
@@ -732,10 +568,8 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
         break;
       }
       case VecOp::kProject: {
-        if (cur->exprs.size() != cur->schema.num_columns()) {
-          return Status::InvalidArgument(
-              "project: exprs/names size mismatch");
-        }
+        XDBFT_RETURN_NOT_OK(CheckProjectExprs(
+            cur->exprs, cur->schema, cur->children[0]->schema));
         const std::vector<Expr::Ptr> exprs = cur->exprs;
         steps.push_back([exprs](Morsel* m) {
           // EvalVector reads through the selection, so projection
@@ -754,10 +588,9 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
         break;
       }
       case VecOp::kHashJoin: {
-        if (cur->build_keys.size() != cur->probe_keys.size() ||
-            cur->build_keys.empty()) {
-          return Status::InvalidArgument("join: bad key columns");
-        }
+        XDBFT_RETURN_NOT_OK(CheckJoinKeys(
+            cur->children[0]->schema, cur->build_keys,
+            cur->children[1]->schema, cur->probe_keys));
         XDBFT_ASSIGN_OR_RETURN(Table built,
                                ExecNode(*cur->children[0], ctx));
         ctx->owned_tables.push_back(std::move(built));
@@ -792,44 +625,6 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
               }
               for (size_t c = 0; c < build_width; ++c) {
                 out.columns[pw + c].push_back(brow[c]);
-              }
-            }
-          }
-          m->batch = std::move(out);
-          m->has_sel = false;
-        });
-        step_profs.push_back(ctx->ProfileNode(cur));
-        cur = cur->children[1].get();
-        break;
-      }
-      case VecOp::kNestedLoopJoin: {
-        if (cur->predicate == nullptr) {
-          return Status::InvalidArgument("null join predicate");
-        }
-        XDBFT_ASSIGN_OR_RETURN(Table lt, ExecNode(*cur->children[0], ctx));
-        ctx->owned_tables.push_back(std::move(lt));
-        const Table* left = &ctx->owned_tables.back();
-        Expr::Ptr pred = cur->predicate;
-        steps.push_back([left, pred](Morsel* m) {
-          // The row operator buffers the left side and streams the right:
-          // for each right row, every left row in order.
-          const size_t n = m->live_rows();
-          const size_t rw = m->batch.num_columns();
-          const size_t lw = left->schema.num_columns();
-          Batch out;
-          out.columns.resize(lw + rw);
-          Row combined;
-          for (size_t i = 0; i < n; ++i) {
-            const size_t r = m->row(i);
-            for (const Row& l : left->rows) {
-              combined = l;
-              for (size_t c = 0; c < rw; ++c) {
-                combined.push_back(m->batch.columns[c][r]);
-              }
-              if (pred->EvalBool(combined)) {
-                for (size_t c = 0; c < combined.size(); ++c) {
-                  out.columns[c].push_back(std::move(combined[c]));
-                }
               }
             }
           }
@@ -990,7 +785,8 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
 Result<Table> ExecNodeImpl(const VecNode& node, ExecContext* ctx) {
   switch (node.op) {
     case VecOp::kHashAggregate: {
-      XDBFT_RETURN_NOT_OK(ValidateAggSpecs(node.aggs));
+      XDBFT_RETURN_NOT_OK(
+          ValidateAggSpecs(node.aggs, node.children[0]->schema));
       AggSink sink(node);
       XDBFT_RETURN_NOT_OK(
           RunPipeline(*node.children[0], &sink, ctx));
@@ -1003,74 +799,6 @@ Result<Table> ExecNodeImpl(const VecNode& node, ExecContext* ctx) {
       SortSink sink(node);
       XDBFT_RETURN_NOT_OK(RunPipeline(*node.children[0], &sink, ctx));
       return sink.Finish();
-    }
-    case VecOp::kLimit: {
-      // Materialize-and-truncate (the row operator stops pulling early
-      // instead; the resulting prefix is identical).
-      if (node.limit < 0) return Status::InvalidArgument("negative limit");
-      XDBFT_ASSIGN_OR_RETURN(Table t, ExecNode(*node.children[0], ctx));
-      if (t.rows.size() > static_cast<size_t>(node.limit)) {
-        t.rows.resize(static_cast<size_t>(node.limit));
-      }
-      return t;
-    }
-    case VecOp::kUnionAll: {
-      if (node.children.empty()) {
-        return Status::InvalidArgument("empty union");
-      }
-      XDBFT_RETURN_NOT_OK(CheckUnionSchemas(node));
-      Table out;
-      out.schema = node.schema;
-      for (const auto& child : node.children) {
-        XDBFT_ASSIGN_OR_RETURN(Table t, ExecNode(*child, ctx));
-        for (auto& row : t.rows) out.rows.push_back(std::move(row));
-      }
-      return out;
-    }
-    case VecOp::kMergeJoin: {
-      if (node.left_key < 0 || node.right_key < 0) {
-        return Status::InvalidArgument("merge join: bad key columns");
-      }
-      XDBFT_ASSIGN_OR_RETURN(Table lt, ExecNode(*node.children[0], ctx));
-      XDBFT_ASSIGN_OR_RETURN(Table rt, ExecNode(*node.children[1], ctx));
-      StableSortRows(&lt.rows, {node.left_key}, {true});
-      StableSortRows(&rt.rows, {node.right_key}, {true});
-      Table out;
-      out.schema = node.schema;
-      const size_t lk = static_cast<size_t>(node.left_key);
-      const size_t rk = static_cast<size_t>(node.right_key);
-      size_t li = 0, ri = 0;
-      while (li < lt.rows.size() && ri < rt.rows.size()) {
-        const int c = lt.rows[li][lk].Compare(rt.rows[ri][rk]);
-        if (c < 0) {
-          ++li;
-        } else if (c > 0) {
-          ++ri;
-        } else {
-          // Cross product of the key group, left-major — the row
-          // operator's emission order.
-          const Value& key = lt.rows[li][lk];
-          size_t lend = li, rend = ri;
-          while (lend < lt.rows.size() &&
-                 lt.rows[lend][lk].Compare(key) == 0) {
-            ++lend;
-          }
-          while (rend < rt.rows.size() &&
-                 rt.rows[rend][rk].Compare(key) == 0) {
-            ++rend;
-          }
-          for (size_t l = li; l < lend; ++l) {
-            for (size_t r = ri; r < rend; ++r) {
-              Row row = lt.rows[l];
-              row.insert(row.end(), rt.rows[r].begin(), rt.rows[r].end());
-              out.rows.push_back(std::move(row));
-            }
-          }
-          li = lend;
-          ri = rend;
-        }
-      }
-      return out;
     }
     default: {
       // Streaming root (scan / filter / project / join probes): collect.
@@ -1086,10 +814,8 @@ Result<Table> ExecNode(const VecNode& node, ExecContext* ctx) {
   // Breaker nodes (everything ExecNodeImpl materializes itself) are
   // charged the inclusive wall time of their whole pipeline plus finish;
   // streaming chains are recorded inside RunPipeline instead.
-  const bool breaker = node.op == VecOp::kHashAggregate ||
-                       node.op == VecOp::kSort || node.op == VecOp::kLimit ||
-                       node.op == VecOp::kUnionAll ||
-                       node.op == VecOp::kMergeJoin;
+  const bool breaker =
+      node.op == VecOp::kHashAggregate || node.op == VecOp::kSort;
   obs::OperatorProfile* prof =
       breaker ? ctx->ProfileNode(&node) : nullptr;
   if (prof != nullptr) {
@@ -1136,15 +862,6 @@ Result<Table> ExecuteVectorized(const VecNodePtr& plan,
   }
 #endif
   return result;
-}
-
-Result<Table> RunPlan(const VecNodePtr& plan, bool vectorized,
-                      const VecExecOptions& opts) {
-  if (!vectorized) {
-    const OperatorPtr op = ToOperator(plan);
-    return Drain(op.get());
-  }
-  return ExecuteVectorized(plan, opts);
 }
 
 }  // namespace xdbft::exec

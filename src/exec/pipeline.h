@@ -1,21 +1,23 @@
 // Morsel-driven vectorized execution engine. A query is described as a
-// VecNode plan tree (the V* factories mirror the Make* operator factories
-// one-to-one); the same plan runs on either engine:
+// VecNode plan tree built from six operators (scan, filter, project, hash
+// join, hash aggregate, sort with optional top-k; the V* factories mirror
+// the Make* operator factories one-to-one); the same plan runs on either
+// engine:
 //
 //   - ToOperator(plan)  -> the row-at-a-time Volcano tree (the baseline),
 //   - ExecuteVectorized(plan, opts) -> pipeline execution over Batches.
 //
 // ExecuteVectorized decomposes the plan at pipeline breakers (hash-build
-// sides, aggregates, sorts, merge joins, limits, unions). Each pipeline
-// reads its source table in morsels of `morsel_rows` rows, pushes every
-// morsel through the streaming steps (filter / project / hash-join probe /
-// nested-loop probe), and feeds a serial sink. Morsels of one pipeline run
-// concurrently on the work-stealing TaskPool, but the sink always consumes
-// their outputs in morsel-index order, so results are bit-identical to the
-// row engine at any thread count: floating-point accumulation (aggregate
-// sums) happens in exactly the input-row order, never in a merge order
-// that depends on scheduling. This is the determinism contract the FT
-// executor and the crosscheck harness rely on.
+// sides, aggregates, sorts). Each pipeline reads its source table in
+// morsels of `morsel_rows` rows, pushes every morsel through the streaming
+// steps (filter / project / hash-join probe), and feeds a serial sink.
+// Morsels of one pipeline run concurrently on the work-stealing TaskPool,
+// but the sink always consumes their outputs in morsel-index order, so
+// results are bit-identical to the row engine at any thread count:
+// floating-point accumulation (aggregate sums) happens in exactly the
+// input-row order, never in a merge order that depends on scheduling.
+// This is the determinism contract the FT executor and the crosscheck
+// harness rely on.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +38,8 @@ enum class VecOp : int {
   kFilter,
   kProject,
   kHashJoin,
-  kNestedLoopJoin,
-  kMergeJoin,
   kHashAggregate,
   kSort,
-  kLimit,
-  kUnionAll,
 };
 
 /// \brief One node of an engine-independent plan tree. Build with the V*
@@ -54,25 +52,24 @@ struct VecNode {
   Schema schema;
 
   const Table* table = nullptr;            // kScan
-  Expr::Ptr predicate;                     // kFilter, kNestedLoopJoin
+  Expr::Ptr predicate;                     // kFilter
   std::vector<Expr::Ptr> exprs;            // kProject
   std::vector<int> build_keys;             // kHashJoin
   std::vector<int> probe_keys;             // kHashJoin
-  int left_key = -1;                       // kMergeJoin
-  int right_key = -1;                      // kMergeJoin
   std::vector<int> group_by;               // kHashAggregate
   std::vector<AggSpec> aggs;               // kHashAggregate
   std::vector<int> sort_keys;              // kSort
   std::vector<bool> ascending;             // kSort
-  int64_t limit = -1;                      // kSort (top-k), kLimit
+  int64_t limit = -1;                      // kSort (top-k)
 };
 
 using VecNodePtr = std::shared_ptr<const VecNode>;
 
 // Plan factories, mirroring the Make* operator factories (same argument
 // order, same output schemas). Invalid plans (bad keys, null predicate,
-// mismatched sizes) are diagnosed at execution time with the same
-// InvalidArgument errors the row operators produce at Open.
+// mismatched sizes, string/numeric type mixes) are diagnosed at execution
+// time with the same InvalidArgument errors the row operators produce at
+// Open.
 VecNodePtr VScan(const Table* table);
 VecNodePtr VFilter(VecNodePtr input, Expr::Ptr predicate);
 VecNodePtr VProject(VecNodePtr input, std::vector<Expr::Ptr> exprs,
@@ -80,35 +77,21 @@ VecNodePtr VProject(VecNodePtr input, std::vector<Expr::Ptr> exprs,
 VecNodePtr VHashJoin(VecNodePtr build, VecNodePtr probe,
                      std::vector<int> build_keys,
                      std::vector<int> probe_keys);
-VecNodePtr VNestedLoopJoin(VecNodePtr left, VecNodePtr right,
-                           Expr::Ptr predicate);
-VecNodePtr VMergeJoin(VecNodePtr left, VecNodePtr right, int left_key,
-                      int right_key);
 VecNodePtr VHashAggregate(VecNodePtr input, std::vector<int> group_by,
                           std::vector<AggSpec> aggs);
 VecNodePtr VSort(VecNodePtr input, std::vector<int> keys,
                  std::vector<bool> ascending, int64_t limit = -1);
-VecNodePtr VLimit(VecNodePtr input, int64_t limit);
-VecNodePtr VUnionAll(std::vector<VecNodePtr> inputs);
 
 /// \brief Lower a plan to the row-engine operator tree (the Volcano
-/// baseline). Returns nullptr for a null plan.
-OperatorPtr ToOperator(const VecNodePtr& plan);
-
-/// \brief Reset `root` to the EXPLAIN ANALYZE skeleton of `plan`: same
-/// tree shape, operator names filled in, all counters zero. Both engines
-/// fill this identical shape, so per-operator row counts are directly
-/// comparable between them.
-void BuildProfileSkeleton(const VecNodePtr& plan, obs::OperatorProfile* root);
-
-/// \brief ToOperator plus profiling: rebuilds `root` as the plan skeleton
-/// and returns a decorated operator tree that records rows, batches and
-/// inclusive wall seconds per operator into it (memory estimates are
-/// filled at Close). `root` must outlive the returned tree. Under
-/// XDBFT_DISABLE_METRICS only the skeleton is built and the plain
-/// ToOperator tree is returned.
-OperatorPtr ToOperatorProfiled(const VecNodePtr& plan,
-                               obs::OperatorProfile* root);
+/// baseline). Returns nullptr for a null plan. With `profile` set, the
+/// profile is rebuilt as the plan's EXPLAIN ANALYZE skeleton (the same
+/// tree shape ExecuteVectorized fills, so per-operator row counts compare
+/// directly) and every operator of the returned tree records rows and
+/// inclusive wall seconds into its skeleton node; memory estimates are
+/// filled at Close. `profile` must outlive the returned tree. Under
+/// XDBFT_DISABLE_METRICS only the zeroed skeleton is built.
+OperatorPtr ToOperator(const VecNodePtr& plan,
+                       obs::OperatorProfile* profile = nullptr);
 
 /// \brief Options of one vectorized execution.
 struct VecExecOptions {
@@ -137,10 +120,5 @@ struct VecExecOptions {
 /// bit-identical to Drain(ToOperator(plan).get()) at any thread count.
 Result<Table> ExecuteVectorized(const VecNodePtr& plan,
                                 const VecExecOptions& opts = {});
-
-/// \brief Engine dispatch helper: row engine when `vectorized` is false,
-/// otherwise ExecuteVectorized with `opts`.
-Result<Table> RunPlan(const VecNodePtr& plan, bool vectorized,
-                      const VecExecOptions& opts = {});
 
 }  // namespace xdbft::exec

@@ -89,15 +89,6 @@ std::string Value::ToString() const {
   return "?";
 }
 
-size_t HashKey(const Row& row, const std::vector<int>& key_columns) {
-  size_t h = 0xcbf29ce484222325ULL;
-  for (int c : key_columns) {
-    h ^= row[static_cast<size_t>(c)].Hash();
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 Row ExtractKey(const Row& row, const std::vector<int>& key_columns) {
   Row key;
   key.reserve(key_columns.size());

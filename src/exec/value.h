@@ -54,9 +54,6 @@ class Value {
 /// \brief A row of values.
 using Row = std::vector<Value>;
 
-/// \brief Hash of a key tuple (subset of row columns).
-size_t HashKey(const Row& row, const std::vector<int>& key_columns);
-
 /// \brief Extract a key tuple from a row.
 Row ExtractKey(const Row& row, const std::vector<int>& key_columns);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace xdbft::ft {
 
@@ -17,7 +18,11 @@ Status CheckpointParams::Validate() const {
 
 int NumCheckpointSegments(double t, double interval) {
   if (interval <= 0.0 || t <= interval) return 1;
-  return static_cast<int>(std::ceil(t / interval));
+  // Saturate: casting a ceil() beyond INT_MAX (or NaN) to int is
+  // undefined.
+  const double k = std::ceil(t / interval);
+  constexpr int kMax = std::numeric_limits<int>::max();
+  return k < static_cast<double>(kMax) ? static_cast<int>(k) : kMax;
 }
 
 double OperatorTotalRuntimeWithCheckpoints(double t,

@@ -31,7 +31,8 @@ struct CheckpointParams {
 };
 
 /// \brief Number of segments an operator of duration `t` splits into under
-/// `interval` (>= 1; 1 when checkpointing is disabled or t <= interval).
+/// `interval` (>= 1; 1 when checkpointing is disabled or t <= interval;
+/// saturates at INT_MAX).
 int NumCheckpointSegments(double t, double interval);
 
 /// \brief Expected total runtime of an operator of duration `t` with

@@ -110,16 +110,6 @@ int ApplyPruningRule2(Plan* plan, const FtCostContext& context) {
   return marked;
 }
 
-namespace {
-
-std::vector<PathOpCost> ToPairs(const std::vector<double>& costs) {
-  std::vector<PathOpCost> out(costs.size());
-  for (size_t i = 0; i < costs.size(); ++i) out[i].t = costs[i];
-  return out;
-}
-
-}  // namespace
-
 void SortPathCosts(std::vector<PathOpCost>* costs) {
   std::sort(costs->begin(), costs->end(),
             [](const PathOpCost& a, const PathOpCost& b) {
@@ -147,40 +137,6 @@ bool PairwiseDominates(const std::vector<PathOpCost>& sorted_path,
   return !strict || any_strict;
 }
 
-bool PairwiseDominates(const std::vector<double>& sorted_path,
-                       const DominantPathEntry& entry, bool strict) {
-  return PairwiseDominates(ToPairs(sorted_path), entry, strict);
-}
-
-void DominantPathMemo::Record(std::vector<PathOpCost> costs, double total) {
-  SortPathCosts(&costs);
-  const size_t count = costs.size();
-  auto it = by_count_.find(count);
-  if (it == by_count_.end() || total < it->second.total) {
-    by_count_[count] = DominantPathEntry{std::move(costs), total};
-  }
-}
-
-void DominantPathMemo::Record(std::vector<double> costs, double total) {
-  Record(ToPairs(costs), total);
-}
-
-bool DominantPathMemo::Dominates(std::vector<PathOpCost> path_costs) const {
-  if (by_count_.empty()) return false;
-  SortPathCosts(&path_costs);
-  // Compare against every memoized path with at most as many collapsed
-  // operators.
-  for (const auto& [count, entry] : by_count_) {
-    if (count > path_costs.size()) break;  // map is ordered by count
-    if (PairwiseDominates(path_costs, entry, /*strict=*/false)) return true;
-  }
-  return false;
-}
-
-bool DominantPathMemo::Dominates(std::vector<double> path_costs) const {
-  return Dominates(ToPairs(path_costs));
-}
-
 void ConcurrentDominantPathMemo::Record(std::vector<PathOpCost> costs,
                                         double total) {
   SortPathCosts(&costs);
@@ -197,11 +153,6 @@ void ConcurrentDominantPathMemo::Record(std::vector<PathOpCost> costs,
   }
 }
 
-void ConcurrentDominantPathMemo::Record(std::vector<double> costs,
-                                        double total) {
-  Record(ToPairs(costs), total);
-}
-
 bool ConcurrentDominantPathMemo::Dominates(
     std::vector<PathOpCost> path_costs) const {
   if (empty()) return false;
@@ -215,11 +166,6 @@ bool ConcurrentDominantPathMemo::Dominates(
     }
   }
   return false;
-}
-
-bool ConcurrentDominantPathMemo::Dominates(
-    std::vector<double> path_costs) const {
-  return Dominates(ToPairs(path_costs));
 }
 
 void ConcurrentDominantPathMemo::Clear() {

@@ -3,7 +3,7 @@
 // non-materializable (turning f(o)=1 into a bound m(o)=0) and thereby halve
 // the configuration space per marked operator. Rule 3 (long execution paths
 // with memoized dominant paths, Eq. 9) runs inside the enumerator; its
-// helper, DominantPathMemo, lives here.
+// helper, ConcurrentDominantPathMemo, lives here.
 //
 // Exactness: rule 3 only skips paths whose TPt provably cannot beat the
 // memoized best, so it preserves the optimum exactly. Rules 1 and 2 rest on
@@ -86,54 +86,30 @@ struct DominantPathEntry {
 bool PairwiseDominates(const std::vector<PathOpCost>& sorted_path,
                        const DominantPathEntry& entry, bool strict);
 
-/// \brief Scalar convenience for placement-unaware paths (extra == 0).
-bool PairwiseDominates(const std::vector<double>& sorted_path,
-                       const DominantPathEntry& entry, bool strict);
-
 /// \brief Canonical memo order: descending lexicographic by (t, extra).
 void SortPathCosts(std::vector<PathOpCost>* costs);
 
-/// \brief Memo store for rule 3's dominant-path comparison (Eq. 9): for
-/// each collapsed-operator count, the t(c) multiset (sorted descending) of
-/// the cheapest dominant path seen so far. Single-threaded.
-class DominantPathMemo {
- public:
-  /// \brief Record the dominant path of a newly accepted best plan.
-  /// `costs` are the (t, extra) values along the path; `total` its TPt.
-  void Record(std::vector<PathOpCost> costs, double total);
-  void Record(std::vector<double> costs, double total);
-
-  /// \brief True iff `path_costs` ((t, extra) values of the path under
-  /// test) pairwise dominates some memoized dominant path with at most as
-  /// many collapsed operators (shorter memos are padded with zero-cost
-  /// operators, as the paper allows).
-  bool Dominates(std::vector<PathOpCost> path_costs) const;
-  bool Dominates(std::vector<double> path_costs) const;
-
-  bool empty() const { return by_count_.empty(); }
-  void Clear() { by_count_.clear(); }
-
- private:
-  std::map<size_t, DominantPathEntry> by_count_;
-};
-
-/// \brief Thread-safe DominantPathMemo used by the parallel enumerator.
-/// Entries are sharded by collapsed-operator count (mutex striping: one
-/// shared_mutex per shard, so concurrent probes of paths with different
-/// lengths never contend and same-length probes share a read lock).
+/// \brief Memo store for rule 3's dominant-path comparison (Eq. 9), used
+/// by the parallel enumerator: for each collapsed-operator count, the
+/// (t, extra) multiset (sorted descending) of the cheapest dominant path
+/// seen so far. Thread-safe: entries are sharded by collapsed-operator
+/// count (mutex striping: one shared_mutex per shard, so concurrent probes
+/// of paths with different lengths never contend and same-length probes
+/// share a read lock).
 /// Dominates() is always strict (see PairwiseDominates): a pruned
 /// configuration provably costs *more* than a memoized total, never the
 /// same, which keeps the parallel search's winner identical to the
 /// sequential one under exact cost ties.
 class ConcurrentDominantPathMemo {
  public:
+  /// \brief Record the dominant path of a newly accepted best plan.
+  /// `costs` are the (t, extra) values along the path; `total` its TPt.
   void Record(std::vector<PathOpCost> costs, double total);
-  void Record(std::vector<double> costs, double total);
 
   /// \brief Strict Eq. 9 dominance over any memoized path with at most as
-  /// many collapsed operators.
+  /// many collapsed operators (shorter memos are padded with zero-cost
+  /// operators, as the paper allows).
   bool Dominates(std::vector<PathOpCost> path_costs) const;
-  bool Dominates(std::vector<double> path_costs) const;
 
   /// \brief Cheap pre-check (relaxed; may briefly lag Record calls).
   bool empty() const {

@@ -24,7 +24,7 @@ namespace xdbft::obs {
 struct OperatorProfile {
   std::string name;               // operator kind, e.g. "HashAggregate"
   uint64_t rows_out = 0;          // rows produced by this operator
-  uint64_t batches = 0;           // batches (vectorized) or Next batches (row)
+  uint64_t batches = 0;           // batches (vectorized); 0 (row engine)
   double seconds = 0.0;           // see header comment for engine semantics
   uint64_t est_memory_bytes = 0;  // breaker / build-side footprint estimate
   int pipeline_id = -1;           // vectorized pipeline index; -1 elsewhere

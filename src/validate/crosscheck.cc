@@ -11,6 +11,7 @@
 #include "common/math_util.h"
 #include "common/string_util.h"
 #include "engine/ft_executor.h"
+#include "exec/batch.h"
 #include "ft/checkpointing.h"
 #include "ft/collapsed_plan.h"
 #include "ft/enumerator.h"
@@ -858,17 +859,6 @@ class BudgetInjector final : public engine::StageFailureInjector {
   std::vector<int> budgets_;
 };
 
-bool SameTable(const exec::Table& a, const exec::Table& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows[i].size() != b.rows[i].size()) return false;
-    for (size_t j = 0; j < a.rows[i].size(); ++j) {
-      if (a.rows[i][j] != b.rows[i][j]) return false;
-    }
-  }
-  return true;
-}
-
 /// The real executor run under a trace-derived injector: bit-identical
 /// deterministic outcome at 1/2/8 threads, final table equal to the
 /// failure-free run, and the accounting contract intact.
@@ -911,7 +901,7 @@ std::optional<std::string> CheckExecutorDifferential(const ReproCase& c) {
       return StrFormat("threads=%d: %s", threads,
                        r.status().ToString().c_str());
     }
-    if (!SameTable(r->result, ref->result)) {
+    if (!exec::BitIdenticalTables(r->result, ref->result)) {
       return StrFormat("threads=%d: result differs from failure-free run",
                        threads);
     }
@@ -943,7 +933,7 @@ std::optional<std::string> CheckExecutorDifferential(const ReproCase& c) {
         r->bytes_recomputed != baseline->bytes_recomputed ||
         r->rows_lost != baseline->rows_lost ||
         r->bytes_lost != baseline->bytes_lost ||
-        !SameTable(r->result, baseline->result)) {
+        !exec::BitIdenticalTables(r->result, baseline->result)) {
       return StrFormat(
           "threads=%d: deterministic fields differ from 1-thread run",
           threads);
@@ -966,7 +956,7 @@ std::optional<std::string> CheckExecutorDifferential(const ReproCase& c) {
                      static_cast<unsigned long long>(all_mat->bytes_lost),
                      all_mat->seconds_lost);
   }
-  if (!SameTable(all_mat->result, ref->result)) {
+  if (!exec::BitIdenticalTables(all_mat->result, ref->result)) {
     return "all-mat result differs from failure-free run";
   }
   return std::nullopt;

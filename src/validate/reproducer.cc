@@ -1,10 +1,13 @@
 #include "validate/reproducer.h"
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/string_util.h"
+#include "ft/collapsed_plan.h"
 #include "obs/json.h"
 #include "plan/plan_text.h"
 
@@ -45,6 +48,100 @@ Result<double> Num(const obs::JsonValue& obj, const std::string& key) {
     return Status::InvalidArgument("missing number field: " + key);
   }
   return v->number_value;
+}
+
+// Bounds on the integer fields of a reproducer. Generated cases stay far
+// below them; they keep a hostile file from requesting unbounded work.
+constexpr int64_t kMaxNodes = 4096;
+constexpr int64_t kMaxTraces = 1024;
+constexpr int64_t kMaxRestarts = 100000;
+// Budget on the worst-case failures a case's trace set generates (each
+// costs 8 bytes of trace and a simulator step). MakeSimCase cases stay
+// below it with room to spare.
+constexpr double kMaxTraceFailures = 1e8;
+
+// The one way an integer leaves a JSON number: finite, integral and in
+// [lo, hi]. A plain static_cast of a non-finite or out-of-range double is
+// undefined behaviour.
+Result<int64_t> CheckedInt(double v, const std::string& what, int64_t lo,
+                           int64_t hi) {
+  if (!std::isfinite(v) || v != std::trunc(v) ||
+      v < static_cast<double>(lo) || v > static_cast<double>(hi)) {
+    return Status::InvalidArgument(
+        StrFormat("%s must be an integer in [%lld, %lld]", what.c_str(),
+                  static_cast<long long>(lo), static_cast<long long>(hi)));
+  }
+  return static_cast<int64_t>(v);
+}
+
+Result<int> Int(const obs::JsonValue& obj, const std::string& key,
+                int64_t lo, int64_t hi) {
+  XDBFT_ASSIGN_OR_RETURN(const double v, Num(obj, key));
+  XDBFT_ASSIGN_OR_RETURN(const int64_t i, CheckedInt(v, key, lo, hi));
+  return static_cast<int>(i);
+}
+
+// The simulator knobs ClusterSimulator assumes: a CONST_pipe in (0, 1],
+// a skew that keeps every partition's duration non-negative, and finite
+// non-negative intervals and costs.
+Status ValidateSimOptions(const cluster::SimulationOptions& sim) {
+  if (!(sim.pipe_constant > 0.0) || sim.pipe_constant > 1.0) {
+    return Status::InvalidArgument("sim.pipe_constant must be in (0, 1]");
+  }
+  if (!(sim.partition_skew >= 0.0) || sim.partition_skew > 1.0) {
+    return Status::InvalidArgument("sim.partition_skew must be in [0, 1]");
+  }
+  for (const double v : {sim.monitoring_interval, sim.checkpoint_interval,
+                         sim.checkpoint_cost}) {
+    if (!(v >= 0.0) || !std::isfinite(v)) {
+      return Status::InvalidArgument(
+          "sim intervals and costs must be non-negative and finite");
+    }
+  }
+  return Status::OK();
+}
+
+// Worst-case failures the trace set of one check generates: each node's
+// trace extends to the simulated horizon, where every retry unit (plan
+// operator x checkpoint segment) may exhaust its restarts and a failed
+// attempt lasts about one MTBF plus repair, detection and checkpoint
+// delays. abort_cap reruns the case with one restart and an MTBF of its
+// longest collapsed operator (at least 1 s).
+double WorstCaseTraceFailures(const ReproCase& c) {
+  double work = 0.0;
+  for (const plan::PlanNode& n : c.plan.nodes()) {
+    work += n.runtime_cost + n.materialize_cost;
+  }
+  work *= 1.0 + c.sim.partition_skew;
+  const double segments =
+      c.sim.checkpoint_interval > 0.0
+          ? std::max(1.0, std::ceil(work / c.sim.checkpoint_interval))
+          : 1.0;
+  const double units = segments * static_cast<double>(c.plan.num_nodes());
+  const double delay = c.cluster.mttr_seconds + c.sim.monitoring_interval +
+                       c.sim.checkpoint_cost;
+  const auto per_node = [&](double mtbf, double attempts) {
+    return (work + units * attempts * delay) / mtbf + units * attempts;
+  };
+  double mtbf = c.cluster.mtbf_seconds;
+  double bursts = 0.0;
+  if (c.trace.kind == TraceKind::kBurst) {
+    mtbf = std::min(mtbf, c.trace.burst.background_mtbf);
+    bursts = c.trace.burst.horizon / c.trace.burst.mean_interval;
+  }
+  double longest = 1.0;
+  const auto cp =
+      ft::CollapsedPlan::Create(c.plan, c.config, c.sim.pipe_constant);
+  if (cp.ok()) {
+    for (const auto& op : cp->ops()) {
+      longest = std::max(longest, op.total_cost());
+    }
+  }
+  const double per_trace =
+      std::max(per_node(mtbf, c.sim.max_restarts + 1.0),
+               per_node(longest, 2.0)) +
+      bursts;
+  return per_trace * c.cluster.num_nodes * c.trace.count;
 }
 
 Result<std::string> Str(const obs::JsonValue& obj, const std::string& key) {
@@ -137,26 +234,27 @@ Result<ReproCase> ReproFromJson(const std::string& text) {
   }
   for (const obs::JsonValue& m : mats->array) {
     if (!m.is_number()) return Status::InvalidArgument("bad materialized id");
-    const auto id = static_cast<plan::OpId>(m.number_value);
-    if (id < 0 || static_cast<size_t>(id) >= c.plan.num_nodes()) {
-      return Status::InvalidArgument("materialized id out of range");
-    }
-    c.config.set_materialized(id, true);
+    XDBFT_ASSIGN_OR_RETURN(
+        const int64_t id,
+        CheckedInt(m.number_value, "materialized id", 0,
+                   static_cast<int64_t>(c.plan.num_nodes()) - 1));
+    c.config.set_materialized(static_cast<plan::OpId>(id), true);
   }
   XDBFT_RETURN_NOT_OK(c.config.Validate(c.plan));
 
   const obs::JsonValue* cl = root.Find("cluster");
   if (cl == nullptr) return Status::InvalidArgument("missing cluster");
-  XDBFT_ASSIGN_OR_RETURN(double nodes, Num(*cl, "num_nodes"));
-  c.cluster.num_nodes = static_cast<int>(nodes);
+  XDBFT_ASSIGN_OR_RETURN(c.cluster.num_nodes,
+                         Int(*cl, "num_nodes", 1, kMaxNodes));
   XDBFT_ASSIGN_OR_RETURN(c.cluster.mtbf_seconds, Num(*cl, "mtbf_seconds"));
   XDBFT_ASSIGN_OR_RETURN(c.cluster.mttr_seconds, Num(*cl, "mttr_seconds"));
+  XDBFT_RETURN_NOT_OK(c.cluster.Validate());
 
   const obs::JsonValue* sim = root.Find("sim");
   if (sim == nullptr) return Status::InvalidArgument("missing sim");
   XDBFT_ASSIGN_OR_RETURN(c.sim.pipe_constant, Num(*sim, "pipe_constant"));
-  XDBFT_ASSIGN_OR_RETURN(double max_restarts, Num(*sim, "max_restarts"));
-  c.sim.max_restarts = static_cast<int>(max_restarts);
+  XDBFT_ASSIGN_OR_RETURN(c.sim.max_restarts,
+                         Int(*sim, "max_restarts", 0, kMaxRestarts));
   XDBFT_ASSIGN_OR_RETURN(c.sim.partition_skew, Num(*sim, "partition_skew"));
   XDBFT_ASSIGN_OR_RETURN(c.sim.monitoring_interval,
                          Num(*sim, "monitoring_interval"));
@@ -164,13 +262,14 @@ Result<ReproCase> ReproFromJson(const std::string& text) {
                          Num(*sim, "checkpoint_interval"));
   XDBFT_ASSIGN_OR_RETURN(c.sim.checkpoint_cost,
                          Num(*sim, "checkpoint_cost"));
+  XDBFT_RETURN_NOT_OK(ValidateSimOptions(c.sim));
 
   const obs::JsonValue* trace = root.Find("trace");
   if (trace == nullptr) return Status::InvalidArgument("missing trace");
   XDBFT_ASSIGN_OR_RETURN(std::string kind_name, Str(*trace, "kind"));
   XDBFT_ASSIGN_OR_RETURN(c.trace.kind, TraceKindFromName(kind_name));
-  XDBFT_ASSIGN_OR_RETURN(double count, Num(*trace, "count"));
-  c.trace.count = static_cast<int>(count);
+  XDBFT_ASSIGN_OR_RETURN(c.trace.count,
+                         Int(*trace, "count", 1, kMaxTraces));
   const obs::JsonValue* base_seed = trace->Find("base_seed");
   if (base_seed == nullptr) {
     return Status::InvalidArgument("missing trace.base_seed");
@@ -183,15 +282,22 @@ Result<ReproCase> ReproFromJson(const std::string& text) {
     XDBFT_ASSIGN_OR_RETURN(burst.mean_interval, Num(*b, "mean_interval"));
     XDBFT_ASSIGN_OR_RETURN(burst.horizon, Num(*b, "horizon"));
     XDBFT_ASSIGN_OR_RETURN(burst.width, Num(*b, "width"));
-    XDBFT_ASSIGN_OR_RETURN(double min_nodes, Num(*b, "min_nodes"));
-    burst.min_nodes = static_cast<int>(min_nodes);
-    XDBFT_ASSIGN_OR_RETURN(double max_nodes, Num(*b, "max_nodes"));
-    burst.max_nodes = static_cast<int>(max_nodes);
+    XDBFT_ASSIGN_OR_RETURN(burst.min_nodes,
+                           Int(*b, "min_nodes", 1, kMaxNodes));
+    XDBFT_ASSIGN_OR_RETURN(burst.max_nodes,
+                           Int(*b, "max_nodes", 1, kMaxNodes));
     const obs::JsonValue* bg = b->Find("background_mtbf");
     // JSON cannot represent infinity (kNeverFails renders as null).
     burst.background_mtbf =
         bg != nullptr && bg->is_number() ? bg->number_value
                                          : cluster::kNeverFails;
+    XDBFT_RETURN_NOT_OK(burst.Validate());
+  }
+  // NaN-safe: an overflowing estimate must reject, not pass.
+  if (!(WorstCaseTraceFailures(c) <= kMaxTraceFailures)) {
+    return Status::InvalidArgument(
+        "reproducer requests more than 1e8 simulated failures "
+        "(MTBF too small for the plan, delays and restarts)");
   }
   return c;
 }

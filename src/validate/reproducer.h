@@ -41,7 +41,11 @@ struct ReproCase {
 /// \brief Serialize to the reproducer JSON document.
 std::string ReproToJson(const ReproCase& c);
 
-/// \brief Parse a reproducer document (inverse of ReproToJson).
+/// \brief Parse a reproducer document (inverse of ReproToJson). Files are
+/// untrusted input: integer fields must be finite, integral and in range,
+/// the cluster, simulator options and trace spec must validate, and the
+/// case may not request unbounded simulation (an MTBF far below the
+/// plan's time scale); anything else is InvalidArgument.
 Result<ReproCase> ReproFromJson(const std::string& text);
 
 /// \brief Write `c` into `dir` (created if missing) as

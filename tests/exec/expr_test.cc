@@ -28,17 +28,20 @@ TEST(ExprTest, IntegerArithmeticStaysIntegral) {
   EXPECT_EQ(e->Eval(kRow).AsInt64(), 15);
   auto m = Expr::Col(0) * Expr::Lit(Value(3));
   EXPECT_EQ(m->Eval(kRow).AsInt64(), 30);
+  EXPECT_EQ(*InferExprType(*e, kSchema), ValueType::kInt64);
 }
 
 TEST(ExprTest, DivisionIsDouble) {
   auto e = Expr::Col(0) / Expr::Lit(Value(4));
   EXPECT_EQ(e->Eval(kRow).type(), ValueType::kDouble);
   EXPECT_DOUBLE_EQ(e->Eval(kRow).AsDouble(), 2.5);
+  EXPECT_EQ(*InferExprType(*e, kSchema), ValueType::kDouble);
 }
 
 TEST(ExprTest, MixedArithmeticIsDouble) {
   auto e = Expr::Col(0) - Expr::Col(1);
   EXPECT_DOUBLE_EQ(e->Eval(kRow).AsDouble(), 7.5);
+  EXPECT_EQ(*InferExprType(*e, kSchema), ValueType::kDouble);
 }
 
 TEST(ExprTest, Comparisons) {
@@ -49,6 +52,12 @@ TEST(ExprTest, Comparisons) {
   EXPECT_EQ(Gt(Expr::Col(2), Expr::Lit(Value("abb")))->Eval(kRow),
             Value(1));
   EXPECT_EQ(Ge(Expr::Col(0), Expr::Lit(Value(10)))->Eval(kRow), Value(1));
+  EXPECT_EQ(*InferExprType(*Gt(Expr::Col(2), Expr::Lit(Value("abb"))),
+                           kSchema),
+            ValueType::kInt64);
+  // An unknown (kNull) operand is never rejected.
+  EXPECT_TRUE(InferExprType(*Eq(Expr::Lit(Value()), Expr::Col(2)), kSchema)
+                  .ok());
 }
 
 TEST(ExprTest, NullPropagation) {

@@ -6,20 +6,13 @@
 //     fresh execution exactly (no duplicated hash-join build rows, no
 //     stale aggregate state, no mid-stream scan positions),
 //   - construction-time schema safety and InvalidArgument diagnostics
-//     (null scan table, mismatched UNION ALL inputs).
+//     (null scan table).
 #include <gtest/gtest.h>
 
 #include "exec/operators.h"
 
 namespace xdbft::exec {
 namespace {
-
-std::vector<OperatorPtr> Vec(OperatorPtr a, OperatorPtr b) {
-  std::vector<OperatorPtr> v;
-  v.push_back(std::move(a));
-  v.push_back(std::move(b));
-  return v;
-}
 
 // (id, val) with val NULL on every third row.
 Table TableWithNulls(int n) {
@@ -180,29 +173,6 @@ TEST(ReOpenTest, HashJoinDoesNotDuplicateBuildRows) {
   ExpectReOpenIdempotent(op.get(), *ref);
 }
 
-TEST(ReOpenTest, MergeJoin) {
-  Table l = Numbers(5);
-  Table r = Numbers(7);
-  auto mk = [&]() { return MakeMergeJoin(MakeScan(&l), MakeScan(&r), 0, 0); };
-  auto ref = Drain(mk().get());
-  ASSERT_TRUE(ref.ok());
-  auto op = mk();
-  ExpectReOpenIdempotent(op.get(), *ref);
-}
-
-TEST(ReOpenTest, NestedLoopJoin) {
-  Table l = Numbers(3);
-  Table r = Numbers(4);
-  auto mk = [&]() {
-    return MakeNestedLoopJoin(MakeScan(&l), MakeScan(&r),
-                              Eq(Expr::Col(0), Expr::Col(2)));
-  };
-  auto ref = Drain(mk().get());
-  ASSERT_TRUE(ref.ok());
-  auto op = mk();
-  ExpectReOpenIdempotent(op.get(), *ref);
-}
-
 TEST(ReOpenTest, HashAggregateClearsState) {
   Table t = Numbers(9);
   auto mk = [&]() {
@@ -217,15 +187,9 @@ TEST(ReOpenTest, HashAggregateClearsState) {
   ExpectReOpenIdempotent(op.get(), *ref);
 }
 
-TEST(ReOpenTest, SortLimitUnion) {
-  Table a = Numbers(6);
-  Table b = Numbers(6);
-  auto mk = [&]() {
-    return MakeLimit(
-        MakeSort(MakeUnionAll(Vec(MakeScan(&a), MakeScan(&b))), {0},
-                 {false}, -1),
-        7);
-  };
+TEST(ReOpenTest, SortTopK) {
+  Table a = Numbers(12);
+  auto mk = [&]() { return MakeSort(MakeScan(&a), {0}, {false}, 7); };
   auto ref = Drain(mk().get());
   ASSERT_TRUE(ref.ok());
   ASSERT_EQ(ref->num_rows(), 7u);
@@ -243,35 +207,6 @@ TEST(OperatorDiagnosticsTest, ScanNullTableSchemaIsSafe) {
   // ...and Open must diagnose it.
   const Status s = op->Open();
   EXPECT_TRUE(s.IsInvalidArgument()) << s;
-}
-
-TEST(OperatorDiagnosticsTest, UnionAllRejectsColumnCountMismatch) {
-  Table a = Numbers(2);
-  Table narrow;
-  narrow.schema = {{"id", ValueType::kInt64}};
-  narrow.rows.push_back({Value(0)});
-  auto op = MakeUnionAll(Vec(MakeScan(&a), MakeScan(&narrow)));
-  const Status s = op->Open();
-  EXPECT_TRUE(s.IsInvalidArgument()) << s;
-}
-
-TEST(OperatorDiagnosticsTest, UnionAllRejectsColumnTypeMismatch) {
-  Table a = Numbers(2);
-  Table other;
-  other.schema = {{"id", ValueType::kInt64}, {"val", ValueType::kString}};
-  other.rows.push_back({Value(0), Value("x")});
-  auto op = MakeUnionAll(Vec(MakeScan(&a), MakeScan(&other)));
-  const Status s = op->Open();
-  EXPECT_TRUE(s.IsInvalidArgument()) << s;
-}
-
-TEST(OperatorDiagnosticsTest, UnionAllAcceptsMatchingSchemas) {
-  Table a = Numbers(2);
-  Table b = Numbers(3);
-  auto op = MakeUnionAll(Vec(MakeScan(&a), MakeScan(&b)));
-  auto r = Drain(op.get());
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->num_rows(), 5u);
 }
 
 }  // namespace

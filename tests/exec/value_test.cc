@@ -61,7 +61,6 @@ TEST(RowKeyTest, ExtractAndHash) {
   ASSERT_EQ(key.size(), 2u);
   EXPECT_EQ(key[0], Value(2.5));
   EXPECT_EQ(key[1], Value(1));
-  EXPECT_EQ(HashKey(row, {2, 0}), (RowHash{}(key)));
 }
 
 TEST(RowKeyTest, RowEqAndHashAgree) {

@@ -242,27 +242,9 @@ TEST(VectorizedPlanTest, HashJoin) {
       VHashJoin(VScan(&build), VScan(&probe), {0}, {0}));
 }
 
-TEST(VectorizedPlanTest, NestedLoopJoin) {
-  Table l = Numbers(30, 4);
-  Table r = Numbers(60, 4);
-  ExpectBitIdentical(VNestedLoopJoin(
-      VScan(&l), VScan(&r), Eq(Expr::Col(0), Expr::Col(3))));
-}
-
-TEST(VectorizedPlanTest, MergeJoin) {
-  Table l = Numbers(50, 6);
-  Table r = Numbers(70, 6);
-  // Merge join needs sorted inputs in both engines.
-  ExpectBitIdentical(VMergeJoin(VSort(VScan(&l), {0}, {true}),
-                                VSort(VScan(&r), {0}, {true}), 0, 0));
-}
-
-TEST(VectorizedPlanTest, SortLimitUnion) {
-  Table a = Numbers(300, 17);
-  Table b = Numbers(300, 19);
-  ExpectBitIdentical(VLimit(
-      VSort(VUnionAll({VScan(&a), VScan(&b)}), {1, 0}, {false, true}, -1),
-      25));
+TEST(VectorizedPlanTest, SortMultiKeyTopK) {
+  Table t = Numbers(300, 17);
+  ExpectBitIdentical(VSort(VScan(&t), {1, 0}, {false, true}, 25));
 }
 
 TEST(VectorizedPlanTest, SortWithTopKLimit) {
@@ -270,27 +252,48 @@ TEST(VectorizedPlanTest, SortWithTopKLimit) {
   ExpectBitIdentical(VSort(VScan(&t), {1}, {false}, 10));
 }
 
-TEST(VectorizedPlanTest, UnionSchemaMismatchIsInvalidArgument) {
-  Table a = Numbers(5);
-  Table narrow;
-  narrow.schema = {{"k", ValueType::kInt64}};
-  narrow.rows.push_back({Value(0)});
-  const auto plan = VUnionAll({VScan(&a), VScan(&narrow)});
-  auto vec = ExecuteVectorized(plan);
-  ASSERT_FALSE(vec.ok());
-  EXPECT_TRUE(vec.status().IsInvalidArgument()) << vec.status();
-  auto row = RunRow(plan);
-  ASSERT_FALSE(row.ok());
-  EXPECT_TRUE(row.status().IsInvalidArgument()) << row.status();
+TEST(VectorizedPlanTest, IllTypedPlanIsInvalidArgument) {
+  // Mixing string and numeric operands would abort either engine's
+  // evaluator; both reject the plan with InvalidArgument instead.
+  Table t = Numbers(5);
+  Table named;
+  named.schema = {{"name", ValueType::kString}, {"v", ValueType::kDouble}};
+  named.rows.push_back({Value("a"), Value(1.0)});
+  const auto scan = VScan(&named);
+  const auto plus_one =
+      VProject(scan, {Expr::Col(0) + Expr::Lit(Value(1.0))}, {"x"});
+  const auto renamed = VProject(scan, {Expr::Col(0)}, {"s"});
+  EXPECT_EQ(renamed->schema.column(0).type, ValueType::kString);
+  const std::vector<VecNodePtr> plans = {
+      VFilter(scan, Eq(Expr::Col(0), Expr::Lit(Value(int64_t{1})))),
+      plus_one,
+      // The project records its inferred type, so a filter above it is
+      // checked too.
+      VFilter(renamed, Gt(Expr::Col(0), Expr::Lit(Value(2.0)))),
+      VHashAggregate(scan, {}, {{AggFunc::kSum, Expr::Col(0), "s"}}),
+      VHashAggregate(scan, {}, {{AggFunc::kAvg, Expr::Col(0), "a"}}),
+      VHashJoin(scan, VScan(&t), {0}, {0}),
+  };
+  for (const auto& plan : plans) {
+    auto vec = ExecuteVectorized(plan);
+    ASSERT_FALSE(vec.ok());
+    EXPECT_TRUE(vec.status().IsInvalidArgument()) << vec.status();
+    auto row = RunRow(plan);
+    ASSERT_FALSE(row.ok());
+    EXPECT_TRUE(row.status().IsInvalidArgument()) << row.status();
+  }
+  // MIN/MAX order strings, and string keys join string keys.
+  ExpectBitIdentical(VHashAggregate(scan, {},
+                                    {{AggFunc::kMax, Expr::Col(0), "m"}}));
+  ExpectBitIdentical(VHashJoin(scan, scan, {0}, {0}));
 }
 
 TEST(VectorizedPlanTest, DeepPipelineBitIdentical) {
-  // Aggregate over a join over a filtered union: several pipelines with
+  // Aggregate over a join over a filtered sort: several pipelines with
   // breakers in the middle.
-  Table a = Numbers(400, 29);
-  Table b = Numbers(400, 31);
+  Table a = Numbers(800, 29);
   Table dim = Numbers(29, 29);
-  const auto fact = VFilter(VUnionAll({VScan(&a), VScan(&b)}),
+  const auto fact = VFilter(VSort(VScan(&a), {2}, {true}),
                             Gt(Expr::Col(1), Expr::Lit(Value(10.0))));
   const auto joined = VHashJoin(VScan(&dim), fact, {0}, {0});
   ExpectBitIdentical(VHashAggregate(
@@ -339,7 +342,7 @@ TEST(VectorizedPlanTest, MultiThreadedProfileRowsMatchRowEngine) {
       {{AggFunc::kSum, Expr::Col(4), "s"}, {AggFunc::kCount, nullptr, "c"}});
 
   obs::OperatorProfile row_root;
-  const OperatorPtr op = ToOperatorProfiled(plan, &row_root);
+  const OperatorPtr op = ToOperator(plan, &row_root);
   auto row = Drain(op.get());
   ASSERT_TRUE(row.ok()) << row.status();
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace xdbft::ft {
 namespace {
 
@@ -28,6 +30,9 @@ TEST(CheckpointingTest, SegmentCount) {
   EXPECT_EQ(NumCheckpointSegments(100.0, 100.0), 1);
   EXPECT_EQ(NumCheckpointSegments(100.0, 50.0), 2);
   EXPECT_EQ(NumCheckpointSegments(100.0, 30.0), 4);
+  // Beyond INT_MAX segments the count saturates (the cast is undefined).
+  EXPECT_EQ(NumCheckpointSegments(1e300, 1.0),
+            std::numeric_limits<int>::max());
 }
 
 TEST(CheckpointingTest, DisabledEqualsPlainRuntime) {

@@ -154,68 +154,81 @@ TEST(PruningRule2Test, MarksLongChainsUnderHighMtbf) {
   EXPECT_EQ(ApplyPruningRule2(&p, ctx), 2);
 }
 
-// {1.0, 2.0} would be ambiguous between the legacy vector<double> and the
-// placement-aware vector<PathOpCost> overloads; name the element type.
-using Runtimes = std::vector<double>;
 using PathCosts = std::vector<PathOpCost>;
 
-// Figure 7: memoized dominant paths (Eq. 9). Ptm1 = {5,3,1} (3 collapsed
-// ops), Ptm2 = {4,4} (2 ops). Pt = {4,4,1} dominates Ptm2 (after padding)
-// but not Ptm1.
-TEST(DominantPathMemoTest, Fig7Example) {
-  DominantPathMemo memo;
-  memo.Record(Runtimes{5.0, 3.0, 1.0}, /*total=*/9.5);
-  EXPECT_FALSE(memo.Dominates(Runtimes{4.0, 4.0, 1.0}));  // 4 < 5 at idx 0
-  memo.Record(Runtimes{4.0, 4.0}, /*total=*/8.4);
-  EXPECT_TRUE(memo.Dominates(Runtimes{4.0, 4.0, 1.0}));  // pads Ptm2 w/ 0
+// Placement-unaware path costs: runtimes only, extra == 0 throughout.
+PathCosts Runtimes(std::initializer_list<double> ts) {
+  PathCosts out;
+  for (const double t : ts) out.push_back({t, 0.0});
+  return out;
 }
 
-TEST(DominantPathMemoTest, ExactMatchDominates) {
-  DominantPathMemo memo;
-  memo.Record(Runtimes{3.0, 2.0}, 5.2);
-  EXPECT_TRUE(memo.Dominates(Runtimes{2.0, 3.0}));  // order-insensitive
-  EXPECT_TRUE(memo.Dominates(Runtimes{3.0, 2.5}));
-  EXPECT_FALSE(memo.Dominates(Runtimes{3.0, 1.9}));
+// The memo is strict (see PairwiseDominates): a path prunes only if it is
+// at least as expensive as a memoized path everywhere and strictly more
+// expensive in some runtime.
+
+// Figure 7: memoized dominant paths (Eq. 9). Ptm1 = {5,3,1} (3 collapsed
+// ops), Ptm2 = {4,4} (2 ops). Pt = {4,4,1} dominates Ptm2 (after padding,
+// strictly through its third operator) but not Ptm1.
+TEST(DominantPathMemoTest, Fig7Example) {
+  ConcurrentDominantPathMemo memo;
+  memo.Record(Runtimes({5.0, 3.0, 1.0}), /*total=*/9.5);
+  EXPECT_FALSE(memo.Dominates(Runtimes({4.0, 4.0, 1.0})));  // 4 < 5 at idx 0
+  memo.Record(Runtimes({4.0, 4.0}), /*total=*/8.4);
+  EXPECT_TRUE(memo.Dominates(Runtimes({4.0, 4.0, 1.0})));  // pads Ptm2 w/ 0
+}
+
+TEST(DominantPathMemoTest, ExactMatchDoesNotDominate) {
+  ConcurrentDominantPathMemo memo;
+  memo.Record(Runtimes({3.0, 2.0}), 5.2);
+  // An exact cost tie is never pruned, in any operator order.
+  EXPECT_FALSE(memo.Dominates(Runtimes({2.0, 3.0})));
+  EXPECT_TRUE(memo.Dominates(Runtimes({2.1, 3.0})));  // order-insensitive
+  EXPECT_TRUE(memo.Dominates(Runtimes({3.0, 2.5})));
+  EXPECT_FALSE(memo.Dominates(Runtimes({3.0, 1.9})));
 }
 
 TEST(DominantPathMemoTest, ShorterPathCannotMatchLongerMemoOnly) {
-  DominantPathMemo memo;
-  memo.Record(Runtimes{3.0, 2.0, 1.0}, 6.5);
+  ConcurrentDominantPathMemo memo;
+  memo.Record(Runtimes({3.0, 2.0, 1.0}), 6.5);
   // A 2-op path is never compared against a 3-op memo.
-  EXPECT_FALSE(memo.Dominates(Runtimes{100.0, 100.0}));
+  EXPECT_FALSE(memo.Dominates(Runtimes({100.0, 100.0})));
 }
 
 TEST(DominantPathMemoTest, RecordKeepsCheapestPerCount) {
-  DominantPathMemo memo;
-  memo.Record(Runtimes{10.0, 10.0}, 21.0);
-  memo.Record(Runtimes{2.0, 2.0}, 4.1);  // cheaper, same count -> replaces
-  EXPECT_TRUE(memo.Dominates(Runtimes{2.0, 2.0}));
+  ConcurrentDominantPathMemo memo;
+  memo.Record(Runtimes({10.0, 10.0}), 21.0);
+  memo.Record(Runtimes({2.0, 2.0}), 4.1);  // cheaper, same count -> replaces
+  EXPECT_TRUE(memo.Dominates(Runtimes({2.5, 2.0})));
+  memo.Record(Runtimes({9.0, 9.0}), 19.0);  // dearer -> ignored
+  EXPECT_TRUE(memo.Dominates(Runtimes({2.5, 2.0})));
 }
 
 TEST(DominantPathMemoTest, EmptyMemoDominatesNothing) {
-  DominantPathMemo memo;
+  ConcurrentDominantPathMemo memo;
   EXPECT_TRUE(memo.empty());
-  EXPECT_FALSE(memo.Dominates(Runtimes{1.0}));
+  EXPECT_FALSE(memo.Dominates(Runtimes({1.0})));
 }
 
 TEST(DominantPathMemoTest, ClearResets) {
-  DominantPathMemo memo;
-  memo.Record(Runtimes{1.0}, 1.0);
+  ConcurrentDominantPathMemo memo;
+  memo.Record(Runtimes({1.0}), 1.0);
+  EXPECT_FALSE(memo.empty());
   memo.Clear();
   EXPECT_TRUE(memo.empty());
+  EXPECT_FALSE(memo.Dominates(Runtimes({5.0})));
 }
 
 // Placement-aware memo entries: dominance must hold componentwise over
 // (runtime, per-attempt refetch), not runtime alone.
 TEST(DominantPathMemoTest, PairExtraBlocksDominance) {
-  DominantPathMemo memo;
+  ConcurrentDominantPathMemo memo;
   memo.Record(PathCosts{{3.0, 0.0}, {2.0, 1.0}}, 5.2);
-  // Same runtimes, but the memoized path pays refetch 1.0 where the probe
-  // pays 2.0 -> probe's U could be smaller only if... no: probe is worse
-  // or equal on every component, so it is dominated.
-  EXPECT_TRUE(memo.Dominates(PathCosts{{3.0, 0.5}, {2.0, 1.0}}));
+  // The probe is worse or equal on every component and strictly slower
+  // on one operator, so it is dominated.
+  EXPECT_TRUE(memo.Dominates(PathCosts{{3.5, 0.5}, {2.0, 1.0}}));
   // Probe has *less* refetch on one op: not dominated.
-  EXPECT_FALSE(memo.Dominates(PathCosts{{3.0, 0.0}, {2.0, 0.5}}));
+  EXPECT_FALSE(memo.Dominates(PathCosts{{3.5, 0.0}, {2.0, 0.5}}));
 }
 
 TEST(DominantPathMemoTest, PairStrictNeedsRuntimeGap) {
@@ -227,17 +240,6 @@ TEST(DominantPathMemoTest, PairStrictNeedsRuntimeGap) {
   EXPECT_FALSE(PairwiseDominates(PathCosts{{3.0, 2.0}}, entry, true));
   // ...but a runtime gap does.
   EXPECT_TRUE(PairwiseDominates(PathCosts{{3.5, 1.0}}, entry, true));
-}
-
-TEST(DominantPathMemoTest, PairZeroExtraMatchesDoubleOverload) {
-  DominantPathMemo a;
-  DominantPathMemo b;
-  a.Record(Runtimes{4.0, 2.0}, 6.3);
-  b.Record(PathCosts{{4.0, 0.0}, {2.0, 0.0}}, 6.3);
-  EXPECT_EQ(a.Dominates(Runtimes{4.5, 2.0}),
-            b.Dominates(PathCosts{{4.5, 0.0}, {2.0, 0.0}}));
-  EXPECT_EQ(a.Dominates(Runtimes{4.0, 1.0}),
-            b.Dominates(PathCosts{{4.0, 0.0}, {1.0, 0.0}}));
 }
 
 }  // namespace

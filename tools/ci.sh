@@ -5,8 +5,8 @@
 #   tsan       Debug + ThreadSanitizer   (XDBFT_SANITIZE=thread; exercises
 #              the parallel enumerator / task-pool / advisor-service
 #              coalescing tests for data races)
-#   ubsan      Debug + UndefinedBehaviorSanitizer (XDBFT_SANITIZE=undefined;
-#              any finding aborts the test)
+#   ubsan      Debug + UndefinedBehaviorSanitizer (XDBFT_SANITIZE=undefined,
+#              plus float-cast-overflow; any finding aborts the test)
 #   nometrics  Release + XDBFT_ENABLE_METRICS=OFF (proves the profiler /
 #              flight-recorder hot-path instrumentation compiles out and
 #              the suite still passes without it)

@@ -2,7 +2,7 @@
 # requires their rows to equal bench/baselines/ field for field
 # (tools/check_bench.py exits 1 on any mismatch). Invoked by the
 # bench_smoke_identity ctest with -DPYTHON=... -DSOURCE_DIR=... -DOUT_DIR=...
-# -DBENCHES="path/perf_schemes;path/perf_correlated".
+# -DBENCHES="path/perf_schemes;path/perf_correlated;...".
 file(REMOVE_RECURSE "${OUT_DIR}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
 foreach(bench IN LISTS BENCHES)

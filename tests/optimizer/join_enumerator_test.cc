@@ -225,5 +225,75 @@ TEST(EmitPlanTest, Q5PlanMatchesHandBuiltCardinalities) {
   EXPECT_NEAR(emitted_final, built_final, built_final * 0.01);
 }
 
+// tr(o), tm(o) and output rows of every operator of the cheapest Q5 join
+// tree, printed with %a so each double is pinned exactly.
+struct GoldenCosts {
+  double runtime_cost;
+  double materialize_cost;
+  double output_rows;
+};
+
+void ExpectCheapestQ5TreeCosts(const tpch::TpchPlanConfig& cfg,
+                               const PhysicalCostParams& params,
+                               const std::vector<GoldenCosts>& golden) {
+  auto g = tpch::MakeQ5JoinGraph(cfg);
+  ASSERT_TRUE(g.ok());
+  JoinTreeArena arena;
+  auto roots = EnumerateTopKJoinTrees(*g, 1, params, &arena);
+  ASSERT_TRUE(roots.ok());
+  EXPECT_EQ(arena.ToString(roots->front(), *g),
+            "(((SUPPLIER LINEITEM) ORDERS) (CUSTOMER (NATION REGION)))");
+  auto plan = EmitPlan(arena, roots->front(), *g, params);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->num_nodes(), golden.size());
+  for (size_t i = 0; i < golden.size(); ++i) {
+    const plan::PlanNode& n = plan->nodes()[i];
+    EXPECT_EQ(n.runtime_cost, golden[i].runtime_cost) << n.label;
+    EXPECT_EQ(n.materialize_cost, golden[i].materialize_cost) << n.label;
+    EXPECT_EQ(n.output_rows, golden[i].output_rows) << n.label;
+  }
+}
+
+TEST(EmitPlanTest, GoldenCostsOfCheapestQ5TreeAtDefaultConfig) {
+  const tpch::TpchPlanConfig cfg;
+  ExpectCheapestQ5TreeCosts(cfg, tpch::MakePhysicalCostParams(cfg), {
+      {{0x1.47ae147ae147bp-9, 0x1.23cb3f9cb3f9dp-3, 0x1.388p+13},
+       {0x1.8013e81450efep+0, 0x1.4d62ee6666666p+5, 0x1.6e48fcp+22},
+       {0x1.e1d8cacaf844ap+2, 0x1.c3d2999999999p-1, 0x1.d4d84ccccccccp+17},
+       {0x1.8p-2, 0x1.a2a4e765bc2d3p+0, 0x1.a286db6db6db6p+17},
+       {0x1.7feaa879c3afp-2, 0x1.ab241d41d41d4p-3, 0x1.0be9507507507p+15},
+       {0x1.3333333333333p-5, 0x1.9c4d86fb586fcp+0, 0x1.24f8p+17},
+       {0x1.a36e2eb1c432dp-18, 0x1.9b1d7a91d7a92p-5, 0x1.9p+4},
+       {0x1.4f8b588e368f1p-20, 0x1.99a8253c8253dp-5, 0x1p+0},
+       {0x1.0d226f07666d6p-15, 0x1.99ee72cfe72dp-5, 0x1.4p+2},
+       {0x1.8625bce155a94p-3, 0x1.96504a7904a79p-2, 0x1.d4cp+14},
+       {0x1.b6b2005dc52f9p-5, 0x1.49b8p-3, 0x1.aca880bb3ee71p+12},
+       {0x1.c17b102f2e71ep-9, 0x1.9a0634c0634c1p-5, 0x1p+3}}
+  });
+}
+
+TEST(EmitPlanTest, GoldenCostsOfCheapestQ5TreeAtFig13Store) {
+  // Fig. 13's operating point, including its MySQL-like aggregation rate.
+  tpch::TpchPlanConfig cfg;
+  cfg.scale_factor = 2000.0;
+  cfg.storage_bandwidth_bps = 128.0 * 1024 * 1024;
+  auto params = tpch::MakePhysicalCostParams(cfg);
+  params.agg_rows_per_sec = 20e3;
+  ExpectCheapestQ5TreeCosts(cfg, params, {
+      {{0x1.4p+2, 0x1.7e450cccccccdp+4, 0x1.312dp+24},
+       {0x1.771370a3d70a4p+11, 0x1.4f58781ce6666p+13, 0x1.65b34618p+33},
+       {0x1.d68db60a36731p+13, 0x1.ad5720e999999p+7, 0x1.c9db3afffffffp+28},
+       {0x1.77p+9, 0x1.98c47f15f15f1p+8, 0x1.98b7b24924924p+28},
+       {0x1.76eb2886e918dp+9, 0x1.4770b51d41d4p+5, 0x1.05a1d89249248p+26},
+       {0x1.2cp+6, 0x1.9261a04cccccdp+8, 0x1.1e1a3p+28},
+       {0x1.a36e2eb1c432dp-18, 0x1.99cb99999999ap-5, 0x1.9p+4},
+       {0x1.4f8b588e368f1p-20, 0x1.999b79999999ap-5, 0x1p+0},
+       {0x1.0d226f07666d6p-15, 0x1.99a489999999ap-5, 0x1.4p+2},
+       {0x1.7d00001bf6476p+8, 0x1.65d3ef3333333p+6, 0x1.c9c38p+25},
+       {0x1.ac69d45b92906p+6, 0x1.caa807ccccccbp+4, 0x1.a29c8db6db6dap+23},
+       {0x1.12575ca0cc19p+6, 0x1.99a799999999ap-5, 0x1p+3}}
+  });
+}
+
 }  // namespace
 }  // namespace xdbft::optimizer

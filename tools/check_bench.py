@@ -14,9 +14,10 @@ Two kinds of bench:
   annotations (rendered on the workflow run) and a human-readable summary,
   never as a failure: shared CI runners make wall-clock numbers too noisy
   to fail a build on.
-* Deterministic benches (schemes, correlated) are exact. They simulate
-  fixed failure traces, so every row must equal its baseline row field for
-  field, to the last digit, with no row missing or added. A mismatch is
+* Deterministic benches (schemes, correlated, and the Fig. 11 / Fig. 13
+  reproductions) are exact. They simulate fixed failure traces or count
+  pruned plans, so every row must equal its baseline row field for field,
+  to the last digit, with no row missing or added. A mismatch is
   reported as an `::error::` annotation and the script exits 1.
 
 Usage:
@@ -58,6 +59,16 @@ SPECS = {
     },
     "schemes": {
         "keys": ("scale", "scheme"),
+        "exact": True,
+    },
+    # Scheme overheads on fixed traces (Fig. 11) and pruned-plan shares
+    # (Fig. 13) of the TPC-H model: deterministic like the two above.
+    "fig11_varying_mtbf": {
+        "keys": ("cluster",),
+        "exact": True,
+    },
+    "fig13_pruning": {
+        "keys": ("rules", "cluster"),
         "exact": True,
     },
     "enum": {

@@ -23,7 +23,6 @@
 #include "common/result.h"          // IWYU pragma: export
 #include "common/status.h"          // IWYU pragma: export
 #include "cost/cost_params.h"       // IWYU pragma: export
-#include "cost/operator_cost.h"     // IWYU pragma: export
 #include "cost/storage_model.h"     // IWYU pragma: export
 #include "ft/adaptive.h"            // IWYU pragma: export
 #include "ft/checkpointing.h"       // IWYU pragma: export

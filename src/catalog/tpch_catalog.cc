@@ -61,17 +61,4 @@ double TpchCatalog::Bytes(TpchTable t) const {
   return Rows(t) * info(t).row_width_bytes;
 }
 
-double TpchCatalog::DistinctValues(TpchTable t,
-                                   const std::string& column) const {
-  // Key columns are unique in their owning table; foreign keys inherit the
-  // referenced table's domain size.
-  if (column == "nationkey") return 25;
-  if (column == "regionkey") return 5;
-  if (column == "suppkey") return Rows(TpchTable::kSupplier);
-  if (column == "custkey") return Rows(TpchTable::kCustomer);
-  if (column == "partkey") return Rows(TpchTable::kPart);
-  if (column == "orderkey") return Rows(TpchTable::kOrders);
-  return Rows(t);  // fall back: treat as unique
-}
-
 }  // namespace xdbft::catalog

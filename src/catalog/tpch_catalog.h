@@ -67,10 +67,6 @@ class TpchCatalog {
   /// \brief Total size of `t` in bytes.
   double Bytes(TpchTable t) const;
 
-  /// \brief Distinct values of well-known keys (for join-cardinality
-  /// estimation): e.g. 25 nations, 1.5M*SF orderkeys.
-  double DistinctValues(TpchTable t, const std::string& column) const;
-
   /// \brief Well-known selectivity of classic TPC-H predicates used by the
   /// benchmark queries (e.g. one REGION out of five, one year of ORDERS).
   static double RegionSelectivity() { return 1.0 / 5.0; }

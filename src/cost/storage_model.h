@@ -3,41 +3,27 @@
 // input/output cardinalities of each operator").
 #pragma once
 
-#include <string>
-
 namespace xdbft::cost {
 
-/// \brief A storage medium to which intermediates can be materialized.
+/// \brief The fault-tolerant store to which intermediates are materialized.
 ///
 /// The paper's testbed materializes sub-plan output to an external iSCSI
-/// store over 1 GbE; we model a medium by sequential bandwidth and a fixed
+/// store over 1 GbE; we model it by sequential bandwidth and a fixed
 /// per-materialization latency. Partition-parallel writes from n nodes share
 /// the medium's aggregate bandwidth.
 struct StorageMedium {
-  std::string name = "external";
   /// Aggregate sequential write bandwidth of the medium, bytes/second.
   double write_bandwidth_bps = 110.0 * 1024 * 1024;  // ~1GbE iSCSI
-  /// Aggregate sequential read bandwidth, bytes/second (for recovery reads).
-  double read_bandwidth_bps = 110.0 * 1024 * 1024;
   /// Fixed setup latency per materialized intermediate, seconds.
   double latency_seconds = 0.05;
-  /// True if the medium survives node failures (§2.2 requires this for the
-  /// cost model to be exact).
-  bool fault_tolerant = true;
 
-  /// \brief Seconds to write `rows` rows of `width` bytes.
+  /// \brief tm: seconds to write `rows` rows of `width` bytes.
   double WriteSeconds(double rows, double width_bytes) const {
     return latency_seconds + rows * width_bytes / write_bandwidth_bps;
   }
-  /// \brief Seconds to read back `rows` rows of `width` bytes.
-  double ReadSeconds(double rows, double width_bytes) const {
-    return latency_seconds + rows * width_bytes / read_bandwidth_bps;
-  }
 };
 
-/// \brief Common presets.
-StorageMedium ExternalIscsiStorage();
-StorageMedium LocalDiskStorage();
-StorageMedium InMemoryStorage();
+/// \brief The paper's external iSCSI store (the StorageMedium defaults).
+inline StorageMedium ExternalIscsiStorage() { return StorageMedium{}; }
 
 }  // namespace xdbft::cost

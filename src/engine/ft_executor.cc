@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/task_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
@@ -125,14 +126,9 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
   const int n = db_->num_nodes;
   const int num_stages = plan_->num_stages();
 
-  TaskPool* pool = external_pool_;
-  std::unique_ptr<TaskPool> local_pool;
-  if (pool == nullptr) {
-    const int threads = ResolveThreads(num_threads_);
-    // One worker is pointless (the coordinator would idle); run inline.
-    local_pool = std::make_unique<TaskPool>(threads <= 1 ? 0 : threads);
-    pool = local_pool.get();
-  }
+  const int threads = ResolveThreads(num_threads_);
+  // One worker is pointless (the coordinator would idle); run inline.
+  TaskPool pool(threads <= 1 ? 0 : threads);
 
   // state[s] has one slot per partition (one slot for global stages).
   std::vector<std::vector<SlotState>> state(static_cast<size_t>(num_stages));
@@ -153,10 +149,10 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
   // Trace lanes: tid = pool worker executing the task; the coordinator
   // (global stages, inline helping, killed-attempt markers) on the lane
   // after the workers.
-  const int coordinator_tid = pool->num_threads();
+  const int coordinator_tid = pool.num_threads();
   if (trace_ != nullptr) {
     trace_->SetProcessName(0, "ft_executor: " + plan_->name());
-    obs::NameWorkerLanes(trace_, 0, pool->num_threads());
+    obs::NameWorkerLanes(trace_, 0, pool.num_threads());
   }
 
   const auto start = std::chrono::steady_clock::now();
@@ -251,7 +247,7 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
       return;
     }
     if (trace_ != nullptr) {
-      const int worker = pool->CurrentWorkerId();
+      const int worker = pool.CurrentWorkerId();
       trace_->AddComplete(
           stage.label, t.attempt > 0 ? "recovery" : "task", span_start_us,
           trace_->NowMicros() - span_start_us, 0,
@@ -375,7 +371,7 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
       (plan_->stage(wave[i].stage).global ? global_idx : parallel_idx)
           .push_back(i);
     }
-    pool->ParallelForEach(parallel_idx.size(), [&](size_t k) {
+    pool.ParallelForEach(parallel_idx.size(), [&](size_t k) {
       run_attempt(wave[parallel_idx[k]]);
     });
     for (size_t i : global_idx) run_attempt(wave[i]);

@@ -52,7 +52,6 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "common/task_pool.h"
 #include "engine/stage_plan.h"
 #include "ft/mat_config.h"
 #include "obs/attempt_log.h"
@@ -196,14 +195,8 @@ class FaultTolerantExecutor {
 
   /// \brief Worker threads for partition tasks (0 = one per hardware
   /// thread, 1 = everything on the calling thread). The query result and
-  /// all deterministic counters are identical at any value. Ignored when
-  /// an external pool is set.
+  /// all deterministic counters are identical at any value.
   void set_num_threads(int num_threads) { num_threads_ = num_threads; }
-
-  /// \brief Run partition tasks on an externally owned pool (shared with
-  /// other executors/the enumerator) instead of a per-Execute pool. The
-  /// pool must outlive Execute calls; null reverts to set_num_threads.
-  void set_task_pool(TaskPool* pool) { external_pool_ = pool; }
 
   /// \brief `num_threads` resolved as for set_num_threads (0 -> hardware
   /// concurrency, never less than 1).
@@ -238,7 +231,6 @@ class FaultTolerantExecutor {
   const StagePlan* plan_;
   const PartitionedDatabase* db_;
   obs::TraceRecorder* trace_ = nullptr;
-  TaskPool* external_pool_ = nullptr;
   int num_threads_ = 1;
   bool wal_ = false;
   std::string postmortem_dir_;

@@ -56,6 +56,38 @@ inline Status ValidateAggSpecs(const std::vector<AggSpec>& aggs,
   return Status::OK();
 }
 
+/// \brief Output schema of an aggregation: the `group_by` columns of
+/// `input`, then one column per aggregate. COUNT is int64, SUM and AVG are
+/// double, MIN and MAX have their argument's type (kNull when it does not
+/// type-check; ValidateAggSpecs rejects that plan at Open).
+inline Schema AggregateSchema(const Schema& input,
+                              const std::vector<int>& group_by,
+                              const std::vector<AggSpec>& aggs) {
+  std::vector<Column> cols;
+  for (int g : group_by) cols.push_back(input.column(g));
+  for (const auto& a : aggs) {
+    ValueType type = ValueType::kNull;
+    switch (a.func) {
+      case AggFunc::kCount:
+        type = ValueType::kInt64;
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        type = ValueType::kDouble;
+        break;
+      case AggFunc::kMin:
+      case AggFunc::kMax:
+        if (a.arg != nullptr) {
+          const Result<ValueType> t = InferExprType(*a.arg, input);
+          if (t.ok()) type = *t;
+        }
+        break;
+    }
+    cols.push_back({a.name, type});
+  }
+  return Schema(std::move(cols));
+}
+
 /// \brief Fold one evaluated argument into `state`. NULL inputs are
 /// skipped for every function, including COUNT(expr).
 inline void AccumulateValue(AggFunc func, const Value& v, AggState* state) {

@@ -168,12 +168,8 @@ class HashAggregateOperator final : public Operator {
                         std::vector<AggSpec> aggs)
       : input_(std::move(input)),
         group_by_(std::move(group_by)),
-        aggs_(std::move(aggs)) {
-    std::vector<Column> cols;
-    for (int g : group_by_) cols.push_back(input_->schema().column(g));
-    for (const auto& a : aggs_) cols.push_back({a.name, ValueType::kNull});
-    schema_ = Schema(std::move(cols));
-  }
+        aggs_(std::move(aggs)),
+        schema_(AggregateSchema(input_->schema(), group_by_, aggs_)) {}
 
   Status Open() override {
     XDBFT_RETURN_NOT_OK(ValidateAggSpecs(aggs_, input_->schema()));

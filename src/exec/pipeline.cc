@@ -57,12 +57,7 @@ VecNodePtr VHashJoin(VecNodePtr build, VecNodePtr probe,
 VecNodePtr VHashAggregate(VecNodePtr input, std::vector<int> group_by,
                           std::vector<AggSpec> aggs) {
   auto n = NewNode(VecOp::kHashAggregate, {input});
-  std::vector<Column> cols;
-  for (int g : group_by) {
-    cols.push_back(n->children[0]->schema.column(g));
-  }
-  for (const auto& a : aggs) cols.push_back({a.name, ValueType::kNull});
-  n->schema = Schema(std::move(cols));
+  n->schema = AggregateSchema(n->children[0]->schema, group_by, aggs);
   n->group_by = std::move(group_by);
   n->aggs = std::move(aggs);
   return n;

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <map>
-
-#include "common/string_util.h"
 
 namespace xdbft::optimizer {
 
@@ -32,29 +29,6 @@ std::string JoinTreeArena::ToString(int root, const JoinGraph& graph) const {
          ")";
 }
 
-namespace {
-
-double NodesD(const PhysicalCostParams& p) {
-  return static_cast<double>(p.num_nodes);
-}
-
-// Runtime cost of the join operator producing `out_rows` from children
-// with cardinalities l_rows/r_rows (excluding the children's own costs).
-double JoinOpCost(double l_rows, double r_rows, double out_rows,
-                  const PhysicalCostParams& p) {
-  const double build = std::min(l_rows, r_rows);
-  const double probe = std::max(l_rows, r_rows);
-  return build / NodesD(p) / p.build_rows_per_sec +
-         probe / NodesD(p) / p.probe_rows_per_sec +
-         out_rows / NodesD(p) / p.output_rows_per_sec;
-}
-
-double MatCost(double rows, double width, const PhysicalCostParams& p) {
-  return p.storage_latency_seconds + rows * width / p.storage_bandwidth_bps;
-}
-
-}  // namespace
-
 double TreeCost(const JoinTreeArena& arena, int root, const JoinGraph& graph,
                 const PhysicalCostParams& params) {
   const JoinTreeNode& n = arena.node(root);
@@ -66,7 +40,7 @@ double TreeCost(const JoinTreeArena& arena, int root, const JoinGraph& graph,
   const double l_rows = graph.Cardinality(ls);
   const double r_rows = graph.Cardinality(rs);
   const double out_rows = graph.Cardinality(ls | rs);
-  return l_cost + r_cost + JoinOpCost(l_rows, r_rows, out_rows, params);
+  return l_cost + r_cost + params.JoinCost(l_rows, r_rows, out_rows);
 }
 
 Result<std::vector<int>> EnumerateAllJoinTrees(const JoinGraph& graph,
@@ -155,7 +129,7 @@ Result<std::vector<int>> EnumerateTopKJoinTrees(
       if (it1 == best.end() || it2 == best.end()) continue;
       const double l_rows = graph.Cardinality(s1);
       const double r_rows = graph.Cardinality(s2);
-      const double op_cost = JoinOpCost(l_rows, r_rows, out_rows, params);
+      const double op_cost = params.JoinCost(l_rows, r_rows, out_rows);
       for (const Entry& e1 : it1->second) {
         for (const Entry& e2 : it2->second) {
           // One tree per unordered split: the build/probe mirror has
@@ -190,7 +164,7 @@ plan::OpId EmitNode(const JoinTreeArena& arena, int root,
     node.type = plan::OpType::kTableScan;
     node.label = "Scan(" + rel.name + ")";
     node.runtime_cost = rel.scan_cost;
-    node.materialize_cost = MatCost(rel.rows, rel.scan_width, params);
+    node.materialize_cost = params.MatCost(rel.rows, rel.scan_width);
     node.output_rows = rel.rows;
     node.row_width_bytes = rel.scan_width;
     node.constraint = plan::MatConstraint::kNeverMaterialize;
@@ -207,8 +181,8 @@ plan::OpId EmitNode(const JoinTreeArena& arena, int root,
   plan::PlanNode node;
   node.type = plan::OpType::kHashJoin;
   node.label = "Join" + arena.ToString(root, graph);
-  node.runtime_cost = JoinOpCost(l_rows, r_rows, out_rows, params);
-  node.materialize_cost = MatCost(out_rows, out_width, params);
+  node.runtime_cost = params.JoinCost(l_rows, r_rows, out_rows);
+  node.materialize_cost = params.MatCost(out_rows, out_width);
   node.output_rows = out_rows;
   node.row_width_bytes = out_width;
   node.inputs = {l, r};
@@ -229,9 +203,9 @@ Result<plan::Plan> EmitPlan(const JoinTreeArena& arena, int root,
     plan::PlanNode agg;
     agg.type = plan::OpType::kHashAggregate;
     agg.label = "Agg";
-    agg.runtime_cost = in_rows / NodesD(params) / params.agg_rows_per_sec;
+    agg.runtime_cost = params.AggregateCost(in_rows);
     agg.materialize_cost =
-        MatCost(options.aggregate_rows, options.aggregate_width, params);
+        params.MatCost(options.aggregate_rows, options.aggregate_width);
     agg.output_rows = options.aggregate_rows;
     agg.row_width_bytes = options.aggregate_width;
     agg.inputs = {top};

@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "optimizer/join_graph.h"
+#include "optimizer/physical_cost.h"
 #include "plan/plan.h"
 
 namespace xdbft::optimizer {
@@ -41,19 +42,6 @@ class JoinTreeArena {
 
  private:
   std::vector<JoinTreeNode> nodes_;
-};
-
-/// \brief Physical cost parameters used to cost join trees and emit plans
-/// (same semantics as tpch::TpchPlanConfig's rates).
-struct PhysicalCostParams {
-  int num_nodes = 10;
-  double scan_rows_per_sec = 400e3;
-  double probe_rows_per_sec = 80e3;
-  double build_rows_per_sec = 300e3;
-  double agg_rows_per_sec = 200e3;
-  double output_rows_per_sec = 1e6;
-  double storage_bandwidth_bps = 16.5 * 1024 * 1024;
-  double storage_latency_seconds = 0.05;
 };
 
 /// \brief Failure-free cost of the tree rooted at `root`: sum of scan,

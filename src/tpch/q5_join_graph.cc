@@ -1,37 +1,18 @@
 #include "tpch/q5_join_graph.h"
 
 #include "catalog/tpch_catalog.h"
-#include "optimizer/statistics.h"
 
 namespace xdbft::tpch {
 
 using catalog::TpchCatalog;
 using catalog::TpchTable;
 using optimizer::JoinGraph;
-using optimizer::Relation;
-
-optimizer::PhysicalCostParams MakePhysicalCostParams(
-    const TpchPlanConfig& config) {
-  optimizer::PhysicalCostParams p;
-  p.num_nodes = config.num_nodes;
-  p.scan_rows_per_sec = config.scan_rows_per_sec;
-  p.probe_rows_per_sec = config.probe_rows_per_sec;
-  p.build_rows_per_sec = config.build_rows_per_sec;
-  p.agg_rows_per_sec = config.agg_rows_per_sec;
-  p.output_rows_per_sec = config.output_rows_per_sec;
-  p.storage_bandwidth_bps = config.storage_bandwidth_bps;
-  p.storage_latency_seconds = config.storage_latency_seconds;
-  return p;
-}
 
 Result<JoinGraph> MakeQ5JoinGraph(const TpchPlanConfig& config) {
   XDBFT_RETURN_NOT_OK(config.Validate());
   TpchCatalog cat(config.scale_factor);
-  const double nodes = static_cast<double>(config.num_nodes);
 
-  auto scan_cost = [&](TpchTable t) {
-    return cat.Rows(t) / nodes / config.scan_rows_per_sec;
-  };
+  auto scan_cost = [&](TpchTable t) { return config.ScanCost(cat.Rows(t)); };
   auto scan_width = [&](TpchTable t) {
     return cat.info(t).row_width_bytes;
   };
@@ -74,108 +55,6 @@ Result<JoinGraph> MakeQ5JoinGraph(const TpchPlanConfig& config) {
   XDBFT_RETURN_NOT_OK(
       g.AddEdge(l, s, 1.0 / cat.Rows(TpchTable::kSupplier) / 25.0,
                 "l_suppkey=s_suppkey AND s_nationkey=c_nationkey"));
-  XDBFT_RETURN_NOT_OK(g.Validate());
-  return g;
-}
-
-Result<JoinGraph> MakeQ5JoinGraphFromData(const datagen::TpchDatabase& db,
-                                          const TpchPlanConfig& config) {
-  XDBFT_RETURN_NOT_OK(config.Validate());
-  const double nodes = static_cast<double>(config.num_nodes);
-
-  // Analyze the base tables the query touches.
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::TableStats region_stats,
-                         optimizer::AnalyzeTable(db.region));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::TableStats nation_stats,
-                         optimizer::AnalyzeTable(db.nation));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::TableStats customer_stats,
-                         optimizer::AnalyzeTable(db.customer));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::TableStats orders_stats,
-                         optimizer::AnalyzeTable(db.orders));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::TableStats lineitem_stats,
-                         optimizer::AnalyzeTable(db.lineitem));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::TableStats supplier_stats,
-                         optimizer::AnalyzeTable(db.supplier));
-
-  auto scan_cost = [&](const optimizer::TableStats& t) {
-    return static_cast<double>(t.row_count) / nodes /
-           config.scan_rows_per_sec;
-  };
-  // Predicate selectivities from the analyzed statistics.
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* rkey,
-                         region_stats.Find("r_regionkey"));
-  const double region_sel =
-      optimizer::EstimateEquals(*rkey, 3.0 /* one region */);
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* odate,
-                         orders_stats.Find("o_orderdate"));
-  const double orders_sel = optimizer::EstimateRange(
-      *odate, 3.0 * 365.0, 4.0 * 365.0);  // one year of the window
-
-  // Join-edge selectivities: containment assumption via key NDVs.
-  auto edge_sel = [](const optimizer::ColumnStats& a,
-                     const optimizer::ColumnStats& b) {
-    return 1.0 / static_cast<double>(std::max<size_t>(
-                     1, std::max(a.distinct_count, b.distinct_count)));
-  };
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* n_rkey,
-                         nation_stats.Find("n_regionkey"));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* n_key,
-                         nation_stats.Find("n_nationkey"));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* c_nkey,
-                         customer_stats.Find("c_nationkey"));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* c_key,
-                         customer_stats.Find("c_custkey"));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* o_ckey,
-                         orders_stats.Find("o_custkey"));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* o_key,
-                         orders_stats.Find("o_orderkey"));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* l_okey,
-                         lineitem_stats.Find("l_orderkey"));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* l_skey,
-                         lineitem_stats.Find("l_suppkey"));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* s_key,
-                         supplier_stats.Find("s_suppkey"));
-  XDBFT_ASSIGN_OR_RETURN(const optimizer::ColumnStats* s_nkey,
-                         supplier_stats.Find("s_nationkey"));
-
-  JoinGraph g;
-  const int r = g.AddRelation(
-      {"REGION", std::max(1.0, region_sel *
-                                   static_cast<double>(
-                                       region_stats.row_count)),
-       scan_cost(region_stats), 60, 120});
-  const int n = g.AddRelation(
-      {"NATION", static_cast<double>(nation_stats.row_count),
-       scan_cost(nation_stats), 80, 128});
-  const int c = g.AddRelation(
-      {"CUSTOMER", static_cast<double>(customer_stats.row_count),
-       scan_cost(customer_stats), 60, 180});
-  const int o = g.AddRelation(
-      {"ORDERS",
-       orders_sel * static_cast<double>(orders_stats.row_count),
-       scan_cost(orders_stats), 20, 128});
-  const int l = g.AddRelation(
-      {"LINEITEM", static_cast<double>(lineitem_stats.row_count),
-       scan_cost(lineitem_stats), 40, 120});
-  const int s = g.AddRelation(
-      {"SUPPLIER", static_cast<double>(supplier_stats.row_count),
-       scan_cost(supplier_stats), 20, 160});
-
-  XDBFT_RETURN_NOT_OK(
-      g.AddEdge(r, n, edge_sel(*rkey, *n_rkey), "n_regionkey=r_regionkey"));
-  XDBFT_RETURN_NOT_OK(
-      g.AddEdge(n, c, edge_sel(*n_key, *c_nkey), "c_nationkey=n_nationkey"));
-  XDBFT_RETURN_NOT_OK(
-      g.AddEdge(c, o, edge_sel(*c_key, *o_ckey), "o_custkey=c_custkey"));
-  XDBFT_RETURN_NOT_OK(
-      g.AddEdge(o, l, edge_sel(*o_key, *l_okey), "l_orderkey=o_orderkey"));
-  // As in the analytic graph, the supplier-nation predicate folds into
-  // the L-S edge (1/|nations|), keeping the chain's 1344 join orders.
-  const double supplier_nation_sel =
-      1.0 / static_cast<double>(std::max<size_t>(1, s_nkey->distinct_count));
-  XDBFT_RETURN_NOT_OK(g.AddEdge(
-      l, s, edge_sel(*l_skey, *s_key) * supplier_nation_sel,
-      "l_suppkey=s_suppkey AND s_nationkey=c_nationkey"));
   XDBFT_RETURN_NOT_OK(g.Validate());
   return g;
 }

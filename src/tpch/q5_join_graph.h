@@ -11,7 +11,6 @@
 
 #include "optimizer/join_enumerator.h"
 #include "optimizer/join_graph.h"
-#include "datagen/tpch_gen.h"
 #include "tpch/queries.h"
 
 namespace xdbft::tpch {
@@ -20,17 +19,10 @@ namespace xdbft::tpch {
 /// from the catalog's scaling formulas).
 Result<optimizer::JoinGraph> MakeQ5JoinGraph(const TpchPlanConfig& config);
 
-/// \brief Build Q5's join graph from *real data*: tables are analyzed
-/// (histograms + NDVs, optimizer/statistics.h), predicate selectivities
-/// estimated from histograms and edge selectivities from the containment
-/// assumption — the full statistics-driven optimizer path. `config`
-/// supplies the execution rates; its scale factor is ignored (the data
-/// determines cardinalities).
-Result<optimizer::JoinGraph> MakeQ5JoinGraphFromData(
-    const datagen::TpchDatabase& db, const TpchPlanConfig& config);
-
-/// \brief The PhysicalCostParams matching `config`'s rates.
-optimizer::PhysicalCostParams MakePhysicalCostParams(
-    const TpchPlanConfig& config);
+/// \brief The PhysicalCostParams part of `config`.
+inline optimizer::PhysicalCostParams MakePhysicalCostParams(
+    const TpchPlanConfig& config) {
+  return config;
+}
 
 }  // namespace xdbft::tpch

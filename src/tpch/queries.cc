@@ -1,9 +1,6 @@
 #include "tpch/queries.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "ft/collapsed_plan.h"
 
 namespace xdbft::tpch {
 
@@ -57,40 +54,28 @@ Status TpchPlanConfig::Validate() const {
 
 namespace {
 
-// Assembles a TPC-H plan: computes tr(o) from per-node rates and tm(o)
-// from the storage model, and marks scans as bound (base tables are
-// persistent; re-scanning is the recovery path).
+// Assembles a TPC-H plan: computes tr(o)/tm(o) with the cost formulas of
+// the config's PhysicalCostParams, and marks scans as bound (base tables
+// are persistent; re-scanning is the recovery path).
 class QueryAssembler {
  public:
   QueryAssembler(std::string name, const TpchPlanConfig& cfg)
-      : cfg_(cfg),
-        cat_(cfg.scale_factor),
-        builder_(std::move(name)),
-        storage_(cfg.MakeStorage()) {}
+      : cfg_(cfg), cat_(cfg.scale_factor), builder_(std::move(name)) {}
 
   double nodes() const { return static_cast<double>(cfg_.num_nodes); }
 
   double Rows(TpchTable t) const { return cat_.Rows(t); }
 
-  // Cost of materializing `rows` x `width` to the shared store
-  // (aggregate bandwidth; see OperatorCostEstimator::MaterializeCost).
-  double Mat(double rows, double width) const {
-    return storage_.WriteSeconds(rows, width);
-  }
-
   OpId Scan(TpchTable t, double selectivity = 1.0) {
     const double base_rows = cat_.Rows(t);
     const double out_rows = base_rows * selectivity;
-    // The scan reads the full partition regardless of predicate
-    // selectivity.
-    const double tr = base_rows / nodes() / cfg_.scan_rows_per_sec;
     plan::PlanNode n;
     n.type = OpType::kTableScan;
     n.label = selectivity < 1.0
                   ? std::string("Scan(s:") + catalog::TpchTableName(t) + ")"
                   : std::string("Scan(") + catalog::TpchTableName(t) + ")";
-    n.runtime_cost = tr;
-    n.materialize_cost = Mat(out_rows, cat_.info(t).row_width_bytes);
+    n.runtime_cost = cfg_.ScanCost(base_rows);
+    n.materialize_cost = cfg_.MatCost(out_rows, cat_.info(t).row_width_bytes);
     n.output_rows = out_rows;
     n.row_width_bytes = cat_.info(t).row_width_bytes;
     n.constraint = MatConstraint::kNeverMaterialize;
@@ -106,7 +91,8 @@ class QueryAssembler {
     return cfg_.scale_factor / 100.0 * 10.0 / nodes();
   }
   double MatScale() const {
-    return cfg_.scale_factor / 100.0 * (16.5 * 1024 * 1024) /
+    return cfg_.scale_factor / 100.0 *
+           optimizer::PhysicalCostParams{}.storage_bandwidth_bps /
            cfg_.storage_bandwidth_bps;
   }
 
@@ -135,31 +121,23 @@ class QueryAssembler {
 
   OpId Join(const std::string& label, OpId left, OpId right, double out_rows,
             double out_width) {
-    const auto& l = builder_.plan().node(left);
-    const auto& r = builder_.plan().node(right);
-    const double build_rows = std::min(l.output_rows, r.output_rows);
-    const double probe_rows = std::max(l.output_rows, r.output_rows);
-    const double tr = build_rows / nodes() / cfg_.build_rows_per_sec +
-                      probe_rows / nodes() / cfg_.probe_rows_per_sec +
-                      out_rows / nodes() / cfg_.output_rows_per_sec;
+    const double tr = cfg_.JoinCost(builder_.plan().node(left).output_rows,
+                                    builder_.plan().node(right).output_rows,
+                                    out_rows);
     return builder_.Binary(OpType::kHashJoin, label, left, right, tr,
-                           Mat(out_rows, out_width), out_rows, out_width);
+                           cfg_.MatCost(out_rows, out_width), out_rows,
+                           out_width);
   }
 
+  // A hash aggregation, or with type kSort a sort, which runs at the
+  // aggregation rate.
   OpId Aggregate(const std::string& label, OpId input, double out_rows,
-                 double out_width) {
-    const double in_rows = builder_.plan().node(input).output_rows;
-    const double tr = in_rows / nodes() / cfg_.agg_rows_per_sec;
-    return builder_.Unary(OpType::kHashAggregate, label, input, tr,
-                          Mat(out_rows, out_width), out_rows, out_width);
-  }
-
-  OpId Sort(const std::string& label, OpId input, double out_rows,
-            double out_width) {
-    const double in_rows = builder_.plan().node(input).output_rows;
-    const double tr = in_rows / nodes() / cfg_.agg_rows_per_sec;
-    return builder_.Unary(OpType::kSort, label, input, tr,
-                          Mat(out_rows, out_width), out_rows, out_width);
+                 double out_width, OpType type = OpType::kHashAggregate) {
+    const double tr =
+        cfg_.AggregateCost(builder_.plan().node(input).output_rows);
+    return builder_.Unary(type, label, input, tr,
+                          cfg_.MatCost(out_rows, out_width), out_rows,
+                          out_width);
   }
 
   Plan Finish() && { return std::move(builder_).Build(); }
@@ -168,7 +146,6 @@ class QueryAssembler {
   const TpchPlanConfig& cfg_;
   TpchCatalog cat_;
   plan::PlanBuilder builder_;
-  cost::StorageMedium storage_;
 };
 
 // Q1: full LINEITEM scan with a 98%-selective shipdate predicate feeding a
@@ -335,7 +312,8 @@ Plan BuildQ2C(const TpchPlanConfig& cfg) {
     const double ob_rows = oa_rows * 4.0 * 0.25;  // min-cost supplier match
     const OpId ob =
         a.Join("Outer" + tag + "Join(.,PS)", oa, psi, ob_rows, 240);
-    a.Sort("Outer" + tag + "TopK", ob, std::min(100.0, ob_rows), 240);
+    a.Aggregate("Outer" + tag + "TopK", ob, std::min(100.0, ob_rows), 240,
+                OpType::kSort);
   }
   return std::move(a).Finish();
 }
@@ -364,39 +342,6 @@ Result<Plan> BuildQuery(TpchQuery query, const TpchPlanConfig& config) {
   }
   XDBFT_RETURN_NOT_OK(p.Validate());
   return p;
-}
-
-namespace {
-
-Result<double> Q5Baseline(const TpchPlanConfig& cfg) {
-  XDBFT_ASSIGN_OR_RETURN(Plan p, BuildQuery(TpchQuery::kQ5, cfg));
-  XDBFT_ASSIGN_OR_RETURN(
-      ft::CollapsedPlan cp,
-      ft::CollapsedPlan::Create(p, ft::MaterializationConfig::NoMat(p)));
-  return cp.MakespanNoFailure();
-}
-
-}  // namespace
-
-Result<double> ScaleFactorForQ5Runtime(double target_seconds,
-                                       const TpchPlanConfig& base_config) {
-  if (!(target_seconds > 0.0)) {
-    return Status::InvalidArgument("target_seconds must be positive");
-  }
-  // Runtime is monotone in SF; bisect on a log scale.
-  double lo = 1e-3, hi = 1e5;
-  for (int iter = 0; iter < 60; ++iter) {
-    const double mid = std::sqrt(lo * hi);
-    TpchPlanConfig cfg = base_config;
-    cfg.scale_factor = mid;
-    XDBFT_ASSIGN_OR_RETURN(const double runtime, Q5Baseline(cfg));
-    if (runtime < target_seconds) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return std::sqrt(lo * hi);
 }
 
 }  // namespace xdbft::tpch

@@ -61,15 +61,6 @@ TEST(TpchCatalogTest, PartitioningMatchesPaperSetup) {
   EXPECT_EQ(cat.info(TpchTable::kPartSupp).partitioning, Partitioning::kRref);
 }
 
-TEST(TpchCatalogTest, DistinctValuesForKeys) {
-  TpchCatalog cat(2.0);
-  EXPECT_DOUBLE_EQ(cat.DistinctValues(TpchTable::kNation, "nationkey"), 25);
-  EXPECT_DOUBLE_EQ(cat.DistinctValues(TpchTable::kOrders, "orderkey"),
-                   3000000);
-  EXPECT_DOUBLE_EQ(cat.DistinctValues(TpchTable::kLineitem, "custkey"),
-                   300000);
-}
-
 TEST(TpchCatalogTest, TableNames) {
   EXPECT_STREQ(TpchTableName(TpchTable::kLineitem), "LINEITEM");
   EXPECT_STREQ(TpchTableName(TpchTable::kRegion), "REGION");

@@ -1,14 +1,13 @@
 // Concurrency tests for the parallel FaultTolerantExecutor: bit-identical
 // results and failure accounting at every thread count (including stateful
-// random injectors), concurrent failure injection under TSan, external
-// pool reuse, and the recursion-depth bomb the old recursive recovery
-// implementation could not survive.
+// random injectors), concurrent failure injection under TSan, and the
+// recursion-depth bomb the old recursive recovery implementation could not
+// survive.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <vector>
 
-#include "common/task_pool.h"
 #include "datagen/tpch_gen.h"
 #include "engine/ft_executor.h"
 #include "engine/stage_plan.h"
@@ -222,28 +221,6 @@ TEST(ParallelExecutorTest, ConcurrentFailureInjectionMatchesCleanRun) {
     total_failures += r->failures_injected;
   }
   EXPECT_GT(total_failures, 0);  // the injection rate actually fired
-}
-
-TEST(ParallelExecutorTest, ExternalPoolSharedAcrossExecutions) {
-  const Fixture& f = GetFixture();
-  const StagePlan plan = MakeQ5StagePlan(f.pd);
-  const auto config =
-      ft::MaterializationConfig::NoMat(plan.ToPlanSkeleton());
-  FaultTolerantExecutor baseline_exec(&plan, &f.pd);
-  baseline_exec.set_num_threads(1);
-  ScriptedInjector baseline_injector({{4, 1}});
-  auto baseline = baseline_exec.Execute(config, &baseline_injector);
-  ASSERT_TRUE(baseline.ok());
-
-  TaskPool pool(3);
-  FaultTolerantExecutor executor(&plan, &f.pd);
-  executor.set_task_pool(&pool);
-  for (int run = 0; run < 2; ++run) {
-    ScriptedInjector injector({{4, 1}});
-    auto r = executor.Execute(config, &injector);
-    ASSERT_TRUE(r.ok()) << "run=" << run << ": " << r.status();
-    ExpectSameOutcome(*baseline, *r);
-  }
 }
 
 TEST(ParallelExecutorTest, SurvivesRecursionDepthBomb) {

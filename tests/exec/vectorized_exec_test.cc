@@ -273,6 +273,9 @@ TEST(VectorizedPlanTest, IllTypedPlanIsInvalidArgument) {
       VHashAggregate(scan, {}, {{AggFunc::kSum, Expr::Col(0), "s"}}),
       VHashAggregate(scan, {}, {{AggFunc::kAvg, Expr::Col(0), "a"}}),
       VHashJoin(scan, VScan(&t), {0}, {0}),
+      // MIN keeps its argument's type, so a filter above it is checked.
+      VFilter(VHashAggregate(scan, {1}, {{AggFunc::kMin, Expr::Col(0), "m"}}),
+              Eq(Expr::Col(1), Expr::Lit(Value(int64_t{1})))),
   };
   for (const auto& plan : plans) {
     auto vec = ExecuteVectorized(plan);

@@ -181,22 +181,6 @@ TEST(TpchQueriesTest, RuntimeShrinksWithMoreNodes) {
   EXPECT_LT(Baseline(*p100), Baseline(*p10) / 5.0);
 }
 
-TEST(TpchQueriesTest, ScaleFactorForQ5RuntimeInverts) {
-  TpchPlanConfig cfg;
-  auto sf = ScaleFactorForQ5Runtime(925.0, cfg);
-  ASSERT_TRUE(sf.ok()) << sf.status();
-  EXPECT_NEAR(*sf, 100.0, 10.0);
-
-  cfg.scale_factor = *sf;
-  auto p = BuildQuery(TpchQuery::kQ5, cfg);
-  ASSERT_TRUE(p.ok());
-  EXPECT_NEAR(Baseline(*p), 925.0, 2.0);
-}
-
-TEST(TpchQueriesTest, ScaleFactorForQ5RuntimeRejectsBadTarget) {
-  EXPECT_FALSE(ScaleFactorForQ5Runtime(-1.0, TpchPlanConfig{}).ok());
-}
-
 TEST(TpchQueriesTest, ConfigValidation) {
   TpchPlanConfig cfg;
   cfg.scale_factor = 0.0;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <list>
+#include <mutex>
+#include <unordered_map>
 #include <utility>
 
-#include "ft/adaptive.h"
 #include "ft/ft_cost.h"
 #include "obs/metrics.h"
 
@@ -40,12 +43,6 @@ struct MapKeyHash {
 // in the shard memo cache for second-chance warm starts.
 struct AdvisorService::Entry {
   RequestFingerprint key;
-
-  /// Cluster statistics the cached decision assumed (from the request at
-  /// entry creation); compared against the service's observed state by
-  /// InvalidateDrifted. Immutable after creation.
-  double assumed_mtbf_seconds = 0.0;
-  double assumed_burst_mtbf_seconds = 0.0;
 
   std::mutex mu;
   std::condition_variable cv;
@@ -162,8 +159,6 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
     } else {
       entry = std::make_shared<Entry>();
       entry->key = fp;
-      entry->assumed_mtbf_seconds = request.cluster.mtbf_seconds;
-      entry->assumed_burst_mtbf_seconds = request.cluster.burst_mtbf_seconds;
       const auto mit = shard.memos.find(key);
       if (mit != shard.memos.end() && mit->second->first == fp) {
         entry->memo = std::move(mit->second->second);
@@ -337,69 +332,6 @@ Result<ft::SchemePlan> AdvisorService::Advise(const plan::Plan& plan) {
   return Advise(request);
 }
 
-void AdvisorService::RecordObservation(const ft::ObservedExecution& observed,
-                                       int num_nodes,
-                                       int correlated_failures) {
-  {
-    std::lock_guard<std::mutex> lock(observed_mu_);
-    observed_.wall_seconds += std::max(observed.runtime_seconds, 0.0);
-    observed_.node_seconds += std::max(observed.runtime_seconds, 0.0) *
-                              static_cast<double>(std::max(num_nodes, 0));
-    observed_.failures += static_cast<uint64_t>(std::max(observed.failures, 0));
-    observed_.correlated_failures +=
-        static_cast<uint64_t>(std::max(correlated_failures, 0));
-    ++observed_.observations;
-  }
-  XDBFT_COUNTER_INC("advisor_service.observations");
-  if (options_.drift_threshold > 0.0) InvalidateDrifted();
-}
-
-AdvisorService::ObservedClusterState AdvisorService::observed_cluster() const {
-  std::lock_guard<std::mutex> lock(observed_mu_);
-  return observed_;
-}
-
-size_t AdvisorService::InvalidateDrifted() {
-  const ObservedClusterState obs = observed_cluster();
-  // No failure seen yet means no evidence about the failure process —
-  // absence of data must not evict anything.
-  if (obs.failures == 0 && obs.correlated_failures == 0) return 0;
-  const double threshold = std::max(options_.drift_threshold, 0.0);
-  size_t evicted = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      Entry& entry = **it;
-      // Compare in-rate-space; dimensions with no observed evidence keep
-      // the assumed value (zero drift contribution).
-      cost::ClusterStats assumed;
-      assumed.mtbf_seconds = entry.assumed_mtbf_seconds;
-      assumed.burst_mtbf_seconds = entry.assumed_burst_mtbf_seconds;
-      cost::ClusterStats measured = assumed;
-      if (obs.failures > 0) measured.mtbf_seconds = obs.mtbf_seconds();
-      if (obs.correlated_failures > 0) {
-        measured.burst_mtbf_seconds = obs.burst_mtbf_seconds();
-      }
-      if (!(ft::ClusterDrift(assumed, measured) > threshold)) {
-        ++it;
-        continue;
-      }
-      // Drop the entry *and* its memo (no parking): dominant paths
-      // memoized under stale statistics would mis-prune the re-optimized
-      // search of this key.
-      entry.in_lru = false;
-      shard->entries.erase(MapKey{entry.key.hi, entry.key.lo});
-      it = shard->lru.erase(it);
-      ++evicted;
-    }
-  }
-  if (evicted > 0) {
-    drift_invalidations_.fetch_add(evicted, std::memory_order_relaxed);
-    XDBFT_COUNTER_ADD("advisor_service.drift_invalidations", evicted);
-  }
-  return evicted;
-}
-
 AdvisorServiceStats AdvisorService::stats() const {
   AdvisorServiceStats s;
   s.requests = requests_.load(std::memory_order_relaxed);
@@ -411,37 +343,12 @@ AdvisorServiceStats AdvisorService::stats() const {
   s.memo_warm_starts = memo_warm_starts_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
   s.inflight = inflight_.load(std::memory_order_relaxed);
-  s.drift_invalidations =
-      drift_invalidations_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(observed_mu_);
-    s.observations = observed_.observations;
-  }
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     s.entries += shard->lru.size();
     s.memo_entries += shard->memo_lru.size();
   }
   return s;
-}
-
-std::vector<AdvisorService::EntryInfo> AdvisorService::EntrySnapshot() const {
-  std::vector<EntryInfo> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& entry : shard->lru) {
-      EntryInfo info;
-      info.fingerprint = entry->key.Hex();
-      info.hits = entry->hits.load(std::memory_order_relaxed);
-      info.coalesced = entry->coalesced.load(std::memory_order_relaxed);
-      out.push_back(std::move(info));
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const EntryInfo& a, const EntryInfo& b) {
-    if (a.hits != b.hits) return a.hits > b.hits;
-    return a.fingerprint < b.fingerprint;
-  });
-  return out;
 }
 
 }  // namespace xdbft::api

@@ -19,22 +19,19 @@
 //
 // Serving invariant: a cached, coalesced, warm-started or bypassed answer
 // is bit-identical to a fresh one-shot enumeration of the same request —
-// the cache can only change latency, never the plan (DESIGN.md §12).
+// the cache can only change latency, never the plan (DESIGN.md §12). The
+// fingerprint covers the cluster statistics (MTBF, burst MTBF, fanout,
+// placement), so a changed cluster is a different key: no cached entry
+// ever goes stale and nothing needs invalidating.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/advisor.h"
 #include "api/fingerprint.h"
-#include "ft/explain.h"
 
 namespace xdbft::api {
 
@@ -66,13 +63,6 @@ struct AdvisorServiceOptions {
   /// per-enumeration worker threads). trace/shared_memo are overridden
   /// per call by the service.
   ft::EnumerationOptions enumeration;
-  /// Cluster-state invalidation: when the relative drift (failure-rate
-  /// space, ft::ClusterDrift) between an entry's assumed MTBF/burst-MTBF
-  /// and the service's *observed* statistics exceeds this threshold, the
-  /// entry is evicted on the next RecordObservation — its cached plan was
-  /// optimized for a cluster that no longer exists. <= 0 disables the
-  /// automatic sweep (InvalidateDrifted can still be called manually).
-  double drift_threshold = 0.5;
 };
 
 /// \brief Monotonic serving counters (snapshot via AdvisorService::stats).
@@ -93,11 +83,6 @@ struct AdvisorServiceStats {
   uint64_t memo_warm_starts = 0;
   /// Requests answered with a non-OK status (never cached).
   uint64_t errors = 0;
-  /// Executions folded into the observed-cluster accumulator.
-  uint64_t observations = 0;
-  /// Ready entries evicted because their assumed cluster statistics
-  /// drifted past drift_threshold from the observed ones.
-  uint64_t drift_invalidations = 0;
   /// Point-in-time: distinct enumerations currently running under the
   /// admission bound, and ready entries resident across all shards.
   uint64_t inflight = 0;
@@ -134,55 +119,6 @@ class AdvisorService {
 
   AdvisorServiceStats stats() const;
 
-  /// \brief Observed failure statistics accumulated from executions the
-  /// caller fed back via RecordObservation.
-  struct ObservedClusterState {
-    double node_seconds = 0.0;  ///< sum of runtime * num_nodes
-    double wall_seconds = 0.0;  ///< sum of runtime
-    uint64_t failures = 0;
-    uint64_t correlated_failures = 0;  ///< burst events (multi-node)
-    uint64_t observations = 0;
-
-    /// \brief Observed per-node MTBF; 0 while no failure was seen.
-    double mtbf_seconds() const {
-      return failures == 0 ? 0.0
-                           : node_seconds / static_cast<double>(failures);
-    }
-    /// \brief Observed mean seconds between burst events; 0 while none
-    /// was seen.
-    double burst_mtbf_seconds() const {
-      return correlated_failures == 0
-                 ? 0.0
-                 : wall_seconds / static_cast<double>(correlated_failures);
-    }
-  };
-
-  /// \brief Fold one instrumented execution (the PR-1 predicted-vs-
-  /// observed accuracy signal) into the observed cluster state, then — when
-  /// options().drift_threshold > 0 — evict every cached entry whose
-  /// assumed MTBF/correlation drifted past the threshold. Thread-safe.
-  /// `correlated_failures` counts the observed.failures that arrived in
-  /// multi-node bursts.
-  void RecordObservation(const ft::ObservedExecution& observed,
-                         int num_nodes, int correlated_failures = 0);
-
-  /// \brief Sweep the cache against the current observed cluster state and
-  /// evict drifted entries (their memos are dropped, not parked: a memo of
-  /// a stale cluster would mis-prune the re-optimized search). Returns the
-  /// number of entries evicted. No-op until at least one failure (or
-  /// burst) has been observed — "no evidence" is not drift.
-  size_t InvalidateDrifted();
-
-  ObservedClusterState observed_cluster() const;
-
-  /// \brief Per-entry cache metrics, hottest first.
-  struct EntryInfo {
-    std::string fingerprint;  // RequestFingerprint::Hex()
-    uint64_t hits = 0;
-    uint64_t coalesced = 0;
-  };
-  std::vector<EntryInfo> EntrySnapshot() const;
-
   const AdvisorServiceOptions& options() const { return options_; }
 
  private:
@@ -213,10 +149,6 @@ class AdvisorService {
   std::atomic<uint64_t> memo_warm_starts_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> inflight_{0};
-  std::atomic<uint64_t> drift_invalidations_{0};
-
-  mutable std::mutex observed_mu_;  // guards observed_
-  ObservedClusterState observed_;
 };
 
 }  // namespace xdbft::api

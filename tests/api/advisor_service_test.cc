@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/fingerprint.h"
 #include "ft/scheme.h"
 #include "tpch/queries.h"
 
@@ -227,95 +226,6 @@ TEST(AdvisorServiceTest, SinglePlanOverloadUsesDefaults) {
   EXPECT_GT(chosen.ValueOrDie().estimated_cost, 0.0);
 }
 
-TEST(AdvisorServiceTest, RecordObservationAccumulates) {
-  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
-  ft::ObservedExecution obs;
-  obs.runtime_seconds = 360.0;
-  obs.failures = 10;
-  service.RecordObservation(obs, /*num_nodes=*/10,
-                            /*correlated_failures=*/2);
-  const auto observed = service.observed_cluster();
-  EXPECT_EQ(observed.observations, 1u);
-  // 360 s x 10 nodes / 10 failures.
-  EXPECT_DOUBLE_EQ(observed.mtbf_seconds(), 360.0);
-  // 360 s wall / 2 burst events.
-  EXPECT_DOUBLE_EQ(observed.burst_mtbf_seconds(), 180.0);
-  EXPECT_EQ(service.stats().observations, 1u);
-}
-
-TEST(AdvisorServiceTest, NoEvidenceIsNotDrift) {
-  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
-  const AdvisorRequest r = MakeRequest(SmallPlan("p"));
-  ASSERT_TRUE(service.Advise(r).ok());
-  // A long failure-free run is consistent with any assumed MTBF — it must
-  // not evict anything (observed MTBF is undefined, not zero).
-  ft::ObservedExecution clean;
-  clean.runtime_seconds = 500.0;
-  service.RecordObservation(clean, 10);
-  EXPECT_EQ(service.stats().drift_invalidations, 0u);
-  EXPECT_EQ(service.InvalidateDrifted(), 0u);
-  ASSERT_TRUE(service.Advise(r).ok());
-  EXPECT_EQ(service.stats().hits, 1u);
-}
-
-TEST(AdvisorServiceTest, MtbfDriftEvictsCachedPlans) {
-  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
-  const AdvisorRequest r = MakeRequest(SmallPlan("p"));  // assumes 3600 s
-  ASSERT_TRUE(service.Advise(r).ok());
-  EXPECT_EQ(service.stats().entries, 1u);
-  // Ten failures in a 360 s run on 10 nodes: observed per-node MTBF 360,
-  // a 0.9 relative drift from the assumed 3600 — past the 0.5 default.
-  ft::ObservedExecution stormy;
-  stormy.runtime_seconds = 360.0;
-  stormy.failures = 10;
-  service.RecordObservation(stormy, 10);
-  EXPECT_EQ(service.stats().drift_invalidations, 1u);
-  EXPECT_EQ(service.stats().entries, 0u);
-  // Re-advising re-enumerates, and the answer is still bit-identical to a
-  // fresh one-shot enumeration of the same request.
-  ft::FtCostContext context;
-  context.cluster = r.cluster;
-  context.model = r.model;
-  const auto fresh = ft::ApplyCostBasedScheme(r.candidates, context,
-                                              service.options().enumeration);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  const auto again = service.Advise(r);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(service.stats().misses, 2u);
-  ExpectSameScheme(again.ValueOrDie(), fresh.ValueOrDie());
-}
-
-TEST(AdvisorServiceTest, ObservedBurstsEvictIndependentPlans) {
-  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
-  const AdvisorRequest r = MakeRequest(SmallPlan("p"));
-  ASSERT_TRUE(service.Advise(r).ok());
-  // Observed per-node MTBF matches the assumed 3600 exactly, but half the
-  // failures arrived in bursts: the burst term alone is full drift (the
-  // entry assumed no correlated process at all).
-  ft::ObservedExecution bursty;
-  bursty.runtime_seconds = 3600.0;
-  bursty.failures = 10;
-  service.RecordObservation(bursty, 10, /*correlated_failures=*/5);
-  EXPECT_EQ(service.stats().drift_invalidations, 1u);
-  EXPECT_EQ(service.stats().entries, 0u);
-}
-
-TEST(AdvisorServiceTest, DriftSweepDisabledByNonPositiveThreshold) {
-  AdvisorServiceOptions options;
-  options.drift_threshold = 0.0;
-  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0), {}, options);
-  const AdvisorRequest r = MakeRequest(SmallPlan("p"));
-  ASSERT_TRUE(service.Advise(r).ok());
-  ft::ObservedExecution stormy;
-  stormy.runtime_seconds = 360.0;
-  stormy.failures = 10;
-  service.RecordObservation(stormy, 10);
-  // Observation is folded in, but no automatic sweep runs.
-  EXPECT_EQ(service.stats().observations, 1u);
-  EXPECT_EQ(service.stats().drift_invalidations, 0u);
-  EXPECT_EQ(service.stats().entries, 1u);
-}
-
 TEST(AdvisorServiceTest, CachedAnswerBitIdenticalWithBurstsOn) {
   AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
   AdvisorRequest request = MakeRequest(SmallPlan("bursty"));
@@ -335,24 +245,6 @@ TEST(AdvisorServiceTest, CachedAnswerBitIdenticalWithBurstsOn) {
   ExpectSameScheme(first.ValueOrDie(), fresh.ValueOrDie());
   ExpectSameScheme(second.ValueOrDie(), fresh.ValueOrDie());
   EXPECT_EQ(service.stats().hits, 1u);
-}
-
-TEST(AdvisorServiceTest, EntrySnapshotReportsHotKeysFirst) {
-  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
-  const AdvisorRequest hot = MakeRequest(SmallPlan("hot"), 1000.0);
-  const AdvisorRequest cold = MakeRequest(SmallPlan("cold"), 2000.0);
-  ASSERT_TRUE(service.Advise(hot).ok());
-  ASSERT_TRUE(service.Advise(cold).ok());
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.Advise(hot).ok());
-  const auto entries = service.EntrySnapshot();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].hits, 3u);
-  ft::FtCostContext context;
-  context.cluster = hot.cluster;
-  context.model = hot.model;
-  const auto fp = FingerprintRequest(hot.candidates, context,
-                                     service.options().enumeration);
-  EXPECT_EQ(entries[0].fingerprint, fp.Hex());
 }
 
 }  // namespace

@@ -80,6 +80,10 @@ TEST(GreedyTest, HandlesPlansTooWideForEnumeration) {
   }
   Plan p = std::move(b).Build();
   const FtCostContext ctx = Ctx(600.0);
+  // Greedy is the only path for such plans: the enumerator refuses them
+  // at its default max_free_operators guard (24).
+  const auto exhaustive = FtPlanEnumerator(ctx).FindBest(p);
+  EXPECT_TRUE(exhaustive.status().IsInvalidArgument()) << exhaustive.status();
   auto greedy = GreedyMaterialization(p, ctx);
   ASSERT_TRUE(greedy.ok()) << greedy.status();
   // The climber must have found the cheap checkpoints.

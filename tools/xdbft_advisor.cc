@@ -8,11 +8,23 @@
 //
 // Usage:
 //   xdbft_advisor --plan plan.txt [--nodes N] [--mtbf SECONDS]
-//                 [--mttr SECONDS] [--success-target S]
-//                 [--pipe-constant C] [--scale-success-with-cluster]
+//                 [--mttr SECONDS] [--burst-mtbf S] [--burst-fanout F]
+//                 [--placement-groups G] [--remote-read-penalty P]
+//                 [--success-target S] [--pipe-constant C]
 //                 [--scheme NAME] [--wal-write-cost C]
+//                 [--scale-success-with-cluster] [--greedy]
 //                 [--threads N] [--exec-threads N] [--simulate TRACES]
-//                 [--emit-q5 SF] [--metrics-json PATH] [--trace-out PATH]
+//                 [--metrics-json PATH] [--trace-out PATH]
+//                 [--profile] [--postmortem-dir DIR]
+//   xdbft_advisor --profile [--metrics-json PATH]
+//   xdbft_advisor --emit-q5 SF [--storage-mibps MIB]
+//
+// --greedy replaces the exhaustive search by greedy hill climbing
+// (ft/greedy.h), the only path for plans with more free operators than
+// the enumerator's max_free_operators guard admits.
+//
+// A sustained request load against the cached AdvisorService is
+// bench/perf_advisor, which also checks every answer for bit-identity.
 //
 // --scheme NAME forces one fixed fault-tolerance scheme instead of the
 // cost-based search: all-mat, no-mat-lineage, no-mat-restart, cost-based
@@ -25,10 +37,12 @@
 // S is the mean seconds between correlated bursts, F the fraction of the
 // cluster each burst takes down (0 disables it — the independent model).
 // --placement-groups G / --remote-read-penalty P turn on placement-aware
-// enumeration (see DESIGN.md §13). --drift-threshold D sets the relative
-// observed-vs-assumed cluster drift past which --serve invalidates cached
-// plans (default 0.5). Non-finite or non-positive cluster/model inputs
-// are rejected up front with an InvalidArgument.
+// enumeration (see DESIGN.md §13). Non-finite or non-positive
+// cluster/model inputs are rejected up front with an InvalidArgument.
+//
+// Every numeric flag value must be a whole, finite number (integer flags
+// also integral and within int range); otherwise the tool names the flag
+// and exits 1. Unknown or incomplete flags print the usage and exit 2.
 //
 // --threads N runs the FT-plan enumeration on N worker threads (default 0
 // = one per hardware thread; the chosen plan is identical at any value).
@@ -63,30 +77,11 @@
 //   --postmortem-dir DIR if the validation execution aborts, write a
 //                        post-mortem bundle (flight-recorder tail, metrics
 //                        snapshot, attempt timeline) into DIR.
-//
-// Serving (see README "Serving" and DESIGN.md §12):
-//   --serve --requests N drive N requests through a long-lived
-//                        AdvisorService from --clients concurrent client
-//                        threads (default 2) and print throughput, latency
-//                        percentiles, cache-hit rate and the per-entry hot
-//                        list. --hot-fraction F (default 0.9) sets the
-//                        share of requests drawn from the 4-key hot set;
-//                        --cache-capacity C bounds the result cache.
-//                        Without --plan the request population is the
-//                        built-in TPC-H Q1/Q3/Q5 mix; with --plan it is
-//                        that plan under varying MTBF. Composable with
-//                        --metrics-json.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
-
-#include "common/rng.h"
+#include <utility>
 
 #include "api/xdbft.h"
 #include "engine/ft_executor.h"
@@ -94,6 +89,8 @@
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "plan/plan_text.h"
+
+#include "parse_number.h"
 
 using namespace xdbft;
 
@@ -127,13 +124,6 @@ struct Args {
   std::string trace_out;
   bool profile = false;
   std::string postmortem_dir;
-  // --serve mode
-  bool serve = false;
-  int requests = 1000;
-  int clients = 2;
-  double hot_fraction = 0.9;
-  int cache_capacity = 4096;
-  double drift_threshold = 0.5;
 };
 
 // All clusters the advisor reasons about carry the burst/placement
@@ -209,87 +199,80 @@ void Usage(const char* argv0) {
       "          [--metrics-json PATH] [--trace-out PATH]\n"
       "          [--profile] [--postmortem-dir DIR]\n"
       "       %s --profile [--metrics-json PATH]\n"
-      "       %s --emit-q5 SF [--storage-mibps MIB]\n"
-      "       %s --serve --requests N [--clients K] [--hot-fraction F]\n"
-      "          [--cache-capacity C] [--drift-threshold D]\n"
-      "          [--plan FILE] [--metrics-json PATH]\n",
-      argv0, argv0, argv0, argv0);
+      "       %s --emit-q5 SF [--storage-mibps MIB]\n",
+      argv0, argv0, argv0);
 }
 
-bool ParseArgs(int argc, char** argv, Args* args) {
+// The flag table entry naming `flag`, or nullptr.
+template <typename T, size_t N>
+T* Lookup(const std::pair<const char*, T*> (&table)[N],
+          const std::string& flag) {
+  for (const auto& [name, target] : table) {
+    if (flag == name) return target;
+  }
+  return nullptr;
+}
+
+// Returns 0 when every argument parsed, 1 for a malformed numeric value
+// (the flag is named on stderr) and 2 for an unknown or incomplete flag.
+int ParseArgs(int argc, char** argv, Args* args) {
+  const std::pair<const char*, bool*> switches[] = {
+      {"--scale-success-with-cluster", &args->scale_success},
+      {"--greedy", &args->greedy},
+      {"--profile", &args->profile}};
+  const std::pair<const char*, std::string*> strings[] = {
+      {"--plan", &args->plan_path},
+      {"--scheme", &args->scheme},
+      {"--metrics-json", &args->metrics_json},
+      {"--trace-out", &args->trace_out},
+      {"--postmortem-dir", &args->postmortem_dir}};
+  const std::pair<const char*, double*> doubles[] = {
+      {"--mtbf", &args->mtbf},
+      {"--mttr", &args->mttr},
+      {"--burst-mtbf", &args->burst_mtbf},
+      {"--burst-fanout", &args->burst_fanout},
+      {"--remote-read-penalty", &args->remote_read_penalty},
+      {"--success-target", &args->success_target},
+      {"--pipe-constant", &args->pipe_constant},
+      {"--wal-write-cost", &args->wal_write_cost},
+      {"--emit-q5", &args->emit_q5_sf},
+      {"--storage-mibps", &args->storage_mibps}};
+  const std::pair<const char*, int*> ints[] = {
+      {"--nodes", &args->nodes},
+      {"--placement-groups", &args->placement_groups},
+      {"--threads", &args->threads},
+      {"--exec-threads", &args->exec_threads},
+      {"--simulate", &args->simulate_traces}};
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::strtod(argv[++i], nullptr);
-      return true;
-    };
-    double v = 0;
-    if (a == "--plan" && i + 1 < argc) {
-      args->plan_path = argv[++i];
-    } else if (a == "--nodes" && next(&v)) {
-      args->nodes = static_cast<int>(v);
-    } else if (a == "--mtbf" && next(&v)) {
-      args->mtbf = v;
-    } else if (a == "--mttr" && next(&v)) {
-      args->mttr = v;
-    } else if (a == "--burst-mtbf" && next(&v)) {
-      args->burst_mtbf = v;
-    } else if (a == "--burst-fanout" && next(&v)) {
-      args->burst_fanout = v;
-    } else if (a == "--placement-groups" && next(&v)) {
-      args->placement_groups = static_cast<int>(v);
-    } else if (a == "--remote-read-penalty" && next(&v)) {
-      args->remote_read_penalty = v;
-    } else if (a == "--drift-threshold" && next(&v)) {
-      args->drift_threshold = v;
-    } else if (a == "--success-target" && next(&v)) {
-      args->success_target = v;
-    } else if (a == "--pipe-constant" && next(&v)) {
-      args->pipe_constant = v;
-    } else if (a == "--scheme" && i + 1 < argc) {
-      args->scheme = argv[++i];
-    } else if (a == "--wal-write-cost" && next(&v)) {
-      args->wal_write_cost = v;
-    } else if (a == "--scale-success-with-cluster") {
-      args->scale_success = true;
-    } else if (a == "--greedy") {
-      args->greedy = true;
-    } else if (a == "--threads" && next(&v)) {
-      args->threads = static_cast<int>(v);
-    } else if (a == "--exec-threads" && next(&v)) {
-      args->exec_threads = static_cast<int>(v);
-    } else if (a == "--simulate" && next(&v)) {
-      args->simulate_traces = static_cast<int>(v);
-    } else if (a == "--emit-q5" && next(&v)) {
-      args->emit_q5_sf = v;
-    } else if (a == "--storage-mibps" && next(&v)) {
-      args->storage_mibps = v;
-    } else if (a == "--metrics-json" && i + 1 < argc) {
-      args->metrics_json = argv[++i];
-    } else if (a == "--trace-out" && i + 1 < argc) {
-      args->trace_out = argv[++i];
-    } else if (a == "--profile") {
-      args->profile = true;
-    } else if (a == "--postmortem-dir" && i + 1 < argc) {
-      args->postmortem_dir = argv[++i];
-    } else if (a == "--serve") {
-      args->serve = true;
-    } else if (a == "--requests" && next(&v)) {
-      args->requests = static_cast<int>(v);
-    } else if (a == "--clients" && next(&v)) {
-      args->clients = static_cast<int>(v);
-    } else if (a == "--hot-fraction" && next(&v)) {
-      args->hot_fraction = v;
-    } else if (a == "--cache-capacity" && next(&v)) {
-      args->cache_capacity = static_cast<int>(v);
-    } else {
-      std::fprintf(stderr, "unknown or incomplete argument: %s\n",
-                   a.c_str());
-      return false;
+    if (bool* on = Lookup(switches, a)) {
+      *on = true;
+      continue;
+    }
+    std::string* text = Lookup(strings, a);
+    double* real = Lookup(doubles, a);
+    int* integer = Lookup(ints, a);
+    if ((text == nullptr && real == nullptr && integer == nullptr) ||
+        i + 1 >= argc) {
+      std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
+      return 2;
+    }
+    const char* value = argv[++i];
+    const char* expected = nullptr;
+    if (text != nullptr) {
+      *text = value;
+    } else if (real != nullptr && !tools::ParseDouble(value, real)) {
+      expected = "a finite number";
+    } else if (integer != nullptr && !tools::ParseInt(value, integer)) {
+      expected = "an integer in int range";
+    }
+    if (expected != nullptr) {
+      std::fprintf(stderr, "invalid value for %s: '%s' (expected %s)\n",
+                   a.c_str(), value, expected);
+      return 1;
     }
   }
-  return true;
+  return 0;
 }
 
 // Runs the built-in Q5 stage plan over a tiny generated TPC-H database
@@ -380,182 +363,13 @@ Status RunProfileDemo(std::vector<obs::QueryProfile>* profiles) {
   return Status::OK();
 }
 
-// --serve: sustained-load driver over a long-lived AdvisorService. The
-// population is either the built-in TPC-H Q1/Q3/Q5 mix or (with --plan)
-// the given plan under varying MTBF; the first 4 keys form the hot set.
-int RunServe(const Args& args) {
-  constexpr size_t kPopulation = 64;
-  constexpr size_t kHotSet = 4;
-  std::vector<plan::Plan> base_plans;
-  if (!args.plan_path.empty()) {
-    std::ifstream in(args.plan_path);
-    if (!in) {
-      std::fprintf(stderr, "error: cannot open '%s'\n",
-                   args.plan_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    auto plan = plan::PlanFromText(buf.str());
-    if (!plan.ok()) {
-      std::fprintf(stderr, "error parsing plan: %s\n",
-                   plan.status().ToString().c_str());
-      return 1;
-    }
-    base_plans.push_back(std::move(*plan));
-  } else {
-    for (const tpch::TpchQuery q : {tpch::TpchQuery::kQ1,
-                                    tpch::TpchQuery::kQ3,
-                                    tpch::TpchQuery::kQ5}) {
-      tpch::TpchPlanConfig cfg;
-      cfg.scale_factor = 10.0;
-      auto plan = tpch::BuildQuery(q, cfg);
-      if (!plan.ok()) {
-        std::fprintf(stderr, "error building %s: %s\n", tpch::TpchQueryName(q),
-                     plan.status().ToString().c_str());
-        return 1;
-      }
-      base_plans.push_back(std::move(*plan));
-    }
-  }
-  cost::CostModelParams model;
-  model.success_target = args.success_target;
-  model.pipe_constant = args.pipe_constant;
-  model.scale_success_target_with_cluster = args.scale_success;
-  ApplyWalArgs(args, &model);
-  if (!ValidateParams(MakeStats(args, args.mtbf), model)) return 1;
-  std::vector<api::AdvisorRequest> population;
-  population.reserve(kPopulation);
-  for (size_t i = 0; i < kPopulation; ++i) {
-    api::AdvisorRequest request;
-    request.candidates.push_back(base_plans[i % base_plans.size()]);
-    request.cluster =
-        MakeStats(args, args.mtbf + 60.0 * static_cast<double>(i));
-    request.model = model;
-    population.push_back(std::move(request));
-  }
-
-  api::AdvisorServiceOptions options;
-  options.cache_capacity =
-      static_cast<size_t>(std::max(args.cache_capacity, 1));
-  options.enumeration.num_threads =
-      args.threads == 0 ? 1 : args.threads;  // clients provide parallelism
-  options.drift_threshold = args.drift_threshold;
-  api::AdvisorService service(MakeStats(args, args.mtbf), model, options);
-
-  const int clients = std::max(args.clients, 1);
-  const int total_requests = std::max(args.requests, 1);
-  const double hot_fraction =
-      std::min(1.0, std::max(0.0, args.hot_fraction));
-  std::printf("Serving %d requests from %d client thread(s), %.0f%% hot "
-              "(population %zu, cache capacity %zu)\n",
-              total_requests, clients, hot_fraction * 100.0,
-              population.size(), options.cache_capacity);
-
-  std::vector<std::vector<double>> latencies(static_cast<size_t>(clients));
-  std::vector<uint64_t> failures(static_cast<size_t>(clients), 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(clients));
-  for (int t = 0; t < clients; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(0x5e47eULL + static_cast<uint64_t>(t) * 1031);
-      const int n = total_requests / clients +
-                    (t < total_requests % clients ? 1 : 0);
-      auto& lat = latencies[static_cast<size_t>(t)];
-      lat.reserve(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        const size_t idx =
-            rng.NextDouble() < hot_fraction
-                ? rng.NextBounded(kHotSet)
-                : kHotSet + rng.NextBounded(population.size() - kHotSet);
-        const auto r0 = std::chrono::steady_clock::now();
-        auto result = service.Advise(population[idx]);
-        const auto r1 = std::chrono::steady_clock::now();
-        if (!result.ok()) ++failures[static_cast<size_t>(t)];
-        lat.push_back(
-            std::chrono::duration<double, std::micro>(r1 - r0).count());
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  std::vector<double> all;
-  uint64_t failed = 0;
-  for (int t = 0; t < clients; ++t) {
-    all.insert(all.end(), latencies[static_cast<size_t>(t)].begin(),
-               latencies[static_cast<size_t>(t)].end());
-    failed += failures[static_cast<size_t>(t)];
-  }
-  std::sort(all.begin(), all.end());
-  auto pct = [&](double p) {
-    if (all.empty()) return 0.0;
-    const double rank = p / 100.0 * static_cast<double>(all.size() - 1);
-    const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = std::min(lo + 1, all.size() - 1);
-    return all[lo] + (all[hi] - all[lo]) * (rank - static_cast<double>(lo));
-  };
-
-  const api::AdvisorServiceStats stats = service.stats();
-  std::printf("\n  qps        %10.0f\n", wall > 0.0
-                                             ? static_cast<double>(all.size()) / wall
-                                             : 0.0);
-  std::printf("  p50 / p95 / p99   %.1f / %.1f / %.1f us\n", pct(50.0),
-              pct(95.0), pct(99.0));
-  std::printf("  hit rate   %10.3f\n", stats.hit_rate());
-  std::printf("  hits %llu  misses %llu  coalesced %llu  evictions %llu  "
-              "bypassed %llu  warm starts %llu  errors %llu\n",
-              (unsigned long long)stats.hits,
-              (unsigned long long)stats.misses,
-              (unsigned long long)stats.coalesced,
-              (unsigned long long)stats.evictions,
-              (unsigned long long)stats.bypassed,
-              (unsigned long long)stats.memo_warm_starts,
-              (unsigned long long)stats.errors);
-  const auto entries = service.EntrySnapshot();
-  std::printf("\nHottest cache entries (%llu resident):\n",
-              (unsigned long long)stats.entries);
-  for (size_t i = 0; i < entries.size() && i < 5; ++i) {
-    std::printf("  %s  hits %llu  coalesced %llu\n",
-                entries[i].fingerprint.c_str(),
-                (unsigned long long)entries[i].hits,
-                (unsigned long long)entries[i].coalesced);
-  }
-  if (failed > 0) {
-    std::fprintf(stderr, "error: %llu request(s) failed\n",
-                 (unsigned long long)failed);
-  }
-
-  if (!args.metrics_json.empty()) {
-    obs::RunReport report;
-    report.tool = "xdbft_advisor --serve";
-    report.params["requests"] = std::to_string(total_requests);
-    report.params["clients"] = std::to_string(clients);
-    report.params["hot_fraction"] = std::to_string(hot_fraction);
-    report.params["cache_capacity"] = std::to_string(options.cache_capacity);
-    report.params["hit_rate"] = std::to_string(stats.hit_rate());
-    report.metrics = obs::MetricsRegistry::Default().Snapshot();
-    const Status s = report.WriteFile(args.metrics_json);
-    if (!s.ok()) {
-      std::fprintf(stderr, "error writing %s: %s\n",
-                   args.metrics_json.c_str(), s.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nWrote metrics report to %s\n", args.metrics_json.c_str());
-  }
-  return failed == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage(argv[0]);
-    return 2;
+  if (const int rc = ParseArgs(argc, argv, &args); rc != 0) {
+    if (rc == 2) Usage(argv[0]);
+    return rc;
   }
 
   if (args.emit_q5_sf > 0.0) {
@@ -573,8 +387,6 @@ int main(int argc, char** argv) {
     std::printf("%s", plan::PlanToText(*plan).c_str());
     return 0;
   }
-
-  if (args.serve) return RunServe(args);
 
   std::vector<obs::QueryProfile> profiles;
   if (args.profile) {

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <string>
 
+#include "parse_number.h"
 #include "validate/crosscheck.h"
 
 using namespace xdbft;
@@ -51,12 +52,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto next_int = [&](int* out) {
+      const char* value = next();
+      if (!tools::ParseInt(value, out)) {
+        std::fprintf(stderr,
+                     "invalid value for %s: '%s' (expected an integer in "
+                     "int range)\n",
+                     arg.c_str(), value);
+        std::exit(2);
+      }
+    };
     if (arg == "--seeds") {
-      options.seeds = std::atoi(next());
+      next_int(&options.seeds);
     } else if (arg == "--seed-base") {
       options.seed_base = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--traces") {
-      options.traces = std::atoi(next());
+      next_int(&options.traces);
     } else if (arg == "--quick") {
       options.quick = true;
     } else if (arg == "--out-dir") {

@@ -12,7 +12,6 @@
 
 #include "common/string_util.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace xdbft::bench {
 
@@ -73,11 +72,6 @@ class JsonLine {
     fields_.emplace_back(key, v ? "true" : "false");
     return *this;
   }
-  /// \brief `raw` must already be valid JSON (e.g. a nested object).
-  JsonLine& SetRaw(const std::string& key, const std::string& raw) {
-    fields_.emplace_back(key, raw);
-    return *this;
-  }
   /// \brief Append all fields of `other` after this line's fields.
   JsonLine& Merge(const JsonLine& other) {
     fields_.insert(fields_.end(), other.fields_.begin(),
@@ -104,10 +98,9 @@ class JsonLine {
 /// \brief Writes one JSON object per line to
 /// `$XDBFT_BENCH_JSON_DIR/BENCH_<name>.json`; disabled (every call a
 /// no-op) when the environment variable is unset, so the human-readable
-/// stdout tables stay the default. On destruction a final
-/// `{"type": "metrics", ...}` line captures the process-wide metrics
-/// snapshot, making the harness runs comparable with `--metrics-json`
-/// advisor reports.
+/// stdout tables stay the default. Every line is a `{"type": "row"}`
+/// record of one measured configuration; the file holds nothing that
+/// spans runs.
 class BenchJsonWriter {
  public:
   explicit BenchJsonWriter(const std::string& bench_name)
@@ -120,15 +113,6 @@ class BenchJsonWriter {
       std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
       path_.clear();
     }
-  }
-
-  ~BenchJsonWriter() {
-    if (!enabled()) return;
-    JsonLine tail;
-    tail.Set("bench", bench_name_).Set("type", "metrics");
-    tail.SetRaw("metrics", obs::MetricsRegistry::Default().Snapshot()
-                               .ToJson(/*compact=*/true));
-    out_ << tail.ToJson() << "\n";
   }
 
   bool enabled() const { return out_.is_open() && !path_.empty(); }

@@ -1,7 +1,6 @@
 #include "api/advisor_service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <list>
 #include <mutex>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "ft/ft_cost.h"
-#include "obs/metrics.h"
 
 namespace xdbft::api {
 
@@ -25,12 +23,6 @@ struct MapKeyHash {
     return static_cast<size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ULL));
   }
 };
-
-[[maybe_unused]] double SecondsSince(
-    std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 }  // namespace
 
@@ -107,7 +99,6 @@ AdvisorService::Shard& AdvisorService::ShardFor(
 
 Result<ft::SchemePlan> AdvisorService::Enumerate(
     const AdvisorRequest& request, ft::ConcurrentDominantPathMemo* memo) {
-  [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
   ft::FtCostContext context;
   context.cluster = request.cluster;
   context.model = request.model;
@@ -128,8 +119,6 @@ Result<ft::SchemePlan> AdvisorService::Enumerate(
   out.config = std::move(choice.config);
   out.estimated_cost = choice.estimated_cost;
   out.placement_groups = std::move(choice.placement_groups);
-  XDBFT_HISTOGRAM_OBSERVE_MICRO("advisor_service.enumerate_seconds",
-                                SecondsSince(t0));
   return out;
 }
 
@@ -176,16 +165,13 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
 
   if (bypass) {
     bypassed_.fetch_add(1, std::memory_order_relaxed);
-    XDBFT_COUNTER_INC("advisor_service.bypassed");
     return Enumerate(request, nullptr);
   }
 
   if (owner) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    XDBFT_COUNTER_INC("advisor_service.misses");
     if (warm) {
       memo_warm_starts_.fetch_add(1, std::memory_order_relaxed);
-      XDBFT_COUNTER_INC("advisor_service.memo_warm_starts");
     }
     Result<ft::SchemePlan> result = Enumerate(request, entry->memo.get());
     {
@@ -221,7 +207,6 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
           victim->in_lru = false;
           shard.entries.erase(MapKey{victim->key.hi, victim->key.lo});
           evictions_.fetch_add(1, std::memory_order_relaxed);
-          XDBFT_COUNTER_INC("advisor_service.evictions");
           if (memo_shard_capacity_ > 0) {
             const MapKey vkey{victim->key.hi, victim->key.lo};
             const auto old = shard.memos.find(vkey);
@@ -259,7 +244,6 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
     } else {
       entry->coalesced.fetch_add(1, std::memory_order_relaxed);
       coalesced_.fetch_add(1, std::memory_order_relaxed);
-      XDBFT_COUNTER_INC("advisor_service.coalesced");
       entry->cv.wait(entry_lock, [&] { return entry->ready; });
     }
     status = entry->status;
@@ -273,7 +257,6 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
   if (was_hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     entry->hits.fetch_add(1, std::memory_order_relaxed);
-    XDBFT_COUNTER_INC("advisor_service.hits");
     std::lock_guard<std::mutex> lock(shard.mu);
     if (entry->in_lru) {
       shard.lru.splice(shard.lru.begin(), shard.lru, entry->lru_it);
@@ -298,12 +281,9 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
 
 Result<ft::SchemePlan> AdvisorService::Advise(const AdvisorRequest& request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  XDBFT_COUNTER_INC("advisor_service.requests");
-  [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
   Result<ft::SchemePlan> out = [&]() -> Result<ft::SchemePlan> {
     if (!options_.cache_enabled) {
       bypassed_.fetch_add(1, std::memory_order_relaxed);
-      XDBFT_COUNTER_INC("advisor_service.bypassed");
       return Enumerate(request, nullptr);
     }
     ft::FtCostContext context;
@@ -313,14 +293,7 @@ Result<ft::SchemePlan> AdvisorService::Advise(const AdvisorRequest& request) {
         FingerprintRequest(request.candidates, context, options_.enumeration);
     return AdviseCached(request, fp);
   }();
-  XDBFT_HISTOGRAM_OBSERVE_MICRO("advisor_service.request_seconds",
-                                SecondsSince(t0));
-  XDBFT_GAUGE_SET("advisor_service.inflight",
-                  inflight_.load(std::memory_order_relaxed));
-  if (!out.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    XDBFT_COUNTER_INC("advisor_service.errors");
-  }
+  if (!out.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
 

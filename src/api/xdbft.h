@@ -32,7 +32,6 @@
 #include "ft/failure_math.h"        // IWYU pragma: export
 #include "ft/scheme.h"              // IWYU pragma: export
 #include "obs/attempt_log.h"        // IWYU pragma: export
-#include "obs/flight_recorder.h"    // IWYU pragma: export
 #include "obs/query_profile.h"      // IWYU pragma: export
 #include "obs/run_report.h"         // IWYU pragma: export
 #include "optimizer/join_enumerator.h"  // IWYU pragma: export

@@ -6,8 +6,6 @@
 #include "common/math_util.h"
 #include "common/string_util.h"
 #include "ft/checkpointing.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 
 namespace xdbft::cluster {
 
@@ -25,6 +23,15 @@ std::string SimulationResult::ToString() const {
   return StrFormat("SimulationResult(%s, runtime=%s, restarts=%d)",
                    completed ? "completed" : "ABORTED",
                    HumanDuration(runtime).c_str(), restarts);
+}
+
+void AddRunMetrics(const SimulationResult& r,
+                   std::map<std::string, double>* metrics) {
+  auto& m = *metrics;
+  m["simulator.runtime_seconds"] = r.runtime;
+  m["simulator.restarts"] = r.restarts;
+  m["simulator.failures"] = r.failures_hit;
+  m["simulator.aborts"] = r.aborted;
 }
 
 namespace {
@@ -98,7 +105,6 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
     if (fail >= start + span) {
       TraceSpan(unit.label, whole_query ? "query" : "subplan", start, span,
                 unit.lane);
-      if (!whole_query) XDBFT_COUNTER_INC("simulator.subplan_runs");
       LogAttempt(options_.attempt_log, unit.label, unit.node, attempt, start,
                  start + span, /*killed=*/false);
       return start + span;
@@ -110,8 +116,6 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
     const double elapsed = fail - start;
     if (elapsed > replay) logged += elapsed - replay;
     ++(*restarts);
-    XDBFT_COUNTER_INC("simulator.failures");
-    XDBFT_FLIGHT("simulator", "failure", unit.node, attempt + 1);
     if (options_.trace != nullptr) {
       TraceSpan(unit.label + " (killed)", "killed", start, elapsed,
                 unit.lane);
@@ -127,15 +131,10 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
       detected = ticks * options_.monitoring_interval;
       TraceSpan("detect", "wait", fail, detected - fail, unit.lane);
     }
-    XDBFT_GAUGE_ADD("simulator.mttr_wait_seconds",
-                    (detected - fail) + stats_.mttr_seconds);
     if (attempt + 1 >= options_.max_restarts) {
       // This retry unit keeps dying: give up after max_restarts restarts,
       // as the paper aborts after 100 (and like the executor's per-task
       // max_attempts), so every recovery mode shares one abort semantics.
-      XDBFT_COUNTER_INC("simulator.aborts");
-      XDBFT_FLIGHT("simulator", "abort: max restarts exhausted", unit.node,
-                   attempt + 1);
       *aborted = true;
       return detected + stats_.mttr_seconds;
     }
@@ -247,9 +246,6 @@ Result<SimulationResult> ClusterSimulator::Run(
   SimulationResult result = Walk(cp, labels, recovery, trace, start_time);
   result.runtime_p50 = result.runtime;
   result.runtime_p95 = result.runtime;
-  XDBFT_COUNTER_INC("simulator.runs");
-  XDBFT_COUNTER_ADD("simulator.restarts", result.restarts);
-  XDBFT_GAUGE_SET("simulator.last_runtime_seconds", result.runtime);
   return result;
 }
 

@@ -30,6 +30,7 @@
 //                   paper aborts after 100 restarts.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,11 @@ struct SimulationResult {
 
   std::string ToString() const;
 };
+
+/// \brief Copies `r` into a RunReport metrics map under "simulator.*"
+/// ("simulator.failures" = failures_hit, "simulator.aborts" = aborted).
+void AddRunMetrics(const SimulationResult& r,
+                   std::map<std::string, double>* metrics);
 
 /// \brief Simulated shared-nothing cluster executing fault-tolerant plans.
 class ClusterSimulator {

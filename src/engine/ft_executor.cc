@@ -6,8 +6,6 @@
 
 #include "common/string_util.h"
 #include "common/task_pool.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "obs/run_report.h"
 
 namespace xdbft::engine {
@@ -199,6 +197,13 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
     return std::make_pair(std::move(required), work.size());
   };
 
+  // Failure-free minimum: the demand closure over an empty state — a task
+  // counts iff it is a final-stage task or transitively feeds one. Stages
+  // the final stage never consumes are not executed (step 1), so counting
+  // them here would deflate (even negate) the recovery tally.
+  const int minimal = static_cast<int>(
+      demand_closure([](int, int) { return false; }).second);
+
   // Runs one attempt: resolves inputs per edge mode from the current
   // state (read-only during a wave), executes the stage, records the
   // span on the executing worker's lane. The attempt's time includes its
@@ -311,8 +316,6 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
         const std::string reason =
             StrFormat("stage %d partition %d exceeded %d attempts", t.stage,
                       t.slot, max_attempts);
-        XDBFT_FLIGHT("executor", "abort: attempts exhausted", t.stage,
-                     t.slot);
         std::string suffix;
         if (!postmortem_dir_.empty()) {
           obs::RunReport pm;
@@ -322,7 +325,10 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
           pm.params["stage"] = StrFormat("%d", t.stage);
           pm.params["partition"] = StrFormat("%d", t.slot);
           pm.params["max_attempts"] = StrFormat("%d", max_attempts);
-          obs::CaptureProcessState(&pm);
+          // The bundle's numbers are this run's, up to the abort.
+          result.recovery_executions = result.task_executions - minimal;
+          result.wall_seconds = elapsed();
+          AddRunMetrics(result, &pm.metrics);
           pm.timeline = result.timeline;
           Result<std::string> path =
               obs::WritePostMortem(postmortem_dir_, pm);
@@ -338,14 +344,10 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
       // contract in ft_executor.h). The work failures waste is what
       // invalidation destroys, charged to *_lost in step (6).
       ++result.task_executions;
-      XDBFT_COUNTER_INC("executor.task_attempts");
       if (injector != nullptr &&
           injector->InjectFailure(t.stage, injector_partition, t.attempt)) {
         t.killed = true;
         ++result.failures_injected;
-        XDBFT_COUNTER_INC("executor.failures_injected");
-        XDBFT_FLIGHT("executor", "failure injected", t.stage,
-                     injector_partition);
       }
       obs::AttemptRecord rec;
       rec.label = stage.label;
@@ -384,7 +386,6 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
       const Stage& stage = plan_->stage(t.stage);
       const double seconds = t.finish_seconds - t.start_seconds;
       result.stage_seconds[static_cast<size_t>(t.stage)] += seconds;
-      XDBFT_HISTOGRAM_OBSERVE("executor.task_seconds", seconds);
       const size_t rows = t.table->num_rows();
       const uint64_t bytes = ApproxTableBytes(*t.table);
       // An attempt beyond a task's first is recovery work a failure-free
@@ -393,14 +394,10 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
           config.materialized(static_cast<plan::OpId>(t.stage))) {
         result.rows_materialized += rows;
         result.bytes_materialized += bytes;
-        XDBFT_COUNTER_ADD("executor.rows_materialized", rows);
-        XDBFT_COUNTER_ADD("executor.bytes_materialized", bytes);
       }
       if (t.attempt > 0) {
         result.rows_recomputed += rows;
         result.bytes_recomputed += bytes;
-        XDBFT_COUNTER_ADD("executor.rows_recomputed", rows);
-        XDBFT_COUNTER_ADD("executor.bytes_recomputed", bytes);
       }
       SlotState& slot_state =
           state[static_cast<size_t>(t.stage)][static_cast<size_t>(t.slot)];
@@ -416,8 +413,6 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
         slot_state.logged = *slot_state.output;
         result.rows_logged += rows;
         result.bytes_logged += bytes;
-        XDBFT_COUNTER_ADD("executor.rows_logged", rows);
-        XDBFT_COUNTER_ADD("executor.bytes_logged", bytes);
       }
       if (t.slot == 0) {
         result.stage_row_width_bytes[static_cast<size_t>(t.stage)] =
@@ -472,8 +467,6 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
           ++result.replay_executions;
           result.rows_replayed += lost.rows;
           result.bytes_replayed += lost.bytes;
-          XDBFT_COUNTER_INC("executor.replays");
-          XDBFT_COUNTER_ADD("executor.rows_replayed", lost.rows);
           if (trace_ != nullptr) {
             trace_->AddInstant(
                 "replay", "recovery", trace_->NowMicros(), 0,
@@ -487,8 +480,6 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
         result.rows_lost += lost.rows;
         result.bytes_lost += lost.bytes;
         result.seconds_lost += lost.seconds;
-        XDBFT_COUNTER_ADD("executor.rows_lost", lost.rows);
-        XDBFT_COUNTER_ADD("executor.bytes_lost", lost.bytes);
         const int rec_idx =
             last_record[static_cast<size_t>(s2)][static_cast<size_t>(t.slot)];
         if (rec_idx >= 0) {
@@ -516,18 +507,29 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
       result.stage_profiles.push_back(std::move(p));
     }
   }
-
-  // Failure-free minimum: the demand closure over an empty state — a task
-  // counts iff it is a final-stage task or transitively feeds one. Stages
-  // the final stage never consumes are not executed (step 1), so counting
-  // them here would deflate (even negate) the recovery tally.
-  const int minimal = static_cast<int>(
-      demand_closure([](int, int) { return false; }).second);
   result.recovery_executions = result.task_executions - minimal;
-  XDBFT_COUNTER_ADD("executor.recoveries", result.recovery_executions);
-  XDBFT_COUNTER_INC("executor.runs");
-  XDBFT_GAUGE_SET("executor.last_run_seconds", result.wall_seconds);
   return result;
+}
+
+void AddRunMetrics(const FtExecutionResult& r,
+                   std::map<std::string, double>* metrics) {
+  auto& m = *metrics;
+  m["executor.task_attempts"] = r.task_executions;
+  m["executor.failures_injected"] = r.failures_injected;
+  m["executor.recoveries"] = r.recovery_executions;
+  m["executor.wall_seconds"] = r.wall_seconds;
+  m["executor.rows_materialized"] = static_cast<double>(r.rows_materialized);
+  m["executor.bytes_materialized"] = static_cast<double>(r.bytes_materialized);
+  m["executor.rows_recomputed"] = static_cast<double>(r.rows_recomputed);
+  m["executor.bytes_recomputed"] = static_cast<double>(r.bytes_recomputed);
+  m["executor.rows_lost"] = static_cast<double>(r.rows_lost);
+  m["executor.bytes_lost"] = static_cast<double>(r.bytes_lost);
+  m["executor.seconds_lost"] = r.seconds_lost;
+  m["executor.rows_logged"] = static_cast<double>(r.rows_logged);
+  m["executor.bytes_logged"] = static_cast<double>(r.bytes_logged);
+  m["executor.replays"] = r.replay_executions;
+  m["executor.rows_replayed"] = static_cast<double>(r.rows_replayed);
+  m["executor.bytes_replayed"] = static_cast<double>(r.bytes_replayed);
 }
 
 }  // namespace xdbft::engine

@@ -47,7 +47,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -180,6 +182,11 @@ struct FtExecutionResult {
   obs::AttemptTimeline timeline;
 };
 
+/// \brief Copies `r`'s counts into a RunReport metrics map under
+/// "executor.*" (e.g. "executor.task_attempts" = task_executions).
+void AddRunMetrics(const FtExecutionResult& r,
+                   std::map<std::string, double>* metrics);
+
 /// \brief Executes stage plans with failures and recovery, partition tasks
 /// running concurrently on a work-stealing TaskPool.
 class FaultTolerantExecutor {
@@ -210,9 +217,10 @@ class FaultTolerantExecutor {
   void set_wal(bool wal) { wal_ = wal; }
 
   /// \brief Directory for abort post-mortems. When a task exceeds
-  /// max_attempts, Execute writes a bundle (flight-recorder tail, metrics
-  /// snapshot, attempt timeline) there and appends the bundle path to the
-  /// Aborted status message. Empty (the default) disables the dump.
+  /// max_attempts, Execute writes a bundle (this run's attempt timeline
+  /// and AddRunMetrics counts up to the abort) there and appends the
+  /// bundle path to the Aborted status message. Empty (the default)
+  /// disables the dump.
   void set_postmortem_dir(std::string dir) {
     postmortem_dir_ = std::move(dir);
   }

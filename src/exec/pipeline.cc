@@ -138,8 +138,6 @@ void BuildProfileSkeleton(const VecNodePtr& plan,
   BuildSkeletonNode(*plan, root);
 }
 
-#if !defined(XDBFT_DISABLE_METRICS)
-
 // Volcano-tree decorator: charges inclusive wall time of Open/Next (the
 // operator plus everything below it) and counts produced rows into one
 // skeleton node. The root decorator additionally fills the memory
@@ -191,8 +189,6 @@ class ProfilingOperator final : public Operator {
   obs::OperatorProfile* finalize_root_ = nullptr;
 };
 
-#endif  // !XDBFT_DISABLE_METRICS
-
 // Lowers `plan` to the row engine; with `node` set, every operator is
 // wrapped in a ProfilingOperator bound to its skeleton node.
 OperatorPtr Lower(const VecNodePtr& plan, obs::OperatorProfile* node) {
@@ -227,11 +223,9 @@ OperatorPtr Lower(const VecNodePtr& plan, obs::OperatorProfile* node) {
       op = MakeSort(child(0), n.sort_keys, n.ascending, n.limit);
       break;
   }
-#if !defined(XDBFT_DISABLE_METRICS)
   if (node != nullptr && op != nullptr) {
     op = std::make_unique<ProfilingOperator>(std::move(op), node);
   }
-#endif
   return op;
 }
 
@@ -240,15 +234,11 @@ OperatorPtr Lower(const VecNodePtr& plan, obs::OperatorProfile* node) {
 OperatorPtr ToOperator(const VecNodePtr& plan,
                        obs::OperatorProfile* profile) {
   BuildProfileSkeleton(plan, profile);
-#if defined(XDBFT_DISABLE_METRICS)
-  return Lower(plan, nullptr);
-#else
   OperatorPtr op = Lower(plan, profile);
   if (profile != nullptr && op != nullptr) {
     static_cast<ProfilingOperator*>(op.get())->set_finalize(plan, profile);
   }
   return op;
-#endif
 }
 
 namespace {
@@ -474,8 +464,7 @@ struct ExecContext {
   std::deque<Table> owned_tables;
   std::deque<HashTable> hash_tables;
   int next_pipeline_id = 0;
-  // Plan node -> skeleton node, filled only when profiling (and never
-  // under XDBFT_DISABLE_METRICS).
+  // Plan node -> skeleton node, filled only when profiling.
   std::unordered_map<const VecNode*, obs::OperatorProfile*> profile_map;
 
   obs::OperatorProfile* ProfileNode(const VecNode* n) const {
@@ -494,7 +483,6 @@ struct ProfAcc {
   double seconds = 0.0;
 };
 
-#if !defined(XDBFT_DISABLE_METRICS)
 void BuildProfileMap(
     const VecNode& n, obs::OperatorProfile* p,
     std::unordered_map<const VecNode*, obs::OperatorProfile*>* map) {
@@ -503,7 +491,6 @@ void BuildProfileMap(
     BuildProfileMap(*n.children[i], &p->children[i], map);
   }
 }
-#endif  // !XDBFT_DISABLE_METRICS
 
 Result<Table> ExecNode(const VecNode& node, ExecContext* ctx);
 
@@ -518,8 +505,8 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
   // nodes so recorded row counts still match the row engine's operator
   // boundaries.
   std::vector<obs::OperatorProfile*> step_profs;
-  [[maybe_unused]] obs::OperatorProfile* source_prof = nullptr;
-  [[maybe_unused]] obs::OperatorProfile* fused_filter_prof = nullptr;
+  obs::OperatorProfile* source_prof = nullptr;
+  obs::OperatorProfile* fused_filter_prof = nullptr;
   const VecNode* cur = &node;
   const Table* source = nullptr;
   Expr::Ptr scan_filter;  // filter fused into the table scan, if any
@@ -648,7 +635,7 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
   const size_t nmorsels = nrows == 0 ? 0 : (nrows + morsel - 1) / morsel;
 
   // Read only by the profile fold, which metrics-off builds compile out.
-  [[maybe_unused]] const int pipeline_id = ctx->next_pipeline_id++;
+  const int pipeline_id = ctx->next_pipeline_id++;
 
   // Profiling slot layout per task: [0] source batch formation, [1] the
   // fused filter when present, then one slot per streaming step. The
@@ -658,14 +645,11 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
   const size_t nslots = 1 + (scan_filter != nullptr ? 1 : 0) + steps.size();
   std::vector<std::vector<ProfAcc>> accs;
 
-  const auto run_morsel = [&](size_t m, Morsel* out,
-                              [[maybe_unused]] ProfAcc* acc) {
+  const auto run_morsel = [&](size_t m, Morsel* out, ProfAcc* acc) {
     const size_t lo = m * morsel;
     const size_t hi = std::min(nrows, lo + morsel);
-#if !defined(XDBFT_DISABLE_METRICS)
     std::chrono::steady_clock::time_point t0;
     if (acc != nullptr) t0 = std::chrono::steady_clock::now();
-#endif
     if (scan_filter != nullptr) {
       // Fused scan-filter: evaluate the predicate on the source rows in
       // place, then copy only the survivors into the batch.
@@ -681,7 +665,6 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
       BatchFromTable(*source, lo, hi, &out->batch);
     }
     out->has_sel = false;
-#if !defined(XDBFT_DISABLE_METRICS)
     if (acc != nullptr) {
       // The scan reports the rows it read (hi - lo); the fused filter
       // reports the survivors — the same counts the row operators yield.
@@ -707,7 +690,6 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
       }
       return;
     }
-#endif
     for (const auto& step : steps) step(out);
   };
 
@@ -743,7 +725,6 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
     }
   }
 
-#if !defined(XDBFT_DISABLE_METRICS)
   if (profiling) {
     // Fold the per-task accumulators into the skeleton. Chain times are
     // made inclusive (each operator is charged its own busy seconds plus
@@ -773,7 +754,6 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
       p->pipeline_id = pipeline_id;
     }
   }
-#endif
   return Status::OK();
 }
 
@@ -805,7 +785,6 @@ Result<Table> ExecNodeImpl(const VecNode& node, ExecContext* ctx) {
 }
 
 Result<Table> ExecNode(const VecNode& node, ExecContext* ctx) {
-#if !defined(XDBFT_DISABLE_METRICS)
   // Breaker nodes (everything ExecNodeImpl materializes itself) are
   // charged the inclusive wall time of their whole pipeline plus finish;
   // streaming chains are recorded inside RunPipeline instead.
@@ -825,7 +804,6 @@ Result<Table> ExecNode(const VecNode& node, ExecContext* ctx) {
     }
     return r;
   }
-#endif
   return ExecNodeImpl(node, ctx);
 }
 
@@ -846,16 +824,12 @@ Result<Table> ExecuteVectorized(const VecNodePtr& plan,
   ctx.opts = &local;
   if (local.profile != nullptr) {
     BuildProfileSkeleton(plan, local.profile);
-#if !defined(XDBFT_DISABLE_METRICS)
     BuildProfileMap(*plan, local.profile, &ctx.profile_map);
-#endif
   }
   Result<Table> result = ExecNode(*plan, &ctx);
-#if !defined(XDBFT_DISABLE_METRICS)
   if (local.profile != nullptr && result.ok()) {
     FinalizeMemoryEstimates(*plan, local.profile);
   }
-#endif
   return result;
 }
 

@@ -88,8 +88,7 @@ VecNodePtr VSort(VecNodePtr input, std::vector<int> keys,
 /// tree shape ExecuteVectorized fills, so per-operator row counts compare
 /// directly) and every operator of the returned tree records rows and
 /// inclusive wall seconds into its skeleton node; memory estimates are
-/// filled at Close. `profile` must outlive the returned tree. Under
-/// XDBFT_DISABLE_METRICS only the zeroed skeleton is built.
+/// filled at Close. `profile` must outlive the returned tree.
 OperatorPtr ToOperator(const VecNodePtr& plan,
                        obs::OperatorProfile* profile = nullptr);
 
@@ -111,8 +110,7 @@ struct VecExecOptions {
   /// worker-local slots per morsel task (no locks or shared counters on
   /// the hot path) and folded into the tree once at pipeline finish.
   /// Chain operators record summed worker-busy seconds; breaker nodes
-  /// record the inclusive wall time of their pipeline. Under
-  /// XDBFT_DISABLE_METRICS only the zeroed skeleton is produced.
+  /// record the inclusive wall time of their pipeline.
   obs::OperatorProfile* profile = nullptr;
 };
 

@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "common/string_util.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace xdbft::ft {
@@ -77,6 +76,26 @@ std::string EnumerationStats::ToString() const {
       static_cast<unsigned long long>(rule3_paths_skipped),
       static_cast<unsigned long long>(tasks_executed),
       static_cast<unsigned long long>(tasks_stolen));
+}
+
+void AddRunMetrics(const EnumerationStats& s,
+                   std::map<std::string, double>* metrics) {
+  auto& m = *metrics;
+  m["enumerator.plans"] = static_cast<double>(s.candidate_plans);
+  m["enumerator.configs_unpruned"] =
+      static_cast<double>(s.total_ft_plans_unpruned);
+  m["enumerator.configs_enumerated"] =
+      static_cast<double>(s.ft_plans_enumerated);
+  m["enumerator.pruned_rule1"] = static_cast<double>(s.rule1_ops_marked);
+  m["enumerator.pruned_rule2"] = static_cast<double>(s.rule2_ops_marked);
+  m["enumerator.pruned_rule3"] = static_cast<double>(s.rule3_rejections);
+  m["enumerator.rule3_paths_skipped"] =
+      static_cast<double>(s.rule3_paths_skipped);
+  m["enumerator.memo_hits"] = static_cast<double>(s.rule3_memo_hits);
+  m["enumerator.memo_misses"] = static_cast<double>(s.rule3_memo_misses);
+  m["enumerator.paths_evaluated"] = static_cast<double>(s.paths_evaluated);
+  m["enumerator.tasks"] = static_cast<double>(s.tasks_executed);
+  m["enumerator.tasks_stolen"] = static_cast<double>(s.tasks_stolen);
 }
 
 int FtPlanEnumerator::ResolveThreads(int num_threads) {
@@ -168,28 +187,25 @@ FtPlanEnumerator::PreparedPlan FtPlanEnumerator::Prepare(
   }
   out.unpruned = uint64_t{1} << free_before;
 
-  {
-    XDBFT_SCOPED_TIMER_GAUGE("enumerator.seconds.prepass");
-    // Rule 2 runs first: it only consults the operator's own collapsed
-    // runtime, while rule 1 quantifies over a parent's *still-free*
-    // children — operators rule 2 already marked drop out of that
-    // quantifier, so this order marks a superset of (never fewer ops
-    // than) the reverse order. Both rules only add kNeverMaterialize
-    // constraints that are provably cost-safe, so more is better.
-    // Rules 1-2 are proven cost-safe for recompute-from-inputs recovery
-    // only: under write-ahead lineage a skipped materialization also
-    // changes the log-write volume, which their proofs do not account for.
-    // WAL-enabled searches keep rule 3 (exact branch-and-bound) and skip
-    // the static marks.
-    const bool static_rules_safe = !model_.context().model.wal_enabled;
-    if (options_.pruning.rule2 && static_rules_safe) {
-      out.rule2_marked = static_cast<uint64_t>(
-          ApplyPruningRule2(&out.plan, model_.context()));
-    }
-    if (options_.pruning.rule1 && static_rules_safe) {
-      out.rule1_marked = static_cast<uint64_t>(ApplyPruningRule1(
-          &out.plan, model_.context().model.pipe_constant));
-    }
+  // Rule 2 runs first: it only consults the operator's own collapsed
+  // runtime, while rule 1 quantifies over a parent's *still-free*
+  // children — operators rule 2 already marked drop out of that
+  // quantifier, so this order marks a superset of (never fewer ops
+  // than) the reverse order. Both rules only add kNeverMaterialize
+  // constraints that are provably cost-safe, so more is better.
+  // Rules 1-2 are proven cost-safe for recompute-from-inputs recovery
+  // only: under write-ahead lineage a skipped materialization also
+  // changes the log-write volume, which their proofs do not account for.
+  // WAL-enabled searches keep rule 3 (exact branch-and-bound) and skip
+  // the static marks.
+  const bool static_rules_safe = !model_.context().model.wal_enabled;
+  if (options_.pruning.rule2 && static_rules_safe) {
+    out.rule2_marked = static_cast<uint64_t>(
+        ApplyPruningRule2(&out.plan, model_.context()));
+  }
+  if (options_.pruning.rule1 && static_rules_safe) {
+    out.rule1_marked = static_cast<uint64_t>(ApplyPruningRule1(
+        &out.plan, model_.context().model.pipe_constant));
   }
 
   out.free_ops = EnumerableOperators(out.plan);
@@ -364,7 +380,6 @@ Result<FtPlanChoice> FtPlanEnumerator::FindBest(
   }
   XDBFT_RETURN_NOT_OK(model_.context().Validate());
   XDBFT_RETURN_NOT_OK(options_.Validate());
-  XDBFT_SCOPED_TIMER_GAUGE("enumerator.seconds.find_best");
   stats_ = EnumerationStats{};
   stats_.candidate_plans = candidates.size();
 
@@ -465,23 +480,6 @@ Result<FtPlanChoice> FtPlanEnumerator::FindBest(
     stats_.tasks_stolen +=
         pool_->stats().tasks_stolen - pool_before.tasks_stolen;
   }
-
-  // Publish this run's counters (rules 1/2 are published at the marking
-  // site in pruning.cc; everything else is accounted here).
-  XDBFT_COUNTER_ADD("enumerator.plans", stats_.candidate_plans);
-  XDBFT_COUNTER_ADD("enumerator.configs_unpruned",
-                    stats_.total_ft_plans_unpruned);
-  XDBFT_COUNTER_ADD("enumerator.configs_enumerated",
-                    stats_.ft_plans_enumerated);
-  XDBFT_COUNTER_ADD("enumerator.pruned_rule3", stats_.rule3_rejections);
-  XDBFT_COUNTER_ADD("enumerator.rule3_paths_skipped",
-                    stats_.rule3_paths_skipped);
-  XDBFT_COUNTER_ADD("enumerator.memo_hits", stats_.rule3_memo_hits);
-  XDBFT_COUNTER_ADD("enumerator.memo_misses", stats_.rule3_memo_misses);
-  XDBFT_COUNTER_ADD("enumerator.paths_evaluated", stats_.paths_evaluated);
-  XDBFT_COUNTER_ADD("enumerator.tasks", stats_.tasks_executed);
-  XDBFT_COUNTER_ADD("enumerator.tasks_stolen", stats_.tasks_stolen);
-  XDBFT_GAUGE_SET("enumerator.threads", threads);
 
   if (state.has_error) return state.error;
   if (!state.found) {

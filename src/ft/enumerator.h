@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,6 +110,11 @@ struct EnumerationStats {
 
   std::string ToString() const;
 };
+
+/// \brief Copies `s` into a RunReport metrics map under "enumerator.*"
+/// (e.g. "enumerator.pruned_rule1" = rule1_ops_marked).
+void AddRunMetrics(const EnumerationStats& s,
+                   std::map<std::string, double>* metrics);
 
 /// \brief The chosen fault-tolerant plan [P, M_P].
 struct FtPlanChoice {

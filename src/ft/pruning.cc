@@ -1,8 +1,7 @@
 #include "ft/pruning.h"
 
 #include <algorithm>
-
-#include "obs/metrics.h"
+#include <mutex>
 
 namespace xdbft::ft {
 
@@ -80,7 +79,6 @@ int ApplyPruningRule1(Plan* plan, double pipe_constant) {
       }
     }
   }
-  XDBFT_COUNTER_ADD("enumerator.pruned_rule1", marked);
   return marked;
 }
 
@@ -106,7 +104,6 @@ int ApplyPruningRule2(Plan* plan, const FtCostContext& context) {
       ++marked;
     }
   }
-  XDBFT_COUNTER_ADD("enumerator.pruned_rule2", marked);
   return marked;
 }
 

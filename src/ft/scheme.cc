@@ -120,6 +120,7 @@ Result<SchemePlan> ApplyCostBasedScheme(
   out.config = std::move(choice.config);
   out.estimated_cost = choice.estimated_cost;
   out.placement_groups = std::move(choice.placement_groups);
+  out.stats = enumerator.stats();
   return out;
 }
 

@@ -57,6 +57,9 @@ struct SchemePlan {
   /// Placement group per collapsed operator (correlated-failure
   /// extension); empty when placement is inactive.
   std::vector<int> placement_groups;
+  /// Counters of the search ApplyCostBasedScheme ran for this plan; all
+  /// zero for the fixed schemes.
+  EnumerationStats stats;
 };
 
 /// \brief Instantiate `kind` for `plan` under the given cluster/model

@@ -1,7 +1,7 @@
 // Minimal JSON support for the observability layer: escaping/number
-// rendering for the writers (metrics snapshots, trace files, run reports)
-// and a strict recursive-descent parser used by tests and tools to
-// validate and navigate the emitted documents. Not a general-purpose JSON
+// rendering for the writers (trace files, run reports) and a strict
+// recursive-descent parser used by tests and tools to validate and
+// navigate the emitted documents. Not a general-purpose JSON
 // library — no streaming, no comments, doubles only.
 #pragma once
 
@@ -40,7 +40,8 @@ struct JsonValue {
   /// \brief Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
 
-  /// \brief `Find` chained over a dotted path ("metrics.counters.x").
+  /// \brief `Find` chained over a dotted path ("params.nodes"). Keys that
+  /// themselves contain dots need `Find`.
   const JsonValue* FindPath(const std::string& dotted_path) const;
 };
 

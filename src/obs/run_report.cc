@@ -27,6 +27,22 @@ std::string TrimTrailing(std::string s) {
   return s;
 }
 
+// Renders `members` as a JSON object one level deep in the report, each
+// value through `render`.
+template <typename Map, typename Render>
+std::string ObjectJson(const Map& members, Render render) {
+  std::string out = "{";
+  bool first = true;
+  for (const auto& [key, value] : members) {
+    out += first ? "\n    " : ",\n    ";
+    first = false;
+    out += JsonQuote(key);
+    out += ": ";
+    out += render(value);
+  }
+  return out + "\n  }";
+}
+
 }  // namespace
 
 std::string RunReport::ToJson() const {
@@ -36,37 +52,16 @@ std::string RunReport::ToJson() const {
   out += JsonQuote(plan_name);
   out += ",\n  \"config\": ";
   out += JsonQuote(config_summary);
-  out += ",\n  \"params\": {";
-  bool first = true;
-  for (const auto& [key, value] : params) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += JsonQuote(key);
-    out += ": ";
-    out += JsonQuote(value);
-  }
-  out += "\n  },";
+  out += ",\n  \"params\": ";
+  out += ObjectJson(params, JsonQuote);
+  out += ",";
   if (!reason.empty()) {
     out += "\n  \"reason\": ";
     out += JsonQuote(reason);
     out += StrFormat(",\n  \"seed\": %llu", (unsigned long long)seed);
     out += ",\n  \"replay\": ";
     out += JsonQuote(replay);
-    out += ",\n  \"events\": [";
-    for (size_t i = 0; i < events.size(); ++i) {
-      const FlightEvent& e = events[i];
-      out += i == 0 ? "\n    " : ",\n    ";
-      out += StrFormat("{\"seq\": %llu, \"t_seconds\": ",
-                       (unsigned long long)e.seq);
-      out += JsonNumber(e.t_seconds);
-      out += ", \"category\": ";
-      out += JsonQuote(e.category);
-      out += ", \"message\": ";
-      out += JsonQuote(e.message);
-      out += StrFormat(", \"a\": %lld, \"b\": %lld}", (long long)e.a,
-                       (long long)e.b);
-    }
-    out += "\n  ],\n  \"timeline\": ";
+    out += ",\n  \"timeline\": ";
     out += timeline.ToJson();
     out += ",\n  \"reproducer\": ";
     // Already a complete JSON document; embedded verbatim.
@@ -79,7 +74,7 @@ std::string RunReport::ToJson() const {
     out += profiles[i].ToJson();
   }
   out += "\n  ],\n  \"metrics\": ";
-  out += TrimTrailing(metrics.ToJson());
+  out += ObjectJson(metrics, JsonNumber);
   out += "\n}\n";
   return out;
 }
@@ -94,11 +89,6 @@ Status RunReport::WriteFile(const std::string& path) const {
     return Status::Internal("failed writing report output file: " + path);
   }
   return Status::OK();
-}
-
-void CaptureProcessState(RunReport* report) {
-  report->events = FlightRecorder::Default().Tail();
-  report->metrics = MetricsRegistry::Default().Snapshot();
 }
 
 Result<std::string> WritePostMortem(const std::string& dir,

@@ -18,7 +18,6 @@
 #include "ft/failure_math.h"
 #include "ft/ft_cost.h"
 #include "ft/scheme.h"
-#include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "validate/generator.h"
 
@@ -1139,10 +1138,8 @@ Result<CrosscheckReport> RunCrosscheck(const CrosscheckOptions& options) {
       const ReproCase& base = entry.sim ? sim_case : exec_case;
       std::optional<std::string> violation = entry.fn(base);
       ++report.checks_run;
-      XDBFT_COUNTER_INC("crosscheck.checks");
       if (!violation.has_value()) continue;
       ++report.violations;
-      XDBFT_COUNTER_INC("crosscheck.violations");
       ReproCase repro = base;
       repro.check = entry.name;
       repro.detail = *violation;
@@ -1163,7 +1160,13 @@ Result<CrosscheckReport> RunCrosscheck(const CrosscheckOptions& options) {
         pm.replay = "xdbft_crosscheck --replay <reproducer>";
         pm.params["check"] = entry.name;
         pm.params["kind"] = minimized.kind;
-        obs::CaptureProcessState(&pm);
+        // The harness's own tally so far, this violation included.
+        pm.metrics["crosscheck.seeds"] = report.seeds_run;
+        pm.metrics["crosscheck.checks"] =
+            static_cast<double>(report.checks_run);
+        pm.metrics["crosscheck.violations"] = report.violations;
+        pm.metrics["crosscheck.reproducers_written"] =
+            static_cast<double>(report.repro_paths.size());
         pm.reproducer_json = ReproToJson(minimized);
         Result<std::string> pm_path =
             obs::WritePostMortem(options.postmortem_dir, pm);
@@ -1174,11 +1177,9 @@ Result<CrosscheckReport> RunCrosscheck(const CrosscheckOptions& options) {
         XDBFT_ASSIGN_OR_RETURN(std::string path,
                                WriteReproducer(options.out_dir, minimized));
         report.repro_paths.push_back(path);
-        XDBFT_COUNTER_INC("crosscheck.reproducers_written");
       }
     }
     ++report.seeds_run;
-    XDBFT_COUNTER_INC("crosscheck.seeds");
   }
   report.aborts_observed =
       g_aborts_observed.load(std::memory_order_relaxed);

@@ -40,9 +40,9 @@ struct CrosscheckOptions {
   /// Disable reproducer files (used by unit tests).
   bool write_reproducers = true;
   /// When non-empty, every violation additionally writes a post-mortem
-  /// bundle there (flight-recorder tail, metrics snapshot, the minimized
-  /// reproducer embedded verbatim) and the violation message carries the
-  /// bundle path.
+  /// bundle there (the harness's seed/check/violation tally so far, the
+  /// minimized reproducer embedded verbatim) and the violation message
+  /// carries the bundle path.
   std::string postmortem_dir;
 };
 

@@ -8,7 +8,6 @@
 
 #include "cluster/simulator.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace xdbft::cluster {
 namespace {
@@ -130,32 +129,6 @@ TEST(SimulatorTraceTest, FullRestartEmitsQueryAttempts) {
   EXPECT_EQ(killed, r->restarts);
   EXPECT_EQ(query_spans, r->completed ? 1 : 0);
 }
-
-#if !defined(XDBFT_DISABLE_METRICS)
-TEST(SimulatorTraceTest, CountersTrackRestarts) {
-  const plan::Plan p = ChainPlan(30.0, 1.0, 3);
-  const cost::ClusterStats stats = cost::MakeCluster(2, 20.0, 2.0);
-  const ClusterSimulator sim(stats);
-  ClusterTrace failures = ClusterTrace::Generate(stats, 11);
-
-  const obs::MetricsSnapshot before =
-      obs::MetricsRegistry::Default().Snapshot();
-  auto r = sim.Run(p, MaterializationConfig::AllMat(p),
-                   RecoveryMode::kFineGrained, failures);
-  ASSERT_TRUE(r.ok()) << r.status();
-  const obs::MetricsSnapshot after =
-      obs::MetricsRegistry::Default().Snapshot();
-  EXPECT_EQ(after.counter("simulator.failures") -
-                before.counter("simulator.failures"),
-            static_cast<uint64_t>(r->restarts));
-  EXPECT_EQ(after.counter("simulator.restarts") -
-                before.counter("simulator.restarts"),
-            static_cast<uint64_t>(r->restarts));
-  EXPECT_EQ(after.counter("simulator.runs") -
-                before.counter("simulator.runs"),
-            1u);
-}
-#endif
 
 TEST(SimulatorAttemptLogTest, FineGrainedLedgerMatchesResult) {
   const plan::Plan p = ChainPlan(30.0, 1.0, 3);

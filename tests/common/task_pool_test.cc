@@ -89,13 +89,20 @@ TEST(TaskPoolTest, WorkIsStolenFromABlockedWorkersQueue) {
 
 TEST(TaskPoolTest, FullQueuesFallBackToInlineExecutionNotLoss) {
   TaskPool pool(1, /*queue_capacity=*/2);
+  std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   std::atomic<int> count{0};
   pool.Submit([&] {
+    started.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+  // Until the worker has dequeued the blocking task, that task holds one
+  // of the two queue slots.
+  while (!started.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // Worker is parked; the 2-slot queue fills and the rest run inline.
   for (int i = 0; i < 10; ++i) {
     pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });

@@ -1,16 +1,15 @@
 // Integration test of the observability layer against executor ground
 // truth: a ScriptedInjector injects a known number of failures into a real
-// Q5 execution, and the recorded metrics/trace must match exactly — under
-// an all-materialized configuration every injected failure costs exactly
-// one recovery re-execution (the killed attempt's retry; no other output
-// can be lost).
+// Q5 execution, and the result's recovery accounting and the trace must
+// match exactly — under an all-materialized configuration every injected
+// failure costs exactly one recovery re-execution (the killed attempt's
+// retry; no other output can be lost).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "engine/ft_executor.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace xdbft::engine {
@@ -54,10 +53,6 @@ TEST(FtExecutorMetricsTest, InjectedFailuresMatchRecordedRecoveries) {
 
   ScriptedInjector injector(victims);
   FaultTolerantExecutor executor(&plan, &f.pd);
-#if !defined(XDBFT_DISABLE_METRICS)
-  const obs::MetricsSnapshot before =
-      obs::MetricsRegistry::Default().Snapshot();
-#endif
   auto result = executor.Execute(config, &injector);
   ASSERT_TRUE(result.ok()) << result.status();
 
@@ -77,25 +72,6 @@ TEST(FtExecutorMetricsTest, InjectedFailuresMatchRecordedRecoveries) {
   EXPECT_GT(result->rows_recomputed, 0u);
   ASSERT_EQ(result->stage_seconds.size(),
             static_cast<size_t>(plan.num_stages()));
-
-#if !defined(XDBFT_DISABLE_METRICS)
-  const obs::MetricsSnapshot after =
-      obs::MetricsRegistry::Default().Snapshot();
-  EXPECT_EQ(after.counter("executor.failures_injected") -
-                before.counter("executor.failures_injected"),
-            static_cast<uint64_t>(result->failures_injected));
-  EXPECT_EQ(after.counter("executor.recoveries") -
-                before.counter("executor.recoveries"),
-            static_cast<uint64_t>(result->recovery_executions));
-  EXPECT_EQ(after.counter("executor.task_attempts") -
-                before.counter("executor.task_attempts"),
-            static_cast<uint64_t>(result->task_executions));
-  EXPECT_EQ(after.counter("executor.rows_recomputed") -
-                before.counter("executor.rows_recomputed"),
-            static_cast<uint64_t>(result->rows_recomputed));
-  EXPECT_EQ(after.counter("executor.runs") - before.counter("executor.runs"),
-            1u);
-#endif
 }
 
 TEST(FtExecutorMetricsTest, TraceRecordsFailuresAndRecoverySpans) {

@@ -358,11 +358,9 @@ TEST(VectorizedPlanTest, MultiThreadedProfileRowsMatchRowEngine) {
   ASSERT_TRUE(vec.ok()) << vec.status();
   EXPECT_TRUE(BitIdenticalTables(*row, *vec));
   ExpectSameProfileRows(row_root, vec_root, "");
-#if !defined(XDBFT_DISABLE_METRICS)
   EXPECT_EQ(vec_root.rows_out, vec->num_rows());
   ASSERT_FALSE(vec_root.children.empty());
   EXPECT_GT(vec_root.children[0].rows_out, 0u);
-#endif
 }
 
 TEST(VectorizedPlanTest, NullPlanAndNullScanDiagnostics) {

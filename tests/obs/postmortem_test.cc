@@ -1,8 +1,8 @@
 // Post-mortem bundle tests: the executor abort path and the crosscheck
-// violation path both produce a JSON bundle that parses, carries a
-// non-empty event tail (with metrics on), an attempt timeline / profile
-// tree, and a seed that deterministically replays the case. Also checks
-// the attempt-timeline accounting invariants on a recovering execution.
+// violation path both produce a JSON bundle that parses, carries the
+// failed run's own metrics and attempt timeline / profile tree, and a seed
+// that deterministically replays the case. Also checks the
+// attempt-timeline accounting invariants on a recovering execution.
 #include "obs/run_report.h"
 
 #include <gtest/gtest.h>
@@ -59,6 +59,11 @@ TEST(PostMortemTest, ExecutorAbortWritesParsableBundle) {
   const engine::StagePlan plan = engine::MakeQ1StagePlan(f.pd);
   const plan::Plan skeleton = plan.ToPlanSkeleton();
   engine::FaultTolerantExecutor executor(&plan, &f.pd);
+  // A clean run first: the abort bundle must not count its attempts.
+  auto clean = executor.Execute(ft::MaterializationConfig::AllMat(skeleton));
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_GT(clean->task_executions, 0);
+
   const std::string dir = ::testing::TempDir() + "xdbft_pm_exec";
   executor.set_postmortem_dir(dir);
   engine::ScriptedInjector injector({{0, 0}}, /*times=*/1000000);
@@ -75,31 +80,35 @@ TEST(PostMortemTest, ExecutorAbortWritesParsableBundle) {
   EXPECT_EQ(doc->Find("tool")->string_value, "ft_executor");
   EXPECT_NE(doc->Find("reason")->string_value.find("exceeded"),
             std::string::npos);
+  EXPECT_EQ(doc->Find("events"), nullptr);
   // Every dispatched attempt (including the 4 killed ones) is on the
-  // timeline; the aborting task's records are flagged killed.
+  // timeline; the aborting task's records are flagged killed, one per
+  // attempt it was allowed.
   const obs::JsonValue* timeline = doc->Find("timeline");
   ASSERT_NE(timeline, nullptr);
   ASSERT_TRUE(timeline->is_array());
   EXPECT_GE(timeline->array.size(), 4u);
   int killed = 0;
   for (const auto& rec : timeline->array) {
-    if (rec.Find("killed")->bool_value) ++killed;
+    if (!rec.Find("killed")->bool_value) continue;
+    EXPECT_EQ(rec.Find("stage")->number_value, 0.0);
+    EXPECT_EQ(rec.Find("node")->number_value, 0.0);
+    EXPECT_EQ(rec.Find("attempt")->number_value, killed);
+    ++killed;
   }
   EXPECT_EQ(killed, 4);
-#if !defined(XDBFT_DISABLE_METRICS)
-  // With metrics on, the failure-injection flight events made it into the
-  // bundle's event tail.
-  const obs::JsonValue* events = doc->Find("events");
-  ASSERT_NE(events, nullptr);
-  EXPECT_FALSE(events->array.empty());
-  bool saw_abort = false;
-  for (const auto& e : events->array) {
-    if (e.Find("message")->string_value.find("abort") != std::string::npos) {
-      saw_abort = true;
-    }
-  }
-  EXPECT_TRUE(saw_abort);
-#endif
+  // The metrics are the aborting run's own: one attempt per timeline
+  // record, none of the clean run's.
+  const obs::JsonValue* metrics = doc->Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  const obs::JsonValue* attempts = metrics->Find("executor.task_attempts");
+  ASSERT_NE(attempts, nullptr);
+  EXPECT_EQ(attempts->number_value,
+            static_cast<double>(timeline->array.size()));
+  const obs::JsonValue* failures =
+      metrics->Find("executor.failures_injected");
+  ASSERT_NE(failures, nullptr);
+  EXPECT_EQ(failures->number_value, 4.0);
 }
 
 TEST(PostMortemTest, ExecutorTimelineAccountingInvariants) {
@@ -152,7 +161,6 @@ TEST(PostMortemTest, CrosscheckStyleBundleEmbedsReplayableReproducer) {
   pm.seed = seed;
   pm.replay = "xdbft_crosscheck --replay <reproducer>";
   pm.params["check"] = c.check;
-  obs::CaptureProcessState(&pm);
   pm.reproducer_json = validate::ReproToJson(c);
 
   const Fixture& f = GetFixture();
@@ -203,7 +211,8 @@ TEST(PostMortemTest, EmptyBundleStillParses) {
   auto doc = obs::ParseJson(pm.ToJson());
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_TRUE(doc->Find("reproducer")->is_null());
-  EXPECT_TRUE(doc->Find("events")->array.empty());
+  EXPECT_TRUE(doc->Find("timeline")->array.empty());
+  EXPECT_TRUE(doc->Find("metrics")->object.empty());
 }
 
 }  // namespace

@@ -7,16 +7,12 @@
 #              coalescing tests for data races)
 #   ubsan      Debug + UndefinedBehaviorSanitizer (XDBFT_SANITIZE=undefined,
 #              plus float-cast-overflow; any finding aborts the test)
-#   nometrics  Release + XDBFT_ENABLE_METRICS=OFF (proves the profiler /
-#              flight-recorder hot-path instrumentation compiles out and
-#              the suite still passes without it)
 #
-# Usage: tools/ci.sh [JOBS] [--config release|asan|tsan|ubsan|nometrics]
+# Usage: tools/ci.sh [JOBS] [--config release|asan|tsan|ubsan]
 #        [--quick]
 #        [--jobs N]
 #        tools/ci.sh --print-ctest-args CONFIG
-#   no --config     run release + asan + tsan + ubsan + nometrics (full
-#                   matrix)
+#   no --config     run release + asan + tsan + ubsan (full matrix)
 #   --quick         run only the tier1-labelled tests (skips bench-smoke)
 #   JOBS / --jobs   parallelism (default: nproc)
 #   --print-ctest-args CONFIG
@@ -32,15 +28,13 @@ cd "$(dirname "$0")/.."
 # via --print-ctest-args):
 #   release          everything except the long fuzz leg (tier1 +
 #                    bench-smoke; the fuzz sweep runs as its own CI step)
-#   asan/tsan/ubsan/nometrics
-#                    fast tier only — the sanitizer payload is the
+#   asan/tsan/ubsan  fast tier only — the sanitizer payload is the
 #                    concurrency test suite, not the bench harnesses
 ctest_args_for() {
   case "$1" in
     release)               echo "-LE fuzz" ;;
-    asan|tsan|ubsan|nometrics)
-                           echo "-L tier1" ;;
-    *) echo "unknown config '$1' (release|asan|tsan|ubsan|nometrics)" >&2
+    asan|tsan|ubsan)       echo "-L tier1" ;;
+    *) echo "unknown config '$1' (release|asan|tsan|ubsan)" >&2
        return 2 ;;
   esac
 }
@@ -91,11 +85,8 @@ case "${CONFIG}" in
   ubsan|all)
     run_config ubsan -DCMAKE_BUILD_TYPE=Debug \
       -DXDBFT_SANITIZE=undefined ;;&
-  nometrics|all)
-    run_config nometrics -DCMAKE_BUILD_TYPE=Release \
-      -DXDBFT_ENABLE_METRICS=OFF ;;&
-  release|asan|tsan|ubsan|nometrics|all) ;;
-  *) echo "unknown --config '${CONFIG}' (release|asan|tsan|ubsan|nometrics)" >&2
+  release|asan|tsan|ubsan|all) ;;
+  *) echo "unknown --config '${CONFIG}' (release|asan|tsan|ubsan)" >&2
      exit 2 ;;
 esac
 

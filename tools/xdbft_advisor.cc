@@ -58,12 +58,15 @@
 // rules 1/2 key on — see bench/fig13_pruning.cc for the calibration).
 //
 // Observability (see DESIGN.md "Observability"):
-//   --metrics-json PATH  write a RunReport (params + metrics snapshot) as
-//                        JSON. Also runs a small in-process validation
-//                        execution (tiny TPC-H + Q5 stage plan + scripted
-//                        failures) so executor.* metrics and the
-//                        predicted-vs-observed accuracy report are
-//                        populated.
+//   --metrics-json PATH  write a RunReport as JSON: the params plus this
+//                        invocation's own numbers — enumerator.* from the
+//                        FT-plan search (zero when --greedy or a fixed
+//                        --scheme skips it), executor.* from a small
+//                        in-process validation execution (tiny TPC-H + Q5
+//                        stage plan + scripted failures, which also yields
+//                        the observed row of the accuracy report) and,
+//                        with --simulate, simulator.* from the simulated
+//                        traces.
 //   --trace-out PATH     write a Chrome trace-event JSON timeline (load in
 //                        chrome://tracing or https://ui.perfetto.dev):
 //                        wall-clock spans from the validation execution and
@@ -72,20 +75,22 @@
 //                        database on both engines with per-operator
 //                        profiling and print one EXPLAIN ANALYZE tree per
 //                        stage (also embedded in --metrics-json under
-//                        "profiles").
+//                        "profiles"; standalone, the report holds only
+//                        the profiles).
 //                        Works standalone, without --plan.
 //   --postmortem-dir DIR if the validation execution aborts, write a
-//                        post-mortem bundle (flight-recorder tail, metrics
-//                        snapshot, attempt timeline) into DIR.
+//                        post-mortem bundle (the aborted run's attempt
+//                        timeline and executor.* numbers) into DIR.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "api/xdbft.h"
 #include "engine/ft_executor.h"
-#include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "plan/plan_text.h"
@@ -277,12 +282,13 @@ int ParseArgs(int argc, char** argv, Args* args) {
 
 // Runs the built-in Q5 stage plan over a tiny generated TPC-H database
 // with scripted failures on the first two partition-parallel stages. This
-// populates the executor.* metrics behind `--metrics-json` with real
-// recovery work and yields an observed row for the accuracy report.
+// adds the run's executor.* numbers, with real recovery work, to
+// `metrics` and yields an observed row for the accuracy report.
 // Wall-clock spans go into `trace` when non-null.
 Result<ft::ObservedExecution> RunValidationExecution(
     obs::TraceRecorder* trace, int exec_threads,
-    const std::string& postmortem_dir) {
+    const std::string& postmortem_dir,
+    std::map<std::string, double>* metrics) {
   datagen::TpchGenOptions opts;
   opts.scale_factor = 0.002;
   opts.seed = 7;
@@ -306,6 +312,7 @@ Result<ft::ObservedExecution> RunValidationExecution(
   if (!postmortem_dir.empty()) executor.set_postmortem_dir(postmortem_dir);
   XDBFT_ASSIGN_OR_RETURN(engine::FtExecutionResult r,
                          executor.Execute(config, &injector));
+  engine::AddRunMetrics(r, metrics);
   ft::ObservedExecution observed;
   observed.source = "ft_executor (validation: tiny TPC-H Q5)";
   observed.failures = r.failures_injected;
@@ -401,12 +408,11 @@ int main(int argc, char** argv) {
   if (args.plan_path.empty()) {
     if (args.profile) {
       // Standalone --profile: no plan to advise on; optionally persist the
-      // profile trees (plus whatever metrics the runs produced).
+      // profile trees.
       if (!args.metrics_json.empty()) {
         obs::RunReport report;
         report.tool = "xdbft_advisor";
         report.profiles = std::move(profiles);
-        report.metrics = obs::MetricsRegistry::Default().Snapshot();
         const Status s = report.WriteFile(args.metrics_json);
         if (!s.ok()) {
           std::fprintf(stderr, "error writing %s: %s\n",
@@ -491,12 +497,15 @@ int main(int argc, char** argv) {
   std::cout << advisor.Explain(*chosen);
 
   const bool observability = !args.metrics_json.empty() || trace_ptr;
+  // This invocation's numbers for --metrics-json, one layer at a time.
+  std::map<std::string, double> metrics;
+  ft::AddRunMetrics(chosen->stats, &metrics);
 
   if (observability) {
     auto report = ft::BuildAccuracyReport(*plan, chosen->config,
                                           advisor.context());
-    auto observed = RunValidationExecution(trace_ptr, args.exec_threads,
-                                           args.postmortem_dir);
+    auto observed = RunValidationExecution(
+        trace_ptr, args.exec_threads, args.postmortem_dir, &metrics);
     if (report.ok()) {
       if (observed.ok()) report->observed.push_back(*observed);
       std::printf("\n%s", report->ToString().c_str());
@@ -523,6 +532,7 @@ int main(int argc, char** argv) {
     auto traces = cluster::GenerateTraceSet(
         stats, args.simulate_traces, /*base_seed=*/42);
     auto result = simulator.RunMany(*chosen, traces);
+    if (result.ok()) cluster::AddRunMetrics(*result, &metrics);
     if (result.ok() && baseline.ok()) {
       std::printf(
           "\nSimulated over %d failure traces: mean runtime %.1fs "
@@ -582,7 +592,7 @@ int main(int argc, char** argv) {
     report.params["exec_threads"] = std::to_string(
         engine::FaultTolerantExecutor::ResolveThreads(args.exec_threads));
     report.profiles = std::move(profiles);
-    report.metrics = obs::MetricsRegistry::Default().Snapshot();
+    report.metrics = std::move(metrics);
     const Status s = report.WriteFile(args.metrics_json);
     if (!s.ok()) {
       std::fprintf(stderr, "error writing %s: %s\n",

@@ -8,10 +8,15 @@
 // join orders) and emits one row per (workload, threads) into
 // BENCH_enum.json when $XDBFT_BENCH_JSON_DIR is set — the artifact the
 // CI speedup check reads. Rows record the machine's hardware
-// concurrency, since the attainable speedup is bounded by it.
+// concurrency, since the attainable speedup is bounded by it. The sweep
+// exits 1 when a FindBest fails or any thread count picks a different
+// plan, configuration or cost than the 1-thread search;
+// `--benchmark_filter=^$` runs the sweep alone.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 
 #include "bench_util.h"
@@ -164,22 +169,31 @@ void BM_TopKJoinEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKJoinEnumeration)->Arg(1)->Arg(8);
 
-// Best-of-`repeats` wall clock of one FindBest over `plans`.
-double TimeFindBest(ft::FtPlanEnumerator& enumerator,
-                    const std::vector<plan::Plan>& plans, int repeats,
-                    ft::FtPlanChoice* choice) {
-  double best = 1e300;
+// Best-of-`repeats` wall clock of one FindBest over `plans`; false (with a
+// message on stderr) when any repeat fails.
+bool TimeFindBest(ft::FtPlanEnumerator& enumerator,
+                  const std::vector<plan::Plan>& plans, int repeats,
+                  ft::FtPlanChoice* choice, double* seconds) {
+  *seconds = 1e300;
   for (int r = 0; r < repeats; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     auto result = enumerator.FindBest(plans);
     const auto t1 = std::chrono::steady_clock::now();
-    if (result.ok()) *choice = std::move(*result);
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    if (!result.ok()) {
+      std::fprintf(stderr, "FindBest failed: %s\n",
+                   result.status().ToString().c_str());
+      return false;
+    }
+    *choice = std::move(*result);
+    *seconds =
+        std::min(*seconds, std::chrono::duration<double>(t1 - t0).count());
   }
-  return best;
+  return true;
 }
 
-void RunThreadScalingSweep() {
+// Returns false on a failed FindBest or when any thread count picks a
+// different [P, M_P] or cost than the 1-thread search.
+bool RunThreadScalingSweep() {
   bench::PrintHeader(
       "Parallel findBestFTPlan: thread scaling",
       "extension of §4 (Listing 1) — identical [P, M_P] at every "
@@ -198,6 +212,7 @@ void RunThreadScalingSweep() {
     int top_k;  // 0 = all join orders
     int repeats;
   };
+  bool ok = true;
   for (const Workload& w : {Workload{"q5_topk32", 32, 5},
                             Workload{"q5_all_join_orders", 0, 3}}) {
     const std::vector<plan::Plan> plans = Q5JoinOrderPlans(w.top_k);
@@ -208,16 +223,22 @@ void RunThreadScalingSweep() {
       opts.num_threads = threads;
       ft::FtPlanEnumerator enumerator(Context(), opts);
       ft::FtPlanChoice choice;
-      const double seconds =
-          TimeFindBest(enumerator, plans, w.repeats, &choice);
+      double seconds = 0.0;
+      if (!TimeFindBest(enumerator, plans, w.repeats, &choice, &seconds)) {
+        std::fprintf(stderr, "at %d threads on %s\n", threads, w.name);
+        return false;
+      }
       if (threads == 1) {
         base_seconds = seconds;
         base_choice = choice;
       } else if (choice.plan_index != base_choice.plan_index ||
-                 choice.estimated_cost != base_choice.estimated_cost) {
+                 !(choice.config == base_choice.config) ||
+                 std::bit_cast<uint64_t>(choice.estimated_cost) !=
+                     std::bit_cast<uint64_t>(base_choice.estimated_cost)) {
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION at %d threads on %s\n",
                      threads, w.name);
+        ok = false;
       }
       const double speedup = base_seconds / seconds;
       const auto& stats = enumerator.stats();
@@ -248,12 +269,13 @@ void RunThreadScalingSweep() {
     std::printf("\nWrote %s\n", json.path().c_str());
   }
   std::printf("\n");
+  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  RunThreadScalingSweep();
+  if (!RunThreadScalingSweep()) return 1;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

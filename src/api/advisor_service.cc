@@ -40,10 +40,10 @@ struct AdvisorService::Entry {
   std::condition_variable cv;
   bool ready = false;      // guarded by mu
   Status status;           // guarded by mu once ready
-  size_t plan_index = 0;   // decision fields, immutable once ready
-  ft::MaterializationConfig config;
-  double estimated_cost = 0.0;
-  std::vector<int> placement_groups;
+  /// The answer without its plan and search counters, immutable once
+  /// ready: a hit rebuilds the plan from the caller's own candidates and
+  /// ran no search.
+  ft::SchemePlan decision;
 
   std::shared_ptr<ft::ConcurrentDominantPathMemo> memo;
 
@@ -104,22 +104,7 @@ Result<ft::SchemePlan> AdvisorService::Enumerate(
   context.model = request.model;
   ft::EnumerationOptions opts = options_.enumeration;
   opts.shared_memo = memo;
-  // ApplyCostBasedScheme would drop the chosen plan_index, which the cache
-  // needs to rebuild answers from the caller's candidates; run the
-  // enumerator directly and mirror its response shape (scheme.cc): the
-  // answer carries the *caller's* plan, not the rule-marked working copy.
-  ft::FtPlanEnumerator enumerator(context, opts);
-  XDBFT_ASSIGN_OR_RETURN(ft::FtPlanChoice choice,
-                         enumerator.FindBest(request.candidates));
-  ft::SchemePlan out;
-  out.kind = ft::SchemeKind::kCostBased;
-  out.recovery = ft::RecoveryMode::kFineGrained;
-  out.plan = request.candidates[choice.plan_index];
-  out.plan_index = choice.plan_index;
-  out.config = std::move(choice.config);
-  out.estimated_cost = choice.estimated_cost;
-  out.placement_groups = std::move(choice.placement_groups);
-  return out;
+  return ft::ApplyCostBasedScheme(request.candidates, context, opts);
 }
 
 Result<ft::SchemePlan> AdvisorService::AdviseCached(
@@ -178,11 +163,9 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
       std::lock_guard<std::mutex> entry_lock(entry->mu);
       entry->ready = true;
       if (result.ok()) {
-        const ft::SchemePlan& plan = result.ValueOrDie();
-        entry->plan_index = plan.plan_index;
-        entry->config = plan.config;
-        entry->estimated_cost = plan.estimated_cost;
-        entry->placement_groups = plan.placement_groups;
+        entry->decision = result.ValueOrDie();
+        entry->decision.plan = plan::Plan{};
+        entry->decision.stats = ft::EnumerationStats{};
       } else {
         entry->status = result.status();
       }
@@ -233,10 +216,7 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
   // in-flight enumeration (coalesced).
   bool was_hit = false;
   Status status;
-  size_t plan_index = 0;
-  ft::MaterializationConfig config;
-  double estimated_cost = 0.0;
-  std::vector<int> placement_groups;
+  ft::SchemePlan out;
   {
     std::unique_lock<std::mutex> entry_lock(entry->mu);
     if (entry->ready) {
@@ -247,12 +227,7 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
       entry->cv.wait(entry_lock, [&] { return entry->ready; });
     }
     status = entry->status;
-    if (status.ok()) {
-      plan_index = entry->plan_index;
-      config = entry->config;
-      estimated_cost = entry->estimated_cost;
-      placement_groups = entry->placement_groups;
-    }
+    if (status.ok()) out = entry->decision;
   }
   if (was_hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -264,18 +239,11 @@ Result<ft::SchemePlan> AdvisorService::AdviseCached(
     }
   }
   if (!status.ok()) return status;
-  if (plan_index >= request.candidates.size()) {
+  if (out.plan_index >= request.candidates.size()) {
     return Status::Internal(
         "advisor cache entry references a candidate index out of range");
   }
-  ft::SchemePlan out;
-  out.kind = ft::SchemeKind::kCostBased;
-  out.recovery = ft::RecoveryMode::kFineGrained;
-  out.plan = request.candidates[plan_index];
-  out.plan_index = plan_index;
-  out.config = std::move(config);
-  out.estimated_cost = estimated_cost;
-  out.placement_groups = std::move(placement_groups);
+  out.plan = request.candidates[out.plan_index];
   return out;
 }
 

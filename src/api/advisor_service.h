@@ -18,8 +18,10 @@
 //     uncached, so an overload of cold keys cannot wedge the cache.
 //
 // Serving invariant: a cached, coalesced, warm-started or bypassed answer
-// is bit-identical to a fresh one-shot enumeration of the same request —
-// the cache can only change latency, never the plan (DESIGN.md §12). The
+// — plan index, configuration, cost, placement and recovery mode — is
+// bit-identical to a fresh one-shot ApplyCostBasedScheme of the same
+// request: the cache can only change latency, never the plan (DESIGN.md
+// §12). Only a miss carries search counters (SchemePlan::stats). The
 // fingerprint covers the cluster statistics (MTBF, burst MTBF, fanout,
 // placement), so a changed cluster is a different key: no cached entry
 // ever goes stale and nothing needs invalidating.
@@ -126,7 +128,9 @@ class AdvisorService {
   struct Shard;
 
   Shard& ShardFor(const RequestFingerprint& fp) const;
-  /// \brief One fresh enumeration (no caching); `memo` may warm rule 3.
+  /// \brief One fresh answer, uncached: ApplyCostBasedScheme with `memo`
+  /// (may be null) as its shared rule-3 memo, so a served answer has
+  /// exactly the one-shot answer's shape, recovery mode included.
   Result<ft::SchemePlan> Enumerate(const AdvisorRequest& request,
                                    ft::ConcurrentDominantPathMemo* memo);
   Result<ft::SchemePlan> AdviseCached(const AdvisorRequest& request,

@@ -129,15 +129,10 @@ struct FtPlanEnumerator::SearchState {
   /// caller warm-starts rule 3 across FindBest calls of the same search.
   ConcurrentDominantPathMemo* memo = nullptr;
   std::atomic<bool> failed{false};
+  /// Parameters of the per-configuration cost pass (ComputePlacement).
   const FailureParams fparams;
-  /// Placement dimensions; `placed` caches pparams.active(). When false
-  /// the search takes the historical scalar path — bit-identical to the
-  /// pre-placement enumerator.
   const PlacementParams pparams;
-  /// Write-ahead-lineage dimensions; disabled keeps every per-operator
-  /// cost bit-identical to the recompute-from-inputs model.
   const WalParams wal;
-  const bool placed;
   const bool use_memo;
 
   std::mutex mu;  // guards the candidate + error fields
@@ -152,11 +147,7 @@ struct FtPlanEnumerator::SearchState {
 
   SearchState(FailureParams fp, PlacementParams pp, WalParams wp,
               bool memoize)
-      : fparams(fp),
-        pparams(pp),
-        wal(wp),
-        placed(pp.active()),
-        use_memo(memoize) {}
+      : fparams(fp), pparams(pp), wal(wp), use_memo(memoize) {}
 
   /// Keep the error with the smallest (plan, mask) key so the reported
   /// failure does not depend on task interleaving.
@@ -237,32 +228,18 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
     }
     const CollapsedPlan& cp = *collapsed;
 
-    // Placement pass (correlated-failure extension): deterministic greedy
-    // group assignment per configuration; inactive (the common case)
-    // keeps the historical scalar arithmetic bit-for-bit.
-    PlacementResult placement;
-    if (state->placed) {
-      placement = ComputePlacement(cp, state->pparams, state->fparams,
-                                   state->wal);
-    }
-    const auto placed_t = [&](CollapsedId id) {
-      return state->placed ? placement.placed_cost[static_cast<size_t>(id)]
-                           : cp.op(id).total_cost();
-    };
-    const auto refetch = [&](CollapsedId id) {
-      return state->placed ? placement.refetch_cost[static_cast<size_t>(id)]
-                           : 0.0;
-    };
-    // Durable runtime: placed runtime plus the WAL log-write overhead.
-    // This is the t the rule-3 bounds and the memo must see — per-op TPt
-    // is monotone in it, which placed_t alone does not guarantee once
-    // lineage volume varies per configuration.
-    const auto durable_t = [&](CollapsedId id) {
-      double t = placed_t(id);
-      if (state->wal.enabled) {
-        t += state->wal.write_cost * cp.op(id).lineage_volume;
+    // The cost pass: every collapsed operator's durable t, refetch
+    // charge and T(c) under this configuration's placement.
+    const PlacementResult pass = ComputePlacement(
+        cp, state->pparams, state->fparams, state->wal);
+    const auto op_costs = [&](const CollapsedPath& path) {
+      std::vector<PathOpCost> costs;
+      costs.reserve(path.size());
+      for (CollapsedId id : path) {
+        const PlacedOp& op = pass.ops[static_cast<size_t>(id)];
+        costs.push_back(PathOpCost{op.durable_t, op.refetch});
       }
-      return t;
+      return costs;
     };
 
     // Path enumeration with rule-3 early stopping (Listing 1 lines 9-13
@@ -277,13 +254,15 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
     const size_t visited = cp.ForEachPath([&](const CollapsedPath& path) {
       const double bound = state->bound.load(std::memory_order_relaxed);
       if (rule3) {
-        // Test 1: RPt > bestT — no cost-model call needed. Placed runtime
-        // (remote reads included) is still a lower bound on TPt.
+        // Test 1: RPt > bestT — no failure math needed. RPt sums the
+        // durable t (placed runtime plus the WAL log-write overhead), a
+        // lower bound on TPt. Rule 3 and the memo must see the durable t:
+        // per-op TPt is monotone in it, which the placed runtime alone
+        // does not guarantee once lineage volume varies per
+        // configuration.
         double rpt = 0.0;
-        if (state->placed || state->wal.enabled) {
-          for (CollapsedId id : path) rpt += durable_t(id);
-        } else {
-          rpt = cp.PathRuntimeNoFailure(path);
+        for (CollapsedId id : path) {
+          rpt += pass.ops[static_cast<size_t>(id)].durable_t;
         }
         if (rpt > bound) {
           ++local->rule3_rpt_hits;
@@ -291,14 +270,9 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
           return false;
         }
         // Extension: Eq. 9 dominance over a memoized dominant path, in
-        // both cost dimensions (placed runtime, per-attempt refetch).
+        // both cost dimensions (durable t, per-attempt refetch).
         if (state->use_memo && !state->memo->empty()) {
-          std::vector<PathOpCost> costs;
-          costs.reserve(path.size());
-          for (CollapsedId id : path) {
-            costs.push_back(PathOpCost{durable_t(id), refetch(id)});
-          }
-          if (state->memo->Dominates(std::move(costs))) {
+          if (state->memo->Dominates(op_costs(path))) {
             ++local->rule3_memo_hits;
             pruned = true;
             return false;
@@ -307,13 +281,7 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
         }
       }
       ++local->paths_evaluated;
-      double tpt = 0.0;
-      for (CollapsedId id : path) {
-        tpt += CollapsedOpTotalRuntime(placed_t(id),
-                                       cp.op(id).lineage_volume,
-                                       state->fparams, state->wal,
-                                       refetch(id));
-      }
+      const double tpt = pass.PathCost(path);
       if (rule3 && tpt > bound) {
         // Test 2: TPt > bestT.
         ++local->rule3_tpt_hits;
@@ -362,12 +330,7 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
     if (accepted) {
       AtomicMin(&state->bound, dom_cost);
       if (rule3 && state->use_memo) {
-        std::vector<PathOpCost> costs;
-        costs.reserve(dom_path.size());
-        for (CollapsedId id : dom_path) {
-          costs.push_back(PathOpCost{durable_t(id), refetch(id)});
-        }
-        state->memo->Record(std::move(costs), dom_cost);
+        state->memo->Record(op_costs(dom_path), dom_cost);
       }
     }
   }
@@ -383,34 +346,29 @@ Result<FtPlanChoice> FtPlanEnumerator::FindBest(
   stats_ = EnumerationStats{};
   stats_.candidate_plans = candidates.size();
 
+  // One thread is the same search on a pool without workers: every task
+  // runs inline on the caller.
   const int threads = ResolveThreads(options_.num_threads);
-  const bool parallel = threads > 1;
-  if (parallel && (pool_ == nullptr || pool_->num_threads() != threads)) {
-    pool_ = std::make_unique<TaskPool>(threads);
+  const int workers = threads > 1 ? threads : 0;
+  if (pool_ == nullptr || pool_->num_threads() != workers) {
+    pool_ = std::make_unique<TaskPool>(workers);
   }
-  const TaskPoolStats pool_before =
-      pool_ != nullptr ? pool_->stats() : TaskPoolStats{};
+  const TaskPoolStats pool_before = pool_->stats();
   obs::TraceRecorder* trace = options_.trace;
   if (trace != nullptr) {
-    for (int t = 0; t < threads; ++t) {
+    for (int t = 0; t < workers; ++t) {
       trace->SetThreadName(options_.trace_pid, t,
                            "enum worker " + std::to_string(t));
     }
-    trace->SetThreadName(options_.trace_pid, threads, "enum caller");
+    trace->SetThreadName(options_.trace_pid, workers, "enum caller");
   }
 
   // Phase 1: rules-1/2 pre-pass, one independent task per candidate.
   const size_t num_plans = candidates.size();
   std::vector<PreparedPlan> prepared(num_plans);
-  if (parallel) {
-    pool_->ParallelForEach(num_plans, [&](size_t i) {
-      prepared[i] = Prepare(candidates[i], i);
-    });
-  } else {
-    for (size_t i = 0; i < num_plans; ++i) {
-      prepared[i] = Prepare(candidates[i], i);
-    }
-  }
+  pool_->ParallelForEach(num_plans, [&](size_t i) {
+    prepared[i] = Prepare(candidates[i], i);
+  });
   // Accumulate the deterministic counters in plan order; report the first
   // rejected candidate exactly like the sequential walk would.
   for (size_t i = 0; i < num_plans; ++i) {
@@ -427,7 +385,7 @@ Result<FtPlanChoice> FtPlanEnumerator::FindBest(
   uint64_t total_configs = 0;
   for (const PreparedPlan& pp : prepared) total_configs += pp.num_configs;
   const uint64_t target_tasks =
-      parallel ? static_cast<uint64_t>(threads) * 8 : 1;
+      workers > 0 ? static_cast<uint64_t>(workers) * 8 : 1;
   const uint64_t masks_per_task =
       std::max<uint64_t>(1, total_configs / std::max<uint64_t>(
                                                 1, target_tasks));
@@ -449,37 +407,28 @@ Result<FtPlanChoice> FtPlanEnumerator::FindBest(
                     options_.pruning.memoize_dominant_paths);
   state.memo = options_.shared_memo != nullptr ? options_.shared_memo
                                                : &state.owned_memo;
-  std::vector<EnumerationStats> per_slot(static_cast<size_t>(threads) + 1);
-  if (parallel) {
-    pool_->ParallelForEach(tasks.size(), [&](size_t i) {
-      const int worker = pool_->CurrentWorkerId();
-      const size_t slot =
-          worker >= 0 ? static_cast<size_t>(worker)
-                      : static_cast<size_t>(threads);  // helping caller
-      const double ts = trace != nullptr ? trace->NowMicros() : 0.0;
-      EvaluateMaskRange(prepared[tasks[i].plan_index], tasks[i], &state,
-                        &per_slot[slot]);
-      if (trace != nullptr) {
-        trace->AddComplete(
-            "enum.chunk", "enumerator", ts, trace->NowMicros() - ts,
-            options_.trace_pid, static_cast<int>(slot),
-            {obs::IntArg("plan", static_cast<int64_t>(tasks[i].plan_index)),
-             obs::IntArg("mask_lo", static_cast<int64_t>(tasks[i].lo)),
-             obs::IntArg("mask_hi", static_cast<int64_t>(tasks[i].hi))});
-      }
-    });
-  } else {
-    for (const MaskRange& task : tasks) {
-      EvaluateMaskRange(prepared[task.plan_index], task, &state,
-                        &per_slot[0]);
+  std::vector<EnumerationStats> per_slot(static_cast<size_t>(workers) + 1);
+  pool_->ParallelForEach(tasks.size(), [&](size_t i) {
+    const int worker = pool_->CurrentWorkerId();
+    const size_t slot =
+        worker >= 0 ? static_cast<size_t>(worker)
+                    : static_cast<size_t>(workers);  // the caller
+    const double ts = trace != nullptr ? trace->NowMicros() : 0.0;
+    EvaluateMaskRange(prepared[tasks[i].plan_index], tasks[i], &state,
+                      &per_slot[slot]);
+    if (trace != nullptr) {
+      trace->AddComplete(
+          "enum.chunk", "enumerator", ts, trace->NowMicros() - ts,
+          options_.trace_pid, static_cast<int>(slot),
+          {obs::IntArg("plan", static_cast<int64_t>(tasks[i].plan_index)),
+           obs::IntArg("mask_lo", static_cast<int64_t>(tasks[i].lo)),
+           obs::IntArg("mask_hi", static_cast<int64_t>(tasks[i].hi))});
     }
-  }
+  });
   for (const EnumerationStats& slot : per_slot) stats_.MergeFrom(slot);
   stats_.tasks_executed += tasks.size();
-  if (pool_ != nullptr) {
-    stats_.tasks_stolen +=
-        pool_->stats().tasks_stolen - pool_before.tasks_stolen;
-  }
+  stats_.tasks_stolen +=
+      pool_->stats().tasks_stolen - pool_before.tasks_stolen;
 
   if (state.has_error) return state.error;
   if (!state.found) {
@@ -488,43 +437,17 @@ Result<FtPlanChoice> FtPlanEnumerator::FindBest(
 
   // Reconstruct the winner from its (plan, mask) id — cheaper than
   // copying plan + path under the candidate lock on every improvement,
-  // and exactly reproducible.
+  // and exactly reproducible: Estimate runs the same cost pass.
   const PreparedPlan& wp = prepared[state.best_plan];
   FtPlanChoice best;
   best.plan_index = state.best_plan;
   best.plan = wp.plan;
   best.config = MaterializationConfig::FromFreeMask(wp.plan, state.best_mask);
-  best.estimated_cost = state.best_cost;
-  XDBFT_ASSIGN_OR_RETURN(
-      CollapsedPlan cp,
-      CollapsedPlan::Create(wp.plan, best.config,
-                            model_.context().model.pipe_constant));
-  PlacementResult placement;
-  if (state.placed) {
-    placement = ComputePlacement(cp, state.pparams, state.fparams,
-                                 state.wal);
-    best.placement_groups = placement.groups;
-  }
-  double dom_cost = 0.0;
-  cp.ForEachPath([&](const CollapsedPath& path) {
-    double tpt = 0.0;
-    for (CollapsedId id : path) {
-      const size_t i = static_cast<size_t>(id);
-      tpt += state.placed
-                 ? CollapsedOpTotalRuntime(placement.placed_cost[i],
-                                           cp.op(id).lineage_volume,
-                                           state.fparams, state.wal,
-                                           placement.refetch_cost[i])
-                 : CollapsedOpTotalRuntime(cp.op(id).total_cost(),
-                                           cp.op(id).lineage_volume,
-                                           state.fparams, state.wal);
-    }
-    if (tpt > dom_cost) {
-      dom_cost = tpt;
-      best.dominant_path = path;
-    }
-    return true;
-  });
+  XDBFT_ASSIGN_OR_RETURN(FtPlanEstimate est,
+                         model_.Estimate(wp.plan, best.config));
+  best.estimated_cost = est.dominant_cost;
+  best.dominant_path = std::move(est.dominant_path);
+  best.placement_groups = std::move(est.placement_groups);
   return best;
 }
 

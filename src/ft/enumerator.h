@@ -5,13 +5,14 @@
 // model, applies pruning rules 1-3, and returns the fault-tolerant plan
 // with the shortest dominant path.
 //
-// The search runs on a work-stealing TaskPool when num_threads > 1:
-// candidate plans and, within a plan, contiguous mask ranges of the
-// configuration space become tasks; rule-3 state is shared through an
-// atomic cost bound plus a sharded, mutex-striped dominant-path memo; and
-// the winner is selected by the total order (cost, plan index, mask), so
-// the result is bit-identical to the sequential search at any thread
-// count (see DESIGN.md "Concurrency model").
+// The search runs on a work-stealing TaskPool (zero workers, i.e. inline
+// on the caller, at one thread): candidate plans and, within a plan,
+// contiguous mask ranges of the configuration space become tasks; rule-3
+// state is shared through an atomic cost bound plus a sharded,
+// mutex-striped dominant-path memo; and the winner is selected by the
+// total order (cost, plan index, mask), so the result is bit-identical
+// to the 1-thread search at any thread count (see DESIGN.md
+// "Concurrency model").
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,7 @@ struct EnumerationOptions {
   /// Guard against runaway 2^f enumeration; FindBest fails if a candidate
   /// plan still has more free operators after rules 1-2.
   int max_free_operators = 24;
-  /// Worker threads for FindBest: 1 = sequential (default), 0 = use
+  /// Worker threads for FindBest: 1 = the caller alone (default), 0 = use
   /// std::thread::hardware_concurrency(), N > 1 = that many workers. The
   /// selected [P, M_P] and cost are identical at every setting.
   int num_threads = 1;

@@ -57,22 +57,27 @@ Result<AccuracyReport> BuildAccuracyReport(const plan::Plan& plan,
       CollapsedPlan cp,
       CollapsedPlan::Create(plan, config, context.model.pipe_constant));
   const FailureParams params = context.MakeFailureParams();
+  const double mtbf = params.effective_mtbf_cost();
+  // The rows read the estimate's own cost pass: T(c) is the pass's, and
+  // gamma, a(c) and w(c) are those T(c) was priced with (durable t at the
+  // burst-adjusted MTBF).
+  FtCostModel model(context);
+  const PlacementResult pass = model.CostPass(cp);
 
   AccuracyReport out;
   out.operators.reserve(cp.ops().size());
   for (const CollapsedOp& c : cp.ops()) {
+    const PlacedOp& placed = pass.ops[static_cast<size_t>(c.id)];
     PredictedOperator p;
     p.label = StrFormat("c%d:%s", c.id, plan.node(c.anchor).label.c_str());
-    p.t = c.total_cost();
-    p.gamma = SuccessProbability(p.t, params.mtbf_cost);
-    p.attempts =
-        ExpectedAttempts(p.t, params.mtbf_cost, params.success_target);
+    p.t = placed.durable_t;
+    p.gamma = SuccessProbability(p.t, mtbf);
+    p.attempts = ExpectedAttempts(p.t, mtbf, params.success_target);
     p.wasted = WastedTime(p.t, params);
-    p.total = OperatorTotalRuntime(p.t, params);
+    p.total = placed.total;
     out.predicted_attempts += p.attempts;
     out.operators.push_back(std::move(p));
   }
-  FtCostModel model(context);
   XDBFT_ASSIGN_OR_RETURN(FtPlanEstimate est, model.Estimate(cp));
   out.predicted_runtime = est.dominant_cost;
   return out;

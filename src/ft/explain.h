@@ -57,14 +57,17 @@ struct ObservedExecution {
   double runtime_seconds = 0.0;
 };
 
-/// \brief Predicted failure behavior of one collapsed operator (§3.5).
+/// \brief Predicted failure behavior of one collapsed operator (§3.5), as
+/// the estimate's cost pass priced it.
 struct PredictedOperator {
   std::string label;
-  double t = 0.0;         ///< t(c), cost units
+  /// Durable runtime in cost units: t(c) plus remote-read and WAL
+  /// log-write overheads (t(c) itself when both are off).
+  double t = 0.0;
   double gamma = 0.0;     ///< success probability of one attempt
-  double attempts = 0.0;  ///< a(c), Eq. 6
+  double attempts = 0.0;  ///< a(c), Eq. 6, at the burst-adjusted MTBF
   double wasted = 0.0;    ///< w(c), Eq. 3/4
-  double total = 0.0;     ///< T(c), Eq. 8
+  double total = 0.0;     ///< T(c), Eq. 8: the cost pass's own value
 };
 
 /// \brief Fig. 12-style predicted-vs-observed report for [plan, config]:

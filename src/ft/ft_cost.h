@@ -37,46 +37,71 @@ struct PlacementParams {
   }
 };
 
-/// \brief Deterministic placement of a collapsed plan's operators onto
-/// shared-fate groups, plus the per-operator placed costs.
-struct PlacementResult {
-  /// Placement group per CollapsedId (empty when placement is inactive).
-  std::vector<int> groups;
-  /// Placed runtime t_p(c) = t(c) + penalty * sum of remote input
-  /// materialize costs, per CollapsedId.
-  std::vector<double> placed_cost;
-  /// Extra recovery charge per attempt: rho * sum of co-placed input
-  /// materialize costs, per CollapsedId.
-  std::vector<double> refetch_cost;
-};
-
 /// \brief Write-ahead-lineage dimensions of the cost model
-/// (arXiv:2403.08062): when enabled, every collapsed operator logs the
-/// lineage of its internal intermediates before results flow downstream
-/// (runtime grows by write_cost * lineage_volume) and recovery replays from
-/// the last logged frontier (only replay_factor of the wasted time is
-/// re-paid per attempt). Disabled (the default) is bit-identical to the
-/// paper's recompute-from-inputs model.
+/// (arXiv:2403.08062): every collapsed operator logs the lineage of its
+/// internal intermediates before results flow downstream (runtime grows by
+/// write_cost * lineage_volume) and recovery replays from the last logged
+/// frontier (only replay_factor of the wasted time is re-paid per
+/// attempt). The defaults are WAL disabled — no log writes, full
+/// recomputation — which is the paper's recompute-from-inputs model.
 struct WalParams {
-  bool enabled = false;
   double write_cost = 0.0;
   double replay_factor = 1.0;
+
+  /// \brief Durable runtime d(c) = t + write_cost * lineage_volume.
+  double DurableRuntime(double t, double lineage_volume) const {
+    return t + write_cost * lineage_volume;
+  }
 };
 
-/// \brief T(c) of one collapsed operator under the active recovery
-/// discipline: plain Eq. 8 (`OperatorTotalRuntime`) when WAL is disabled;
-/// when enabled, the durable runtime t + write_cost * lineage_volume with
-/// the wasted time discounted by replay_factor. The one place that turns
-/// WalParams into a durable t and RecoveryTerms.
-double CollapsedOpTotalRuntime(double t, double lineage_volume,
-                               const FailureParams& fparams,
+/// \brief T(c) of one collapsed operator from its durable runtime d(c):
+/// Eq. 8 at d with the wasted time discounted by replay_factor, plus
+/// `extra_cost_per_attempt` per attempt. The one place that turns
+/// WalParams into RecoveryTerms.
+double CollapsedOpTotalRuntime(double durable_t, const FailureParams& fparams,
                                const WalParams& wal,
                                double extra_cost_per_attempt = 0.0);
 
-/// \brief Greedily assign each collapsed operator (in ascending = topological
-/// id order) to the group minimizing its T(c) given the already-placed
-/// inputs; ties break toward the lowest group id. A pure function of
-/// (cp, pparams, fparams, wal) — bit-identical at any thread count.
+/// \brief One collapsed operator's values in a configuration's cost pass.
+struct PlacedOp {
+  /// Shared-fate group (always 0 with one group).
+  int group = 0;
+  /// Durable runtime: t(c) + penalty * (materialize cost of inputs read
+  /// from another group) + write_cost * lineage_volume. The t that the
+  /// recovery terms, rule 3 and the dominant-path memo see.
+  double durable_t = 0.0;
+  /// Extra recovery charge per attempt: rho * (materialize cost of inputs
+  /// co-placed in the same group).
+  double refetch = 0.0;
+  /// T(c) (Eq. 8) in the chosen group.
+  double total = 0.0;
+};
+
+/// \brief The cost pass over one configuration: each collapsed operator's
+/// group, durable runtime, refetch charge and T(c), indexed by
+/// CollapsedId. Placement, bursts and WAL are parameter values of the
+/// pass, not branches: with one group and no bursts every operator sits
+/// in group 0 with no remote reads and refetch = 0, and with WAL disabled
+/// too durable_t = t(c) and T(c) is plain Eq. 8, bit for bit.
+struct PlacementResult {
+  std::vector<PlacedOp> ops;
+
+  /// \brief TPt (Eq. 7): the sum of T(c) along `path`.
+  double PathCost(const CollapsedPath& path) const {
+    double total = 0.0;
+    for (CollapsedId id : path) total += ops[static_cast<size_t>(id)].total;
+    return total;
+  }
+
+  /// \brief Placement group per CollapsedId.
+  std::vector<int> groups() const;
+};
+
+/// \brief The cost pass: greedily assign each collapsed operator (in
+/// ascending = topological id order) to the group minimizing its T(c)
+/// given the already-placed inputs, ties toward the lowest group id, and
+/// keep that group's values. A pure function of (cp, pparams, fparams,
+/// wal) — bit-identical at any thread count. One allocation per call.
 PlacementResult ComputePlacement(const CollapsedPlan& cp,
                                  const PlacementParams& pparams,
                                  const FailureParams& fparams,
@@ -129,12 +154,11 @@ struct FtCostContext {
   }
 
   /// \brief Write-ahead-lineage dimensions from the model knobs.
+  /// Disabled WAL is the identity parameters, whatever the write cost and
+  /// replay factor say.
   WalParams MakeWalParams() const {
-    WalParams w;
-    w.enabled = model.wal_enabled;
-    w.write_cost = model.wal_write_cost;
-    w.replay_factor = model.wal_replay_factor;
-    return w;
+    if (!model.wal_enabled) return {};
+    return {model.wal_write_cost, model.wal_replay_factor};
   }
 
   Status Validate() const {
@@ -166,8 +190,12 @@ class FtCostModel {
 
   const FtCostContext& context() const { return context_; }
 
-  /// \brief T(c) (Eq. 8) for one collapsed operator.
+  /// \brief T(c) (Eq. 8) for one collapsed operator priced on its own (no
+  /// placement).
   double OperatorCost(const CollapsedOp& c) const;
+
+  /// \brief The cost pass (ComputePlacement) of `cp` under this context.
+  PlacementResult CostPass(const CollapsedPlan& cp) const;
 
   /// \brief TPt (Eq. 7): total runtime of one execution path under
   /// mid-query failures.

@@ -37,7 +37,9 @@ bool BitIdentical(double a, double b) {
 void ExpectSameScheme(const ft::SchemePlan& served,
                       const ft::SchemePlan& fresh) {
   EXPECT_EQ(served.plan_index, fresh.plan_index);
+  EXPECT_EQ(served.recovery, fresh.recovery);
   EXPECT_TRUE(served.config == fresh.config);
+  EXPECT_EQ(served.placement_groups, fresh.placement_groups);
   EXPECT_TRUE(BitIdentical(served.estimated_cost, fresh.estimated_cost))
       << served.estimated_cost << " vs " << fresh.estimated_cost;
   EXPECT_EQ(served.plan.name(), fresh.plan.name());
@@ -245,6 +247,37 @@ TEST(AdvisorServiceTest, CachedAnswerBitIdenticalWithBurstsOn) {
   ExpectSameScheme(first.ValueOrDie(), fresh.ValueOrDie());
   ExpectSameScheme(second.ValueOrDie(), fresh.ValueOrDie());
   EXPECT_EQ(service.stats().hits, 1u);
+}
+
+// Under a WAL-enabled model the answer recovers by replaying the logged
+// frontier; a miss and a hit must both say so, exactly like a fresh
+// ApplyCostBasedScheme.
+TEST(AdvisorServiceTest, CachedAnswerKeepsWalRecoveryMode) {
+  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
+  tpch::TpchPlanConfig cfg;
+  cfg.scale_factor = 100.0;
+  auto plan = tpch::BuildQuery(tpch::TpchQuery::kQ5, cfg);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  AdvisorRequest request = MakeRequest(*plan);
+  request.model.wal_enabled = true;
+  request.model.wal_write_cost = 0.05;
+  ft::FtCostContext context;
+  context.cluster = request.cluster;
+  context.model = request.model;
+  const auto fresh = ft::ApplyCostBasedScheme(request.candidates, context,
+                                              service.options().enumeration);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  ASSERT_EQ(fresh.ValueOrDie().recovery, ft::RecoveryMode::kWalReplay);
+  const auto miss = service.Advise(request);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  const auto hit = service.Advise(request);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(service.stats().misses, 1u);
+  EXPECT_EQ(service.stats().hits, 1u);
+  EXPECT_EQ(miss.ValueOrDie().recovery, ft::RecoveryMode::kWalReplay);
+  EXPECT_EQ(hit.ValueOrDie().recovery, ft::RecoveryMode::kWalReplay);
+  ExpectSameScheme(miss.ValueOrDie(), fresh.ValueOrDie());
+  ExpectSameScheme(hit.ValueOrDie(), fresh.ValueOrDie());
 }
 
 }  // namespace

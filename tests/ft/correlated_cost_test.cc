@@ -1,6 +1,6 @@
 // Correlated-failure + placement-aware cost model: ComputePlacement
-// determinism and tie-breaking, the placement fast path's bit-identity
-// with the pre-placement arithmetic, context validation of the derived
+// determinism and tie-breaking, the inert pass's bit-identity with the
+// pre-placement arithmetic, context validation of the derived
 // parameters, and the enumerator's thread-count determinism with the
 // correlated model switched on.
 #include <bit>
@@ -49,9 +49,8 @@ bool BitIdentical(double a, double b) {
 }
 
 TEST(ComputePlacementTest, InactiveParamsDegenerateToGroupZero) {
-  // Called directly with inactive params, placement degenerates to one
-  // group with unchanged costs (Estimate itself skips the call entirely
-  // and leaves FtPlanEstimate::placement_groups empty).
+  // With inactive params the pass degenerates to one group with unchanged
+  // costs (Estimate then leaves FtPlanEstimate::placement_groups empty).
   const Plan p = ChainPlan();
   auto cp = CollapsedPlan::Create(p, MaterializationConfig::AllMat(p));
   ASSERT_TRUE(cp.ok());
@@ -59,14 +58,14 @@ TEST(ComputePlacementTest, InactiveParamsDegenerateToGroupZero) {
   EXPECT_FALSE(pparams.active());
   const PlacementResult r =
       ComputePlacement(*cp, pparams, BaseContext().MakeFailureParams());
-  ASSERT_EQ(r.groups.size(), cp->num_ops());
+  ASSERT_EQ(r.ops.size(), cp->num_ops());
   for (size_t i = 0; i < cp->num_ops(); ++i) {
-    EXPECT_EQ(r.groups[i], 0) << i;
+    EXPECT_EQ(r.ops[i].group, 0) << i;
     EXPECT_TRUE(BitIdentical(
-        r.placed_cost[i],
+        r.ops[i].durable_t,
         cp->op(static_cast<CollapsedId>(i)).total_cost()))
         << i;
-    EXPECT_TRUE(BitIdentical(r.refetch_cost[i], 0.0)) << i;
+    EXPECT_TRUE(BitIdentical(r.ops[i].refetch, 0.0)) << i;
   }
 }
 
@@ -82,12 +81,12 @@ TEST(ComputePlacementTest, DeterministicAcrossCalls) {
   const FailureParams fparams = ctx.MakeFailureParams();
   const PlacementResult a = ComputePlacement(*cp, pparams, fparams);
   const PlacementResult b = ComputePlacement(*cp, pparams, fparams);
-  ASSERT_EQ(a.groups.size(), cp->num_ops());
-  EXPECT_EQ(a.groups, b.groups);
-  ASSERT_EQ(a.placed_cost.size(), b.placed_cost.size());
-  for (size_t i = 0; i < a.placed_cost.size(); ++i) {
-    EXPECT_TRUE(BitIdentical(a.placed_cost[i], b.placed_cost[i])) << i;
-    EXPECT_TRUE(BitIdentical(a.refetch_cost[i], b.refetch_cost[i])) << i;
+  ASSERT_EQ(a.ops.size(), cp->num_ops());
+  EXPECT_EQ(a.groups(), b.groups());
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (size_t i = 0; i < a.ops.size(); ++i) {
+    EXPECT_TRUE(BitIdentical(a.ops[i].durable_t, b.ops[i].durable_t)) << i;
+    EXPECT_TRUE(BitIdentical(a.ops[i].refetch, b.ops[i].refetch)) << i;
   }
 }
 
@@ -104,8 +103,8 @@ TEST(ComputePlacementTest, NoPreferenceTiesBreakToLowestGroup) {
   ASSERT_TRUE(pparams.active());
   const PlacementResult r =
       ComputePlacement(*cp, pparams, BaseContext().MakeFailureParams());
-  ASSERT_EQ(r.groups.size(), cp->num_ops());
-  for (int g : r.groups) EXPECT_EQ(g, 0);
+  ASSERT_EQ(r.ops.size(), cp->num_ops());
+  for (int g : r.groups()) EXPECT_EQ(g, 0);
 }
 
 TEST(ComputePlacementTest, RemotePenaltyCoPlacesChain) {
@@ -119,10 +118,10 @@ TEST(ComputePlacementTest, RemotePenaltyCoPlacesChain) {
   pparams.remote_read_penalty = 0.5;
   const PlacementResult r =
       ComputePlacement(*cp, pparams, BaseContext().MakeFailureParams());
-  ASSERT_EQ(r.groups.size(), cp->num_ops());
-  for (size_t i = 0; i < r.groups.size(); ++i) {
-    EXPECT_EQ(r.groups[i], r.groups[0]) << i;
-    EXPECT_TRUE(BitIdentical(r.refetch_cost[i], 0.0)) << i;
+  ASSERT_EQ(r.ops.size(), cp->num_ops());
+  for (size_t i = 0; i < r.ops.size(); ++i) {
+    EXPECT_EQ(r.ops[i].group, r.ops[0].group) << i;
+    EXPECT_TRUE(BitIdentical(r.ops[i].refetch, 0.0)) << i;
   }
 }
 
@@ -139,7 +138,7 @@ TEST(ComputePlacementTest, CorrelatedShareSpreadsAwayFromInputs) {
   ctx.cluster.burst_mtbf_seconds = 120.0;  // heavy correlation
   const PlacementResult r = ComputePlacement(
       *cp, ctx.MakePlacementParams(), ctx.MakeFailureParams());
-  ASSERT_EQ(r.groups.size(), cp->num_ops());
+  ASSERT_EQ(r.ops.size(), cp->num_ops());
   bool spread_somewhere = false;
   for (CollapsedId id = 0; id < static_cast<CollapsedId>(cp->num_ops());
        ++id) {
@@ -148,13 +147,13 @@ TEST(ComputePlacementTest, CorrelatedShareSpreadsAwayFromInputs) {
       // ties and the tie-break keeps them together. Materialized inputs
       // must be avoided.
       if (cp->op(input).materialize_cost <= 0.0) continue;
-      EXPECT_NE(r.groups[static_cast<size_t>(id)],
-                r.groups[static_cast<size_t>(input)])
+      EXPECT_NE(r.ops[static_cast<size_t>(id)].group,
+                r.ops[static_cast<size_t>(input)].group)
           << "op " << id << " co-placed with input " << input;
       spread_somewhere = true;
     }
     EXPECT_TRUE(
-        BitIdentical(r.refetch_cost[static_cast<size_t>(id)], 0.0));
+        BitIdentical(r.ops[static_cast<size_t>(id)].refetch, 0.0));
   }
   EXPECT_TRUE(spread_somewhere);
 }

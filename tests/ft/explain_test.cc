@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "ft/enumerator.h"
 
 namespace xdbft::ft {
@@ -135,6 +138,57 @@ TEST(ExplainTest, AccuracyReportRendersObservedNextToPredicted) {
   EXPECT_NE(s.find("2 failures"), std::string::npos);
   EXPECT_NE(s.find("a(c)"), std::string::npos);
   EXPECT_NE(s.find("T(c)"), std::string::npos);
+}
+
+// With WAL, bursts and two placement groups on, every row must be the
+// estimate's own per-operator pricing: the rows' T(c) along the dominant
+// path sum to the predicted runtime bit for bit, and a(c) is priced at the
+// durable t against the burst-adjusted MTBF.
+TEST(ExplainTest, AccuracyReportRowsMatchEstimateUnderWalBurstsPlacement) {
+  Plan p = ChainPlan();
+  auto config = MaterializationConfig::NoMat(p);
+  config.set_materialized(1, true);
+  FtCostContext ctx = Ctx(400.0);
+  ctx.cluster.burst_mtbf_seconds = 800.0;
+  ctx.cluster.burst_fanout = 0.5;
+  ctx.cluster.num_placement_groups = 2;
+  ctx.cluster.remote_read_penalty = 0.1;
+  ctx.model.wal_enabled = true;
+  ctx.model.wal_write_cost = 0.05;
+  auto report = BuildAccuracyReport(p, config, ctx);
+  ASSERT_TRUE(report.ok()) << report.status();
+  auto cp = CollapsedPlan::Create(p, config, ctx.model.pipe_constant);
+  ASSERT_TRUE(cp.ok());
+  ASSERT_EQ(report->operators.size(), cp->num_ops());
+  const FtCostModel model(ctx);
+  auto est = model.Estimate(*cp);
+  ASSERT_TRUE(est.ok()) << est.status();
+
+  double sum = 0.0;
+  for (CollapsedId id : est->dominant_path) {
+    sum += report->operators[static_cast<size_t>(id)].total;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(sum),
+            std::bit_cast<uint64_t>(report->predicted_runtime))
+      << sum << " vs " << report->predicted_runtime;
+
+  const FailureParams fparams = ctx.MakeFailureParams();
+  int logged_ops = 0;
+  for (size_t i = 0; i < cp->num_ops(); ++i) {
+    const PredictedOperator& row = report->operators[i];
+    const CollapsedOp& op = cp->op(static_cast<CollapsedId>(i));
+    // The durable t carries the log writes of the pipelined intermediates.
+    if (op.lineage_volume > 0.0) {
+      ++logged_ops;
+      EXPECT_GT(row.t, op.total_cost()) << row.label;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(row.attempts),
+              std::bit_cast<uint64_t>(ExpectedAttempts(
+                  row.t, fparams.effective_mtbf_cost(),
+                  fparams.success_target)))
+        << row.label;
+  }
+  EXPECT_GT(logged_ops, 0);
 }
 
 }  // namespace

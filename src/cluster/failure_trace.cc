@@ -1,6 +1,7 @@
 #include "cluster/failure_trace.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace xdbft::cluster {
 
@@ -22,18 +23,6 @@ void FailureTrace::ExtendPast(double t) {
     times_.push_back(next);
     generated_until_ = next;
   }
-}
-
-double FailureTrace::NextFailureAfter(double t) {
-  double next = kNeverFails;
-  if (mtbf_ != kNeverFails) {
-    ExtendPast(t);
-    // ExtendPast guarantees times_.back() > t.
-    next = *std::upper_bound(times_.begin(), times_.end(), t);
-  }
-  auto it = std::upper_bound(scheduled_.begin(), scheduled_.end(), t);
-  if (it != scheduled_.end()) next = std::min(next, *it);
-  return next;
 }
 
 size_t FailureTrace::CountFailuresUntil(double t) {
@@ -135,17 +124,32 @@ ClusterTrace ClusterTrace::FromScheduled(
 }
 
 double ClusterTrace::NextFailureAfter(double t, int* which_node) {
-  double best = kNeverFails;
-  int best_node = -1;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const double f = nodes_[i].NextFailureAfter(t);
-    if (f < best) {
-      best = f;
-      best_node = static_cast<int>(i);
+  const std::greater<Entry> later;
+  if (!(t >= cursor_)) {
+    // First query, or a rewind: ask every node.
+    heap_.clear();
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      const double f = nodes_[i].NextFailureAfter(t);
+      if (f != kNeverFails) heap_.emplace_back(f, static_cast<int>(i));
+    }
+    std::make_heap(heap_.begin(), heap_.end(), later);
+  } else {
+    // Only nodes whose next failure is no longer after t move on.
+    while (!heap_.empty() && heap_.front().first <= t) {
+      std::pop_heap(heap_.begin(), heap_.end(), later);
+      Entry& e = heap_.back();
+      e.first = nodes_[static_cast<size_t>(e.second)].NextFailureAfter(t);
+      if (e.first == kNeverFails) {
+        heap_.pop_back();
+      } else {
+        std::push_heap(heap_.begin(), heap_.end(), later);
+      }
     }
   }
-  if (which_node != nullptr) *which_node = best_node;
-  return best;
+  cursor_ = t;
+  const Entry next = heap_.empty() ? Entry{kNeverFails, -1} : heap_.front();
+  if (which_node != nullptr) *which_node = next.second;
+  return next.first;
 }
 
 std::vector<ClusterTrace> GenerateTraceSet(const cost::ClusterStats& stats,

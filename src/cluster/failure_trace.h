@@ -4,7 +4,9 @@
 // lambda = 1/MTBF and used the same set of traces for injecting failures").
 #pragma once
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,8 +35,21 @@ class FailureTrace {
   FailureTrace(double mtbf_seconds, uint64_t seed,
                std::vector<double> scheduled);
 
-  /// \brief Earliest failure time strictly greater than `t`.
-  double NextFailureAfter(double t);
+  /// \brief Earliest failure time strictly greater than `t`. Inline: the
+  /// simulator asks it once per retry unit.
+  double NextFailureAfter(double t) {
+    double next = kNeverFails;
+    if (mtbf_ != kNeverFails) {
+      if (generated_until_ <= t) ExtendPast(t);
+      // Now times_.back() > t.
+      next = *std::upper_bound(times_.begin(), times_.end(), t);
+    }
+    if (!scheduled_.empty()) {
+      auto it = std::upper_bound(scheduled_.begin(), scheduled_.end(), t);
+      if (it != scheduled_.end()) next = std::min(next, *it);
+    }
+    return next;
+  }
 
   /// \brief Number of failures in (0, t]. Extends the trace as needed.
   size_t CountFailuresUntil(double t);
@@ -42,11 +57,41 @@ class FailureTrace {
   double mtbf() const { return mtbf_; }
 
  private:
+  /// Ascending failure times: a vector whose first few elements live
+  /// inline. A simulated query sees one or two failures per node, so a
+  /// heap block per node trace would be most of the simulator's
+  /// allocations.
+  class TimeList {
+   public:
+    const double* begin() const { return data(); }
+    const double* end() const { return data() + size_; }
+    bool empty() const { return size_ == 0; }
+    double back() const { return data()[size_ - 1]; }
+    void push_back(double t) {
+      if (size_ < kInline) {
+        inline_[size_++] = t;
+        return;
+      }
+      if (size_ == kInline) spilled_.assign(inline_, inline_ + kInline);
+      spilled_.push_back(t);
+      ++size_;
+    }
+
+   private:
+    static constexpr size_t kInline = 4;
+    const double* data() const {
+      return size_ <= kInline ? inline_ : spilled_.data();
+    }
+    double inline_[kInline] = {};
+    size_t size_ = 0;
+    std::vector<double> spilled_;  // all times, once there are > kInline
+  };
+
   void ExtendPast(double t);
 
   double mtbf_;
   Rng rng_;
-  std::vector<double> times_;
+  TimeList times_;
   /// Deterministic extra failures merged into the process at query time.
   std::vector<double> scheduled_;
   double generated_until_ = 0.0;
@@ -77,7 +122,10 @@ struct BurstOptions {
   Status Validate() const;
 };
 
-/// \brief One failure trace per cluster node.
+/// \brief One failure trace per cluster node, plus a merged cluster-wide
+/// view of them: a min-heap of (next failure after the last query time,
+/// node), so a walk forward in time touches only the nodes that failed
+/// since the previous query instead of every node's trace.
 class ClusterTrace {
  public:
   /// \brief Independent per-node traces; node i is seeded with
@@ -102,14 +150,29 @@ class ClusterTrace {
       std::vector<std::vector<double>> scheduled);
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  /// \brief Node i's trace. Querying it never disturbs the merged view:
+  /// a node's failure times are fixed by its seed, and a query only
+  /// generates more of them.
   FailureTrace& node(int i) { return nodes_[static_cast<size_t>(i)]; }
 
   /// \brief Earliest failure strictly after `t` on any node; also reports
-  /// which node fails (-1 if none ever).
+  /// which node fails (-1 if none ever). Ties go to the lowest node index.
+  /// Amortised O(log n) per failure passed when `t` never decreases; a
+  /// query before the previous one rebuilds the merged view from every
+  /// node.
   double NextFailureAfter(double t, int* which_node = nullptr);
 
  private:
+  /// (failure time, node) entries, ordered by time and then node index.
+  using Entry = std::pair<double, int>;
+
   std::vector<FailureTrace> nodes_;
+  /// Min-heap (std::greater) holding, for every node that fails after
+  /// cursor_, its earliest failure strictly after cursor_. Nodes that
+  /// never fail again are absent.
+  std::vector<Entry> heap_;
+  /// Time of the last query; NaN until the first one builds heap_.
+  double cursor_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// \brief The standard experiment setup: `count` independent trace sets.

@@ -65,22 +65,23 @@ void LogAttempt(obs::AttemptTimeline* log, const std::string& label,
 // renders as 1 ms), keeping hour-long simulations navigable in the viewer.
 constexpr double kTraceUsPerSimSecond = 1000.0;
 
-void ClusterSimulator::TraceSpan(const std::string& name,
-                                 const std::string& category, double start_s,
-                                 double dur_s, int node_idx) const {
+void ClusterSimulator::TraceSpan(std::string_view name, const char* category,
+                                 double start_s, double dur_s,
+                                 int node_idx) const {
   if (options_.trace == nullptr) return;
-  options_.trace->AddComplete(name, category,
+  options_.trace->AddComplete(std::string(name), category,
                               start_s * kTraceUsPerSimSecond,
                               dur_s * kTraceUsPerSimSecond,
                               options_.trace_pid, node_idx);
 }
 
-void ClusterSimulator::TraceInstant(const std::string& name,
-                                    const std::string& category, double at_s,
+void ClusterSimulator::TraceInstant(std::string_view name,
+                                    const char* category, double at_s,
                                     int node_idx) const {
   if (options_.trace == nullptr) return;
-  options_.trace->AddInstant(name, category, at_s * kTraceUsPerSimSecond,
-                             options_.trace_pid, node_idx);
+  options_.trace->AddInstant(std::string(name), category,
+                             at_s * kTraceUsPerSimSecond, options_.trace_pid,
+                             node_idx);
 }
 
 template <typename FailureSource>
@@ -143,9 +144,12 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
   }
 }
 
-SimulationResult ClusterSimulator::Walk(
-    const CollapsedPlan& cp, const std::vector<std::string>& labels,
-    RecoveryMode recovery, ClusterTrace& trace, double start_time) const {
+SimulationResult ClusterSimulator::Walk(const Collapsed& collapsed,
+                                        RecoveryMode recovery,
+                                        ClusterTrace& trace,
+                                        double start_time) const {
+  const CollapsedPlan& cp = collapsed.cp;
+  const std::vector<std::string>& labels = collapsed.labels;
   SimulationResult result;
   bool aborted = false;
   // The query finished (or gave up) at `end`.
@@ -171,6 +175,7 @@ SimulationResult ClusterSimulator::Walk(
   const bool wal = recovery == RecoveryMode::kWalReplay;
   const double replay_factor = wal ? options_.wal_replay_factor : 1.0;
   static const std::string kNoLabel;
+  std::string seg_label;
   std::vector<double> finish(cp.num_ops(), start_time);
   for (const auto& c : cp.ops()) {  // ascending id = topological
     const std::string& label =
@@ -185,7 +190,7 @@ SimulationResult ClusterSimulator::Walk(
     double done = ready;
     for (int k = 0; k < trace.num_nodes(); ++k) {
       const double duration =
-          t * (1.0 + options_.partition_skew * NodeSkew(k));
+          t * collapsed.node_stretch[static_cast<size_t>(k)];
       const int segments =
           wal ? 1
               : ft::NumCheckpointSegments(duration,
@@ -193,7 +198,7 @@ SimulationResult ClusterSimulator::Walk(
       const double work = duration / static_cast<double>(segments);
       double completion = ready;
       for (int s = 0; s < segments && !aborted; ++s) {
-        std::string seg_label;
+        seg_label.clear();
         if (segments > 1 && !labels.empty()) {
           seg_label =
               StrFormat("%s [seg %d/%d]", label.c_str(), s + 1, segments);
@@ -220,14 +225,19 @@ SimulationResult ClusterSimulator::Walk(
   return conclude(end);
 }
 
-Result<SimulationResult> ClusterSimulator::Run(
-    const plan::Plan& plan, const MaterializationConfig& config,
-    RecoveryMode recovery, ClusterTrace& trace, double start_time) const {
-  XDBFT_RETURN_NOT_OK(stats_.Validate());
+Status ClusterSimulator::CheckNodeCount(const ClusterTrace& trace) const {
   if (trace.num_nodes() != stats_.num_nodes) {
     return Status::InvalidArgument(
         "trace node count does not match cluster");
   }
+  return Status::OK();
+}
+
+Result<ClusterSimulator::Collapsed> ClusterSimulator::Collapse(
+    const plan::Plan& plan, const MaterializationConfig& config,
+    const ClusterTrace& trace) const {
+  XDBFT_RETURN_NOT_OK(stats_.Validate());
+  XDBFT_RETURN_NOT_OK(CheckNodeCount(trace));
   XDBFT_ASSIGN_OR_RETURN(
       CollapsedPlan cp,
       CollapsedPlan::Create(plan, config, options_.pipe_constant));
@@ -243,7 +253,19 @@ Result<SimulationResult> ClusterSimulator::Run(
               : StrFormat("c%d", c.id));
     }
   }
-  SimulationResult result = Walk(cp, labels, recovery, trace, start_time);
+  std::vector<double> node_stretch;
+  node_stretch.reserve(static_cast<size_t>(stats_.num_nodes));
+  for (int k = 0; k < stats_.num_nodes; ++k) {
+    node_stretch.push_back(1.0 + options_.partition_skew * NodeSkew(k));
+  }
+  return Collapsed{std::move(cp), std::move(labels), std::move(node_stretch)};
+}
+
+Result<SimulationResult> ClusterSimulator::Run(
+    const plan::Plan& plan, const MaterializationConfig& config,
+    RecoveryMode recovery, ClusterTrace& trace, double start_time) const {
+  XDBFT_ASSIGN_OR_RETURN(Collapsed collapsed, Collapse(plan, config, trace));
+  SimulationResult result = Walk(collapsed, recovery, trace, start_time);
   result.runtime_p50 = result.runtime;
   result.runtime_p95 = result.runtime;
   return result;
@@ -266,8 +288,12 @@ Result<SimulationResult> ClusterSimulator::RunMany(
   std::vector<double> runtimes;
   std::vector<double> aborted_runtimes;
   runtimes.reserve(traces.size());
+  XDBFT_ASSIGN_OR_RETURN(Collapsed collapsed,
+                         Collapse(scheme.plan, scheme.config, traces[0]));
   for (auto& trace : traces) {
-    XDBFT_ASSIGN_OR_RETURN(SimulationResult r, Run(scheme, trace));
+    XDBFT_RETURN_NOT_OK(CheckNodeCount(trace));
+    const SimulationResult r =
+        Walk(collapsed, scheme.recovery, trace, /*start_time=*/0.0);
     agg.restarts += r.restarts;
     agg.failures_hit += r.failures_hit;
     if (r.completed) {

@@ -32,6 +32,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -162,6 +163,8 @@ class ClusterSimulator {
                                double start_time = 0.0) const;
 
   /// \brief Mean runtime over `traces` (the paper averages 10 traces).
+  /// The scheme is collapsed once and every trace walks that one
+  /// collapsed plan; the result equals a fold of per-trace Run calls.
   /// See the SimulationResult contract: `runtime`/percentiles aggregate
   /// the completed traces, aborted runs are surfaced via `aborted` (count)
   /// and `aborted_seconds` (mean time burned), and when every trace aborts
@@ -200,21 +203,34 @@ class ClusterSimulator {
                       FailureSource& failures, const RetryUnit& unit,
                       int* restarts, bool* aborted) const;
 
+  /// What every walk of one scheme shares: the collapsed plan, its
+  /// timeline labels (one per collapsed op, or none when neither a trace
+  /// nor a ledger is attached) and, per node k, the factor
+  /// 1 + partition_skew * u_k its durations take.
+  struct Collapsed {
+    ft::CollapsedPlan cp;
+    std::vector<std::string> labels;
+    std::vector<double> node_stretch;
+  };
+
+  /// The checks and the set-up behind Run and RunMany, in their error
+  /// order: cluster stats, `trace`'s node count, then the collapse.
+  Result<Collapsed> Collapse(const plan::Plan& plan,
+                             const ft::MaterializationConfig& config,
+                             const ClusterTrace& trace) const;
+  Status CheckNodeCount(const ClusterTrace& trace) const;
+
   /// The DAG walk behind Run: feeds each recovery mode's retry units (see
-  /// the file comment) and folds their completion times. `labels` holds
-  /// one timeline label per collapsed op, or is empty when neither a
-  /// trace nor a ledger is attached.
-  SimulationResult Walk(const ft::CollapsedPlan& cp,
-                        const std::vector<std::string>& labels,
-                        ft::RecoveryMode recovery, ClusterTrace& trace,
-                        double start_time) const;
+  /// the file comment) and folds their completion times.
+  SimulationResult Walk(const Collapsed& collapsed, ft::RecoveryMode recovery,
+                        ClusterTrace& trace, double start_time) const;
 
   /// Virtual-time trace emission helpers (no-ops when options_.trace is
   /// null). Durations/timestamps are simulated seconds.
-  void TraceSpan(const std::string& name, const std::string& category,
-                 double start_s, double dur_s, int node_idx) const;
-  void TraceInstant(const std::string& name, const std::string& category,
-                    double at_s, int node_idx) const;
+  void TraceSpan(std::string_view name, const char* category, double start_s,
+                 double dur_s, int node_idx) const;
+  void TraceInstant(std::string_view name, const char* category, double at_s,
+                    int node_idx) const;
 
   cost::ClusterStats stats_;
   SimulationOptions options_;

@@ -1,13 +1,18 @@
 // Result<T>: a value-or-Status, the library's counterpart to arrow::Result.
 #pragma once
 
-#include <cassert>
 #include <utility>
 #include <variant>
 
 #include "common/status.h"
 
 namespace xdbft {
+
+namespace internal {
+/// Prints `status` to stderr and aborts: a Result's value was read while
+/// it held an error. Out of line to keep the accessors small.
+[[noreturn]] void DieOnErrorResult(const Status& status);
+}  // namespace internal
 
 /// \brief Holds either a successfully computed value of type T or the Status
 /// describing why the computation failed.
@@ -33,18 +38,19 @@ class Result {
     return std::get<Status>(v_);
   }
 
-  /// \brief Access the contained value. Requires ok().
+  /// \brief Access the contained value. Requires ok(): on an error the
+  /// process aborts with the status message, in every build type.
   const T& ValueOrDie() const& {
-    assert(ok());
-    return std::get<T>(v_);
+    if (!ok()) internal::DieOnErrorResult(std::get<Status>(v_));
+    return *std::get_if<T>(&v_);
   }
   T& ValueOrDie() & {
-    assert(ok());
-    return std::get<T>(v_);
+    if (!ok()) internal::DieOnErrorResult(std::get<Status>(v_));
+    return *std::get_if<T>(&v_);
   }
   T ValueOrDie() && {
-    assert(ok());
-    return std::move(std::get<T>(v_));
+    if (!ok()) internal::DieOnErrorResult(std::get<Status>(v_));
+    return std::move(*std::get_if<T>(&v_));
   }
 
   const T& operator*() const& { return ValueOrDie(); }

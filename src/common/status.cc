@@ -1,5 +1,10 @@
 #include "common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
+#include "common/result.h"
+
 namespace xdbft {
 
 const char* StatusCodeToString(StatusCode code) {
@@ -38,6 +43,12 @@ std::string Status::ToString() const {
 
 std::ostream& operator<<(std::ostream& os, const Status& s) {
   return os << s.ToString();
+}
+
+void internal::DieOnErrorResult(const Status& status) {
+  std::fprintf(stderr, "Result::ValueOrDie on an error: %s\n",
+               status.ToString().c_str());
+  std::abort();
 }
 
 }  // namespace xdbft

@@ -16,15 +16,6 @@ Status CheckpointParams::Validate() const {
   return Status::OK();
 }
 
-int NumCheckpointSegments(double t, double interval) {
-  if (interval <= 0.0 || t <= interval) return 1;
-  // Saturate: casting a ceil() beyond INT_MAX (or NaN) to int is
-  // undefined.
-  const double k = std::ceil(t / interval);
-  constexpr int kMax = std::numeric_limits<int>::max();
-  return k < static_cast<double>(kMax) ? static_cast<int>(k) : kMax;
-}
-
 double OperatorTotalRuntimeWithCheckpoints(double t,
                                            const CheckpointParams& ckpt,
                                            const FailureParams& params) {

@@ -14,6 +14,9 @@
 // exact minimizer over the percentile model.
 #pragma once
 
+#include <cmath>
+#include <limits>
+
 #include "common/result.h"
 #include "ft/failure_math.h"
 
@@ -33,7 +36,14 @@ struct CheckpointParams {
 /// \brief Number of segments an operator of duration `t` splits into under
 /// `interval` (>= 1; 1 when checkpointing is disabled or t <= interval;
 /// saturates at INT_MAX).
-int NumCheckpointSegments(double t, double interval);
+inline int NumCheckpointSegments(double t, double interval) {
+  if (interval <= 0.0 || t <= interval) return 1;
+  // Saturate: casting a ceil() beyond INT_MAX (or NaN) to int is
+  // undefined.
+  const double k = std::ceil(t / interval);
+  constexpr int kMax = std::numeric_limits<int>::max();
+  return k < static_cast<double>(kMax) ? static_cast<int>(k) : kMax;
+}
 
 /// \brief Expected total runtime of an operator of duration `t` with
 /// checkpointing: k segments, each re-tried independently per Eq. 8.

@@ -1,8 +1,6 @@
 #include "ft/collapsed_plan.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -15,132 +13,161 @@ using plan::Plan;
 Result<CollapsedPlan> CollapsedPlan::Create(
     const Plan& plan, const MaterializationConfig& config,
     double pipe_constant) {
+  CollapsedPlan cp;
+  XDBFT_RETURN_NOT_OK(cp.Rebuild(plan, config, pipe_constant));
+  return cp;
+}
+
+Status CollapsedPlan::Rebuild(const Plan& plan,
+                              const MaterializationConfig& config,
+                              double pipe_constant) {
   XDBFT_RETURN_NOT_OK(plan.Validate());
   XDBFT_RETURN_NOT_OK(config.Validate(plan));
   if (!(pipe_constant > 0.0) || pipe_constant > 1.0) {
     return Status::InvalidArgument("pipe_constant must be in (0, 1]");
   }
 
-  CollapsedPlan cp;
-  std::map<OpId, CollapsedId> anchor_to_id;
+  // Per-operator scratch, indexed by OpId. The marks hold the id of the
+  // collapsed op that set them, so no collapsed op has to clear them.
+  struct Scratch {
+    CollapsedId collapsed = -1;  // collapsed op anchored here, if any
+    CollapsedId member_of = -1;  // o is in coll(member_of)
+    CollapsedId input_of = -1;   // o's collapsed op is an input of it
+    double longest = 0.0;        // max-tr internal path ending at o
+    OpId pred = plan::kInvalidOpId;  // o's predecessor on that path
+  };
+  std::vector<Scratch> scratch(plan.num_nodes());
+  std::vector<OpId> stack;
 
+  num_ops_ = 0;
   // Anchors in ascending (= topological) order so that input collapsed ops
   // exist before their consumers.
   for (const auto& node : plan.nodes()) {
     if (!config.materialized(node.id)) continue;
-    CollapsedOp c;
-    c.id = static_cast<CollapsedId>(cp.ops_.size());
+    if (num_ops_ == ops_.size()) ops_.emplace_back();
+    // Reuse a spare op's buffers; every field is rewritten below.
+    CollapsedOp& c = ops_[num_ops_];
+    c.id = static_cast<CollapsedId>(num_ops_++);
     c.anchor = node.id;
+    c.members.clear();
+    c.inputs.clear();
+    c.dominant_members.clear();
 
     // Collect coll(c): the anchor plus all non-materialized ancestors
     // reachable without crossing a materialized operator.
-    std::set<OpId> members;
-    std::set<CollapsedId> input_ids;
-    std::vector<OpId> stack = {node.id};
+    scratch[static_cast<size_t>(node.id)].member_of = c.id;
+    stack.assign(1, node.id);
     while (!stack.empty()) {
       const OpId o = stack.back();
       stack.pop_back();
-      if (!members.insert(o).second) continue;
+      c.members.push_back(o);
       for (OpId in : plan.node(o).inputs) {
+        Scratch& s = scratch[static_cast<size_t>(in)];
         if (config.materialized(in)) {
-          input_ids.insert(anchor_to_id.at(in));
-        } else {
+          if (s.input_of != c.id) {
+            s.input_of = c.id;
+            c.inputs.push_back(s.collapsed);
+          }
+        } else if (s.member_of != c.id) {
+          s.member_of = c.id;
           stack.push_back(in);
         }
       }
     }
-    c.members.assign(members.begin(), members.end());
-    c.inputs.assign(input_ids.begin(), input_ids.end());
+    std::sort(c.members.begin(), c.members.end());
+    std::sort(c.inputs.begin(), c.inputs.end());
 
     // Dominant internal path dom(c): the max-tr path over coll(c)'s
     // internal edges ending at the anchor (Eq. 1).
-    std::map<OpId, double> longest;
-    std::map<OpId, OpId> pred;
     for (OpId o : c.members) {  // ascending ids = topological
       double best_in = 0.0;
       OpId best_pred = plan::kInvalidOpId;
       for (OpId in : plan.node(o).inputs) {
-        if (!members.count(in)) continue;
-        if (longest.at(in) > best_in) {
-          best_in = longest.at(in);
+        const Scratch& s = scratch[static_cast<size_t>(in)];
+        if (s.member_of != c.id) continue;
+        if (s.longest > best_in) {
+          best_in = s.longest;
           best_pred = in;
         }
       }
-      longest[o] = plan.node(o).runtime_cost + best_in;
-      pred[o] = best_pred;
+      Scratch& s = scratch[static_cast<size_t>(o)];
+      s.longest = plan.node(o).runtime_cost + best_in;
+      s.pred = best_pred;
     }
-    for (OpId o = node.id; o != plan::kInvalidOpId; o = pred.at(o)) {
+    for (OpId o = node.id; o != plan::kInvalidOpId;
+         o = scratch[static_cast<size_t>(o)].pred) {
       c.dominant_members.push_back(o);
     }
     std::reverse(c.dominant_members.begin(), c.dominant_members.end());
 
     const double factor =
         c.dominant_members.size() > 1 ? pipe_constant : 1.0;
-    c.runtime_cost = longest.at(node.id) * factor;
+    c.runtime_cost = scratch[static_cast<size_t>(node.id)].longest * factor;
     c.materialize_cost = plan.node(node.id).materialize_cost;
+    c.lineage_volume = 0.0;
     for (OpId m : c.members) {
       if (m == node.id) continue;
       c.lineage_volume += plan.node(m).materialize_cost;
     }
-
-    anchor_to_id[node.id] = c.id;
-    cp.ops_.push_back(std::move(c));
+    scratch[static_cast<size_t>(node.id)].collapsed = c.id;
   }
 
-  std::vector<bool> has_consumer(cp.ops_.size(), false);
-  for (const auto& c : cp.ops_) {
-    if (c.inputs.empty()) cp.sources_.push_back(c.id);
+  // Consumer lists, flattened: counts, then prefix sums, then a fill that
+  // advances each op's start to the next op's, shifted back at the end.
+  consumer_begin_.assign(num_ops_ + 1, 0);
+  for (const CollapsedOp& c : ops()) {
     for (CollapsedId in : c.inputs) {
-      has_consumer[static_cast<size_t>(in)] = true;
+      ++consumer_begin_[static_cast<size_t>(in) + 1];
     }
   }
-  for (const auto& c : cp.ops_) {
-    if (!has_consumer[static_cast<size_t>(c.id)]) cp.sinks_.push_back(c.id);
+  for (size_t i = 0; i < num_ops_; ++i) {
+    consumer_begin_[i + 1] += consumer_begin_[i];
   }
-  return cp;
-}
+  consumers_.resize(consumer_begin_[num_ops_]);
+  for (const CollapsedOp& c : ops()) {
+    for (CollapsedId in : c.inputs) {
+      consumers_[consumer_begin_[static_cast<size_t>(in)]++] = c.id;
+    }
+  }
+  for (size_t i = num_ops_; i > 0; --i) {
+    consumer_begin_[i] = consumer_begin_[i - 1];
+  }
+  consumer_begin_[0] = 0;
 
-std::vector<CollapsedId> CollapsedPlan::Consumers(CollapsedId id) const {
-  std::vector<CollapsedId> out;
-  for (const auto& c : ops_) {
-    if (std::find(c.inputs.begin(), c.inputs.end(), id) != c.inputs.end()) {
-      out.push_back(c.id);
-    }
+  sources_.clear();
+  sinks_.clear();
+  for (const CollapsedOp& c : ops()) {
+    if (c.inputs.empty()) sources_.push_back(c.id);
+    if (Consumers(c.id).empty()) sinks_.push_back(c.id);
   }
-  return out;
+  return Status::OK();
 }
 
 size_t CollapsedPlan::ForEachPath(
     const std::function<bool(const CollapsedPath&)>& visit) const {
-  // Precompute consumer adjacency once.
-  std::vector<std::vector<CollapsedId>> consumers(ops_.size());
-  for (const auto& c : ops_) {
-    for (CollapsedId in : c.inputs) {
-      consumers[static_cast<size_t>(in)].push_back(c.id);
-    }
-  }
+  // Depth-first from each source: path[d] is the op at depth d and
+  // next[d] how many of its consumers have been descended into.
   size_t visited = 0;
-  bool stop = false;
   CollapsedPath path;
-  // Iterative DFS with explicit path stack.
-  std::function<void(CollapsedId)> dfs = [&](CollapsedId id) {
-    if (stop) return;
-    path.push_back(id);
-    const auto& next = consumers[static_cast<size_t>(id)];
-    if (next.empty()) {
-      ++visited;
-      if (!visit(path)) stop = true;
-    } else {
-      for (CollapsedId n : next) {
-        dfs(n);
-        if (stop) break;
-      }
-    }
-    path.pop_back();
-  };
+  std::vector<size_t> next;
+  path.reserve(num_ops_);
+  next.reserve(num_ops_);
   for (CollapsedId s : sources_) {
-    dfs(s);
-    if (stop) break;
+    path.assign(1, s);
+    next.assign(1, 0);
+    while (!path.empty()) {
+      const std::span<const CollapsedId> consumers = Consumers(path.back());
+      if (consumers.empty()) {  // a sink ends a path
+        ++visited;
+        if (!visit(path)) return visited;
+      } else if (next.back() < consumers.size()) {
+        path.push_back(consumers[next.back()++]);
+        next.push_back(0);
+        continue;
+      }
+      path.pop_back();
+      next.pop_back();
+    }
   }
   return visited;
 }
@@ -155,8 +182,8 @@ std::vector<CollapsedPath> CollapsedPlan::AllPaths() const {
 }
 
 size_t CollapsedPlan::CountPaths() const {
-  std::vector<size_t> count(ops_.size(), 0);
-  for (const auto& c : ops_) {  // ascending id = topological
+  std::vector<size_t> count(num_ops_, 0);
+  for (const auto& c : ops()) {  // ascending id = topological
     if (c.inputs.empty()) {
       count[static_cast<size_t>(c.id)] = 1;
       continue;
@@ -174,16 +201,10 @@ size_t CollapsedPlan::CountPaths() const {
   return total;
 }
 
-double CollapsedPlan::PathRuntimeNoFailure(const CollapsedPath& path) const {
-  double total = 0.0;
-  for (CollapsedId id : path) total += op(id).total_cost();
-  return total;
-}
-
 double CollapsedPlan::MakespanNoFailure() const {
-  std::vector<double> finish(ops_.size(), 0.0);
+  std::vector<double> finish(num_ops_, 0.0);
   double makespan = 0.0;
-  for (const auto& c : ops_) {  // ascending id = topological
+  for (const auto& c : ops()) {  // ascending id = topological
     double ready = 0.0;
     for (CollapsedId in : c.inputs) {
       ready = std::max(ready, finish[static_cast<size_t>(in)]);
@@ -196,8 +217,8 @@ double CollapsedPlan::MakespanNoFailure() const {
 
 std::string CollapsedPlan::Explain() const {
   std::ostringstream os;
-  os << "CollapsedPlan (" << ops_.size() << " collapsed operators)\n";
-  for (const auto& c : ops_) {
+  os << "CollapsedPlan (" << num_ops_ << " collapsed operators)\n";
+  for (const auto& c : ops()) {
     std::vector<std::string> mems;
     mems.reserve(c.members.size());
     for (OpId m : c.members) mems.push_back(std::to_string(m));

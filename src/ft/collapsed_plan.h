@@ -6,6 +6,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,18 +59,30 @@ class CollapsedPlan {
                                       const MaterializationConfig& config,
                                       double pipe_constant = 1.0);
 
-  size_t num_ops() const { return ops_.size(); }
+  /// \brief Create in place: make this P^c of [plan, config], reusing the
+  /// buffers of what it held before, so collapsing configuration after
+  /// configuration of one plan stops allocating for the collapsed
+  /// operators once the buffers have grown. Same checks and result as
+  /// Create; on error the plan is left unchanged.
+  Status Rebuild(const plan::Plan& plan, const MaterializationConfig& config,
+                 double pipe_constant = 1.0);
+
+  size_t num_ops() const { return num_ops_; }
   const CollapsedOp& op(CollapsedId id) const {
     return ops_[static_cast<size_t>(id)];
   }
-  const std::vector<CollapsedOp>& ops() const { return ops_; }
+  std::span<const CollapsedOp> ops() const { return {ops_.data(), num_ops_}; }
 
   /// \brief Collapsed ops with no inputs / no consumers.
   const std::vector<CollapsedId>& sources() const { return sources_; }
   const std::vector<CollapsedId>& sinks() const { return sinks_; }
 
-  /// \brief Consumers of a collapsed op.
-  std::vector<CollapsedId> Consumers(CollapsedId id) const;
+  /// \brief Consumers of a collapsed op, ascending by id.
+  std::span<const CollapsedId> Consumers(CollapsedId id) const {
+    const size_t i = static_cast<size_t>(id);
+    return {consumers_.data() + consumer_begin_[i],
+            consumers_.data() + consumer_begin_[i + 1]};
+  }
 
   /// \brief Enumerate every source->sink execution path. The visitor
   /// returns false to stop the enumeration early (pruning rule 3).
@@ -84,10 +97,6 @@ class CollapsedPlan {
   /// materializing them (used by rule-3 accounting).
   size_t CountPaths() const;
 
-  /// \brief Sum of t(c) along a path: RPt, the path runtime without
-  /// mid-query failures (§4.3).
-  double PathRuntimeNoFailure(const CollapsedPath& path) const;
-
   /// \brief Critical-path makespan of P^c without failures, respecting
   /// inter-operator parallelism (used as simulation baseline).
   double MakespanNoFailure() const;
@@ -95,9 +104,15 @@ class CollapsedPlan {
   std::string Explain() const;
 
  private:
+  /// P^c is ops_[0, num_ops_); the rest are spare buffers kept from an
+  /// earlier, larger collapse for Rebuild to reuse.
   std::vector<CollapsedOp> ops_;
+  size_t num_ops_ = 0;
   std::vector<CollapsedId> sources_;
   std::vector<CollapsedId> sinks_;
+  /// Consumers of op i: consumers_[consumer_begin_[i], consumer_begin_[i+1]).
+  std::vector<size_t> consumer_begin_;
+  std::vector<CollapsedId> consumers_;
 };
 
 }  // namespace xdbft::ft

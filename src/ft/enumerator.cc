@@ -217,30 +217,34 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
                                          EnumerationStats* local) const {
   const double pipe = model_.context().model.pipe_constant;
   const bool rule3 = options_.pruning.rule3;
+  // Range-local buffers, rewritten for every mask: the configuration
+  // (only the free operators change), the collapsed plan, the cost pass,
+  // the dominant path and one path's (durable t, refetch) costs for the
+  // memo.
+  MaterializationConfig config = MaterializationConfig::NoMat(prepared.plan);
+  CollapsedPlan cp;
+  PlacementResult pass;
+  CollapsedPath dom_path;
+  std::vector<PathOpCost> path_costs;
+  const auto fill_path_costs = [&](const CollapsedPath& path) {
+    path_costs.clear();
+    for (CollapsedId id : path) {
+      const PlacedOp& op = pass.ops[static_cast<size_t>(id)];
+      path_costs.push_back(PathOpCost{op.durable_t, op.refetch});
+    }
+  };
   for (uint64_t mask = range.lo; mask < range.hi; ++mask) {
     if (state->failed.load(std::memory_order_relaxed)) return;
-    const MaterializationConfig config =
-        MaterializationConfig::FromFreeMask(prepared.plan, mask);
-    auto collapsed = CollapsedPlan::Create(prepared.plan, config, pipe);
+    config.SetFreeMask(prepared.free_ops, mask);
+    const Status collapsed = cp.Rebuild(prepared.plan, config, pipe);
     if (!collapsed.ok()) {
-      state->RecordError(range.plan_index, mask, collapsed.status());
+      state->RecordError(range.plan_index, mask, collapsed);
       return;
     }
-    const CollapsedPlan& cp = *collapsed;
 
     // The cost pass: every collapsed operator's durable t, refetch
     // charge and T(c) under this configuration's placement.
-    const PlacementResult pass = ComputePlacement(
-        cp, state->pparams, state->fparams, state->wal);
-    const auto op_costs = [&](const CollapsedPath& path) {
-      std::vector<PathOpCost> costs;
-      costs.reserve(path.size());
-      for (CollapsedId id : path) {
-        const PlacedOp& op = pass.ops[static_cast<size_t>(id)];
-        costs.push_back(PathOpCost{op.durable_t, op.refetch});
-      }
-      return costs;
-    };
+    ComputePlacement(cp, state->pparams, state->fparams, state->wal, &pass);
 
     // Path enumeration with rule-3 early stopping (Listing 1 lines 9-13
     // plus §4.3). Every test is strict (> bound, strict Eq. 9 dominance):
@@ -248,9 +252,8 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
     // configuration tying the final best is never eliminated and the
     // (cost, plan, mask) tie-break stays exact at any thread count.
     double dom_cost = 0.0;
-    CollapsedPath dom_path;
+    dom_path.clear();
     bool pruned = false;
-    const size_t total_paths = rule3 ? cp.CountPaths() : 0;
     const size_t visited = cp.ForEachPath([&](const CollapsedPath& path) {
       const double bound = state->bound.load(std::memory_order_relaxed);
       if (rule3) {
@@ -272,7 +275,9 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
         // Extension: Eq. 9 dominance over a memoized dominant path, in
         // both cost dimensions (durable t, per-attempt refetch).
         if (state->use_memo && !state->memo->empty()) {
-          if (state->memo->Dominates(op_costs(path))) {
+          fill_path_costs(path);
+          SortPathCosts(&path_costs);
+          if (state->memo->DominatesSorted(path_costs)) {
             ++local->rule3_memo_hits;
             pruned = true;
             return false;
@@ -298,6 +303,7 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
       ++local->rule3_rejections;
       // Only count as an early stop if remaining paths were actually
       // skipped; firing on the last path saves nothing (§5.5).
+      const size_t total_paths = cp.CountPaths();
       if (visited < total_paths) {
         ++local->rule3_early_stops;
         local->rule3_paths_skipped +=
@@ -330,7 +336,8 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
     if (accepted) {
       AtomicMin(&state->bound, dom_cost);
       if (rule3 && state->use_memo) {
-        state->memo->Record(op_costs(dom_path), dom_cost);
+        fill_path_costs(dom_path);
+        state->memo->Record(path_costs, dom_cost);
       }
     }
   }

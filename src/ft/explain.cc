@@ -1,5 +1,6 @@
 #include "ft/explain.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -78,8 +79,12 @@ Result<AccuracyReport> BuildAccuracyReport(const plan::Plan& plan,
     out.predicted_attempts += p.attempts;
     out.operators.push_back(std::move(p));
   }
-  XDBFT_ASSIGN_OR_RETURN(FtPlanEstimate est, model.Estimate(cp));
-  out.predicted_runtime = est.dominant_cost;
+  // The dominant path's TPt, from the same pass (what Estimate returns).
+  cp.ForEachPath([&](const CollapsedPath& path) {
+    out.predicted_runtime =
+        std::max(out.predicted_runtime, pass.PathCost(path));
+    return true;
+  });
   return out;
 }
 

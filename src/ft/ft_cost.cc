@@ -20,22 +20,30 @@ PlacementResult ComputePlacement(const CollapsedPlan& cp,
                                  const PlacementParams& pparams,
                                  const FailureParams& fparams,
                                  const WalParams& wal) {
-  const size_t n = cp.num_ops();
   PlacementResult out;
-  out.ops.resize(n);
+  ComputePlacement(cp, pparams, fparams, wal, &out);
+  return out;
+}
+
+void ComputePlacement(const CollapsedPlan& cp, const PlacementParams& pparams,
+                      const FailureParams& fparams, const WalParams& wal,
+                      PlacementResult* out) {
+  const size_t n = cp.num_ops();
+  // Stale entries need no reset: group 0 below overwrites every op.
+  out->ops.resize(n);
   const int num_groups = pparams.num_groups > 0 ? pparams.num_groups : 1;
   // CollapsedIds are assigned in ascending topological order, so every
   // input of op(id) has an id < id and is already placed when we get here.
   for (size_t id = 0; id < n; ++id) {
     const CollapsedOp& op = cp.op(static_cast<CollapsedId>(id));
     const double t = op.total_cost();
-    PlacedOp& best = out.ops[id];
+    PlacedOp& best = out->ops[id];
     for (int g = 0; g < num_groups; ++g) {
       double remote = 0.0;     // materialized bytes read across groups
       double co_placed = 0.0;  // materialized bytes sharing fate with us
       for (CollapsedId input : op.inputs) {
         const double tm = cp.op(input).materialize_cost;
-        if (out.ops[static_cast<size_t>(input)].group == g) {
+        if (out->ops[static_cast<size_t>(input)].group == g) {
           co_placed += tm;
         } else {
           remote += tm;
@@ -51,7 +59,6 @@ PlacementResult ComputePlacement(const CollapsedPlan& cp,
       }
     }
   }
-  return out;
 }
 
 double FtCostModel::OperatorCost(const CollapsedOp& c) const {

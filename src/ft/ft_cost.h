@@ -107,6 +107,12 @@ PlacementResult ComputePlacement(const CollapsedPlan& cp,
                                  const FailureParams& fparams,
                                  const WalParams& wal = {});
 
+/// \brief The same pass written into `out`, whose buffer is reused: no
+/// allocation once it has held a plan of as many collapsed operators.
+void ComputePlacement(const CollapsedPlan& cp, const PlacementParams& pparams,
+                      const FailureParams& fparams, const WalParams& wal,
+                      PlacementResult* out);
+
 /// \brief Everything the cost function needs (paper: getCostStats output).
 struct FtCostContext {
   cost::ClusterStats cluster;

@@ -52,12 +52,8 @@ MaterializationConfig MaterializationConfig::AllMat(const Plan& plan) {
 
 MaterializationConfig MaterializationConfig::FromFreeMask(const Plan& plan,
                                                           uint64_t mask) {
-  MaterializationConfig c(plan.num_nodes());
-  const std::vector<OpId> free_ops = EnumerableOperators(plan);
-  for (size_t i = 0; i < free_ops.size(); ++i) {
-    if (mask & (uint64_t{1} << i)) c.set_materialized(free_ops[i], true);
-  }
-  ApplyConstraints(plan, &c);
+  MaterializationConfig c = NoMat(plan);
+  c.SetFreeMask(EnumerableOperators(plan), mask);
   return c;
 }
 

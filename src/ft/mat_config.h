@@ -47,6 +47,16 @@ class MaterializationConfig {
   static MaterializationConfig FromFreeMask(const plan::Plan& plan,
                                             uint64_t mask);
 
+  /// \brief Set m(o) of every operator in `free_ops` (the plan's
+  /// EnumerableOperators) to bit i of `mask`. Every other m(o) is forced
+  /// by a constraint or by being a sink, so on any configuration that
+  /// passes Validate(plan) the result equals FromFreeMask(plan, mask).
+  void SetFreeMask(const std::vector<plan::OpId>& free_ops, uint64_t mask) {
+    for (size_t i = 0; i < free_ops.size(); ++i) {
+      set_materialized(free_ops[i], (mask >> i) & 1);
+    }
+  }
+
   /// \brief Check the invariants against `plan`.
   Status Validate(const plan::Plan& plan) const;
 

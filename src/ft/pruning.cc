@@ -150,16 +150,17 @@ void ConcurrentDominantPathMemo::Record(std::vector<PathOpCost> costs,
   }
 }
 
-bool ConcurrentDominantPathMemo::Dominates(
-    std::vector<PathOpCost> path_costs) const {
+bool ConcurrentDominantPathMemo::DominatesSorted(
+    const std::vector<PathOpCost>& sorted_costs) const {
   if (empty()) return false;
-  SortPathCosts(&path_costs);
-  const size_t len = path_costs.size();
+  const size_t len = sorted_costs.size();
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
     for (const auto& [count, entry] : shard.by_count) {
       if (count > len) break;  // map is ordered by count
-      if (PairwiseDominates(path_costs, entry, /*strict=*/true)) return true;
+      if (PairwiseDominates(sorted_costs, entry, /*strict=*/true)) {
+        return true;
+      }
     }
   }
   return false;

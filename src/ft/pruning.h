@@ -109,7 +109,14 @@ class ConcurrentDominantPathMemo {
   /// \brief Strict Eq. 9 dominance over any memoized path with at most as
   /// many collapsed operators (shorter memos are padded with zero-cost
   /// operators, as the paper allows).
-  bool Dominates(std::vector<PathOpCost> path_costs) const;
+  bool Dominates(std::vector<PathOpCost> path_costs) const {
+    SortPathCosts(&path_costs);
+    return DominatesSorted(path_costs);
+  }
+
+  /// \brief Dominates() for costs already in SortPathCosts order (lets a
+  /// caller sort into a reused buffer).
+  bool DominatesSorted(const std::vector<PathOpCost>& sorted_costs) const;
 
   /// \brief Cheap pre-check (relaxed; may briefly lag Record calls).
   bool empty() const {

@@ -1,7 +1,7 @@
 #include "plan/plan.h"
 
+#include <algorithm>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -95,8 +95,9 @@ std::vector<OpId> Plan::FreeOperators() const {
 
 Status Plan::Validate() const {
   if (nodes_.empty()) return Status::InvalidArgument("plan is empty");
+  // listed_by[o] = the last node that listed o as an input.
+  std::vector<OpId> listed_by(nodes_.size(), kInvalidOpId);
   for (const auto& n : nodes_) {
-    std::set<OpId> seen;
     for (OpId in : n.inputs) {
       if (in < 0 || in >= n.id) {
         return Status::InvalidArgument(
@@ -104,10 +105,12 @@ Status Plan::Validate() const {
                       "earlier node)",
                       n.id, in));
       }
-      if (!seen.insert(in).second) {
+      OpId& lister = listed_by[static_cast<size_t>(in)];
+      if (lister == n.id) {
         return Status::InvalidArgument(
             StrFormat("node %d lists input %d twice", n.id, in));
       }
+      lister = n.id;
     }
     if (n.label.empty()) {
       return Status::InvalidArgument(StrFormat("node %d has no label", n.id));
@@ -123,7 +126,9 @@ Status Plan::Validate() const {
                     n.label.c_str()));
     }
   }
-  if (Sinks().empty()) {
+  // A sink is a node no node lists as an input.
+  if (std::find(listed_by.begin(), listed_by.end(), kInvalidOpId) ==
+      listed_by.end()) {
     return Status::InvalidArgument("plan has no sink");
   }
   return Status::OK();

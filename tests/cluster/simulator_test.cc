@@ -4,6 +4,8 @@
 
 #include "common/math_util.h"
 #include "ft/ft_cost.h"
+#include "obs/attempt_log.h"
+#include "obs/trace.h"
 
 namespace xdbft::cluster {
 namespace {
@@ -271,6 +273,150 @@ TEST(SimulatorTest, CostModelTracksSimulation) {
     EXPECT_NEAR(est->dominant_cost, mean, mean * 0.4) << "mtbf=" << mtbf;
   }
   EXPECT_GT(PearsonCorrelation(estimates, simulated), 0.95);
+}
+
+// RunMany's oracle: one Run per trace, folded per the SimulationResult
+// contract (runtime stats over the completed traces, aborted ones apart).
+SimulationResult FoldRuns(const ClusterSimulator& sim,
+                          const ft::SchemePlan& sp,
+                          std::vector<ClusterTrace> traces) {
+  SimulationResult agg;
+  agg.completed = true;
+  std::vector<double> done, aborted;
+  for (ClusterTrace& trace : traces) {
+    const SimulationResult r = sim.Run(sp, trace).ValueOrDie();
+    agg.restarts += r.restarts;
+    agg.failures_hit += r.failures_hit;
+    if (r.completed) {
+      done.push_back(r.runtime);
+    } else {
+      agg.completed = false;
+      ++agg.aborted;
+      aborted.push_back(r.runtime);
+    }
+  }
+  agg.aborted_seconds = Mean(aborted);
+  const std::vector<double>& basis = done.empty() ? aborted : done;
+  agg.runtime = Mean(basis);
+  agg.runtime_p50 = Percentile(basis, 50.0);
+  agg.runtime_p95 = Percentile(basis, 95.0);
+  return agg;
+}
+
+void ExpectSameRecords(const obs::AttemptTimeline& got,
+                       const obs::AttemptTimeline& want) {
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (size_t i = 0; i < got.records.size(); ++i) {
+    const obs::AttemptRecord& a = got.records[i];
+    const obs::AttemptRecord& b = want.records[i];
+    EXPECT_EQ(a.label, b.label) << "record " << i;
+    EXPECT_EQ(a.node, b.node) << "record " << i;
+    EXPECT_EQ(a.attempt, b.attempt) << "record " << i;
+    EXPECT_EQ(a.dispatch_seconds, b.dispatch_seconds) << "record " << i;
+    EXPECT_EQ(a.finish_seconds, b.finish_seconds) << "record " << i;
+    EXPECT_EQ(a.killed, b.killed) << "record " << i;
+  }
+}
+
+TEST(SimulatorTest, RunManyEqualsAFoldOfRunsBitForBit) {
+  const Plan p = ChainPlan(50.0, 2.0, 5);
+  const cost::ClusterStats stats = cost::MakeCluster(4, 150.0, 1.0);
+  const MaterializationConfig configs[] = {
+      MaterializationConfig::NoMat(p), MaterializationConfig::AllMat(p),
+      MaterializationConfig::FromFreeMask(p, 0b101)};
+  SimulationOptions variants[5];
+  variants[1].checkpoint_interval = 20.0;  // segment labels
+  variants[2].max_restarts = 3;            // aborted traces
+  variants[3].monitoring_interval = 2.0;
+  variants[3].partition_skew = 0.3;
+  variants[4].wal_write_cost = 0.1;
+  variants[4].wal_replay_factor = 0.5;
+  int aborted_seen = 0;
+  for (const SimulationOptions& base : variants) {
+    for (const MaterializationConfig& config : configs) {
+      for (RecoveryMode recovery :
+           {RecoveryMode::kFineGrained, RecoveryMode::kFullRestart,
+            RecoveryMode::kWalReplay}) {
+        ft::SchemePlan sp;
+        sp.plan = p;
+        sp.config = config;
+        sp.recovery = recovery;
+        const std::vector<ClusterTrace> traces = GenerateTraceSet(stats, 6, 5);
+        obs::AttemptTimeline many_log, fold_log;
+        obs::TraceRecorder many_trace, fold_trace;
+        SimulationOptions many_options = base;
+        many_options.attempt_log = &many_log;
+        many_options.trace = &many_trace;
+        SimulationOptions fold_options = base;
+        fold_options.attempt_log = &fold_log;
+        fold_options.trace = &fold_trace;
+
+        std::vector<ClusterTrace> many_traces = traces;
+        auto many =
+            ClusterSimulator(stats, many_options).RunMany(sp, many_traces);
+        ASSERT_TRUE(many.ok()) << many.status().ToString();
+        const SimulationResult want =
+            FoldRuns(ClusterSimulator(stats, fold_options), sp, traces);
+        EXPECT_EQ(many->completed, want.completed);
+        EXPECT_EQ(many->runtime, want.runtime);
+        EXPECT_EQ(many->restarts, want.restarts);
+        EXPECT_EQ(many->failures_hit, want.failures_hit);
+        EXPECT_EQ(many->aborted, want.aborted);
+        EXPECT_EQ(many->aborted_seconds, want.aborted_seconds);
+        EXPECT_EQ(many->runtime_p50, want.runtime_p50);
+        EXPECT_EQ(many->runtime_p95, want.runtime_p95);
+        ExpectSameRecords(many_log, fold_log);
+        EXPECT_EQ(many_trace.ToJson(), fold_trace.ToJson());
+        aborted_seen += many->aborted;
+      }
+    }
+  }
+  EXPECT_GT(aborted_seen, 0);  // the aborting variant did abort
+}
+
+TEST(SimulatorTest, RunManyRejectsANodeCountMismatchOnAnyTrace) {
+  const Plan p = ChainPlan(50.0, 2.0, 3);
+  const cost::ClusterStats stats = cost::MakeCluster(4, 150.0, 1.0);
+  ft::SchemePlan sp;
+  sp.plan = p;
+  sp.config = MaterializationConfig::AllMat(p);
+  const std::string kMismatch = "trace node count does not match cluster";
+  for (size_t bad : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(bad);
+    std::vector<ClusterTrace> traces = GenerateTraceSet(stats, 4, 5);
+    traces[bad] = FailFreeTrace(2);
+    obs::AttemptTimeline many_log, fold_log;
+    SimulationOptions options;
+    options.attempt_log = &many_log;
+    auto r = ClusterSimulator(stats, options).RunMany(sp, traces);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().message(), kMismatch);
+    // The traces before the bad one ran, as a fold of Run calls would.
+    options.attempt_log = &fold_log;
+    FoldRuns(ClusterSimulator(stats, options), sp,
+             std::vector<ClusterTrace>(traces.begin(), traces.begin() + bad));
+    ExpectSameRecords(many_log, fold_log);
+  }
+  // Error order: cluster stats, trace 0's node count, the collapse, then
+  // the later traces' node counts.
+  ft::SchemePlan broken = sp;
+  broken.config = MaterializationConfig(1);  // wrong size for the plan
+  std::vector<ClusterTrace> late_bad = GenerateTraceSet(stats, 3, 5);
+  late_bad[1] = FailFreeTrace(2);
+  EXPECT_EQ(ClusterSimulator(stats).RunMany(broken, late_bad)
+                .status()
+                .message(),
+            "config size does not match plan");
+  std::vector<ClusterTrace> first_bad = late_bad;
+  first_bad[0] = FailFreeTrace(2);
+  EXPECT_EQ(ClusterSimulator(stats).RunMany(broken, first_bad)
+                .status()
+                .message(),
+            kMismatch);
+  cost::ClusterStats bad_stats = stats;
+  bad_stats.mtbf_seconds = -1.0;
+  EXPECT_EQ(ClusterSimulator(bad_stats).RunMany(broken, first_bad).status(),
+            bad_stats.Validate());
 }
 
 TEST(SimulationResultTest, ToStringMentionsState) {

@@ -90,5 +90,20 @@ TEST(ResultTest, MoveOnlyValue) {
   EXPECT_EQ(*v, 7);
 }
 
+// Reading the value of an error Result aborts with the status message in
+// every build type (not only where assert() is compiled in).
+TEST(ResultDeathTest, ValueOfAnErrorAbortsWithTheStatusMessage) {
+  Result<int> r(Status::NotFound("gone"));
+  const Result<int>& cr = r;
+  Result<std::string> s(Status::Aborted("stopped"));
+  const char* kGone = "ValueOrDie on an error: Not found: gone";
+  EXPECT_DEATH(static_cast<void>(r.ValueOrDie()), kGone);
+  EXPECT_DEATH(static_cast<void>(cr.ValueOrDie()), kGone);
+  EXPECT_DEATH(static_cast<void>(*r), kGone);
+  EXPECT_DEATH(static_cast<void>(std::move(r).ValueOrDie()), kGone);
+  EXPECT_DEATH(static_cast<void>(s->size()),
+               "ValueOrDie on an error: Aborted: stopped");
+}
+
 }  // namespace
 }  // namespace xdbft

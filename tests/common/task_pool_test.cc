@@ -65,19 +65,32 @@ TEST(TaskPoolTest, NoTaskLostOnShutdown) {
 }
 
 TEST(TaskPoolTest, WorkIsStolenFromABlockedWorkersQueue) {
-  TaskPool pool(4);
   std::atomic<int> remaining{64};
-  // The first submitted task parks one worker; its queued siblings (the
-  // round-robin puts every 4th task behind it) must be stolen by the idle
-  // workers. No helping happens here because the main thread only waits.
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&remaining, i] {
-      if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::atomic<bool> blocking{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  TaskPool pool(4);  // destroyed first: its tasks use the locals above
+  // Task 0 parks one worker until every other task has run. Its 63
+  // siblings are submitted only once it blocks, and the round-robin puts
+  // every 4th of them in the parked worker's queue, so the idle workers
+  // must steal those for the test to finish. No helping happens here
+  // because the main thread only waits.
+  pool.Submit([&] {
+    blocking.store(true, std::memory_order_release);
+    while (remaining.load(std::memory_order_acquire) > 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    remaining.fetch_sub(1, std::memory_order_acq_rel);
+  });
+  while (!blocking.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 1; i < 64; ++i) {
+    pool.Submit([&remaining] {
       remaining.fetch_sub(1, std::memory_order_acq_rel);
     });
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (remaining.load(std::memory_order_acquire) > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <span>
+#include <vector>
+
+#include "common/rng.h"
+#include "ft/ft_cost.h"
+#include "tpch/queries.h"
+#include "validate/generator.h"
 
 namespace xdbft::ft {
 namespace {
@@ -89,12 +98,17 @@ TEST(CollapsedPlanTest, Fig3PathEnumeration) {
   EXPECT_EQ(paths[1], (CollapsedPath{0, 1, 3}));
 }
 
-TEST(CollapsedPlanTest, PathRuntimeNoFailureIsSumOfTotals) {
+TEST(CollapsedPlanTest, PathTotalsSumToTable2Runtimes) {
   Plan p = Fig3Plan();
   auto cp = CollapsedPlan::Create(p, Fig3Config(p), 1.0);
   ASSERT_TRUE(cp.ok());
-  EXPECT_DOUBLE_EQ(cp->PathRuntimeNoFailure({0, 1, 2}), 8.0);
-  EXPECT_DOUBLE_EQ(cp->PathRuntimeNoFailure({0, 1, 3}), 9.0);
+  const auto no_failure = [&](const CollapsedPath& path) {
+    double total = 0.0;
+    for (CollapsedId id : path) total += cp->op(id).total_cost();
+    return total;
+  };
+  EXPECT_DOUBLE_EQ(no_failure({0, 1, 2}), 8.0);
+  EXPECT_DOUBLE_EQ(no_failure({0, 1, 3}), 9.0);
 }
 
 TEST(CollapsedPlanTest, MakespanIsCriticalPath) {
@@ -195,6 +209,163 @@ TEST(CollapsedPlanTest, DiamondCollapse) {
   EXPECT_DOUBLE_EQ(cp->op(1).runtime_cost, 6.0);
   // The scan is consumed by both branches but only one edge c0 -> c1.
   EXPECT_EQ(cp->op(1).inputs, (std::vector<CollapsedId>{0}));
+}
+
+// The collapse by its definition (§3.3), with ordered sets and maps: the
+// oracle for Create's flat, per-operator scratch.
+std::vector<CollapsedOp> OracleCollapse(const Plan& plan,
+                                        const MaterializationConfig& config,
+                                        double pipe_constant) {
+  std::vector<CollapsedOp> ops;
+  std::map<OpId, CollapsedId> anchor_to_id;
+  for (const auto& node : plan.nodes()) {
+    if (!config.materialized(node.id)) continue;
+    CollapsedOp c;
+    c.id = static_cast<CollapsedId>(ops.size());
+    c.anchor = node.id;
+    std::set<OpId> members;
+    std::set<CollapsedId> inputs;
+    std::vector<OpId> stack = {node.id};
+    while (!stack.empty()) {
+      const OpId o = stack.back();
+      stack.pop_back();
+      if (!members.insert(o).second) continue;
+      for (OpId in : plan.node(o).inputs) {
+        if (config.materialized(in)) {
+          inputs.insert(anchor_to_id.at(in));
+        } else {
+          stack.push_back(in);
+        }
+      }
+    }
+    c.members.assign(members.begin(), members.end());
+    c.inputs.assign(inputs.begin(), inputs.end());
+    std::map<OpId, double> longest;
+    std::map<OpId, OpId> pred;
+    for (OpId o : c.members) {
+      double best_in = 0.0;
+      OpId best_pred = plan::kInvalidOpId;
+      for (OpId in : plan.node(o).inputs) {
+        if (members.count(in) && longest.at(in) > best_in) {
+          best_in = longest.at(in);
+          best_pred = in;
+        }
+      }
+      longest[o] = plan.node(o).runtime_cost + best_in;
+      pred[o] = best_pred;
+    }
+    for (OpId o = node.id; o != plan::kInvalidOpId; o = pred.at(o)) {
+      c.dominant_members.insert(c.dominant_members.begin(), o);
+    }
+    c.runtime_cost = longest.at(node.id) *
+                     (c.dominant_members.size() > 1 ? pipe_constant : 1.0);
+    c.materialize_cost = plan.node(node.id).materialize_cost;
+    for (OpId m : c.members) {
+      if (m != node.id) c.lineage_volume += plan.node(m).materialize_cost;
+    }
+    anchor_to_id[node.id] = c.id;
+    ops.push_back(std::move(c));
+  }
+  return ops;
+}
+
+void ExpectSameOps(std::span<const CollapsedOp> got,
+                   const std::vector<CollapsedOp>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].anchor, want[i].anchor);
+    EXPECT_EQ(got[i].members, want[i].members);
+    EXPECT_EQ(got[i].inputs, want[i].inputs);
+    EXPECT_EQ(got[i].dominant_members, want[i].dominant_members);
+    EXPECT_EQ(got[i].runtime_cost, want[i].runtime_cost);
+    EXPECT_EQ(got[i].materialize_cost, want[i].materialize_cost);
+    EXPECT_EQ(got[i].lineage_volume, want[i].lineage_volume);
+  }
+}
+
+// Visits every free mask of `plan` in ascending, descending and shuffled
+// order the way the enumerator does: one configuration rewritten with
+// SetFreeMask, one collapsed plan rebuilt in place and one cost-pass
+// buffer, all reused across masks. A fresh Create must equal the oracle,
+// and every reused buffer what a fresh build gives.
+void ExpectEveryMaskMatchesOracle(const Plan& plan, double pipe_constant) {
+  const std::vector<OpId> free_ops = EnumerableOperators(plan);
+  ASSERT_LE(free_ops.size(), 12u);
+  const uint64_t num_masks = uint64_t{1} << free_ops.size();
+  std::vector<uint64_t> ascending(num_masks);
+  for (uint64_t m = 0; m < num_masks; ++m) ascending[m] = m;
+  std::vector<uint64_t> descending(ascending.rbegin(), ascending.rend());
+  std::vector<uint64_t> shuffled = ascending;
+  Rng rng(num_masks);
+  rng.Shuffle(shuffled);
+
+  FtCostContext context;
+  context.cluster = cost::MakeCluster(4, 3600.0);
+  const PlacementParams pparams{3, 0.5, 0.2};
+  const FailureParams fparams = context.MakeFailureParams();
+  for (const auto& order : {ascending, descending, shuffled}) {
+    MaterializationConfig config = MaterializationConfig::NoMat(plan);
+    CollapsedPlan reused;
+    PlacementResult pass;
+    for (uint64_t mask : order) {
+      SCOPED_TRACE(mask);
+      config.SetFreeMask(free_ops, mask);
+      ASSERT_EQ(config, MaterializationConfig::FromFreeMask(plan, mask));
+      auto cp = CollapsedPlan::Create(plan, config, pipe_constant);
+      ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+      const std::vector<CollapsedOp> want =
+          OracleCollapse(plan, config, pipe_constant);
+      ExpectSameOps(cp->ops(), want);
+      std::vector<CollapsedId> sources, sinks;
+      for (const CollapsedOp& c : want) {
+        if (c.inputs.empty()) sources.push_back(c.id);
+        if (std::none_of(want.begin(), want.end(), [&](const CollapsedOp& o) {
+              return std::count(o.inputs.begin(), o.inputs.end(), c.id) > 0;
+            })) {
+          sinks.push_back(c.id);
+        }
+      }
+      EXPECT_EQ(cp->sources(), sources);
+      EXPECT_EQ(cp->sinks(), sinks);
+      ASSERT_TRUE(reused.Rebuild(plan, config, pipe_constant).ok());
+      ExpectSameOps(reused.ops(), std::vector<CollapsedOp>(
+                                      cp->ops().begin(), cp->ops().end()));
+      EXPECT_EQ(reused.sources(), cp->sources());
+      EXPECT_EQ(reused.sinks(), cp->sinks());
+      EXPECT_EQ(reused.AllPaths(), cp->AllPaths());
+      ComputePlacement(reused, pparams, fparams, WalParams{}, &pass);
+      const PlacementResult fresh = ComputePlacement(*cp, pparams, fparams);
+      ASSERT_EQ(pass.ops.size(), fresh.ops.size());
+      for (size_t i = 0; i < fresh.ops.size(); ++i) {
+        EXPECT_EQ(pass.ops[i].group, fresh.ops[i].group);
+        EXPECT_EQ(pass.ops[i].durable_t, fresh.ops[i].durable_t);
+        EXPECT_EQ(pass.ops[i].refetch, fresh.ops[i].refetch);
+        EXPECT_EQ(pass.ops[i].total, fresh.ops[i].total);
+      }
+    }
+  }
+}
+
+TEST(CollapsedPlanOracleTest, EveryQ5MaskInAnyOrderMatchesTheOracle) {
+  tpch::TpchPlanConfig cfg;
+  cfg.scale_factor = 100.0;
+  cfg.num_nodes = 10;
+  auto q5 = tpch::BuildQuery(tpch::TpchQuery::kQ5, cfg);
+  ASSERT_TRUE(q5.ok());
+  ExpectEveryMaskMatchesOracle(*q5, 1.0);
+  ExpectEveryMaskMatchesOracle(*q5, 0.8);
+}
+
+TEST(CollapsedPlanOracleTest, EveryRandomDagMaskInAnyOrderMatchesTheOracle) {
+  validate::PlanGenOptions opts;
+  opts.min_ops = 6;
+  opts.max_ops = 12;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    ExpectEveryMaskMatchesOracle(validate::RandomPlan(rng, opts), 0.9);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // "sweet spot" argument tangible.
 //
 //   $ ./cluster_advisor
+#include <algorithm>
 #include <cstdio>
 
 #include "api/xdbft.h"
@@ -50,16 +51,19 @@ int main() {
       // Extension: make the attempts percentile cluster-size aware, so
       // the recommendation reflects n (see cost_params.h).
       model.scale_success_target_with_cluster = true;
-      api::FaultToleranceAdvisor advisor(c.stats, model);
-      auto cmp = advisor.CompareSchemes(*plan);
-      auto best = advisor.ChooseBestPlan(*plan);
-      if (!cmp.ok() || !best.ok()) {
+      auto cmp = ft::CompareSchemes(*plan, ft::FtCostContext{c.stats, model});
+      if (!cmp.ok()) {
         std::printf(" %14s", "err");
         continue;
       }
+      const ft::SchemePlan& best = *std::find_if(
+          cmp->schemes.begin(), cmp->schemes.end(),
+          [](const ft::SchemePlan& sp) {
+            return sp.kind == ft::SchemeKind::kCostBased;
+          });
       // The cost-based pick equals one of the fixed schemes when it
       // materializes everything/nothing; report the closest label.
-      const size_t m = best->config.NumMaterialized();
+      const size_t m = best.config.NumMaterialized();
       const size_t total_free = ft::EnumerableOperators(*plan).size();
       std::string label;
       if (total_free == 0) {

@@ -25,13 +25,11 @@ int main(int argc, char** argv) {
   ft::FtCostContext context;
   context.cluster = stats;
 
-  // Non-zero WAL costs so the write-ahead lineage row is priced (and
-  // simulated) under its own discipline rather than degenerating to
+  // The model's WAL costs, so the write-ahead lineage row is simulated
+  // under the discipline it is priced with rather than degenerating to
   // fine-grained recovery.
-  cluster::SimulationOptions sim_opts;
-  sim_opts.wal_write_cost = context.model.wal_write_cost;
-  sim_opts.wal_replay_factor = context.model.wal_replay_factor;
-  cluster::ClusterSimulator simulator(stats, sim_opts);
+  cluster::ClusterSimulator simulator(stats,
+                                      cluster::MatchModel(context.model));
   const double baseline = *simulator.BaselineRuntime(*plan);
   std::printf("Q5 @ SF=100 on %s\n", stats.ToString().c_str());
   std::printf("Failure-free baseline: %.1fs; trace seed %llu\n\n", baseline,
@@ -52,13 +50,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  static constexpr ft::SchemeKind kAll[] = {
-      ft::SchemeKind::kAllMat, ft::SchemeKind::kNoMatLineage,
-      ft::SchemeKind::kNoMatRestart, ft::SchemeKind::kCostBased,
-      ft::SchemeKind::kWriteAheadLineage};
   std::printf("%-18s %12s %10s %10s %10s\n", "scheme", "runtime(s)",
               "overhead%", "restarts", "m-ops");
-  for (ft::SchemeKind kind : kAll) {
+  for (ft::SchemeKind kind : ft::kAllSchemeKinds) {
     auto sp = ft::ApplyScheme(kind, *plan, context);
     if (!sp.ok()) continue;
     cluster::ClusterTrace trace = cluster::ClusterTrace::Generate(stats,

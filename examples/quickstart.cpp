@@ -33,25 +33,26 @@ int main() {
   std::printf("%s\n", plan.Explain().c_str());
 
   // A 50-node commodity/spot cluster where a node fails every ~2 hours.
-  api::FaultToleranceAdvisor advisor(
-      cost::MakeCluster(/*num_nodes=*/50, 2 * cost::kSecondsPerHour,
-                        /*mttr=*/5.0));
+  ft::FtCostContext context;
+  context.cluster = cost::MakeCluster(/*num_nodes=*/50,
+                                      2 * cost::kSecondsPerHour,
+                                      /*mttr=*/5.0);
 
-  auto chosen = advisor.ChooseBestPlan(plan);
+  auto chosen = ft::ApplyCostBasedScheme({plan}, context);
   if (!chosen.ok()) {
     std::fprintf(stderr, "advisor failed: %s\n",
                  chosen.status().ToString().c_str());
     return 1;
   }
-  std::cout << advisor.Explain(*chosen) << "\n";
+  std::cout << ft::Explain(*chosen, context) << "\n";
 
-  auto comparison = advisor.CompareSchemes(plan);
+  auto comparison = ft::CompareSchemes(plan, context);
   if (comparison.ok()) {
     std::printf("Scheme comparison (estimated runtime under failures):\n");
-    for (const auto& est : comparison->estimates) {
+    for (const ft::SchemePlan& sp : comparison->schemes) {
       std::printf("  %-18s %10.1fs  (%zu materialized)\n",
-                  ft::SchemeKindName(est.kind), est.estimated_runtime,
-                  est.num_materialized);
+                  ft::SchemeKindName(sp.kind), sp.estimated_cost,
+                  sp.config.NumMaterialized());
     }
     std::printf("Recommended: %s\n",
                 ft::SchemeKindName(comparison->recommended));

@@ -85,14 +85,15 @@ int main() {
   // Materialization costs derive from the scaled output cardinalities.
   engine::RecostMaterialization(&production, cost::ExternalIscsiStorage());
   const auto stats = cost::MakeCluster(4, cost::kSecondsPerHour, 2.0);
-  api::FaultToleranceAdvisor advisor(stats);
-  auto chosen = advisor.ChooseBestPlan(production);
+  ft::FtCostContext context;
+  context.cluster = stats;
+  auto chosen = ft::ApplyCostBasedScheme({production}, context);
   if (!chosen.ok()) {
     std::fprintf(stderr, "advisor: %s\n",
                  chosen.status().ToString().c_str());
     return 1;
   }
-  std::printf("\n%s\n", advisor.Explain(*chosen).c_str());
+  std::printf("\n%s\n", ft::Explain(*chosen, context).c_str());
 
   // 6. Validate under injected failures.
   cluster::ClusterSimulator simulator(stats);

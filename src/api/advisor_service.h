@@ -1,7 +1,7 @@
 // AdvisorService: the long-lived, cache-backed serving layer over
-// findBestFTPlan. Where FaultToleranceAdvisor answers one request per
-// construction, AdvisorService answers a sustained stream of best-FT-plan
-// requests at high QPS:
+// findBestFTPlan. Where ft::ApplyCostBasedScheme answers one request,
+// AdvisorService answers a sustained stream of best-FT-plan requests at
+// high QPS:
 //
 //   * a sharded cross-request cache of enumeration results keyed on the
 //     canonical request fingerprint (api/fingerprint.h) with LRU eviction
@@ -32,8 +32,9 @@
 #include <memory>
 #include <vector>
 
-#include "api/advisor.h"
 #include "api/fingerprint.h"
+#include "common/result.h"
+#include "ft/scheme.h"
 
 namespace xdbft::api {
 

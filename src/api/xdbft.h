@@ -8,13 +8,16 @@
 //   auto scan = b.Scan("events", 1e8, 64, /*runtime_cost=*/120.0);
 //   auto agg = b.Unary(plan::OpType::kHashAggregate, "agg", scan,
 //                      /*tr=*/40.0, /*tm=*/2.0);
-//   api::FaultToleranceAdvisor advisor(
-//       cost::MakeCluster(/*nodes=*/10, /*mtbf=*/cost::kSecondsPerDay));
-//   auto chosen = advisor.ChooseBestPlan(std::move(b).Build());
-//   std::cout << advisor.Explain(*chosen);
+//   ft::FtCostContext context;
+//   context.cluster =
+//       cost::MakeCluster(/*nodes=*/10, /*mtbf=*/cost::kSecondsPerDay);
+//   auto chosen = ft::ApplyCostBasedScheme({std::move(b).Build()}, context);
+//   std::cout << ft::Explain(*chosen, context);
+//
+// A long-lived process answering many requests uses api::AdvisorService,
+// which caches the same answers.
 #pragma once
 
-#include "api/advisor.h"            // IWYU pragma: export
 #include "api/advisor_service.h"    // IWYU pragma: export
 #include "api/fingerprint.h"        // IWYU pragma: export
 #include "cluster/experiment.h"     // IWYU pragma: export

@@ -22,23 +22,14 @@ Result<ExperimentResult> RunSchemeComparison(
   context.cluster = stats;
   context.model = model;
 
-  SimulationOptions sim = sim_options;
-  sim.pipe_constant = model.pipe_constant;
-  sim.wal_write_cost = model.wal_write_cost;
-  sim.wal_replay_factor = model.wal_replay_factor;
-  ClusterSimulator simulator(stats, sim);
+  ClusterSimulator simulator(stats, MatchModel(model, sim_options));
   XDBFT_ASSIGN_OR_RETURN(const double baseline,
                          simulator.BaselineRuntime(plan));
 
   ExperimentResult result;
   result.baseline_runtime = baseline;
 
-  static constexpr ft::SchemeKind kAllSchemes[] = {
-      ft::SchemeKind::kAllMat, ft::SchemeKind::kNoMatLineage,
-      ft::SchemeKind::kNoMatRestart, ft::SchemeKind::kCostBased,
-      ft::SchemeKind::kWriteAheadLineage};
-
-  for (ft::SchemeKind kind : kAllSchemes) {
+  for (ft::SchemeKind kind : ft::kAllSchemeKinds) {
     XDBFT_ASSIGN_OR_RETURN(ft::SchemePlan sp,
                            ft::ApplyScheme(kind, plan, context));
     // Fresh trace objects per scheme, derived from the same seeds, so

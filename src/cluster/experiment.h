@@ -1,5 +1,5 @@
 // Experiment harness shared by the paper-reproduction benchmarks: runs all
-// four fault-tolerance schemes for a query over a fixed set of failure
+// five fault-tolerance schemes for a query over a fixed set of failure
 // traces and reports overheads relative to the no-failure baseline
 // (paper §5.2).
 #pragma once
@@ -36,7 +36,8 @@ struct ExperimentResult {
   const SchemeOutcome& outcome(ft::SchemeKind kind) const;
 };
 
-/// \brief Run the four schemes (§5.2) for `plan` on `stats`, injecting
+/// \brief Run the five schemes (§5.2's four plus write-ahead lineage,
+/// ft::kAllSchemeKinds) for `plan` on `stats`, injecting
 /// failures from `num_traces` deterministic traces derived from `seed`.
 /// The same trace set is reused across schemes, as in the paper.
 Result<ExperimentResult> RunSchemeComparison(

@@ -47,7 +47,8 @@ namespace xdbft::cluster {
 
 /// \brief Simulator knobs.
 struct SimulationOptions {
-  /// CONST_pipe used when collapsing the plan for execution.
+  /// CONST_pipe used when collapsing the plan for execution. MatchModel
+  /// copies it from a cost model.
   double pipe_constant = 1.0;
   /// Abort the query after this many restarts (paper: 100). Full restart
   /// counts query restarts; fine-grained recovery counts the restarts of
@@ -78,7 +79,8 @@ struct SimulationOptions {
   /// wal_write_cost * lineage_volume; a failed partition replays the
   /// logged frontier at `wal_replay_factor` of the original speed instead
   /// of recomputing from the materialized inputs. Progress already logged
-  /// survives failures. Mirrors CostModelParams::wal_*.
+  /// survives failures. Mirrors CostModelParams::wal_* (MatchModel copies
+  /// them), but defaults to a free log replayed at full length.
   double wal_write_cost = 0.0;
   double wal_replay_factor = 1.0;
   /// When set, the discrete-event timeline is exported into this recorder
@@ -98,6 +100,18 @@ struct SimulationOptions {
   /// accumulate across Run/RunMany invocations. Null (default) disables.
   obs::AttemptTimeline* attempt_log = nullptr;
 };
+
+/// \brief `base` with the fields that mirror the cost model (CONST_pipe,
+/// the WAL write cost and replay factor) taken from `model`, so the
+/// simulator collapses the plan and replays the log as the estimate priced
+/// them. Every other field keeps `base`'s value.
+inline SimulationOptions MatchModel(const cost::CostModelParams& model,
+                                    SimulationOptions base = {}) {
+  base.pipe_constant = model.pipe_constant;
+  base.wal_write_cost = model.wal_write_cost;
+  base.wal_replay_factor = model.wal_replay_factor;
+  return base;
+}
 
 /// \brief Outcome of one simulated execution (or, for RunMany, the
 /// aggregate over a trace set).

@@ -17,11 +17,7 @@ Result<WorkloadOutcome> SimulateWorkload(
   ft::FtCostContext context;
   context.cluster = stats;
   context.model = model;
-  SimulationOptions sim_options = options;
-  sim_options.pipe_constant = model.pipe_constant;
-  sim_options.wal_write_cost = model.wal_write_cost;
-  sim_options.wal_replay_factor = model.wal_replay_factor;
-  ClusterSimulator simulator(stats, sim_options);
+  ClusterSimulator simulator(stats, MatchModel(model, options));
   ClusterTrace trace = ClusterTrace::Generate(stats, trace_seed);
 
   WorkloadOutcome out;
@@ -70,12 +66,8 @@ Result<std::vector<WorkloadOutcome>> CompareSchemesOnWorkload(
     const std::vector<WorkloadQuery>& workload,
     const cost::ClusterStats& stats, const cost::CostModelParams& model,
     uint64_t trace_seed, const SimulationOptions& options) {
-  static constexpr ft::SchemeKind kAll[] = {
-      ft::SchemeKind::kAllMat, ft::SchemeKind::kNoMatLineage,
-      ft::SchemeKind::kNoMatRestart, ft::SchemeKind::kCostBased,
-      ft::SchemeKind::kWriteAheadLineage};
   std::vector<WorkloadOutcome> out;
-  for (ft::SchemeKind scheme : kAll) {
+  for (ft::SchemeKind scheme : ft::kAllSchemeKinds) {
     XDBFT_ASSIGN_OR_RETURN(
         WorkloadOutcome o,
         SimulateWorkload(workload, scheme, stats, model, trace_seed,

@@ -114,4 +114,38 @@ Result<MarginalAnalysis> AnalyzeMarginals(const plan::Plan& plan,
   return out;
 }
 
+std::string Explain(const SchemePlan& chosen, const FtCostContext& context) {
+  std::ostringstream os;
+  os << "Fault-tolerance advisor report\n";
+  os << "  cluster: " << context.cluster.ToString() << "\n";
+  os << StrFormat("  model: CONST_pipe=%.2f, S=%.2f, %s wasted-time\n",
+                  context.model.pipe_constant, context.model.success_target,
+                  context.model.exact_wasted_time ? "exact" : "t/2");
+  os << "  scheme: " << SchemeKindName(chosen.kind) << "\n";
+  os << "  recovery: "
+     << (chosen.recovery == RecoveryMode::kFineGrained
+             ? "fine-grained (restart failed sub-plans)"
+             : chosen.recovery == RecoveryMode::kWalReplay
+                   ? "write-ahead lineage (replay logged frontier)"
+                   : "full query restart")
+     << "\n";
+  os << "  materialized operators: " << chosen.config.ToString() << " ("
+     << chosen.config.NumMaterialized() << " of "
+     << chosen.plan.num_nodes() << ")\n";
+  os << StrFormat("  estimated runtime under failures: %s\n",
+                  HumanDuration(chosen.estimated_cost).c_str());
+  os << "  plan:\n";
+  for (const auto& n : chosen.plan.nodes()) {
+    os << StrFormat("    [%2d]%s %-28s tr=%-9.3f tm=%-9.3f\n", n.id,
+                    chosen.config.materialized(n.id) ? "*" : " ",
+                    n.label.c_str(), n.runtime_cost, n.materialize_cost);
+  }
+  os << "  (* = output materialized to fault-tolerant storage)\n";
+  auto marginals = AnalyzeMarginals(chosen.plan, chosen.config, context);
+  if (marginals.ok()) {
+    os << marginals->ToString();
+  }
+  return os.str();
+}
+
 }  // namespace xdbft::ft

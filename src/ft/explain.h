@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "ft/ft_cost.h"
+#include "ft/scheme.h"
 
 namespace xdbft::ft {
 
@@ -91,5 +92,10 @@ struct AccuracyReport {
 Result<AccuracyReport> BuildAccuracyReport(const plan::Plan& plan,
                                            const MaterializationConfig& config,
                                            const FtCostContext& context);
+
+/// \brief Human-readable report of a chosen scheme: the cluster and model
+/// it was chosen under, its recovery mode, configuration and estimated
+/// runtime, the plan's tr/tm, and the marginal analysis.
+std::string Explain(const SchemePlan& chosen, const FtCostContext& context);
 
 }  // namespace xdbft::ft

@@ -1,5 +1,8 @@
 #include "ft/scheme.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace xdbft::ft {
 
 const char* SchemeKindName(SchemeKind kind) {
@@ -16,6 +19,11 @@ const char* SchemeKindName(SchemeKind kind) {
       return "write-ahead lineage";
   }
   return "?";
+}
+
+RecoveryMode CostBasedRecovery(const cost::CostModelParams& model) {
+  return model.wal_enabled ? RecoveryMode::kWalReplay
+                           : RecoveryMode::kFineGrained;
 }
 
 namespace {
@@ -106,12 +114,7 @@ Result<SchemePlan> ApplyCostBasedScheme(
                          enumerator.FindBest(candidates));
   SchemePlan out;
   out.kind = SchemeKind::kCostBased;
-  // A WAL-enabled model mixes both disciplines: materialization points
-  // break the plan into collapsed ops, and write-ahead lineage covers the
-  // pipelined work inside each. The executed recovery mode follows the
-  // model the costs were computed under.
-  out.recovery = context.model.wal_enabled ? RecoveryMode::kWalReplay
-                                           : RecoveryMode::kFineGrained;
+  out.recovery = CostBasedRecovery(context.model);
   // Return the caller's plan, not the enumerator's working copy: the
   // pruning rules' kNeverMaterialize marks are an internal search detail
   // and would confuse downstream re-analysis (e.g. marginal reports).
@@ -121,6 +124,30 @@ Result<SchemePlan> ApplyCostBasedScheme(
   out.estimated_cost = choice.estimated_cost;
   out.placement_groups = std::move(choice.placement_groups);
   out.stats = enumerator.stats();
+  return out;
+}
+
+Result<SchemeComparison> CompareSchemes(const plan::Plan& plan,
+                                        const FtCostContext& context,
+                                        const EnumerationOptions& options) {
+  SchemeComparison out;
+  double best = std::numeric_limits<double>::infinity();
+  for (SchemeKind kind : kAllSchemeKinds) {
+    XDBFT_ASSIGN_OR_RETURN(SchemePlan sp,
+                           ApplyScheme(kind, plan, context, options));
+    // Strictly-better wins; on ties the cost-based scheme is preferred
+    // (it is never worse than the fixed schemes under the model).
+    if (sp.estimated_cost < best ||
+        (kind == SchemeKind::kCostBased && sp.estimated_cost <= best)) {
+      best = sp.estimated_cost;
+      out.recommended = kind;
+    }
+    out.schemes.push_back(std::move(sp));
+  }
+  std::stable_sort(out.schemes.begin(), out.schemes.end(),
+                   [](const SchemePlan& a, const SchemePlan& b) {
+                     return a.estimated_cost < b.estimated_cost;
+                   });
   return out;
 }
 

@@ -1,10 +1,11 @@
 // The four fault-tolerance schemes compared in the paper's evaluation
 // (§5.2): all-mat (Hadoop), no-mat lineage (Shark/Spark), no-mat restart
-// (parallel database) and the paper's cost-based scheme. A scheme is a
-// materialization policy plus a recovery mode.
+// (parallel database) and the paper's cost-based scheme, plus write-ahead
+// lineage. A scheme is a materialization policy plus a recovery mode.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "ft/enumerator.h"
@@ -27,6 +28,11 @@ enum class SchemeKind : int {
   kWriteAheadLineage,
 };
 
+/// \brief Every scheme, in the order comparisons list them and keep ties.
+inline constexpr SchemeKind kAllSchemeKinds[] = {
+    SchemeKind::kAllMat, SchemeKind::kNoMatLineage, SchemeKind::kNoMatRestart,
+    SchemeKind::kCostBased, SchemeKind::kWriteAheadLineage};
+
 const char* SchemeKindName(SchemeKind kind);
 
 /// \brief How the engine recovers when a mid-query failure is detected.
@@ -41,6 +47,13 @@ enum class RecoveryMode : int {
   /// re-applied at a replay discount instead of recomputed.
   kWalReplay,
 };
+
+/// \brief The recovery mode a cost-based answer runs under. A WAL-enabled
+/// model mixes both disciplines: materialization points break the plan
+/// into collapsed ops, and write-ahead lineage covers the pipelined work
+/// inside each. The executed mode follows the model the costs were
+/// computed under.
+RecoveryMode CostBasedRecovery(const cost::CostModelParams& model);
 
 /// \brief A scheme instantiated for one query: the plan with its
 /// materialization configuration and recovery mode, ready for execution.
@@ -75,5 +88,19 @@ Result<SchemePlan> ApplyScheme(SchemeKind kind, const plan::Plan& plan,
 Result<SchemePlan> ApplyCostBasedScheme(
     const std::vector<plan::Plan>& candidates, const FtCostContext& context,
     const EnumerationOptions& options = {});
+
+/// \brief Every scheme of kAllSchemeKinds instantiated for one plan.
+struct SchemeComparison {
+  /// Cheapest estimate first; equal estimates keep kAllSchemeKinds order.
+  std::vector<SchemePlan> schemes;
+  /// The cheapest scheme; on a tie, cost-based.
+  SchemeKind recommended = SchemeKind::kCostBased;
+};
+
+/// \brief Applies every scheme to `plan` (the cost-based one under
+/// `options`) and ranks them by estimated runtime under failures.
+Result<SchemeComparison> CompareSchemes(const plan::Plan& plan,
+                                        const FtCostContext& context,
+                                        const EnumerationOptions& options = {});
 
 }  // namespace xdbft::ft

@@ -742,10 +742,7 @@ std::optional<std::string> CheckWalModelVsSim(const ReproCase& c) {
     auto pred_blind = ft::FtCostModel(blind_ctx).Estimate(plan, config);
     if (!pred_wal.ok() || !pred_blind.ok()) return "estimate failed";
 
-    cluster::SimulationOptions opts;
-    opts.wal_write_cost = kWriteCost;
-    opts.wal_replay_factor = kReplayFactor;
-    ClusterSimulator sim(stats, opts);
+    ClusterSimulator sim(stats, cluster::MatchModel(wal_ctx.model));
     ft::SchemePlan scheme;
     scheme.kind = ft::SchemeKind::kWriteAheadLineage;
     scheme.recovery = RecoveryMode::kWalReplay;

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/xdbft.h"  // umbrella header must compile standalone
 #include "ft/scheme.h"
 #include "tpch/queries.h"
 

@@ -191,5 +191,23 @@ TEST(ExplainTest, AccuracyReportRowsMatchEstimateUnderWalBurstsPlacement) {
   EXPECT_GT(logged_ops, 0);
 }
 
+TEST(AdvisorTest, ExplainMentionsKeyFacts) {
+  PlanBuilder b("sample");
+  auto scan = b.Scan("T", 1e8, 64, 100.0);
+  b.Constrain(scan, plan::MatConstraint::kNeverMaterialize);
+  auto join = b.Unary(OpType::kHashJoin, "join", scan, 80.0, 30.0);
+  auto agg = b.Unary(OpType::kHashAggregate, "agg", join, 40.0, 1.0);
+  b.Unary(OpType::kSort, "sort", agg, 5.0, 0.2);
+  FtCostContext ctx;
+  ctx.cluster = cost::MakeCluster(10, 600.0, 1.0);
+  auto chosen = ApplyCostBasedScheme({std::move(b).Build()}, ctx);
+  ASSERT_TRUE(chosen.ok());
+  const std::string report = Explain(*chosen, ctx);
+  EXPECT_NE(report.find("cost-based"), std::string::npos);
+  EXPECT_NE(report.find("fine-grained"), std::string::npos);
+  EXPECT_NE(report.find("estimated runtime"), std::string::npos);
+  EXPECT_NE(report.find("join"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace xdbft::ft

@@ -40,18 +40,13 @@ FtCostContext MakeContext(bool wal) {
   return ctx;
 }
 
-constexpr SchemeKind kAllSchemes[] = {
-    SchemeKind::kAllMat, SchemeKind::kNoMatLineage,
-    SchemeKind::kNoMatRestart, SchemeKind::kCostBased,
-    SchemeKind::kWriteAheadLineage};
-
 constexpr tpch::TpchQuery kQueries[] = {
     tpch::TpchQuery::kQ1, tpch::TpchQuery::kQ3, tpch::TpchQuery::kQ5};
 
 TEST(SchemeDeterminismTest, BitIdenticalAtAnyThreadCount) {
   for (const tpch::TpchQuery q : kQueries) {
     const Plan plan = TpchPlan(q);
-    for (const SchemeKind kind : kAllSchemes) {
+    for (const SchemeKind kind : kAllSchemeKinds) {
       const FtCostContext ctx =
           MakeContext(kind == SchemeKind::kWriteAheadLineage);
       EnumerationOptions seq;

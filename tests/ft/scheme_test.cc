@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "ft/collapsed_plan.h"
@@ -220,6 +222,111 @@ TEST(SchemeTest, EstimatesOrderedSensiblyUnderHighFailureRate) {
   ASSERT_TRUE(all_mat.ok());
   ASSERT_TRUE(no_mat.ok());
   EXPECT_LT(all_mat->estimated_cost, no_mat->estimated_cost);
+}
+
+// The advisor's one-shot answers: findBestFTPlan (§3.2) through
+// ApplyCostBasedScheme and the five-scheme comparison.
+
+Plan SamplePlan() {
+  PlanBuilder b("sample");
+  auto scan = b.Scan("T", 1e8, 64, 100.0);
+  b.Constrain(scan, plan::MatConstraint::kNeverMaterialize);
+  auto join = b.Unary(OpType::kHashJoin, "join", scan, 80.0, 30.0);
+  auto agg = b.Unary(OpType::kHashAggregate, "agg", join, 40.0, 1.0);
+  b.Unary(OpType::kSort, "sort", agg, 5.0, 0.2);
+  return std::move(b).Build();
+}
+
+TEST(AdvisorTest, ChooseBestPlanReturnsCostBasedScheme) {
+  auto chosen = ApplyCostBasedScheme({SamplePlan()}, MakeContext(600.0));
+  ASSERT_TRUE(chosen.ok()) << chosen.status();
+  EXPECT_EQ(chosen->kind, SchemeKind::kCostBased);
+  EXPECT_EQ(chosen->recovery, RecoveryMode::kFineGrained);
+  EXPECT_GT(chosen->estimated_cost, 0.0);
+  EXPECT_TRUE(chosen->config.Validate(chosen->plan).ok());
+}
+
+TEST(AdvisorTest, ChooseBestOverCandidates) {
+  PlanBuilder cheap("cheap");
+  auto s = cheap.Scan("T", 1e6, 8, 1.0);
+  cheap.Unary(OpType::kHashAggregate, "agg", s, 1.0, 0.1);
+  Plan pc = std::move(cheap).Build();
+  auto chosen = ApplyCostBasedScheme({SamplePlan(), pc}, MakeContext(3600.0));
+  ASSERT_TRUE(chosen.ok());
+  EXPECT_EQ(chosen->plan.name(), "cheap");
+}
+
+TEST(AdvisorTest, CompareSchemesListsAllFiveSorted) {
+  auto cmp = CompareSchemes(SamplePlan(), MakeContext(600.0));
+  ASSERT_TRUE(cmp.ok()) << cmp.status();
+  ASSERT_EQ(cmp->schemes.size(), 5u);
+  for (size_t i = 1; i < cmp->schemes.size(); ++i) {
+    EXPECT_LE(cmp->schemes[i - 1].estimated_cost,
+              cmp->schemes[i].estimated_cost);
+  }
+}
+
+TEST(AdvisorTest, RecommendationIsNeverWorseThanOthers) {
+  for (double mtbf : {120.0, 3600.0, 86400.0}) {
+    auto cmp = CompareSchemes(SamplePlan(), MakeContext(mtbf));
+    ASSERT_TRUE(cmp.ok());
+    double recommended_cost = 0.0, best = 1e300;
+    for (const auto& e : cmp->schemes) {
+      if (e.kind == cmp->recommended) recommended_cost = e.estimated_cost;
+      best = std::min(best, e.estimated_cost);
+    }
+    EXPECT_NEAR(recommended_cost, best, best * 1e-12) << mtbf;
+  }
+}
+
+TEST(AdvisorTest, TiesPreferCostBased) {
+  // With effectively no failures, no-mat and cost-based tie; the
+  // recommendation must be cost-based.
+  auto cmp = CompareSchemes(SamplePlan(), MakeContext(1e15));
+  ASSERT_TRUE(cmp.ok());
+  EXPECT_EQ(cmp->recommended, SchemeKind::kCostBased);
+  // Tied estimates keep kAllSchemeKinds order.
+  auto rank = [](SchemeKind kind) {
+    return std::find(std::begin(kAllSchemeKinds), std::end(kAllSchemeKinds),
+                     kind) -
+           std::begin(kAllSchemeKinds);
+  };
+  int ties = 0;
+  for (size_t i = 1; i < cmp->schemes.size(); ++i) {
+    if (cmp->schemes[i - 1].estimated_cost !=
+        cmp->schemes[i].estimated_cost) {
+      continue;
+    }
+    ++ties;
+    EXPECT_LT(rank(cmp->schemes[i - 1].kind), rank(cmp->schemes[i].kind))
+        << SchemeKindName(cmp->schemes[i - 1].kind) << " before "
+        << SchemeKindName(cmp->schemes[i].kind);
+  }
+  EXPECT_GT(ties, 0);
+}
+
+TEST(AdvisorTest, RespectsEnumerationOptions) {
+  EnumerationOptions opts;
+  opts.max_free_operators = 0;  // everything rejected
+  opts.pruning.rule1 = opts.pruning.rule2 = false;
+  EXPECT_FALSE(
+      ApplyCostBasedScheme({SamplePlan()}, MakeContext(600.0), opts).ok());
+}
+
+TEST(AdvisorTest, PropagatesModelParams) {
+  FtCostContext ctx = MakeContext(600.0);
+  ctx.model.success_target = 0.5;
+  EXPECT_DOUBLE_EQ(ctx.MakeFailureParams().success_target, 0.5);
+  // The answer is priced under the caller's S, not the default 0.95.
+  auto half = ApplyCostBasedScheme({SamplePlan()}, ctx);
+  auto standard = ApplyCostBasedScheme({SamplePlan()}, MakeContext(600.0));
+  ASSERT_TRUE(half.ok() && standard.ok());
+  EXPECT_LT(half->estimated_cost, standard->estimated_cost);
+}
+
+TEST(AdvisorTest, RejectsInvalidInput) {
+  EXPECT_FALSE(ApplyCostBasedScheme({Plan{}}, MakeContext(600.0)).ok());
+  EXPECT_FALSE(CompareSchemes(Plan{}, MakeContext(600.0)).ok());
 }
 
 }  // namespace

@@ -45,8 +45,7 @@ TEST(PipelineTest, GenerateExecuteCalibrateChooseSimulate) {
       engine::ScaleCalibratedPlan(*reparsed, 100.0 / gen.scale_factor, 1.0);
   engine::RecostMaterialization(&production, cost::ExternalIscsiStorage());
   const auto stats = cost::MakeCluster(4, cost::kSecondsPerHour, 2.0);
-  api::FaultToleranceAdvisor advisor(stats);
-  auto chosen = advisor.ChooseBestPlan(production);
+  auto chosen = ft::ApplyCostBasedScheme({production}, {stats, {}});
   ASSERT_TRUE(chosen.ok()) << chosen.status();
   EXPECT_TRUE(chosen->config.Validate(chosen->plan).ok());
 
@@ -113,9 +112,8 @@ TEST(PipelineTest, AllTpchPlansSerializeAndAdvise) {
     ASSERT_TRUE(plan.ok()) << tpch::TpchQueryName(q);
     auto reparsed = plan::PlanFromText(plan::PlanToText(*plan));
     ASSERT_TRUE(reparsed.ok()) << tpch::TpchQueryName(q);
-    api::FaultToleranceAdvisor advisor(
-        cost::MakeCluster(10, cost::kSecondsPerHour, 1.0));
-    auto chosen = advisor.ChooseBestPlan(*reparsed);
+    auto chosen = ft::ApplyCostBasedScheme(
+        {*reparsed}, {cost::MakeCluster(10, cost::kSecondsPerHour, 1.0), {}});
     ASSERT_TRUE(chosen.ok()) << tpch::TpchQueryName(q);
     EXPECT_GT(chosen->estimated_cost, 0.0) << tpch::TpchQueryName(q);
   }
@@ -138,9 +136,8 @@ TEST(PipelineTest, JoinOrderPipelineFeedsAdvisor) {
     ASSERT_TRUE(p.ok());
     candidates.push_back(std::move(*p));
   }
-  api::FaultToleranceAdvisor advisor(
-      cost::MakeCluster(10, cost::kSecondsPerHour, 1.0));
-  auto chosen = advisor.ChooseBestPlan(candidates);
+  auto chosen = ft::ApplyCostBasedScheme(
+      candidates, {cost::MakeCluster(10, cost::kSecondsPerHour, 1.0), {}});
   ASSERT_TRUE(chosen.ok()) << chosen.status();
   EXPECT_TRUE(chosen->config.Validate(chosen->plan).ok());
 }

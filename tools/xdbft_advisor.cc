@@ -176,11 +176,7 @@ cost::ClusterStats MakeStats(const Args& args, double mtbf) {
 
 // Rejects non-finite / non-positive cluster or model parameters up front
 // with an InvalidArgument instead of letting NaNs reach the enumerator.
-bool ValidateParams(const cost::ClusterStats& stats,
-                    const cost::CostModelParams& model) {
-  ft::FtCostContext context;
-  context.cluster = stats;
-  context.model = model;
+bool ValidateParams(const ft::FtCostContext& context) {
   const Status s = context.Validate();
   if (!s.ok()) {
     std::fprintf(stderr, "invalid parameters: %s\n", s.ToString().c_str());
@@ -448,7 +444,8 @@ int main(int argc, char** argv) {
   model.pipe_constant = args.pipe_constant;
   model.scale_success_target_with_cluster = args.scale_success;
   ApplyWalArgs(args, &model);
-  if (!ValidateParams(stats, model)) return 1;
+  const ft::FtCostContext context{stats, model};
+  if (!ValidateParams(context)) return 1;
 
   ft::SchemeKind forced_kind = ft::SchemeKind::kCostBased;
   const bool forced_scheme = !args.scheme.empty();
@@ -471,19 +468,19 @@ int main(int argc, char** argv) {
   if (trace_ptr != nullptr) {
     trace.SetProcessName(2, "ft-plan enumeration (wall clock)");
   }
-  api::FaultToleranceAdvisor advisor(stats, model, eopts);
   Result<ft::SchemePlan> chosen = [&]() -> Result<ft::SchemePlan> {
     if (forced_scheme) {
-      return ft::ApplyScheme(forced_kind, *plan, advisor.context(), eopts);
+      return ft::ApplyScheme(forced_kind, *plan, context, eopts);
     }
-    if (!args.greedy) return advisor.ChooseBestPlan(*plan);
+    if (!args.greedy) {
+      return ft::ApplyCostBasedScheme({*plan}, context, eopts);
+    }
     // Greedy hill climbing for plans too wide to enumerate.
     XDBFT_ASSIGN_OR_RETURN(ft::GreedyResult g,
-                           ft::GreedyMaterialization(*plan,
-                                                     advisor.context()));
+                           ft::GreedyMaterialization(*plan, context));
     ft::SchemePlan sp;
     sp.kind = ft::SchemeKind::kCostBased;
-    sp.recovery = ft::RecoveryMode::kFineGrained;
+    sp.recovery = ft::CostBasedRecovery(model);
     sp.plan = *plan;
     sp.config = std::move(g.config);
     sp.estimated_cost = g.estimated_cost;
@@ -494,7 +491,7 @@ int main(int argc, char** argv) {
                  chosen.status().ToString().c_str());
     return 1;
   }
-  std::cout << advisor.Explain(*chosen);
+  std::cout << ft::Explain(*chosen, context);
 
   const bool observability = !args.metrics_json.empty() || trace_ptr;
   // This invocation's numbers for --metrics-json, one layer at a time.
@@ -502,8 +499,7 @@ int main(int argc, char** argv) {
   ft::AddRunMetrics(chosen->stats, &metrics);
 
   if (observability) {
-    auto report = ft::BuildAccuracyReport(*plan, chosen->config,
-                                          advisor.context());
+    auto report = ft::BuildAccuracyReport(*plan, chosen->config, context);
     auto observed = RunValidationExecution(
         trace_ptr, args.exec_threads, args.postmortem_dir, &metrics);
     if (report.ok()) {
@@ -516,18 +512,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto comparison = advisor.CompareSchemes(*plan);
+  auto comparison = ft::CompareSchemes(*plan, context, eopts);
   if (comparison.ok()) {
     std::printf("\nScheme comparison (estimated runtime under failures):\n");
-    for (const auto& est : comparison->estimates) {
+    for (const ft::SchemePlan& sp : comparison->schemes) {
       std::printf("  %-18s %12.1fs  (%zu materialized)\n",
-                  ft::SchemeKindName(est.kind), est.estimated_runtime,
-                  est.num_materialized);
+                  ft::SchemeKindName(sp.kind), sp.estimated_cost,
+                  sp.config.NumMaterialized());
     }
   }
 
   if (args.simulate_traces > 0) {
-    cluster::ClusterSimulator simulator(stats);
+    cluster::ClusterSimulator simulator(stats, cluster::MatchModel(model));
     auto baseline = simulator.BaselineRuntime(*plan);
     auto traces = cluster::GenerateTraceSet(
         stats, args.simulate_traces, /*base_seed=*/42);
@@ -544,7 +540,7 @@ int main(int argc, char** argv) {
     if (trace_ptr != nullptr) {
       // One extra single run exports the discrete-event timeline (virtual
       // time: 1 simulated second = 1 ms) into the trace on its own pid.
-      cluster::SimulationOptions sim_options;
+      cluster::SimulationOptions sim_options = cluster::MatchModel(model);
       sim_options.trace = trace_ptr;
       sim_options.trace_pid = 1;
       trace.SetProcessName(1, "simulator (virtual time: 1 sim s = 1 ms)");

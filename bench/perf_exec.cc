@@ -42,15 +42,14 @@ using exec::ValueType;
 namespace {
 
 Table MakeInts(int64_t n, int64_t key_domain, uint64_t seed) {
-  Table t;
-  t.schema = {{"k", ValueType::kInt64}, {"v", ValueType::kDouble}};
+  exec::TableBuilder b({{"k", ValueType::kInt64}, {"v", ValueType::kDouble}});
   Rng rng(seed);
-  t.rows.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
-    t.rows.push_back({Value(rng.NextInt(0, key_domain - 1)),
-                      Value(rng.NextDouble() * 100.0)});
+    b.column(0).AppendInt64(rng.NextInt(0, key_domain - 1));
+    b.column(1).AppendDouble(rng.NextDouble() * 100.0);
+    b.EndRow();
   }
-  return t;
+  return b.Finish();
 }
 
 void BM_Scan(benchmark::State& state) {
@@ -142,14 +141,10 @@ void BM_Q5EndToEnd(benchmark::State& state) {
 BENCHMARK(BM_Q5EndToEnd)->Unit(benchmark::kMillisecond);
 
 bool SameTable(const Table& a, const Table& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows[i].size() != b.rows[i].size()) return false;
-    for (size_t j = 0; j < a.rows[i].size(); ++j) {
-      if (!(a.rows[i][j] == b.rows[i][j])) return false;
-    }
-  }
-  return true;
+  const std::vector<exec::Row> ra = a.ToRows();
+  const std::vector<exec::Row> rb = b.ToRows();
+  return std::equal(ra.begin(), ra.end(), rb.begin(), rb.end(),
+                    exec::RowEq{});
 }
 
 // One timed FaultTolerantExecutor run. The injector is re-created per run
@@ -270,17 +265,18 @@ int RunVectorizationSweep(bench::BenchJsonWriter* json, bool quick) {
   // revenue expression price * (1 - discount), where vectorized evaluation
   // pays off most against the row engine's per-row expression tree walk.
   Table t;
-  t.schema = {{"k", exec::ValueType::kInt64},
-              {"price", exec::ValueType::kDouble},
-              {"disc", exec::ValueType::kDouble}};
   {
+    exec::TableBuilder b({{"k", exec::ValueType::kInt64},
+                          {"price", exec::ValueType::kDouble},
+                          {"disc", exec::ValueType::kDouble}});
     Rng rng(11);
-    t.rows.reserve(static_cast<size_t>(rows));
     for (int64_t i = 0; i < rows; ++i) {
-      t.rows.push_back({Value(rng.NextInt(0, 99999)),
-                        Value(rng.NextDouble() * 100.0),
-                        Value(rng.NextDouble() * 0.1)});
+      b.column(0).AppendInt64(rng.NextInt(0, 99999));
+      b.column(1).AppendDouble(rng.NextDouble() * 100.0);
+      b.column(2).AppendDouble(rng.NextDouble() * 0.1);
+      b.EndRow();
     }
+    t = b.Finish();
   }
   const auto revenue =
       Expr::Col(1) * (Expr::Lit(Value(1.0)) - Expr::Col(2));

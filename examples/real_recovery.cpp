@@ -33,7 +33,7 @@ int main() {
   }
   std::printf("Failure-free Q5 result (%zu nations):\n",
               clean->result.num_rows());
-  for (const auto& row : clean->result.rows) {
+  for (const auto& row : clean->result.ToRows()) {
     std::printf("  %-12s %14.2f\n", row[0].AsString().c_str(),
                 row[1].AsDouble());
   }
@@ -81,7 +81,7 @@ int main() {
         correct = false;
       } else {
         for (size_t i = 0; i < r->result.num_rows(); ++i) {
-          if (!exec::RowEq{}(r->result.rows[i], clean->result.rows[i])) {
+          if (!exec::RowEq{}(r->result.GetRow(i), clean->result.GetRow(i))) {
             correct = false;
           }
         }

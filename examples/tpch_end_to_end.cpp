@@ -55,7 +55,7 @@ int main() {
   }
   std::printf("\nQ5 executed in %.3fs; revenue per nation:\n",
               execution->wall_seconds);
-  for (const auto& row : execution->result.rows) {
+  for (const auto& row : execution->result.ToRows()) {
     std::printf("  %-12s %14.2f\n", row[0].AsString().c_str(),
                 row[1].AsDouble());
   }

@@ -9,7 +9,7 @@ namespace xdbft::datagen {
 using catalog::TpchTable;
 using exec::Schema;
 using exec::Table;
-using exec::Value;
+using exec::TableBuilder;
 using exec::ValueType;
 
 namespace {
@@ -121,115 +121,150 @@ Result<TpchDatabase> GenerateTpch(const TpchGenOptions& options) {
   Rng rng(options.seed);
   TpchDatabase db;
 
+  // Columns are written directly into typed builders, in schema order.
   // REGION: 5 fixed rows.
-  db.region.schema = RegionSchema();
-  for (int64_t r = 0; r < 5; ++r) {
-    db.region.rows.push_back({Value(r), Value(kRegionNames[r])});
+  {
+    TableBuilder b(RegionSchema());
+    for (int64_t r = 0; r < 5; ++r) {
+      b.column(0).AppendInt64(r);
+      b.column(1).AppendString(kRegionNames[r]);
+      b.EndRow();
+    }
+    db.region = b.Finish();
   }
 
   // NATION: 25 fixed rows, 5 per region.
-  db.nation.schema = NationSchema();
-  for (int64_t n = 0; n < 25; ++n) {
-    db.nation.rows.push_back(
-        {Value(n), Value(StrFormat("NATION#%02lld",
-                                   static_cast<long long>(n))),
-         Value(n % 5)});
+  {
+    TableBuilder b(NationSchema());
+    for (int64_t n = 0; n < 25; ++n) {
+      b.column(0).AppendInt64(n);
+      b.column(1).AppendString(
+          StrFormat("NATION#%02lld", static_cast<long long>(n)));
+      b.column(2).AppendInt64(n % 5);
+      b.EndRow();
+    }
+    db.nation = b.Finish();
   }
 
   // SUPPLIER: 10,000 * SF.
   const int64_t num_suppliers = Rows(10000, sf);
-  db.supplier.schema = SupplierSchema();
-  db.supplier.rows.reserve(static_cast<size_t>(num_suppliers));
-  for (int64_t s = 1; s <= num_suppliers; ++s) {
-    db.supplier.rows.push_back(
-        {Value(s),
-         Value(StrFormat("Supplier#%09lld", static_cast<long long>(s))),
-         Value(rng.NextInt(0, 24)),
-         Value(rng.NextDouble() * 11000.0 - 1000.0)});
+  {
+    TableBuilder b(SupplierSchema());
+    for (int64_t s = 1; s <= num_suppliers; ++s) {
+      b.column(0).AppendInt64(s);
+      b.column(1).AppendString(
+          StrFormat("Supplier#%09lld", static_cast<long long>(s)));
+      b.column(2).AppendInt64(rng.NextInt(0, 24));
+      b.column(3).AppendDouble(rng.NextDouble() * 11000.0 - 1000.0);
+      b.EndRow();
+    }
+    db.supplier = b.Finish();
   }
 
   // CUSTOMER: 150,000 * SF.
   const int64_t num_customers = Rows(150000, sf);
-  db.customer.schema = CustomerSchema();
-  db.customer.rows.reserve(static_cast<size_t>(num_customers));
-  for (int64_t c = 1; c <= num_customers; ++c) {
-    db.customer.rows.push_back(
-        {Value(c),
-         Value(StrFormat("Customer#%09lld", static_cast<long long>(c))),
-         Value(rng.NextInt(0, 24)), Value(kSegments[rng.NextBounded(5)]),
-         Value(rng.NextDouble() * 10999.99 - 999.99)});
+  {
+    TableBuilder b(CustomerSchema());
+    for (int64_t c = 1; c <= num_customers; ++c) {
+      b.column(0).AppendInt64(c);
+      b.column(1).AppendString(
+          StrFormat("Customer#%09lld", static_cast<long long>(c)));
+      b.column(2).AppendInt64(rng.NextInt(0, 24));
+      b.column(3).AppendString(kSegments[rng.NextBounded(5)]);
+      b.column(4).AppendDouble(rng.NextDouble() * 10999.99 - 999.99);
+      b.EndRow();
+    }
+    db.customer = b.Finish();
   }
 
   // PART: 200,000 * SF.
   const int64_t num_parts = Rows(200000, sf);
-  db.part.schema = PartSchema();
-  db.part.rows.reserve(static_cast<size_t>(num_parts));
-  for (int64_t p = 1; p <= num_parts; ++p) {
-    const std::string type = std::string(kPartTypes[rng.NextBounded(6)]) +
-                             " " + kMaterials[rng.NextBounded(5)];
-    db.part.rows.push_back(
-        {Value(p),
-         Value(StrFormat("Part#%09lld", static_cast<long long>(p))),
-         Value(type),
-         Value(900.0 + static_cast<double>(p % 1000) + 0.01 *
-                                                           static_cast<double>(
-                                                               p % 100))});
+  {
+    TableBuilder b(PartSchema());
+    for (int64_t p = 1; p <= num_parts; ++p) {
+      const std::string type = std::string(kPartTypes[rng.NextBounded(6)]) +
+                               " " + kMaterials[rng.NextBounded(5)];
+      b.column(0).AppendInt64(p);
+      b.column(1).AppendString(
+          StrFormat("Part#%09lld", static_cast<long long>(p)));
+      b.column(2).AppendString(type);
+      b.column(3).AppendDouble(900.0 + static_cast<double>(p % 1000) +
+                               0.01 * static_cast<double>(p % 100));
+      b.EndRow();
+    }
+    db.part = b.Finish();
   }
 
   // PARTSUPP: 4 suppliers per part.
-  db.partsupp.schema = PartSuppSchema();
-  db.partsupp.rows.reserve(static_cast<size_t>(num_parts * 4));
-  for (int64_t p = 1; p <= num_parts; ++p) {
-    for (int64_t i = 0; i < 4; ++i) {
-      const int64_t s =
-          1 + (p + i * (num_suppliers / 4 + 1)) % num_suppliers;
-      db.partsupp.rows.push_back({Value(p), Value(s),
-                                  Value(rng.NextDouble() * 1000.0 + 1.0),
-                                  Value(rng.NextInt(1, 9999))});
+  {
+    TableBuilder b(PartSuppSchema());
+    for (int64_t p = 1; p <= num_parts; ++p) {
+      for (int64_t i = 0; i < 4; ++i) {
+        const int64_t s =
+            1 + (p + i * (num_suppliers / 4 + 1)) % num_suppliers;
+        b.column(0).AppendInt64(p);
+        b.column(1).AppendInt64(s);
+        b.column(2).AppendDouble(rng.NextDouble() * 1000.0 + 1.0);
+        b.column(3).AppendInt64(rng.NextInt(1, 9999));
+        b.EndRow();
+      }
     }
+    db.partsupp = b.Finish();
   }
 
   // ORDERS: 1,500,000 * SF, uniform over customers and the 7-year window.
   const int64_t num_orders = Rows(1500000, sf);
-  db.orders.schema = OrdersSchema();
-  db.orders.rows.reserve(static_cast<size_t>(num_orders));
   std::vector<int64_t> order_dates(static_cast<size_t>(num_orders));
-  for (int64_t o = 1; o <= num_orders; ++o) {
-    const int64_t date = rng.NextInt(0, kDateRangeDays - 1);
-    order_dates[static_cast<size_t>(o - 1)] = date;
-    db.orders.rows.push_back({Value(o),
-                              Value(rng.NextInt(1, num_customers)),
-                              Value(date),
-                              Value(rng.NextDouble() * 400000.0 + 900.0),
-                              Value(date < kDateRangeDays / 2 ? "F" : "O")});
+  {
+    TableBuilder b(OrdersSchema());
+    for (int64_t o = 1; o <= num_orders; ++o) {
+      const int64_t date = rng.NextInt(0, kDateRangeDays - 1);
+      order_dates[static_cast<size_t>(o - 1)] = date;
+      b.column(0).AppendInt64(o);
+      b.column(1).AppendInt64(rng.NextInt(1, num_customers));
+      b.column(2).AppendInt64(date);
+      b.column(3).AppendDouble(rng.NextDouble() * 400000.0 + 900.0);
+      b.column(4).AppendString(date < kDateRangeDays / 2 ? "F" : "O");
+      b.EndRow();
+    }
+    db.orders = b.Finish();
   }
 
   // LINEITEM: 1-7 items per order (avg ~4, matching 6M/1.5M at SF=1).
-  db.lineitem.schema = LineitemSchema();
-  db.lineitem.rows.reserve(static_cast<size_t>(num_orders) * 4);
-  for (int64_t o = 1; o <= num_orders; ++o) {
-    const int64_t items = rng.NextInt(1, 7);
-    const int64_t odate = order_dates[static_cast<size_t>(o - 1)];
-    for (int64_t ln = 1; ln <= items; ++ln) {
-      const int64_t part_key = rng.NextInt(1, num_parts);
-      // Pick one of the part's 4 suppliers so LINEITEM joins PARTSUPP.
-      const int64_t supp_index = rng.NextInt(0, 3);
-      const int64_t supp_key =
-          1 + (part_key + supp_index * (num_suppliers / 4 + 1)) %
-                  num_suppliers;
-      const double qty = static_cast<double>(rng.NextInt(1, 50));
-      const double price = qty * (900.0 + static_cast<double>(
-                                              part_key % 1000));
-      const int64_t ship = std::min<int64_t>(kDateRangeDays - 1,
-                                             odate + rng.NextInt(1, 121));
-      db.lineitem.rows.push_back(
-          {Value(o), Value(ln), Value(part_key), Value(supp_key),
-           Value(qty), Value(price),
-           Value(0.01 * static_cast<double>(rng.NextInt(0, 10))),
-           Value(0.01 * static_cast<double>(rng.NextInt(0, 8))),
-           Value(kReturnFlags[rng.NextBounded(3)]),
-           Value(ship < kDateRangeDays / 2 ? "F" : "O"), Value(ship)});
+  {
+    TableBuilder b(LineitemSchema());
+    for (int64_t o = 1; o <= num_orders; ++o) {
+      const int64_t items = rng.NextInt(1, 7);
+      const int64_t odate = order_dates[static_cast<size_t>(o - 1)];
+      for (int64_t ln = 1; ln <= items; ++ln) {
+        const int64_t part_key = rng.NextInt(1, num_parts);
+        // Pick one of the part's 4 suppliers so LINEITEM joins PARTSUPP.
+        const int64_t supp_index = rng.NextInt(0, 3);
+        const int64_t supp_key =
+            1 + (part_key + supp_index * (num_suppliers / 4 + 1)) %
+                    num_suppliers;
+        const double qty = static_cast<double>(rng.NextInt(1, 50));
+        const double price = qty * (900.0 + static_cast<double>(
+                                                part_key % 1000));
+        const int64_t ship = std::min<int64_t>(kDateRangeDays - 1,
+                                               odate + rng.NextInt(1, 121));
+        b.column(0).AppendInt64(o);
+        b.column(1).AppendInt64(ln);
+        b.column(2).AppendInt64(part_key);
+        b.column(3).AppendInt64(supp_key);
+        b.column(4).AppendDouble(qty);
+        b.column(5).AppendDouble(price);
+        b.column(6).AppendDouble(0.01 *
+                                 static_cast<double>(rng.NextInt(0, 10)));
+        b.column(7).AppendDouble(0.01 *
+                                 static_cast<double>(rng.NextInt(0, 8)));
+        b.column(8).AppendString(kReturnFlags[rng.NextBounded(3)]);
+        b.column(9).AppendString(ship < kDateRangeDays / 2 ? "F" : "O");
+        b.column(10).AppendInt64(ship);
+        b.EndRow();
+      }
     }
+    db.lineitem = b.Finish();
   }
   return db;
 }

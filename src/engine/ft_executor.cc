@@ -23,15 +23,15 @@ uint64_t ApproxTableBytes(const Table& t) {
 }
 
 // Rough bytes/row of a table from its first row (for materialization
-// costing): 8 per numeric cell, 16 plus the payload per string.
+// costing): 8 per numeric or NULL cell, 16 plus the payload per string.
 double EstimateRowWidth(const Table& t) {
-  if (t.rows.empty()) {
+  if (t.num_rows() == 0) {
     return 16.0 * static_cast<double>(t.schema.num_columns());
   }
   double bytes = 0.0;
-  for (const auto& v : t.rows[0]) {
-    bytes += v.type() == exec::ValueType::kString
-                 ? 16.0 + static_cast<double>(v.AsString().size())
+  for (const exec::Vector& v : t.chunks()[0]->columns) {
+    bytes += v.type == exec::ValueType::kString && !v.IsNull(0)
+                 ? 16.0 + static_cast<double>(v.StringAt(0).size())
                  : 8.0;
   }
   return bytes;
@@ -51,13 +51,13 @@ struct SlotState {
   int attempts = 0;
 };
 
+// The producers' outputs in slot order; chunks are shared, not copied.
 Table Concatenate(const std::vector<SlotState>& parts) {
   Table out;
   for (const auto& p : parts) {
     if (!p.output.has_value()) continue;
     if (out.schema.num_columns() == 0) out.schema = p.output->schema;
-    out.rows.insert(out.rows.end(), p.output->rows.begin(),
-                    p.output->rows.end());
+    out.Append(*p.output);
   }
   return out;
 }
@@ -77,12 +77,11 @@ Result<Table> ShuffleSlice(const std::vector<SlotState>& parts, int key,
                     key, part.output->schema.num_columns()));
     }
     if (out.schema.num_columns() == 0) out.schema = part.output->schema;
-    for (const auto& row : part.output->rows) {
-      if (row[static_cast<size_t>(key)].Hash() % static_cast<size_t>(n) ==
-          static_cast<size_t>(partition)) {
-        out.rows.push_back(row);
-      }
-    }
+    XDBFT_ASSIGN_OR_RETURN(
+        const Table slice,
+        exec::HashSlice(*part.output, key, static_cast<size_t>(partition),
+                        static_cast<size_t>(n)));
+    out.Append(slice);
   }
   return out;
 }
@@ -407,7 +406,8 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
       slot_state.bytes = bytes;
       // Write-ahead lineage: append the completed output to the durable
       // log before failures can strike it. The write cost is charged
-      // unconditionally — that is the scheme's up-front overhead.
+      // unconditionally — that is the scheme's up-front overhead. The
+      // in-memory log shares the output's immutable chunks.
       if (wal_ && !stage.global &&
           !config.materialized(static_cast<plan::OpId>(t.stage))) {
         slot_state.logged = *slot_state.output;

@@ -26,22 +26,18 @@ Result<PartitionedTable> Partition(const Table& table,
   }
   PartitionedTable out;
   out.partitioning = partitioning;
-  out.partitions.resize(static_cast<size_t>(num_partitions));
-  for (auto& p : out.partitions) p.schema = table.schema;
-
   if (partitioning == Partitioning::kHash) {
     XDBFT_ASSIGN_OR_RETURN(out.key_column, table.schema.Find(key_column));
-    for (const auto& row : table.rows) {
-      const size_t h =
-          row[static_cast<size_t>(out.key_column)].Hash();
-      out.partitions[h % static_cast<size_t>(num_partitions)].rows
-          .push_back(row);
-    }
+    XDBFT_ASSIGN_OR_RETURN(
+        out.partitions,
+        exec::HashPartition(table, out.key_column,
+                            static_cast<size_t>(num_partitions)));
   } else {
-    // Replicated and RREF tables: full copy per node (RREF's partial
-    // replication is simulated conservatively; the co-location property
-    // is what matters for the execution plans).
-    for (auto& p : out.partitions) p.rows = table.rows;
+    // Replicated and RREF tables: every node holds the whole table (RREF's
+    // partial replication is simulated conservatively; the co-location
+    // property is what matters for the execution plans). The copies share
+    // the table's chunks.
+    out.partitions.assign(static_cast<size_t>(num_partitions), table);
   }
   return out;
 }

@@ -92,18 +92,11 @@ constexpr double kQ2PriceSplit = 1400.0;
 
 // Hash-slice of a replicated table so each partition processes a disjoint
 // share (emulating RREF partial replication).
-Table SliceReplica(const Table& replica, int key_column, int partition,
-                   int num_partitions) {
-  Table out;
-  out.schema = replica.schema;
-  for (const auto& row : replica.rows) {
-    if (row[static_cast<size_t>(key_column)].Hash() %
-            static_cast<size_t>(num_partitions) ==
-        static_cast<size_t>(partition)) {
-      out.rows.push_back(row);
-    }
-  }
-  return out;
+Result<Table> SliceReplica(const Table& replica, int key_column,
+                           int partition, int num_partitions) {
+  return exec::HashSlice(replica, key_column,
+                         static_cast<size_t>(partition),
+                         static_cast<size_t>(num_partitions));
 }
 
 // Runs one stage task's plan on the engine selected by `opts`. Stage tasks
@@ -434,10 +427,12 @@ StagePlan MakeQ2CStagePlan(const PartitionedDatabase& db, ExecOptions opts) {
     const Table& prep = part->partitions[static_cast<size_t>(partition)];
     const Table& psrep = partsupp->partitions[static_cast<size_t>(partition)];
     XDBFT_ASSIGN_OR_RETURN(const int pkey_col, prep.schema.Find("p_partkey"));
-    const Table pslice = SliceReplica(prep, pkey_col, partition, n);
+    XDBFT_ASSIGN_OR_RETURN(
+        const Table pslice, SliceReplica(prep, pkey_col, partition, n));
     XDBFT_ASSIGN_OR_RETURN(const int pskey_col,
                            psrep.schema.Find("ps_partkey"));
-    const Table psslice = SliceReplica(psrep, pskey_col, partition, n);
+    XDBFT_ASSIGN_OR_RETURN(
+        const Table psslice, SliceReplica(psrep, pskey_col, partition, n));
     XDBFT_ASSIGN_OR_RETURN(auto ptype, Expr::Col(pslice.schema, "p_type"));
     auto build = VFilter(
         VScan(&pslice),
@@ -472,10 +467,12 @@ StagePlan MakeQ2CStagePlan(const PartitionedDatabase& db, ExecOptions opts) {
       const Table& prep = part->partitions[static_cast<size_t>(partition)];
       XDBFT_ASSIGN_OR_RETURN(const int pskey_col,
                              psrep.schema.Find("ps_partkey"));
-      const Table psslice = SliceReplica(psrep, pskey_col, partition, n);
+      XDBFT_ASSIGN_OR_RETURN(
+          const Table psslice, SliceReplica(psrep, pskey_col, partition, n));
       XDBFT_ASSIGN_OR_RETURN(const int pkey_col,
                              prep.schema.Find("p_partkey"));
-      const Table pslice = SliceReplica(prep, pkey_col, partition, n);
+      XDBFT_ASSIGN_OR_RETURN(
+          const Table pslice, SliceReplica(prep, pkey_col, partition, n));
       // (partkey, min_cost) = (ps_partkey, ps_supplycost).
       XDBFT_ASSIGN_OR_RETURN(const int ckey,
                              cte_part.schema.Find("ps_partkey"));
@@ -530,8 +527,7 @@ StagePlan MakeQ2CStagePlan(const PartitionedDatabase& db, ExecOptions opts) {
                 obs::QueryProfile*)
       -> Result<Table> {
     Table out = *inputs[0];
-    out.rows.insert(out.rows.end(), inputs[1]->rows.begin(),
-                    inputs[1]->rows.end());
+    out.Append(*inputs[1]);
     return out;
   };
   plan.AddStage(std::move(both));
@@ -723,7 +719,8 @@ StagePlan MakeQ5StagePlan(const PartitionedDatabase& db, ExecOptions opts) {
     const Table& crep = customer->partitions[static_cast<size_t>(partition)];
     XDBFT_ASSIGN_OR_RETURN(const int ckey_col,
                            crep.schema.Find("c_custkey"));
-    const Table cslice = SliceReplica(crep, ckey_col, partition, n);
+    XDBFT_ASSIGN_OR_RETURN(
+        const Table cslice, SliceReplica(crep, ckey_col, partition, n));
     XDBFT_ASSIGN_OR_RETURN(const int nk,
                            rn_table.schema.Find("n_nationkey"));
     XDBFT_ASSIGN_OR_RETURN(const int cnk, cslice.schema.Find("c_nationkey"));

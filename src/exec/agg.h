@@ -113,17 +113,20 @@ inline void AccumulateValue(AggFunc func, const Value& v, AggState* state) {
 inline void AccumulateStar(AggState* state) { ++state->count; }
 
 /// \brief Final value of one aggregate. SUM and AVG of zero non-NULL
-/// inputs are NULL (SQL semantics), as are MIN/MAX.
+/// inputs are NULL (SQL semantics), as are MIN/MAX. A NaN SUM/AVG is the
+/// canonical NaN (once a NaN enters a sum the sum stays NaN, but which
+/// one depends on the engine's code path).
 inline Value FinalizeAgg(AggFunc func, const AggState& state) {
   switch (func) {
     case AggFunc::kCount:
       return Value(state.count);
     case AggFunc::kSum:
-      return state.count == 0 ? Value() : Value(state.sum);
+      return state.count == 0 ? Value() : Value(CanonicalNaN(state.sum));
     case AggFunc::kAvg:
       return state.count == 0
                  ? Value()
-                 : Value(state.sum / static_cast<double>(state.count));
+                 : Value(CanonicalNaN(state.sum /
+                                      static_cast<double>(state.count)));
     case AggFunc::kMin:
       return state.min;
     case AggFunc::kMax:

@@ -1,5 +1,8 @@
 #include "exec/expr.h"
 
+#include <string_view>
+#include <type_traits>
+
 #include "common/logging.h"
 
 namespace xdbft::exec {
@@ -29,14 +32,17 @@ Value Arith(ExprOp op, const Value& a, const Value& b) {
   // Integer arithmetic stays integral (except division).
   if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64 &&
       op != ExprOp::kDiv) {
-    const int64_t x = a.AsInt64(), y = b.AsInt64();
+    // Two's-complement wrap (computed in uint64_t): an overflowing plan
+    // such as INT64_MAX + 1 is defined, and equals the typed kernels'.
+    const uint64_t x = static_cast<uint64_t>(a.AsInt64());
+    const uint64_t y = static_cast<uint64_t>(b.AsInt64());
     switch (op) {
       case ExprOp::kAdd:
-        return Value(x + y);
+        return Value(static_cast<int64_t>(x + y));
       case ExprOp::kSub:
-        return Value(x - y);
+        return Value(static_cast<int64_t>(x - y));
       case ExprOp::kMul:
-        return Value(x * y);
+        return Value(static_cast<int64_t>(x * y));
       default:
         break;
     }
@@ -44,13 +50,13 @@ Value Arith(ExprOp op, const Value& a, const Value& b) {
   const double x = a.AsDouble(), y = b.AsDouble();
   switch (op) {
     case ExprOp::kAdd:
-      return Value(x + y);
+      return Value(CanonicalNaN(x + y));
     case ExprOp::kSub:
-      return Value(x - y);
+      return Value(CanonicalNaN(x - y));
     case ExprOp::kMul:
-      return Value(x * y);
+      return Value(CanonicalNaN(x * y));
     case ExprOp::kDiv:
-      return Value(x / y);
+      return Value(CanonicalNaN(x / y));
     default:
       break;
   }
@@ -131,8 +137,166 @@ bool Truthy(const Value& v) {
   return true;
 }
 
-bool CompareHolds(ExprOp op, const Value& a, const Value& b) {
-  const int c = a.Compare(b);
+}  // namespace
+
+bool Expr::EvalBool(const Row& row) const {
+  return Truthy(Eval(row));
+}
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Typed kernels. An operand is a literal (scalar), a batch column read
+// through the selection (sel), or a dense vector a child evaluated (one
+// entry per selected position). Accessors present each kind as a
+// position -> value functor, so one loop template serves every pairing.
+
+struct Operand {
+  enum Kind { kScalar, kSel, kDense };
+  Kind kind = kScalar;
+  ValueType type = ValueType::kNull;  // kNull: every position is NULL
+  const Vector* vec = nullptr;        // kSel, kDense
+  const int32_t* sel = nullptr;       // kSel
+  int64_t i = 0;                      // kScalar kInt64
+  double d = 0.0;                     // kScalar kDouble
+  std::string_view s;                 // kScalar kString
+
+  static Operand Literal(const Value& v) {
+    Operand o;
+    o.type = v.type();
+    switch (o.type) {
+      case ValueType::kInt64:
+        o.i = v.AsInt64();
+        break;
+      case ValueType::kDouble:
+        o.d = v.AsDouble();
+        break;
+      case ValueType::kString:
+        o.s = v.AsString();
+        break;
+      case ValueType::kNull:
+        break;
+    }
+    return o;
+  }
+  static Operand Column(const Vector& v, const int32_t* sel) {
+    Operand o;
+    o.kind = kSel;
+    o.type = v.type;
+    o.vec = &v;
+    o.sel = sel;
+    return o;
+  }
+  static Operand Dense(const Vector& v) {
+    Operand o;
+    o.kind = kDense;
+    o.type = v.type;
+    o.vec = &v;
+    return o;
+  }
+
+  bool may_be_null() const {
+    return type == ValueType::kNull || (vec != nullptr && !vec->validity.empty());
+  }
+  size_t Index(size_t pos) const {
+    return kind == kSel ? static_cast<size_t>(sel[pos]) : pos;
+  }
+  bool IsNull(size_t pos) const {
+    if (type == ValueType::kNull) return true;
+    return kind != kScalar && vec->IsNull(Index(pos));
+  }
+  std::string_view StringAt(size_t pos) const {
+    return kind == kScalar ? s : vec->StringAt(Index(pos));
+  }
+};
+
+template <typename T>
+struct ScalarAcc {
+  T v;
+  T operator()(size_t) const { return v; }
+};
+template <typename T>
+struct SelAcc {
+  const T* p;
+  const int32_t* sel;
+  T operator()(size_t i) const { return p[sel[i]]; }
+};
+template <typename T>
+struct DenseAcc {
+  const T* p;
+  T operator()(size_t i) const { return p[i]; }
+};
+
+// Calls fn with the typed accessor of a numeric operand.
+template <typename Fn>
+void VisitNumeric(const Operand& o, Fn&& fn) {
+  if (o.type == ValueType::kInt64) {
+    switch (o.kind) {
+      case Operand::kScalar:
+        return fn(ScalarAcc<int64_t>{o.i});
+      case Operand::kSel:
+        return fn(SelAcc<int64_t>{o.vec->i64.data(), o.sel});
+      case Operand::kDense:
+        return fn(DenseAcc<int64_t>{o.vec->i64.data()});
+    }
+  }
+  XDBFT_CHECK(o.type == ValueType::kDouble) << "not a numeric operand";
+  switch (o.kind) {
+    case Operand::kScalar:
+      return fn(ScalarAcc<double>{o.d});
+    case Operand::kSel:
+      return fn(SelAcc<double>{o.vec->f64.data(), o.sel});
+    case Operand::kDense:
+      return fn(DenseAcc<double>{o.vec->f64.data()});
+  }
+}
+
+bool IsCompare(ExprOp op) {
+  return op == ExprOp::kEq || op == ExprOp::kNe || op == ExprOp::kLt ||
+         op == ExprOp::kLe || op == ExprOp::kGt || op == ExprOp::kGe;
+}
+
+bool IsArith(ExprOp op) {
+  return op == ExprOp::kAdd || op == ExprOp::kSub || op == ExprOp::kMul ||
+         op == ExprOp::kDiv;
+}
+
+bool IsDirect(const Expr& e) {
+  return e.op() == ExprOp::kColumn || e.op() == ExprOp::kLiteral;
+}
+
+// emit(i, holds) for every position, with holds = (a(i) op b(i)) under
+// Value::Compare (numeric operands compared as doubles).
+template <typename A, typename B, typename Emit>
+void CompareLoop(ExprOp op, A a, B b, size_t n, Emit emit) {
+  const auto cmp = [&](size_t i) {
+    return CompareDoubles(static_cast<double>(a(i)), static_cast<double>(b(i)));
+  };
+  switch (op) {
+    case ExprOp::kEq:
+      for (size_t i = 0; i < n; ++i) emit(i, cmp(i) == 0);
+      return;
+    case ExprOp::kNe:
+      for (size_t i = 0; i < n; ++i) emit(i, cmp(i) != 0);
+      return;
+    case ExprOp::kLt:
+      for (size_t i = 0; i < n; ++i) emit(i, cmp(i) < 0);
+      return;
+    case ExprOp::kLe:
+      for (size_t i = 0; i < n; ++i) emit(i, cmp(i) <= 0);
+      return;
+    case ExprOp::kGt:
+      for (size_t i = 0; i < n; ++i) emit(i, cmp(i) > 0);
+      return;
+    case ExprOp::kGe:
+      for (size_t i = 0; i < n; ++i) emit(i, cmp(i) >= 0);
+      return;
+    default:
+      XDBFT_CHECK(false) << "not a comparison op";
+  }
+}
+
+bool CompareResult(ExprOp op, int c) {
   switch (op) {
     case ExprOp::kEq:
       return c == 0;
@@ -152,251 +316,416 @@ bool CompareHolds(ExprOp op, const Value& a, const Value& b) {
   }
 }
 
-}  // namespace
+// String comparison at one non-NULL position. Codes of one dictionary are
+// equal exactly when their strings are, and a column compared with a
+// literal over a small dictionary resolves each code once.
+class StringCompare {
+ public:
+  StringCompare(ExprOp op, const Operand& a, const Operand& b, size_t n)
+      : op_(op), a_(a), b_(b) {
+    same_dict_ = a.kind != Operand::kScalar && b.kind != Operand::kScalar &&
+                 a.vec->dict == b.vec->dict;
+    if (a.kind != Operand::kScalar && b.kind == Operand::kScalar &&
+        a.vec->dict->values.size() <= n) {
+      lut_.assign(a.vec->dict->values.size(), -1);
+    }
+  }
 
-bool Expr::EvalBool(const Row& row) const {
-  return Truthy(Eval(row));
+  bool Holds(size_t pos) {
+    const size_t ia = a_.Index(pos);
+    if (!lut_.empty()) {
+      const uint32_t code = a_.vec->codes[ia];
+      int8_t& r = lut_[code];
+      if (r < 0) r = CompareResult(op_, Three(a_.vec->dict->values[code], b_.s)) ? 1 : 0;
+      return r == 1;
+    }
+    if (same_dict_ && (op_ == ExprOp::kEq || op_ == ExprOp::kNe)) {
+      const bool eq = a_.vec->codes[ia] == b_.vec->codes[b_.Index(pos)];
+      return op_ == ExprOp::kEq ? eq : !eq;
+    }
+    return CompareResult(op_, Three(a_.StringAt(pos), b_.StringAt(pos)));
+  }
+
+ private:
+  static int Three(std::string_view x, std::string_view y) {
+    const int c = x.compare(y);
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  }
+
+  ExprOp op_;
+  const Operand& a_;
+  const Operand& b_;
+  bool same_dict_ = false;
+  std::vector<int8_t> lut_;
+};
+
+// out (dense, n positions) validity = both operands non-NULL. Leaves the
+// bitmap empty when no position is NULL.
+void SetValidity(const Operand& a, const Operand& b, size_t n, Vector* out) {
+  out->validity.clear();
+  if (!a.may_be_null() && !b.may_be_null()) return;
+  std::vector<uint64_t> bits((n + 63) / 64, 0);
+  bool any_null = false;
+  for (size_t i = 0; i < n; ++i) {
+    if (a.IsNull(i) || b.IsNull(i)) {
+      any_null = true;
+    } else {
+      bits[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+  }
+  if (any_null) out->validity = std::move(bits);
 }
 
-void Expr::EvalVector(const Batch& batch, const std::vector<int32_t>& sel,
-                      std::vector<Value>* out) const {
-  const size_t n = sel.size();
-  out->clear();
-  out->reserve(n);
-  switch (op_) {
-    case ExprOp::kColumn: {
-      const auto& col = batch.columns[static_cast<size_t>(column_)];
-      for (const int32_t r : sel) {
-        out->push_back(col[static_cast<size_t>(r)]);
-      }
-      return;
-    }
-    case ExprOp::kLiteral:
-      out->assign(n, literal_);
-      return;
-    case ExprOp::kAdd:
-    case ExprOp::kSub:
-    case ExprOp::kMul:
-    case ExprOp::kDiv:
-    case ExprOp::kEq:
-    case ExprOp::kNe:
-    case ExprOp::kLt:
-    case ExprOp::kLe:
-    case ExprOp::kGt:
-    case ExprOp::kGe: {
-      // Column and literal operands are read in place; only composite
-      // children are materialized. Avoids one temp vector (and a Value
-      // copy per position) per trivial operand.
-      const Expr& l = *children_[0];
-      const Expr& r = *children_[1];
-      const bool l_direct =
-          l.op_ == ExprOp::kColumn || l.op_ == ExprOp::kLiteral;
-      const bool r_direct =
-          r.op_ == ExprOp::kColumn || r.op_ == ExprOp::kLiteral;
-      std::vector<Value> la, ra;
-      if (!l_direct) l.EvalVector(batch, sel, &la);
-      if (!r_direct) r.EvalVector(batch, sel, &ra);
-      const auto operand = [&batch, &sel](const Expr& e,
-                                          const std::vector<Value>& mat,
-                                          bool direct,
-                                          size_t i) -> const Value& {
-        if (!direct) return mat[i];
-        return e.op_ == ExprOp::kColumn
-                   ? batch.columns[static_cast<size_t>(e.column_)]
-                                  [static_cast<size_t>(sel[i])]
-                   : e.literal_;
-      };
-      const bool is_arith = op_ == ExprOp::kAdd || op_ == ExprOp::kSub ||
-                            op_ == ExprOp::kMul || op_ == ExprOp::kDiv;
-      for (size_t i = 0; i < n; ++i) {
-        const Value& a = operand(l, la, l_direct, i);
-        const Value& b = operand(r, ra, r_direct, i);
-        if (is_arith) {
-          if (a.type() == ValueType::kDouble &&
-              b.type() == ValueType::kDouble) {
-            // Double-typed operands skip Arith's null checks and numeric
-            // promotion dispatch (identical result: Arith computes
-            // double op double for this type combination).
-            const double x = a.AsDouble(), y = b.AsDouble();
-            double v = 0.0;
-            switch (op_) {
-              case ExprOp::kAdd: v = x + y; break;
-              case ExprOp::kSub: v = x - y; break;
-              case ExprOp::kMul: v = x * y; break;
-              default: v = x / y; break;
-            }
-            out->push_back(Value(v));
-          } else {
-            out->push_back(Arith(op_, a, b));
+void AllNull(size_t n, Vector* out) {
+  out->Clear();
+  out->type = ValueType::kNull;
+  out->dict.reset();
+  out->size = n;
+}
+
+// Two's-complement wrap: int64 +, - and * are computed in uint64_t, so an
+// overflowing plan is defined (and matches what the row path returns).
+int64_t WrapAdd(int64_t x, int64_t y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) +
+                              static_cast<uint64_t>(y));
+}
+int64_t WrapSub(int64_t x, int64_t y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) -
+                              static_cast<uint64_t>(y));
+}
+int64_t WrapMul(int64_t x, int64_t y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) *
+                              static_cast<uint64_t>(y));
+}
+
+void ArithKernel(ExprOp op, const Operand& a, const Operand& b, size_t n,
+                 Vector* out) {
+  if (a.type == ValueType::kNull || b.type == ValueType::kNull) {
+    return AllNull(n, out);
+  }
+  out->Clear();
+  out->dict.reset();
+  out->size = n;
+  const bool integral = a.type == ValueType::kInt64 &&
+                        b.type == ValueType::kInt64 && op != ExprOp::kDiv;
+  VisitNumeric(a, [&](auto x) {
+    VisitNumeric(b, [&](auto y) {
+      using X = decltype(x(0));
+      using Y = decltype(y(0));
+      if constexpr (std::is_same_v<X, int64_t> && std::is_same_v<Y, int64_t>) {
+        if (integral) {
+          out->type = ValueType::kInt64;
+          out->i64.resize(n);
+          int64_t* o = out->i64.data();
+          switch (op) {
+            case ExprOp::kAdd:
+              for (size_t i = 0; i < n; ++i) o[i] = WrapAdd(x(i), y(i));
+              return;
+            case ExprOp::kSub:
+              for (size_t i = 0; i < n; ++i) o[i] = WrapSub(x(i), y(i));
+              return;
+            default:
+              for (size_t i = 0; i < n; ++i) o[i] = WrapMul(x(i), y(i));
+              return;
           }
-        } else if (a.is_null() || b.is_null()) {
-          out->push_back(Value());
-        } else {
-          out->push_back(Value(int64_t{CompareHolds(op_, a, b)}));
         }
       }
-      return;
+      out->type = ValueType::kDouble;
+      out->f64.resize(n);
+      double* o = out->f64.data();
+      const auto dx = [&](size_t i) { return static_cast<double>(x(i)); };
+      const auto dy = [&](size_t i) { return static_cast<double>(y(i)); };
+      switch (op) {
+        case ExprOp::kAdd:
+          for (size_t i = 0; i < n; ++i) o[i] = dx(i) + dy(i);
+          break;
+        case ExprOp::kSub:
+          for (size_t i = 0; i < n; ++i) o[i] = dx(i) - dy(i);
+          break;
+        case ExprOp::kMul:
+          for (size_t i = 0; i < n; ++i) o[i] = dx(i) * dy(i);
+          break;
+        default:
+          for (size_t i = 0; i < n; ++i) o[i] = dx(i) / dy(i);
+          break;
+      }
+      for (size_t i = 0; i < n; ++i) o[i] = CanonicalNaN(o[i]);
+    });
+  });
+  SetValidity(a, b, n, out);
+}
+
+void CompareKernel(ExprOp op, const Operand& a, const Operand& b, size_t n,
+                   Vector* out) {
+  if (a.type == ValueType::kNull || b.type == ValueType::kNull) {
+    return AllNull(n, out);
+  }
+  out->Clear();
+  out->dict.reset();
+  out->type = ValueType::kInt64;
+  out->size = n;
+  out->i64.assign(n, 0);
+  int64_t* o = out->i64.data();
+  if (a.type == ValueType::kString || b.type == ValueType::kString) {
+    XDBFT_CHECK(a.type == b.type) << "comparing string with numeric value";
+    StringCompare cmp(op, a, b, n);
+    for (size_t i = 0; i < n; ++i) {
+      if (!a.IsNull(i) && !b.IsNull(i)) o[i] = cmp.Holds(i) ? 1 : 0;
     }
+  } else {
+    VisitNumeric(a, [&](auto x) {
+      VisitNumeric(b, [&](auto y) {
+        CompareLoop(op, x, y, n, [o](size_t i, bool h) { o[i] = h; });
+      });
+    });
+  }
+  SetValidity(a, b, n, out);
+}
+
+// The truthiness rule of EvalBool at dense position i.
+bool Truthy(const Vector& v, size_t i) {
+  if (v.IsNull(i)) return false;
+  switch (v.type) {
+    case ValueType::kInt64:
+      return v.i64[i] != 0;
+    case ValueType::kDouble:
+      return v.f64[i] != 0.0;
+    default:
+      return true;
+  }
+}
+
+void Gather(const Vector& src, const std::vector<int32_t>& sel, Vector* out) {
+  const size_t n = sel.size();
+  out->Clear();
+  out->type = src.type;
+  out->size = n;
+  out->dict = src.dict;
+  switch (src.type) {
+    case ValueType::kInt64:
+      out->i64.resize(n);
+      for (size_t i = 0; i < n; ++i) out->i64[i] = src.i64[static_cast<size_t>(sel[i])];
+      break;
+    case ValueType::kDouble:
+      out->f64.resize(n);
+      for (size_t i = 0; i < n; ++i) out->f64[i] = src.f64[static_cast<size_t>(sel[i])];
+      break;
+    case ValueType::kString:
+      out->codes.resize(n);
+      for (size_t i = 0; i < n; ++i) out->codes[i] = src.codes[static_cast<size_t>(sel[i])];
+      break;
+    case ValueType::kNull:
+      return;
+  }
+  if (src.validity.empty()) return;
+  std::vector<uint64_t> bits((n + 63) / 64, 0);
+  bool any_null = false;
+  for (size_t i = 0; i < n; ++i) {
+    if (src.IsNull(static_cast<size_t>(sel[i]))) {
+      any_null = true;
+    } else {
+      bits[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+  }
+  if (any_null) out->validity = std::move(bits);
+}
+
+void Broadcast(const Value& v, size_t n, Vector* out) {
+  out->Clear();
+  out->type = v.type();
+  out->size = n;
+  out->dict.reset();
+  switch (v.type()) {
+    case ValueType::kInt64:
+      out->i64.assign(n, v.AsInt64());
+      break;
+    case ValueType::kDouble:
+      out->f64.assign(n, v.AsDouble());
+      break;
+    case ValueType::kString: {
+      auto dict = std::make_shared<Dictionary>();
+      dict->values.push_back(v.AsString());
+      out->dict = std::move(dict);
+      out->codes.assign(n, 0);
+      break;
+    }
+    case ValueType::kNull:
+      break;
+  }
+}
+
+}  // namespace
+
+void Expr::EvalVector(const Batch& batch, const std::vector<int32_t>& sel,
+                      Vector* out) const {
+  const size_t n = sel.size();
+  switch (op_) {
+    case ExprOp::kColumn:
+      Gather(*batch.columns[static_cast<size_t>(column_)], sel, out);
+      return;
+    case ExprOp::kLiteral:
+      Broadcast(literal_, n, out);
+      return;
     case ExprOp::kAnd:
     case ExprOp::kOr: {
       // Short-circuit like the row path: the right child is only
       // evaluated at positions the left child does not decide.
-      std::vector<Value> left;
+      Vector left;
       children_[0]->EvalVector(batch, sel, &left);
       const bool is_and = op_ == ExprOp::kAnd;
-      std::vector<int32_t> rest;       // positions needing the right child
-      std::vector<size_t> rest_slot;   // their index in `out`
+      out->Clear();
+      out->dict.reset();
+      out->type = ValueType::kInt64;
+      out->size = n;
+      out->i64.assign(n, is_and ? 0 : 1);
+      std::vector<int32_t> rest;      // positions needing the right child
+      std::vector<size_t> rest_slot;  // their index in `out`
       for (size_t i = 0; i < n; ++i) {
-        const bool l = Truthy(left[i]);
-        if (l == is_and) {
-          out->push_back(Value());  // placeholder, filled below
+        if (Truthy(left, i) == is_and) {
           rest.push_back(sel[i]);
           rest_slot.push_back(i);
-        } else {
-          out->push_back(Value(int64_t{!is_and}));
         }
       }
       if (!rest.empty()) {
-        std::vector<Value> right;
+        Vector right;
         children_[1]->EvalVector(batch, rest, &right);
         for (size_t j = 0; j < rest.size(); ++j) {
-          (*out)[rest_slot[j]] = Value(int64_t{Truthy(right[j])});
+          out->i64[rest_slot[j]] = Truthy(right, j) ? 1 : 0;
         }
       }
       return;
     }
     case ExprOp::kNot: {
-      std::vector<Value> child;
+      Vector child;
       children_[0]->EvalVector(batch, sel, &child);
-      for (size_t i = 0; i < n; ++i) {
-        out->push_back(Value(int64_t{!Truthy(child[i])}));
-      }
+      out->Clear();
+      out->dict.reset();
+      out->type = ValueType::kInt64;
+      out->size = n;
+      out->i64.resize(n);
+      for (size_t i = 0; i < n; ++i) out->i64[i] = Truthy(child, i) ? 0 : 1;
       return;
     }
+    default:
+      break;
   }
-}
-
-void Expr::FilterRows(const std::vector<Row>& rows, size_t begin,
-                      size_t end, std::vector<int32_t>* sel) const {
-  sel->clear();
-  const bool is_cmp = op_ == ExprOp::kEq || op_ == ExprOp::kNe ||
-                      op_ == ExprOp::kLt || op_ == ExprOp::kLe ||
-                      op_ == ExprOp::kGt || op_ == ExprOp::kGe;
-  if (is_cmp) {
-    const Expr& l = *children_[0];
-    const Expr& r = *children_[1];
-    const bool l_direct =
-        l.op_ == ExprOp::kColumn || l.op_ == ExprOp::kLiteral;
-    const bool r_direct =
-        r.op_ == ExprOp::kColumn || r.op_ == ExprOp::kLiteral;
-    if (l_direct && r_direct) {
-      const auto operand = [](const Expr& e, const Row& row) -> const Value& {
-        return e.op_ == ExprOp::kColumn
-                   ? row[static_cast<size_t>(e.column_)]
-                   : e.literal_;
-      };
-      for (size_t i = begin; i < end; ++i) {
-        const Value& a = operand(l, rows[i]);
-        const Value& b = operand(r, rows[i]);
-        if (!a.is_null() && !b.is_null() && CompareHolds(op_, a, b)) {
-          sel->push_back(static_cast<int32_t>(i - begin));
-        }
-      }
-      return;
+  // Binary arithmetic or comparison. Column and literal operands are read
+  // in place; only composite children are evaluated into dense vectors.
+  Vector mat[2];
+  Operand operand[2];
+  for (size_t k = 0; k < 2; ++k) {
+    const Expr& c = *children_[k];
+    if (c.op_ == ExprOp::kColumn) {
+      operand[k] = Operand::Column(
+          *batch.columns[static_cast<size_t>(c.column_)], sel.data());
+    } else if (c.op_ == ExprOp::kLiteral) {
+      operand[k] = Operand::Literal(c.literal_);
+    } else {
+      c.EvalVector(batch, sel, &mat[k]);
+      operand[k] = Operand::Dense(mat[k]);
     }
   }
-  for (size_t i = begin; i < end; ++i) {
-    if (EvalBool(rows[i])) sel->push_back(static_cast<int32_t>(i - begin));
+  if (IsArith(op_)) {
+    ArithKernel(op_, operand[0], operand[1], n, out);
+  } else {
+    CompareKernel(op_, operand[0], operand[1], n, out);
   }
 }
 
 void Expr::EvalSelection(const Batch& batch,
                          std::vector<int32_t>* sel) const {
-  switch (op_) {
-    case ExprOp::kAnd:
-      // Successive refinement — right child sees only left survivors,
-      // exactly the row path's short-circuit.
-      children_[0]->EvalSelection(batch, sel);
-      children_[1]->EvalSelection(batch, sel);
-      return;
-    case ExprOp::kOr: {
-      std::vector<Value> left;
-      children_[0]->EvalVector(batch, *sel, &left);
-      std::vector<int32_t> rest;
-      for (size_t i = 0; i < sel->size(); ++i) {
-        if (!Truthy(left[i])) rest.push_back((*sel)[i]);
-      }
-      children_[1]->EvalSelection(batch, &rest);
-      // Order-preserving union of left survivors and right survivors
-      // (both are ordered subsequences of the incoming selection).
-      std::vector<int32_t> merged;
-      merged.reserve(sel->size());
-      size_t ri = 0;
-      for (size_t i = 0; i < sel->size(); ++i) {
-        if (Truthy(left[i])) {
-          merged.push_back((*sel)[i]);
-        } else if (ri < rest.size() && rest[ri] == (*sel)[i]) {
-          merged.push_back((*sel)[i]);
-          ++ri;
-        }
-      }
-      *sel = std::move(merged);
-      return;
-    }
-    case ExprOp::kEq:
-    case ExprOp::kNe:
-    case ExprOp::kLt:
-    case ExprOp::kLe:
-    case ExprOp::kGt:
-    case ExprOp::kGe: {
-      // Column/literal operands are read in place (no per-position
-      // materialization) — the dominant predicate shape in the engine.
-      const Expr& l = *children_[0];
-      const Expr& r = *children_[1];
-      const auto operand = [&batch](const Expr& e,
-                                    int32_t pos) -> const Value& {
-        return e.op_ == ExprOp::kColumn
-                   ? batch.columns[static_cast<size_t>(e.column_)]
-                                  [static_cast<size_t>(pos)]
-                   : e.literal_;
-      };
-      const bool fast =
-          (l.op_ == ExprOp::kColumn || l.op_ == ExprOp::kLiteral) &&
-          (r.op_ == ExprOp::kColumn || r.op_ == ExprOp::kLiteral);
-      size_t kept = 0;
-      if (fast) {
-        for (size_t i = 0; i < sel->size(); ++i) {
-          const Value& a = operand(l, (*sel)[i]);
-          const Value& b = operand(r, (*sel)[i]);
-          if (!a.is_null() && !b.is_null() && CompareHolds(op_, a, b)) {
-            (*sel)[kept++] = (*sel)[i];
-          }
-        }
-      } else {
-        std::vector<Value> a, b;
-        children_[0]->EvalVector(batch, *sel, &a);
-        children_[1]->EvalVector(batch, *sel, &b);
-        for (size_t i = 0; i < sel->size(); ++i) {
-          if (!a[i].is_null() && !b[i].is_null() &&
-              CompareHolds(op_, a[i], b[i])) {
-            (*sel)[kept++] = (*sel)[i];
-          }
-        }
-      }
-      sel->resize(kept);
-      return;
-    }
-    default: {
-      std::vector<Value> vals;
-      EvalVector(batch, *sel, &vals);
-      size_t kept = 0;
-      for (size_t i = 0; i < sel->size(); ++i) {
-        if (Truthy(vals[i])) (*sel)[kept++] = (*sel)[i];
-      }
-      sel->resize(kept);
-      return;
-    }
+  if (op_ == ExprOp::kAnd) {
+    // Successive refinement — right child sees only left survivors,
+    // exactly the row path's short-circuit.
+    children_[0]->EvalSelection(batch, sel);
+    children_[1]->EvalSelection(batch, sel);
+    return;
   }
+  if (op_ == ExprOp::kOr) {
+    Vector left;
+    children_[0]->EvalVector(batch, *sel, &left);
+    std::vector<int32_t> rest;
+    for (size_t i = 0; i < sel->size(); ++i) {
+      if (!Truthy(left, i)) rest.push_back((*sel)[i]);
+    }
+    children_[1]->EvalSelection(batch, &rest);
+    // Order-preserving union of left survivors and right survivors
+    // (both are ordered subsequences of the incoming selection).
+    std::vector<int32_t> merged;
+    merged.reserve(sel->size());
+    size_t ri = 0;
+    for (size_t i = 0; i < sel->size(); ++i) {
+      if (Truthy(left, i)) {
+        merged.push_back((*sel)[i]);
+      } else if (ri < rest.size() && rest[ri] == (*sel)[i]) {
+        merged.push_back((*sel)[i]);
+        ++ri;
+      }
+    }
+    *sel = std::move(merged);
+    return;
+  }
+  if (IsCompare(op_) && IsDirect(*children_[0]) && IsDirect(*children_[1])) {
+    // Column/literal comparison: the dominant predicate shape. NULL
+    // positions drop first, then a typed loop compacts `sel` in place
+    // (each position is read before any write can reach it).
+    Operand operand[2];
+    for (size_t k = 0; k < 2; ++k) {
+      const Expr& c = *children_[k];
+      operand[k] = c.op_ == ExprOp::kColumn
+                       ? Operand::Column(
+                             *batch.columns[static_cast<size_t>(c.column_)],
+                             nullptr)
+                       : Operand::Literal(c.literal_);
+    }
+    if (operand[0].type == ValueType::kNull ||
+        operand[1].type == ValueType::kNull) {
+      sel->clear();
+      return;
+    }
+    size_t kept = 0;
+    if (operand[0].may_be_null() || operand[1].may_be_null()) {
+      for (const int32_t r : *sel) {
+        const size_t p = static_cast<size_t>(r);
+        if ((operand[0].vec == nullptr || !operand[0].vec->IsNull(p)) &&
+            (operand[1].vec == nullptr || !operand[1].vec->IsNull(p))) {
+          (*sel)[kept++] = r;
+        }
+      }
+      sel->resize(kept);
+      kept = 0;
+    }
+    for (Operand& o : operand) o.sel = sel->data();
+    const size_t n = sel->size();
+    int32_t* s = sel->data();
+    if (operand[0].type == ValueType::kString ||
+        operand[1].type == ValueType::kString) {
+      XDBFT_CHECK(operand[0].type == operand[1].type)
+          << "comparing string with numeric value";
+      StringCompare cmp(op_, operand[0], operand[1], n);
+      for (size_t i = 0; i < n; ++i) {
+        if (cmp.Holds(i)) s[kept++] = s[i];
+      }
+    } else {
+      VisitNumeric(operand[0], [&](auto x) {
+        VisitNumeric(operand[1], [&](auto y) {
+          CompareLoop(op_, x, y, n, [&](size_t i, bool h) {
+            s[kept] = s[i];
+            kept += h ? 1 : 0;
+          });
+        });
+      });
+    }
+    sel->resize(kept);
+    return;
+  }
+  Vector vals;
+  EvalVector(batch, *sel, &vals);
+  size_t kept = 0;
+  for (size_t i = 0; i < sel->size(); ++i) {
+    if (Truthy(vals, i)) (*sel)[kept++] = (*sel)[i];
+  }
+  sel->resize(kept);
 }
 
 namespace {

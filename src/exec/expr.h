@@ -52,23 +52,21 @@ class Expr {
   bool EvalBool(const Row& row) const;
 
   /// \brief Vectorized evaluation over the batch positions listed in
-  /// `sel`: out[i] = Eval(row sel[i]). Value-identical to the row path
-  /// (same arithmetic, comparison and short-circuit semantics — AND/OR
-  /// only evaluate their right child at positions the left child does not
-  /// decide, exactly like Eval).
+  /// `sel`: `out` becomes a dense vector with out[i] = Eval(row sel[i]).
+  /// Typed kernels over flat int64/double arrays, value-identical to the
+  /// row path: NULL propagation, int64 arithmetic that stays integral
+  /// (wrapping) except division, Value::Compare ordering, and AND/OR
+  /// evaluate their right child only at positions the left child does not
+  /// decide, exactly like Eval. An expression that fails InferExprType
+  /// over the batch's schema must not be evaluated.
   void EvalVector(const Batch& batch, const std::vector<int32_t>& sel,
-                  std::vector<Value>* out) const;
+                  Vector* out) const;
 
   /// \brief Vectorized predicate: filters `sel` in place, keeping the
   /// positions where EvalBool would return true (order preserved).
+  /// Comparisons of columns with literals or columns read the batch in
+  /// place.
   void EvalSelection(const Batch& batch, std::vector<int32_t>* sel) const;
-
-  /// \brief Row-storage counterpart of EvalSelection: clears `sel` and
-  /// fills it with the offsets i (0-based from `begin`) in [begin, end)
-  /// where EvalBool(rows[begin + i]) would return true, in row order.
-  /// Comparisons over column/literal operands are evaluated in place.
-  void FilterRows(const std::vector<Row>& rows, size_t begin, size_t end,
-                  std::vector<int32_t>* sel) const;
 
   std::string ToString(const Schema* schema = nullptr) const;
 

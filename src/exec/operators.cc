@@ -12,13 +12,24 @@ class ScanOperator final : public Operator {
 
   Status Open() override {
     if (table_ == nullptr) return Status::InvalidArgument("null table");
+    chunk_ = 0;
     pos_ = 0;
     return Status::OK();
   }
 
   Result<bool> Next(Row* out) override {
-    if (pos_ >= table_->rows.size()) return false;
-    *out = table_->rows[pos_++];
+    const auto& chunks = table_->chunks();
+    while (chunk_ < chunks.size() && pos_ == chunks[chunk_]->num_rows) {
+      ++chunk_;
+      pos_ = 0;
+    }
+    if (chunk_ == chunks.size()) return false;
+    const Chunk& c = *chunks[chunk_];
+    out->resize(c.columns.size());
+    for (size_t i = 0; i < c.columns.size(); ++i) {
+      (*out)[i] = c.columns[i].GetValue(pos_);
+    }
+    ++pos_;
     return true;
   }
 
@@ -32,7 +43,8 @@ class ScanOperator final : public Operator {
 
  private:
   const Table* table_;
-  size_t pos_ = 0;
+  size_t chunk_ = 0;
+  size_t pos_ = 0;  // row within chunk_
 };
 
 class FilterOperator final : public Operator {
@@ -263,7 +275,23 @@ class SortOperator final : public Operator {
       rows_.push_back(row);
     }
     input_->Close();
-    SortRows(&rows_, keys_, ascending_, limit_);
+    const std::vector<uint32_t> perm = SortPermutation(
+        rows_.size(),
+        [&](uint32_t a, uint32_t b) {
+          const Row& x = rows_[a];
+          const Row& y = rows_[b];
+          for (size_t i = 0; i < keys_.size(); ++i) {
+            const size_t k = static_cast<size_t>(keys_[i]);
+            const int c = x[k].Compare(y[k]);
+            if (c != 0) return ascending_[i] ? c < 0 : c > 0;
+          }
+          return false;
+        },
+        limit_);
+    std::vector<Row> sorted;
+    sorted.reserve(perm.size());
+    for (const uint32_t i : perm) sorted.push_back(std::move(rows_[i]));
+    rows_ = std::move(sorted);
     pos_ = 0;
     return Status::OK();
   }
@@ -326,35 +354,22 @@ OperatorPtr MakeSort(OperatorPtr input, std::vector<int> keys,
                                         std::move(ascending), limit);
 }
 
-void SortRows(std::vector<Row>* rows, const std::vector<int>& keys,
-              const std::vector<bool>& ascending, int64_t limit) {
-  std::stable_sort(rows->begin(), rows->end(),
-                   [&](const Row& a, const Row& b) {
-                     for (size_t i = 0; i < keys.size(); ++i) {
-                       const size_t k = static_cast<size_t>(keys[i]);
-                       const int c = a[k].Compare(b[k]);
-                       if (c != 0) return ascending[i] ? c < 0 : c > 0;
-                     }
-                     return false;
-                   });
-  if (limit >= 0 && rows->size() > static_cast<size_t>(limit)) {
-    rows->resize(static_cast<size_t>(limit));
-  }
-}
-
 Result<Table> Drain(Operator* op) {
   if (op == nullptr) return Status::InvalidArgument("null operator");
   XDBFT_RETURN_NOT_OK(op->Open());
-  Table out;
-  out.schema = op->schema();
+  TableBuilder out(op->schema());
   Row row;
   while (true) {
     XDBFT_ASSIGN_OR_RETURN(const bool more, op->Next(&row));
     if (!more) break;
-    out.rows.push_back(row);
+    const Status s = out.AppendRow(row);
+    if (!s.ok()) {
+      op->Close();
+      return s;
+    }
   }
   op->Close();
-  return out;
+  return out.Finish();
 }
 
 }  // namespace xdbft::exec

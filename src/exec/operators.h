@@ -3,6 +3,7 @@
 // aggregate and sort (with optional top-k).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "exec/agg.h"
 #include "exec/expr.h"
 #include "exec/schema.h"
+#include "exec/table.h"
 #include "exec/value.h"
 
 namespace xdbft::exec {
@@ -32,16 +34,8 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// \brief In-memory table: schema + rows (the storage substrate of the
-/// engine; partitioned tables in engine/ hold one per partition).
-struct Table {
-  Schema schema;
-  std::vector<Row> rows;
-
-  size_t num_rows() const { return rows.size(); }
-};
-
-/// \brief Full scan over an in-memory table (not owned).
+/// \brief Full scan over an in-memory table (not owned): the row view,
+/// one Row built per table row.
 OperatorPtr MakeScan(const Table* table);
 
 /// \brief Rows of `input` satisfying `predicate`.
@@ -75,14 +69,23 @@ OperatorPtr MakeSort(OperatorPtr input, std::vector<int> keys,
                      std::vector<bool> ascending,
                      int64_t limit = -1);
 
-/// \brief The sort of MakeSort, shared with the vectorized sort sink so
-/// both engines order rows (ties included) identically: stable sort by
-/// `keys` (true = ascending), then keep the first `limit` rows (all when
-/// negative).
-void SortRows(std::vector<Row>* rows, const std::vector<int>& keys,
-              const std::vector<bool>& ascending, int64_t limit);
+/// \brief The order of MakeSort, shared with the vectorized sort sink so
+/// both engines order rows (ties included) identically: positions
+/// 0..n-1 stably sorted by `less` (a strict "row a sorts before row b"),
+/// cut to the first `limit` (all when negative).
+template <typename Less>
+std::vector<uint32_t> SortPermutation(size_t n, Less less, int64_t limit) {
+  std::vector<uint32_t> perm(n);
+  for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
+  std::stable_sort(perm.begin(), perm.end(), less);
+  if (limit >= 0 && perm.size() > static_cast<size_t>(limit)) {
+    perm.resize(static_cast<size_t>(limit));
+  }
+  return perm;
+}
 
-/// \brief Drain an operator tree into a materialized table.
+/// \brief Drain an operator tree into a materialized table (rows are
+/// appended through type-checked column builders).
 Result<Table> Drain(Operator* op);
 
 }  // namespace xdbft::exec

@@ -5,8 +5,11 @@
 #include <deque>
 #include <functional>
 #include <numeric>
+#include <string>
 #include <unordered_map>
 #include <utility>
+
+#include "common/logging.h"
 
 namespace xdbft::exec {
 
@@ -243,41 +246,195 @@ OperatorPtr ToOperator(const VecNodePtr& plan,
 
 namespace {
 
-using HashTable = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
-
-void IdentitySelection(size_t n, std::vector<int32_t>* sel) {
-  sel->resize(n);
-  std::iota(sel->begin(), sel->end(), 0);
+void IdentitySelection(size_t lo, size_t hi, std::vector<int32_t>* sel) {
+  sel->resize(hi - lo);
+  std::iota(sel->begin(), sel->end(), static_cast<int32_t>(lo));
 }
 
-// A morsel in flight: a batch plus an optional selection vector of live
-// row indices (in row order). Filters only narrow `sel`; steps and sinks
-// that can consume a selection read through it, everything else calls
-// Materialize() to compact the batch first. This keeps the common
-// filter -> aggregate path free of row movement entirely.
+// Cell i of `v` as a double (numeric cells only).
+double NumericAt(const Vector& v, size_t i) {
+  return v.type == ValueType::kInt64 ? static_cast<double>(v.i64[i])
+                                     : v.f64[i];
+}
+
+// Value::Compare(cell a, cell b) == 0: the key equality of RowEq.
+bool CellsEqual(const Vector& a, size_t i, const Vector& b, size_t j) {
+  const bool na = a.IsNull(i), nb = b.IsNull(j);
+  if (na || nb) return na && nb;
+  if (a.type == ValueType::kString) {
+    if (a.dict == b.dict) return a.codes[i] == b.codes[j];
+    return a.StringAt(i) == b.StringAt(j);
+  }
+  return CompareDoubles(NumericAt(a, i), NumericAt(b, j)) == 0;
+}
+
+// Open-addressing map from a 64-bit key to a dense uint32 id (assigned
+// by the caller). Linear probing; grows at half load.
+class U64Map {
+ public:
+  U64Map() { Resize(64); }
+
+  // Returns the id of `key`, inserting `fresh` when it is absent.
+  uint32_t FindOrInsert(uint64_t key, uint32_t fresh, bool* inserted) {
+    size_t pos = Mix(key) & mask_;
+    while (used_[pos]) {
+      if (keys_[pos] == key) {
+        *inserted = false;
+        return ids_[pos];
+      }
+      pos = (pos + 1) & mask_;
+    }
+    *inserted = true;
+    used_[pos] = 1;
+    keys_[pos] = key;
+    ids_[pos] = fresh;
+    if (++size_ * 2 > keys_.size()) Resize(keys_.size() * 2);
+    return fresh;
+  }
+
+  // Id of `key`, or -1.
+  int64_t Find(uint64_t key) const {
+    size_t pos = Mix(key) & mask_;
+    while (used_[pos]) {
+      if (keys_[pos] == key) return ids_[pos];
+      pos = (pos + 1) & mask_;
+    }
+    return -1;
+  }
+
+ private:
+  static size_t Mix(uint64_t k) {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    k ^= k >> 33;
+    return static_cast<size_t>(k);
+  }
+
+  void Resize(size_t cap) {
+    std::vector<uint64_t> keys = std::move(keys_);
+    std::vector<uint32_t> ids = std::move(ids_);
+    std::vector<uint8_t> used = std::move(used_);
+    keys_.assign(cap, 0);
+    ids_.assign(cap, 0);
+    used_.assign(cap, 0);
+    mask_ = cap - 1;
+    for (size_t i = 0; i < used.size(); ++i) {
+      if (!used[i]) continue;
+      size_t pos = Mix(keys[i]) & mask_;
+      while (used_[pos]) pos = (pos + 1) & mask_;
+      used_[pos] = 1;
+      keys_[pos] = keys[i];
+      ids_[pos] = ids[i];
+    }
+  }
+
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> ids_;
+  std::vector<uint8_t> used_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
+// Keys of the hash join's build side: groups of build rows with equal key
+// tuples (RowEq semantics), rows of a group in build order. A probe key
+// matches the group whose representative it equals.
+class JoinIndex {
+ public:
+  JoinIndex(ChunkPtr build, std::vector<int> keys)
+      : build_(std::move(build)), keys_(std::move(keys)) {
+    const size_t n = build_->num_rows;
+    std::vector<uint32_t> group_of(n);
+    std::vector<uint32_t> group_size;
+    for (size_t r = 0; r < n; ++r) {
+      const uint32_t g = FindOrAdd(r, &group_size);
+      group_of[r] = g;
+      ++group_size[g];
+    }
+    offsets_.assign(group_size.size() + 1, 0);
+    for (size_t g = 0; g < group_size.size(); ++g) {
+      offsets_[g + 1] = offsets_[g] + group_size[g];
+    }
+    rows_.resize(n);
+    std::vector<uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
+    for (size_t r = 0; r < n; ++r) {
+      rows_[fill[group_of[r]]++] = static_cast<uint32_t>(r);
+    }
+  }
+
+  const Chunk& build() const { return *build_; }
+
+  // Build rows matching probe row i of `probe` (key columns `probe_keys`),
+  // as [*begin, *end) of rows().
+  bool Lookup(const std::vector<const Vector*>& probe, size_t i,
+              const std::vector<int>& probe_keys, const uint32_t** begin,
+              const uint32_t** end) const {
+    size_t h = kRowHashSeed;
+    for (const int k : probe_keys) {
+      h = RowHashStep(h, CellHash(*probe[static_cast<size_t>(k)], i));
+    }
+    const int64_t first = heads_.Find(h);
+    for (int64_t g = first; g >= 0; g = next_[static_cast<size_t>(g)]) {
+      const size_t rep = rows_[offsets_[static_cast<size_t>(g)]];
+      bool eq = true;
+      for (size_t c = 0; c < keys_.size() && eq; ++c) {
+        eq = CellsEqual(*probe[static_cast<size_t>(probe_keys[c])], i,
+                        build_->columns[static_cast<size_t>(keys_[c])], rep);
+      }
+      if (eq) {
+        *begin = rows_.data() + offsets_[static_cast<size_t>(g)];
+        *end = rows_.data() + offsets_[static_cast<size_t>(g) + 1];
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  // Group of build row r, created (empty) when no earlier row's key equals.
+  uint32_t FindOrAdd(size_t r, std::vector<uint32_t>* group_size) {
+    size_t h = kRowHashSeed;
+    for (const int k : keys_) {
+      h = RowHashStep(h, CellHash(build_->columns[static_cast<size_t>(k)], r));
+    }
+    const auto fresh = static_cast<uint32_t>(reps_.size());
+    bool inserted = false;
+    const uint32_t first = heads_.FindOrInsert(h, fresh, &inserted);
+    if (!inserted) {
+      int64_t last = -1;
+      for (int64_t g = first; g >= 0; g = next_[static_cast<size_t>(g)]) {
+        bool eq = true;
+        for (size_t c = 0; c < keys_.size() && eq; ++c) {
+          const Vector& v = build_->columns[static_cast<size_t>(keys_[c])];
+          eq = CellsEqual(v, r, v, reps_[static_cast<size_t>(g)]);
+        }
+        if (eq) return static_cast<uint32_t>(g);
+        last = g;
+      }
+      next_[static_cast<size_t>(last)] = fresh;
+    }
+    reps_.push_back(static_cast<uint32_t>(r));
+    next_.push_back(-1);
+    group_size->push_back(0);
+    return fresh;
+  }
+
+  ChunkPtr build_;
+  std::vector<int> keys_;
+  U64Map heads_;                // key hash -> first group with that hash
+  std::vector<int64_t> next_;   // next group with the same hash, or -1
+  std::vector<uint32_t> reps_;  // first build row of each group
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> rows_;  // build rows grouped, build order within
+};
+
+// A morsel in flight: a batch (a chunk view or vectors a step computed)
+// and the selection vector of its live positions, in row order. Filters
+// only narrow `sel`; projections and join probes produce a new batch.
 struct Morsel {
   Batch batch;
   std::vector<int32_t> sel;
-  bool has_sel = false;
 
-  size_t live_rows() const {
-    return has_sel ? sel.size() : batch.num_rows();
-  }
-  // Batch-row index of the i-th live row.
-  size_t row(size_t i) const {
-    return has_sel ? static_cast<size_t>(sel[i]) : i;
-  }
-  // Compact the batch down to the selected rows and drop the selection.
-  void Materialize() {
-    if (!has_sel) return;
-    for (auto& col : batch.columns) {
-      for (size_t i = 0; i < sel.size(); ++i) {
-        col[i] = std::move(col[static_cast<size_t>(sel[i])]);
-      }
-      col.resize(sel.size());
-    }
-    has_sel = false;
-  }
+  size_t live_rows() const { return sel.size(); }
 };
 
 // One streaming transform, applied to a morsel in place. Steps are pure
@@ -292,177 +449,418 @@ using StreamStep = std::function<void(Morsel*)>;
 class Sink {
  public:
   virtual ~Sink() = default;
-  virtual void Consume(Morsel&& morsel) = 0;
+  virtual Status Consume(Morsel&& morsel) = 0;
   virtual Result<Table> Finish() = 0;
 };
 
 class CollectSink final : public Sink {
  public:
-  explicit CollectSink(const Schema& schema) { out_.schema = schema; }
+  explicit CollectSink(const Schema& schema) : out_(schema) {}
 
-  void Consume(Morsel&& morsel) override {
-    morsel.Materialize();
-    AppendBatchToTable(std::move(morsel.batch), &out_);
+  Status Consume(Morsel&& morsel) override {
+    return out_.AppendGather(morsel.batch.columns, morsel.sel.data(),
+                             morsel.sel.size());
   }
-  Result<Table> Finish() override { return std::move(out_); }
+  Result<Table> Finish() override { return out_.Finish(); }
 
  private:
-  Table out_;
+  TableBuilder out_;
+};
+
+// Maps the cells of one group-by column to dense ids, equal exactly when
+// the cells group together under RowEq: NULL is id 0, a string's id comes
+// from its dictionary code (each source dictionary translated once), an
+// int64 in [-2^53, 2^53] is exact as a double so its value is the key.
+// Doubles and larger int64s (which Value::Compare can equate while they
+// differ) are not encodable; the sink then falls back to full keys.
+class KeyEncoder {
+ public:
+  // ids[i] for every live position; false when a cell is not encodable.
+  bool Encode(const Vector& v, const std::vector<int32_t>& sel,
+              std::vector<uint32_t>* ids) {
+    const size_t n = sel.size();
+    ids->resize(n);
+    uint32_t* out = ids->data();
+    switch (v.type) {
+      case ValueType::kNull:
+        std::fill(out, out + n, 0u);
+        return true;
+      case ValueType::kDouble:
+        return false;
+      case ValueType::kInt64:
+        for (size_t i = 0; i < n; ++i) {
+          const auto r = static_cast<size_t>(sel[i]);
+          if (v.IsNull(r)) {
+            out[i] = 0;
+            continue;
+          }
+          const int64_t x = v.i64[r];
+          if (x > kExactInt || x < -kExactInt) return false;
+          bool inserted = false;
+          out[i] = ints_.FindOrInsert(static_cast<uint64_t>(x), next_id_,
+                                      &inserted);
+          if (inserted) ++next_id_;
+        }
+        return true;
+      case ValueType::kString: {
+        std::vector<int64_t>& tr = Translation(v.dict);
+        for (size_t i = 0; i < n; ++i) {
+          const auto r = static_cast<size_t>(sel[i]);
+          if (v.IsNull(r)) {
+            out[i] = 0;
+            continue;
+          }
+          int64_t& id = tr[v.codes[r]];
+          if (id < 0) {
+            const auto [it, inserted] =
+                strings_.try_emplace(v.dict->values[v.codes[r]], next_id_);
+            if (inserted) ++next_id_;
+            id = it->second;
+          }
+          out[i] = static_cast<uint32_t>(id);
+        }
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  static constexpr int64_t kExactInt = int64_t{1} << 53;
+
+  std::vector<int64_t>& Translation(
+      const std::shared_ptr<const Dictionary>& dict) {
+    for (auto& [d, tr] : translations_) {
+      if (d == dict) return tr;
+    }
+    translations_.emplace_back(dict,
+                               std::vector<int64_t>(dict->values.size(), -1));
+    return translations_.back().second;
+  }
+
+  uint32_t next_id_ = 1;
+  U64Map ints_;
+  std::unordered_map<std::string, uint32_t> strings_;
+  std::vector<std::pair<std::shared_ptr<const Dictionary>,
+                        std::vector<int64_t>>>
+      translations_;
 };
 
 class AggSink final : public Sink {
  public:
   explicit AggSink(const VecNode& node)
-      : node_(node), int_keys_(node.group_by.size() == 1) {}
+      : node_(node),
+        encoders_(node.group_by.size()),
+        accs_(node.aggs.size()),
+        encoded_(!node.group_by.empty() && node.group_by.size() <= 2) {}
 
-  void Consume(Morsel&& morsel) override {
-    const Batch& batch = morsel.batch;
+  Status Consume(Morsel&& morsel) override {
     const size_t n = morsel.live_rows();
-    if (n == 0) return;
-    // Each argument is either read directly from its batch column (bare
-    // column refs, the common case; indexed by batch row) or evaluated
-    // vectorized over the live rows into a scratch vector (indexed by
-    // live position); null arg = COUNT(*).
-    arg_vals_.resize(node_.aggs.size());
-    arg_cols_.assign(node_.aggs.size(), nullptr);
-    direct_.assign(node_.aggs.size(), true);
-    bool need_sel = false;
-    for (size_t i = 0; i < node_.aggs.size(); ++i) {
-      const auto& arg = node_.aggs[i].arg;
-      if (arg == nullptr) continue;
-      if (arg->op() == ExprOp::kColumn) {
-        arg_cols_[i] =
-            &batch.columns[static_cast<size_t>(arg->column_index())];
-      } else {
-        need_sel = true;
-      }
+    if (n == 0) return Status::OK();
+    const Batch& batch = morsel.batch;
+    AssignSlots(batch, morsel.sel);
+    for (size_t a = 0; a < node_.aggs.size(); ++a) {
+      Accumulate(node_.aggs[a], batch, morsel.sel, &accs_[a]);
     }
-    if (need_sel) {
-      const std::vector<int32_t>* sel = &morsel.sel;
-      if (!morsel.has_sel) {
-        IdentitySelection(n, &sel_);
-        sel = &sel_;
-      }
-      for (size_t i = 0; i < node_.aggs.size(); ++i) {
-        if (node_.aggs[i].arg != nullptr && arg_cols_[i] == nullptr) {
-          node_.aggs[i].arg->EvalVector(batch, *sel, &arg_vals_[i]);
-          arg_cols_[i] = &arg_vals_[i];
-          direct_[i] = false;
-        }
-      }
-    }
-    for (size_t pos = 0; pos < n; ++pos) {
-      const size_t r = morsel.row(pos);
-      size_t slot;
-      if (int_keys_) {
-        // Single int64 group key: index by the raw integer, skipping the
-        // per-row variant hash of the generic Row index. Demotes to the
-        // generic index (same slots, same first-occurrence order) the
-        // first time a non-int64 key shows up.
-        const Value& kv =
-            batch.columns[static_cast<size_t>(node_.group_by[0])][r];
-        if (kv.type() == ValueType::kInt64) {
-          const auto [it, inserted] =
-              int_index_.try_emplace(kv.AsInt64(), keys_.size());
-          if (inserted) {
-            keys_.push_back(Row{kv});
-            states_.emplace_back(node_.aggs.size());
-          }
-          slot = it->second;
-        } else {
-          int_keys_ = false;
-          for (size_t s = 0; s < keys_.size(); ++s) index_.emplace(keys_[s], s);
-          slot = GenericSlot(batch, r);
-        }
-      } else {
-        slot = GenericSlot(batch, r);
-      }
-      auto& states = states_[slot];
-      for (size_t i = 0; i < node_.aggs.size(); ++i) {
-        if (node_.aggs[i].arg == nullptr) {
-          AccumulateStar(&states[i]);
-        } else {
-          AccumulateValue(node_.aggs[i].func,
-                          (*arg_cols_[i])[direct_[i] ? r : pos],
-                          &states[i]);
-        }
-      }
-    }
+    return Status::OK();
   }
 
   Result<Table> Finish() override {
     if (keys_.empty() && node_.group_by.empty()) {
-      keys_.push_back(Row{});  // empty input still yields one global row
-      states_.emplace_back(node_.aggs.size());
+      NewGroup(Row{});  // empty input still yields one global row
     }
-    Table out;
-    out.schema = node_.schema;
-    out.rows.reserve(keys_.size());
+    TableBuilder out(node_.schema);
+    Row row;
     for (size_t s = 0; s < keys_.size(); ++s) {
-      Row row = std::move(keys_[s]);
-      for (size_t i = 0; i < node_.aggs.size(); ++i) {
-        row.push_back(FinalizeAgg(node_.aggs[i].func, states_[s][i]));
+      row = keys_[s];
+      for (size_t a = 0; a < node_.aggs.size(); ++a) {
+        const Acc& acc = accs_[a];
+        AggState st;
+        st.count = acc.count[s];
+        st.sum = acc.sum.empty() ? 0.0 : acc.sum[s];
+        if (!acc.extreme.empty()) st.min = st.max = acc.extreme[s];
+        row.push_back(FinalizeAgg(node_.aggs[a].func, st));
       }
-      out.rows.push_back(std::move(row));
+      XDBFT_RETURN_NOT_OK(out.AppendRow(row));
     }
-    return out;
+    return out.Finish();
   }
 
  private:
-  size_t GenericSlot(const Batch& batch, size_t r) {
-    key_.clear();
-    for (const int g : node_.group_by) {
-      key_.push_back(batch.columns[static_cast<size_t>(g)][r]);
+  // Struct-of-arrays state of one aggregate, indexed by group slot.
+  struct Acc {
+    std::vector<int64_t> count;
+    std::vector<double> sum;      // SUM / AVG
+    std::vector<Value> extreme;   // MIN / MAX
+  };
+
+  uint32_t NewGroup(Row key) {
+    const auto slot = static_cast<uint32_t>(keys_.size());
+    keys_.push_back(std::move(key));
+    for (size_t a = 0; a < node_.aggs.size(); ++a) {
+      Acc& acc = accs_[a];
+      acc.count.push_back(0);
+      switch (node_.aggs[a].func) {
+        case AggFunc::kSum:
+        case AggFunc::kAvg:
+          acc.sum.push_back(0.0);
+          break;
+        case AggFunc::kMin:
+        case AggFunc::kMax:
+          acc.extreme.emplace_back();
+          break;
+        case AggFunc::kCount:
+          break;
+      }
     }
-    const auto it = index_.find(key_);
-    if (it != index_.end()) return it->second;
-    const size_t slot = keys_.size();
-    index_.emplace(key_, slot);
-    keys_.push_back(key_);
-    states_.emplace_back(node_.aggs.size());
     return slot;
   }
 
+  Row KeyAt(const Batch& batch, size_t r) const {
+    Row key;
+    key.reserve(node_.group_by.size());
+    for (const int g : node_.group_by) {
+      key.push_back(batch.columns[static_cast<size_t>(g)]->GetValue(r));
+    }
+    return key;
+  }
+
+  // slots_[i]: group slot of live position i, new groups created in
+  // position order (first-occurrence order).
+  void AssignSlots(const Batch& batch, const std::vector<int32_t>& sel) {
+    const size_t n = sel.size();
+    slots_.resize(n);
+    if (node_.group_by.empty()) {
+      if (keys_.empty()) NewGroup(Row{});
+      std::fill(slots_.begin(), slots_.end(), 0u);
+      return;
+    }
+    if (encoded_) {
+      ids_.resize(node_.group_by.size());
+      for (size_t c = 0; c < node_.group_by.size() && encoded_; ++c) {
+        encoded_ = encoders_[c].Encode(
+            *batch.columns[static_cast<size_t>(node_.group_by[c])], sel,
+            &ids_[c]);
+      }
+      if (encoded_) {
+        for (size_t i = 0; i < n; ++i) {
+          uint64_t key = ids_[0][i];
+          if (ids_.size() == 2) key = (key << 32) | ids_[1][i];
+          bool inserted = false;
+          slots_[i] = by_id_.FindOrInsert(
+              key, static_cast<uint32_t>(keys_.size()), &inserted);
+          if (inserted) NewGroup(KeyAt(batch, static_cast<size_t>(sel[i])));
+        }
+        return;
+      }
+      // A key the encoders cannot represent: index every group seen so
+      // far by its full key (same slots, same order) and continue there.
+      for (size_t s = 0; s < keys_.size(); ++s) {
+        full_index_.emplace(keys_[s], static_cast<uint32_t>(s));
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      Row key = KeyAt(batch, static_cast<size_t>(sel[i]));
+      const auto it = full_index_.find(key);
+      if (it != full_index_.end()) {
+        slots_[i] = it->second;
+        continue;
+      }
+      const uint32_t slot = NewGroup(key);
+      full_index_.emplace(std::move(key), slot);
+      slots_[i] = slot;
+    }
+  }
+
+  // Folds one aggregate's argument over the live positions, in position
+  // (= source row) order, so SUM/AVG add exactly the row engine's doubles
+  // in the row engine's order.
+  void Accumulate(const AggSpec& spec, const Batch& batch,
+                  const std::vector<int32_t>& sel, Acc* acc) {
+    const size_t n = sel.size();
+    const uint32_t* slot = slots_.data();
+    if (spec.arg == nullptr) {  // COUNT(*)
+      for (size_t i = 0; i < n; ++i) ++acc->count[slot[i]];
+      return;
+    }
+    // Bare columns are read through the selection; anything else is
+    // evaluated into a dense vector first.
+    const Vector* v = nullptr;
+    const int32_t* idx = nullptr;
+    if (spec.arg->op() == ExprOp::kColumn) {
+      v = batch.columns[static_cast<size_t>(spec.arg->column_index())];
+      idx = sel.data();
+    } else {
+      spec.arg->EvalVector(batch, sel, &arg_);
+      v = &arg_;
+    }
+    const auto at = [idx](size_t i) {
+      return idx == nullptr ? i : static_cast<size_t>(idx[i]);
+    };
+    if (v->type == ValueType::kNull) return;  // every argument NULL
+    const bool nulls = v->has_nulls();
+    switch (spec.func) {
+      case AggFunc::kCount:
+        for (size_t i = 0; i < n; ++i) {
+          if (!nulls || !v->IsNull(at(i))) ++acc->count[slot[i]];
+        }
+        return;
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        if (v->type == ValueType::kDouble) {
+          SumLoop(v->f64.data(), idx, nulls ? v : nullptr, n, acc);
+        } else {
+          SumLoop(v->i64.data(), idx, nulls ? v : nullptr, n, acc);
+        }
+        return;
+      case AggFunc::kMin:
+      case AggFunc::kMax: {
+        const bool is_min = spec.func == AggFunc::kMin;
+        for (size_t i = 0; i < n; ++i) {
+          const size_t r = at(i);
+          if (v->IsNull(r)) continue;
+          ++acc->count[slot[i]];
+          Value& cur = acc->extreme[slot[i]];
+          if (cur.is_null() || Better(*v, r, cur, is_min)) {
+            cur = v->GetValue(r);
+          }
+        }
+        return;
+      }
+    }
+  }
+
+  // The typed core of AccumulateValue for SUM/AVG.
+  template <typename T>
+  void SumLoop(const T* p, const int32_t* idx, const Vector* nulls, size_t n,
+               Acc* acc) {
+    const uint32_t* slot = slots_.data();
+    int64_t* count = acc->count.data();
+    double* sum = acc->sum.data();
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = idx == nullptr ? i : static_cast<size_t>(idx[i]);
+      if (nulls != nullptr && nulls->IsNull(r)) continue;
+      ++count[slot[i]];
+      sum[slot[i]] += static_cast<double>(p[r]);
+    }
+  }
+
+  // AccumulateValue's MIN/MAX test: cell < cur (MIN) or cur < cell (MAX)
+  // under Value::Compare.
+  static bool Better(const Vector& v, size_t r, const Value& cur,
+                     bool is_min) {
+    int c = 0;
+    if (v.type == ValueType::kString) {
+      const int k = v.StringAt(r).compare(cur.AsString());
+      c = k < 0 ? -1 : (k > 0 ? 1 : 0);
+    } else {
+      XDBFT_CHECK(cur.type() != ValueType::kString)
+          << "comparing string with numeric value";
+      c = CompareDoubles(NumericAt(v, r), cur.AsDouble());
+    }
+    return is_min ? c < 0 : c > 0;
+  }
+
   const VecNode& node_;
-  std::vector<int32_t> sel_;
-  std::vector<std::vector<Value>> arg_vals_;
-  std::vector<const std::vector<Value>*> arg_cols_;
-  std::vector<char> direct_;  // arg i indexed by batch row vs live position
-  Row key_;  // scratch, reused per row
-  bool int_keys_ = false;
-  std::unordered_map<int64_t, size_t> int_index_;
-  std::unordered_map<Row, size_t, RowHash, RowEq> index_;
+  std::vector<KeyEncoder> encoders_;
+  std::vector<Acc> accs_;
+  bool encoded_;
+  std::vector<std::vector<uint32_t>> ids_;  // per group column, scratch
+  U64Map by_id_;                            // encoded key -> slot
+  std::unordered_map<Row, uint32_t, RowHash, RowEq> full_index_;
   std::vector<Row> keys_;  // first-occurrence order
-  std::vector<std::vector<AggState>> states_;
+  std::vector<uint32_t> slots_;  // scratch, per live position
+  Vector arg_;                   // scratch, evaluated argument
+};
+
+// Value::Compare order of one sort key over a flattened chunk column:
+// NULLs first, numbers as doubles, strings by dictionary rank.
+class SortKey {
+ public:
+  SortKey(const Vector& v, bool ascending) : v_(v), ascending_(ascending) {
+    if (v.type == ValueType::kString) {
+      std::vector<uint32_t> order(v.dict->values.size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return v.dict->values[a] < v.dict->values[b];
+      });
+      rank_.resize(order.size());
+      for (size_t k = 0; k < order.size(); ++k) {
+        rank_[order[k]] = static_cast<uint32_t>(k);
+      }
+    }
+  }
+
+  // Three-way compare of rows a and b, direction applied.
+  int Compare(size_t a, size_t b) const {
+    const bool na = v_.IsNull(a), nb = v_.IsNull(b);
+    int c = 0;
+    if (na || nb) {
+      c = static_cast<int>(nb) - static_cast<int>(na);
+    } else if (v_.type == ValueType::kString) {
+      const uint32_t x = rank_[v_.codes[a]], y = rank_[v_.codes[b]];
+      c = x < y ? -1 : (x > y ? 1 : 0);
+    } else {
+      c = CompareDoubles(NumericAt(v_, a), NumericAt(v_, b));
+    }
+    return ascending_ ? c : -c;
+  }
+
+ private:
+  const Vector& v_;
+  bool ascending_;
+  std::vector<uint32_t> rank_;
 };
 
 class SortSink final : public Sink {
  public:
-  explicit SortSink(const VecNode& node) : node_(node) {
-    out_.schema = node.schema;
-  }
+  explicit SortSink(const VecNode& node) : node_(node), rows_(node.schema) {}
 
-  void Consume(Morsel&& morsel) override {
-    morsel.Materialize();
-    AppendBatchToTable(std::move(morsel.batch), &out_);
+  Status Consume(Morsel&& morsel) override {
+    return rows_.AppendGather(morsel.batch.columns, morsel.sel.data(),
+                              morsel.sel.size());
   }
 
   Result<Table> Finish() override {
-    SortRows(&out_.rows, node_.sort_keys, node_.ascending, node_.limit);
-    return std::move(out_);
+    Table all = rows_.Finish();
+    if (all.num_rows() == 0) return all;
+    const ChunkPtr flat = all.Flatten();
+    std::vector<SortKey> keys;
+    keys.reserve(node_.sort_keys.size());
+    for (size_t i = 0; i < node_.sort_keys.size(); ++i) {
+      keys.emplace_back(
+          flat->columns[static_cast<size_t>(node_.sort_keys[i])],
+          node_.ascending[i]);
+    }
+    const std::vector<uint32_t> perm = SortPermutation(
+        flat->num_rows,
+        [&keys](uint32_t a, uint32_t b) {
+          for (const SortKey& k : keys) {
+            const int c = k.Compare(a, b);
+            if (c != 0) return c < 0;
+          }
+          return false;
+        },
+        node_.limit);
+    std::vector<const Vector*> cols;
+    for (const Vector& v : flat->columns) cols.push_back(&v);
+    TableBuilder out(all.schema);
+    XDBFT_RETURN_NOT_OK(out.AppendGather(
+        cols, reinterpret_cast<const int32_t*>(perm.data()), perm.size()));
+    return out.Finish();
   }
 
  private:
   const VecNode& node_;
-  Table out_;
+  TableBuilder rows_;
 };
 
 struct ExecContext {
   const VecExecOptions* opts = nullptr;
-  // Materialized pipeline-breaker outputs and build hash tables; deques so
+  // Materialized pipeline-breaker outputs and build indexes; deques so
   // addresses stay stable while later pipelines reference them.
   std::deque<Table> owned_tables;
-  std::deque<HashTable> hash_tables;
+  std::deque<JoinIndex> join_indexes;
   int next_pipeline_id = 0;
   // Plan node -> skeleton node, filled only when profiling.
   std::unordered_map<const VecNode*, obs::OperatorProfile*> profile_map;
@@ -492,7 +890,48 @@ void BuildProfileMap(
   }
 }
 
+// Probe step of a hash join: for each live probe row in order, one output
+// row per matching build row (build order) — probe columns first, then
+// build columns, the row operator's layout and order.
+void ProbeJoin(const JoinIndex& index, const std::vector<int>& probe_keys,
+               Morsel* m) {
+  const Chunk& build = index.build();
+  std::vector<int32_t> probe_rows;
+  std::vector<int32_t> build_rows;
+  for (const int32_t r : m->sel) {
+    const uint32_t* begin = nullptr;
+    const uint32_t* end = nullptr;
+    if (!index.Lookup(m->batch.columns, static_cast<size_t>(r), probe_keys,
+                      &begin, &end)) {
+      continue;
+    }
+    for (const uint32_t* b = begin; b != end; ++b) {
+      probe_rows.push_back(r);
+      build_rows.push_back(static_cast<int32_t>(*b));
+    }
+  }
+  std::vector<std::unique_ptr<Vector>> out;
+  const auto gather = [&out](const Vector& src,
+                             const std::vector<int32_t>& rows) {
+    ColumnBuilder b(src.type);
+    XDBFT_CHECK_OK(b.AppendGather(src, rows.data(), rows.size()));
+    out.push_back(std::make_unique<Vector>(b.Finish()));
+  };
+  for (const Vector* v : m->batch.columns) gather(*v, probe_rows);
+  for (const Vector& v : build.columns) gather(v, build_rows);
+  const size_t n = probe_rows.size();
+  m->batch = Batch::Owning(std::move(out));
+  IdentitySelection(0, n, &m->sel);
+}
+
 Result<Table> ExecNode(const VecNode& node, ExecContext* ctx);
+
+// One morsel of a pipeline's source: rows [lo, hi) of one chunk.
+struct MorselRange {
+  ChunkPtr chunk;
+  size_t lo = 0;
+  size_t hi = 0;
+};
 
 // Runs the streaming pipeline rooted at `node` (a chain of filters,
 // projects and join probes over one source) and feeds `sink` in morsel
@@ -529,19 +968,12 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
         Expr::Ptr pred = cur->predicate;
         if (cur->children[0]->op == VecOp::kScan &&
             cur->children[0]->table != nullptr) {
-          // Filter directly over a table scan: fuse it into batch
-          // formation so dropped rows are never copied. EvalSelection is
-          // defined as "positions where EvalBool would return true", so
-          // evaluating per source row preserves the selection contract
-          // (and the row order) exactly.
+          // Filter directly over a table scan: evaluated on the chunk
+          // view itself, so dropped rows are never touched again.
           scan_filter = pred;
           fused_filter_prof = ctx->ProfileNode(cur);
         } else {
           steps.push_back([pred](Morsel* m) {
-            if (!m->has_sel) {
-              IdentitySelection(m->batch.num_rows(), &m->sel);
-              m->has_sel = true;
-            }
             pred->EvalSelection(m->batch, &m->sel);
           });
           step_profs.push_back(ctx->ProfileNode(cur));
@@ -556,14 +988,15 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
         steps.push_back([exprs](Morsel* m) {
           // EvalVector reads through the selection, so projection
           // compacts as a side effect.
-          if (!m->has_sel) IdentitySelection(m->batch.num_rows(), &m->sel);
-          Batch out;
-          out.columns.resize(exprs.size());
-          for (size_t i = 0; i < exprs.size(); ++i) {
-            exprs[i]->EvalVector(m->batch, m->sel, &out.columns[i]);
+          std::vector<std::unique_ptr<Vector>> out;
+          out.reserve(exprs.size());
+          for (const auto& e : exprs) {
+            out.push_back(std::make_unique<Vector>());
+            e->EvalVector(m->batch, m->sel, out.back().get());
           }
-          m->batch = std::move(out);
-          m->has_sel = false;
+          const size_t n = m->sel.size();
+          m->batch = Batch::Owning(std::move(out));
+          IdentitySelection(0, n, &m->sel);
         });
         step_profs.push_back(ctx->ProfileNode(cur));
         cur = cur->children[0].get();
@@ -575,43 +1008,11 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
             cur->children[1]->schema, cur->probe_keys));
         XDBFT_ASSIGN_OR_RETURN(Table built,
                                ExecNode(*cur->children[0], ctx));
-        ctx->owned_tables.push_back(std::move(built));
-        const Table& bt = ctx->owned_tables.back();
-        ctx->hash_tables.emplace_back();
-        HashTable& ht = ctx->hash_tables.back();
-        for (const Row& row : bt.rows) {
-          ht[ExtractKey(row, cur->build_keys)].push_back(row);
-        }
-        const HashTable* htp = &ht;
+        ctx->join_indexes.emplace_back(built.Flatten(), cur->build_keys);
+        const JoinIndex* index = &ctx->join_indexes.back();
         const std::vector<int> pkeys = cur->probe_keys;
-        const size_t build_width = bt.schema.num_columns();
-        steps.push_back([htp, pkeys, build_width](Morsel* m) {
-          const size_t n = m->live_rows();
-          const size_t pw = m->batch.num_columns();
-          Batch out;
-          out.columns.resize(pw + build_width);
-          Row key;
-          for (size_t i = 0; i < n; ++i) {
-            const size_t r = m->row(i);
-            key.clear();
-            for (const int k : pkeys) {
-              key.push_back(m->batch.columns[static_cast<size_t>(k)][r]);
-            }
-            const auto it = htp->find(key);
-            if (it == htp->end()) continue;
-            // Matches in build-insertion order: probe columns first, then
-            // build columns — the row operator's output layout and order.
-            for (const Row& brow : it->second) {
-              for (size_t c = 0; c < pw; ++c) {
-                out.columns[c].push_back(m->batch.columns[c][r]);
-              }
-              for (size_t c = 0; c < build_width; ++c) {
-                out.columns[pw + c].push_back(brow[c]);
-              }
-            }
-          }
-          m->batch = std::move(out);
-          m->has_sel = false;
+        steps.push_back([index, pkeys](Morsel* m) {
+          ProbeJoin(*index, pkeys, m);
         });
         step_profs.push_back(ctx->ProfileNode(cur));
         cur = cur->children[1].get();
@@ -631,8 +1032,14 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
 
   const VecExecOptions& opts = *ctx->opts;
   const size_t morsel = std::max<size_t>(1, opts.morsel_rows);
-  const size_t nrows = source->num_rows();
-  const size_t nmorsels = nrows == 0 ? 0 : (nrows + morsel - 1) / morsel;
+  // Morsels never straddle chunks: each is a (chunk, row range) view.
+  std::vector<MorselRange> ranges;
+  for (const ChunkPtr& chunk : source->chunks()) {
+    for (size_t lo = 0; lo < chunk->num_rows; lo += morsel) {
+      ranges.push_back({chunk, lo, std::min(chunk->num_rows, lo + morsel)});
+    }
+  }
+  const size_t nmorsels = ranges.size();
 
   // Read only by the profile fold, which metrics-off builds compile out.
   const int pipeline_id = ctx->next_pipeline_id++;
@@ -646,25 +1053,14 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
   std::vector<std::vector<ProfAcc>> accs;
 
   const auto run_morsel = [&](size_t m, Morsel* out, ProfAcc* acc) {
-    const size_t lo = m * morsel;
-    const size_t hi = std::min(nrows, lo + morsel);
+    const MorselRange& range = ranges[m];
     std::chrono::steady_clock::time_point t0;
     if (acc != nullptr) t0 = std::chrono::steady_clock::now();
-    if (scan_filter != nullptr) {
-      // Fused scan-filter: evaluate the predicate on the source rows in
-      // place, then copy only the survivors into the batch.
-      Batch* b = &out->batch;
-      const size_t ncols = source->schema.num_columns();
-      b->Reset(ncols);
-      scan_filter->FilterRows(source->rows, lo, hi, &out->sel);
-      for (const int32_t i : out->sel) {
-        const Row& row = source->rows[lo + static_cast<size_t>(i)];
-        for (size_t c = 0; c < ncols; ++c) b->columns[c].push_back(row[c]);
-      }
-    } else {
-      BatchFromTable(*source, lo, hi, &out->batch);
-    }
-    out->has_sel = false;
+    // The scan is a view: the batch points at the chunk's columns and the
+    // selection lists the morsel's rows; the fused filter narrows it.
+    out->batch = Batch::Of(range.chunk);
+    IdentitySelection(range.lo, range.hi, &out->sel);
+    if (scan_filter != nullptr) scan_filter->EvalSelection(out->batch, &out->sel);
     if (acc != nullptr) {
       // The scan reports the rows it read (hi - lo); the fused filter
       // reports the survivors — the same counts the row operators yield.
@@ -672,7 +1068,7 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
                             std::chrono::steady_clock::now() - t0)
                             .count();
       acc[0].batches += 1;
-      acc[0].rows += hi - lo;
+      acc[0].rows += range.hi - range.lo;
       if (scan_filter != nullptr) {
         acc[1].batches += 1;
         acc[1].rows += out->sel.size();
@@ -710,18 +1106,16 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
       ProfAcc* acc = profiling ? accs[task].data() : nullptr;
       for (size_t m = lo; m < hi; ++m) run_morsel(m, &outs[m], acc);
     });
-    for (auto& m : outs) sink->Consume(std::move(m));
+    for (auto& m : outs) XDBFT_RETURN_NOT_OK(sink->Consume(std::move(m)));
   } else {
-    // The sinks read or move individual values out of the morsel but
-    // never steal its buffers, so one morsel's capacity (batch columns
-    // and selection vector) is reused for the whole loop (BatchFromTable
-    // resets the batch).
+    // The sinks only read the morsel, so one morsel's selection buffer is
+    // reused for the whole loop.
     if (profiling) accs.assign(1, std::vector<ProfAcc>(nslots));
     ProfAcc* acc = profiling ? accs[0].data() : nullptr;
     Morsel m;
     for (size_t i = 0; i < nmorsels; ++i) {
       run_morsel(i, &m, acc);
-      sink->Consume(std::move(m));
+      XDBFT_RETURN_NOT_OK(sink->Consume(std::move(m)));
     }
   }
 

@@ -45,29 +45,26 @@ int Value::Compare(const Value& other) const {
     const int c = AsString().compare(other.AsString());
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
-  const double a = AsDouble(), b = other.AsDouble();
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
+  return CompareDoubles(AsDouble(), other.AsDouble());
+}
+
+size_t HashDouble(double d) {
+  const double r = std::nearbyint(d);
+  if (r == d && std::fabs(d) < 9.2e18) {
+    return std::hash<int64_t>{}(static_cast<int64_t>(r));
+  }
+  return std::hash<double>{}(d);
 }
 
 size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
-      return 0x9e3779b97f4a7c15ULL;
+      return kNullHash;
     case ValueType::kInt64:
-    case ValueType::kDouble: {
-      // Numerically equal int64/double must hash identically; integral
-      // doubles hash as their integer value.
-      const double d = AsDouble();
-      const double r = std::nearbyint(d);
-      if (r == d && std::fabs(d) < 9.2e18) {
-        return std::hash<int64_t>{}(static_cast<int64_t>(r));
-      }
-      return std::hash<double>{}(d);
-    }
+    case ValueType::kDouble:
+      return HashDouble(AsDouble());
     case ValueType::kString:
-      return std::hash<std::string>{}(AsString());
+      return HashString(AsString());
   }
   return 0;
 }

@@ -4,7 +4,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -51,19 +54,54 @@ class Value {
   std::variant<std::monostate, int64_t, double, std::string> v_;
 };
 
+// Value::Hash of each cell kind, shared with the typed column kernels so
+// columnar partitioning and grouping hash exactly like the row engine.
+inline constexpr size_t kNullHash = 0x9e3779b97f4a7c15ULL;
+/// \brief Numerically equal int64/double hash identically: integral
+/// doubles hash as their integer value.
+size_t HashDouble(double d);
+inline size_t HashInt64(int64_t i) {
+  return HashDouble(static_cast<double>(i));
+}
+inline size_t HashString(std::string_view s) {
+  return std::hash<std::string_view>{}(s);
+}
+
+/// \brief `d`, with every NaN replaced by the one quiet NaN. Which NaN an
+/// IEEE operation on NaN operands returns depends on the order the compiled
+/// code reads its operands in, which differs between the row and the typed
+/// kernels; both engines pass every double they compute through this, so
+/// their results stay bit-identical.
+inline double CanonicalNaN(double d) {
+  return d != d ? std::numeric_limits<double>::quiet_NaN() : d;
+}
+
+/// \brief Value::Compare of two numeric values (both sides as double): -1,
+/// 0 or 1. NaN compares equal to everything, as it does for Value.
+inline int CompareDoubles(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  return 0;
+}
+
 /// \brief A row of values.
 using Row = std::vector<Value>;
 
 /// \brief Extract a key tuple from a row.
 Row ExtractKey(const Row& row, const std::vector<int>& key_columns);
 
+/// \brief RowHash folds its cells' hashes FNV-style: start from
+/// kRowHashSeed, then RowHashStep per cell (the typed kernels fold the same
+/// way over column cells).
+inline constexpr size_t kRowHashSeed = 0xcbf29ce484222325ULL;
+inline size_t RowHashStep(size_t h, size_t cell_hash) {
+  return (h ^ cell_hash) * 0x100000001b3ULL;
+}
+
 struct RowHash {
   size_t operator()(const Row& row) const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (const auto& v : row) {
-      h ^= v.Hash();
-      h *= 0x100000001b3ULL;
-    }
+    size_t h = kRowHashSeed;
+    for (const auto& v : row) h = RowHashStep(h, v.Hash());
     return h;
   }
 };

@@ -135,8 +135,7 @@ engine::StagePlan RandomStagePlan(Rng& rng, const StageGenOptions& opts) {
       stage.run = [rows, stage_idx](
                       int partition, const std::vector<const exec::Table*>&,
                       obs::QueryProfile*) -> Result<exec::Table> {
-        exec::Table out;
-        out.schema = SyntheticSchema();
+        exec::TableBuilder out(SyntheticSchema());
         const int p = partition < 0 ? 0 : partition;
         for (int r = 0; r < rows; ++r) {
           const int64_t k = static_cast<int64_t>(p) * 1000 + r;
@@ -144,9 +143,11 @@ engine::StagePlan RandomStagePlan(Rng& rng, const StageGenOptions& opts) {
               MixU64(static_cast<uint64_t>(k) * 31 +
                      static_cast<uint64_t>(stage_idx)) >>
               1);
-          out.rows.push_back({exec::Value(k), exec::Value(v)});
+          out.column(0).AppendInt64(k);
+          out.column(1).AppendInt64(v);
+          out.EndRow();
         }
-        return out;
+        return out.Finish();
       };
       plan.AddStage(std::move(stage));
       is_global.push_back(false);
@@ -186,22 +187,26 @@ engine::StagePlan RandomStagePlan(Rng& rng, const StageGenOptions& opts) {
     stage.run = [stage_idx](int partition,
                             const std::vector<const exec::Table*>& inputs,
                             obs::QueryProfile*) -> Result<exec::Table> {
-      exec::Table out;
-      out.schema = SyntheticSchema();
+      exec::TableBuilder out(SyntheticSchema());
       const uint64_t salt =
           static_cast<uint64_t>(stage_idx) * 0x9e3779b97f4a7c15ULL +
           static_cast<uint64_t>(partition + 1);
       for (const exec::Table* in : inputs) {
-        for (const exec::Row& row : in->rows) {
-          const uint64_t k = static_cast<uint64_t>(row[0].AsInt64());
-          const uint64_t v = static_cast<uint64_t>(row[1].AsInt64());
-          const uint64_t mixed = MixU64(v ^ salt ^ (k * 131));
-          if ((mixed & 1) != 0) continue;  // deterministic thinning
-          out.rows.push_back({exec::Value(row[0].AsInt64()),
-                              exec::Value(static_cast<int64_t>(mixed >> 1))});
+        for (const exec::ChunkPtr& chunk : in->chunks()) {
+          const std::vector<int64_t>& ks = chunk->columns[0].i64;
+          const std::vector<int64_t>& vs = chunk->columns[1].i64;
+          for (size_t r = 0; r < chunk->num_rows; ++r) {
+            const uint64_t k = static_cast<uint64_t>(ks[r]);
+            const uint64_t v = static_cast<uint64_t>(vs[r]);
+            const uint64_t mixed = MixU64(v ^ salt ^ (k * 131));
+            if ((mixed & 1) != 0) continue;  // deterministic thinning
+            out.column(0).AppendInt64(ks[r]);
+            out.column(1).AppendInt64(static_cast<int64_t>(mixed >> 1));
+            out.EndRow();
+          }
         }
       }
-      return out;
+      return out.Finish();
     };
     const bool global = stage.global;
     plan.AddStage(std::move(stage));

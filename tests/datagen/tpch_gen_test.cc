@@ -42,7 +42,7 @@ TEST(TpchGenTest, DeterministicForSeed) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->lineitem.num_rows(), b->lineitem.num_rows());
   for (size_t i = 0; i < a->lineitem.num_rows(); i += 97) {
-    EXPECT_TRUE(exec::RowEq{}(a->lineitem.rows[i], b->lineitem.rows[i]));
+    EXPECT_TRUE(exec::RowEq{}(a->lineitem.GetRow(i), b->lineitem.GetRow(i)));
   }
 }
 
@@ -55,12 +55,12 @@ TEST(TpchGenTest, DifferentSeedsDiffer) {
   auto db = GenerateTpch(b);
   // Same schema-level cardinality for ORDERS, different content.
   EXPECT_EQ(da->orders.num_rows(), db->orders.num_rows());
-  EXPECT_FALSE(exec::RowEq{}(da->orders.rows[0], db->orders.rows[0]));
+  EXPECT_FALSE(exec::RowEq{}(da->orders.GetRow(0), db->orders.GetRow(0)));
 }
 
 TEST(TpchGenTest, ReferentialIntegrityNationRegion) {
   TpchDatabase db = SmallDb();
-  for (const auto& row : db.nation.rows) {
+  for (const auto& row : db.nation.ToRows()) {
     const int64_t rk = row[2].AsInt64();
     EXPECT_GE(rk, 0);
     EXPECT_LT(rk, 5);
@@ -70,7 +70,7 @@ TEST(TpchGenTest, ReferentialIntegrityNationRegion) {
 TEST(TpchGenTest, ReferentialIntegrityOrdersCustomer) {
   TpchDatabase db = SmallDb();
   const int64_t max_cust = static_cast<int64_t>(db.customer.num_rows());
-  for (const auto& row : db.orders.rows) {
+  for (const auto& row : db.orders.ToRows()) {
     const int64_t ck = row[1].AsInt64();
     EXPECT_GE(ck, 1);
     EXPECT_LE(ck, max_cust);
@@ -83,10 +83,10 @@ TEST(TpchGenTest, ReferentialIntegrityLineitem) {
   const int64_t max_part = static_cast<int64_t>(db.part.num_rows());
   const int64_t max_supp = static_cast<int64_t>(db.supplier.num_rows());
   std::set<std::pair<int64_t, int64_t>> partsupp_pairs;
-  for (const auto& row : db.partsupp.rows) {
+  for (const auto& row : db.partsupp.ToRows()) {
     partsupp_pairs.insert({row[0].AsInt64(), row[1].AsInt64()});
   }
-  for (const auto& row : db.lineitem.rows) {
+  for (const auto& row : db.lineitem.ToRows()) {
     EXPECT_GE(row[0].AsInt64(), 1);
     EXPECT_LE(row[0].AsInt64(), max_order);
     EXPECT_GE(row[2].AsInt64(), 1);
@@ -103,7 +103,7 @@ TEST(TpchGenTest, ReferentialIntegrityLineitem) {
 TEST(TpchGenTest, PartSuppHasFourSuppliersPerPart) {
   TpchDatabase db = SmallDb();
   std::map<int64_t, std::set<int64_t>> suppliers_of;
-  for (const auto& row : db.partsupp.rows) {
+  for (const auto& row : db.partsupp.ToRows()) {
     suppliers_of[row[0].AsInt64()].insert(row[1].AsInt64());
   }
   EXPECT_EQ(suppliers_of.size(), db.part.num_rows());
@@ -115,11 +115,11 @@ TEST(TpchGenTest, PartSuppHasFourSuppliersPerPart) {
 
 TEST(TpchGenTest, DatesWithinWindow) {
   TpchDatabase db = SmallDb();
-  for (const auto& row : db.orders.rows) {
+  for (const auto& row : db.orders.ToRows()) {
     EXPECT_GE(row[2].AsInt64(), 0);
     EXPECT_LT(row[2].AsInt64(), kDateRangeDays);
   }
-  for (const auto& row : db.lineitem.rows) {
+  for (const auto& row : db.lineitem.ToRows()) {
     EXPECT_GE(row[10].AsInt64(), 0);
     EXPECT_LT(row[10].AsInt64(), kDateRangeDays);
   }
@@ -128,10 +128,10 @@ TEST(TpchGenTest, DatesWithinWindow) {
 TEST(TpchGenTest, ShipdateAfterOrderDate) {
   TpchDatabase db = SmallDb();
   std::map<int64_t, int64_t> order_date;
-  for (const auto& row : db.orders.rows) {
+  for (const auto& row : db.orders.ToRows()) {
     order_date[row[0].AsInt64()] = row[2].AsInt64();
   }
-  for (const auto& row : db.lineitem.rows) {
+  for (const auto& row : db.lineitem.ToRows()) {
     EXPECT_GE(row[10].AsInt64(), order_date[row[0].AsInt64()]);
   }
 }
@@ -139,7 +139,7 @@ TEST(TpchGenTest, ShipdateAfterOrderDate) {
 TEST(TpchGenTest, KeysAreUnique) {
   TpchDatabase db = SmallDb();
   std::set<int64_t> keys;
-  for (const auto& row : db.orders.rows) {
+  for (const auto& row : db.orders.ToRows()) {
     EXPECT_TRUE(keys.insert(row[0].AsInt64()).second);
   }
 }
@@ -147,9 +147,9 @@ TEST(TpchGenTest, KeysAreUnique) {
 TEST(TpchGenTest, SchemasMatchRows) {
   TpchDatabase db = SmallDb();
   EXPECT_EQ(db.lineitem.schema.num_columns(),
-            db.lineitem.rows[0].size());
+            db.lineitem.GetRow(0).size());
   EXPECT_EQ(db.customer.schema.num_columns(),
-            db.customer.rows[0].size());
+            db.customer.GetRow(0).size());
   EXPECT_EQ(db.lineitem.schema.column(10).name, "l_shipdate");
 }
 

@@ -1,6 +1,7 @@
 // Tests of real fault-tolerant execution: injected mid-query failures with
 // actual recomputation, asserting result correctness (recovery
 // transparency) under every materialization configuration.
+#include <algorithm>
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -29,16 +30,10 @@ const Fixture& GetFixture() {
 }
 
 bool TablesEqual(const exec::Table& a, const exec::Table& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows[i].size() != b.rows[i].size()) return false;
-    for (size_t j = 0; j < a.rows[i].size(); ++j) {
-      // Doubles recomputed over the same data in the same order are
-      // bit-identical.
-      if (!(a.rows[i][j] == b.rows[i][j])) return false;
-    }
-  }
-  return true;
+  const std::vector<exec::Row> ra = a.ToRows();
+  const std::vector<exec::Row> rb = b.ToRows();
+  return std::equal(ra.begin(), ra.end(), rb.begin(), rb.end(),
+                    exec::RowEq{});
 }
 
 TEST(StagePlanTest, ValidatesAndBuildsSkeleton) {

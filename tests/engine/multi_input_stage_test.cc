@@ -106,7 +106,7 @@ TEST(MultiInputStageTest, FailureFreeExecutes) {
       ft::MaterializationConfig::AllMat(plan.ToPlanSkeleton()));
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->result.num_rows(), 1u);
-  EXPECT_GT(r->result.rows[0][0].AsInt64(), 0);
+  EXPECT_GT(r->result.GetValue(0, 0).AsInt64(), 0);
 }
 
 TEST(MultiInputStageTest, JoinFailureRecomputesBothLostInputs) {
@@ -125,8 +125,8 @@ TEST(MultiInputStageTest, JoinFailureRecomputesBothLostInputs) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->failures_injected, 1);
   EXPECT_EQ(r->recovery_executions, 3);  // killed attempt + 2 recomputes
-  EXPECT_EQ(r->result.rows[0][0].AsInt64(),
-            clean->result.rows[0][0].AsInt64());
+  EXPECT_EQ(r->result.GetValue(0, 0).AsInt64(),
+            clean->result.GetValue(0, 0).AsInt64());
 }
 
 TEST(MultiInputStageTest, MaterializingOneInputHalvesRecovery) {

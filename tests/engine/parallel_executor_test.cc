@@ -3,6 +3,7 @@
 // random injectors), concurrent failure injection under TSan, and the
 // recursion-depth bomb the old recursive recovery implementation could not
 // survive.
+#include <algorithm>
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -34,14 +35,10 @@ const Fixture& GetFixture() {
 }
 
 bool TablesEqual(const exec::Table& a, const exec::Table& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows[i].size() != b.rows[i].size()) return false;
-    for (size_t j = 0; j < a.rows[i].size(); ++j) {
-      if (!(a.rows[i][j] == b.rows[i][j])) return false;
-    }
-  }
-  return true;
+  const std::vector<exec::Row> ra = a.ToRows();
+  const std::vector<exec::Row> rb = b.ToRows();
+  return std::equal(ra.begin(), ra.end(), rb.begin(), rb.end(),
+                    exec::RowEq{});
 }
 
 // Every deterministic field of two executions must agree; only wall-clock

@@ -11,13 +11,14 @@ using exec::Table;
 using exec::Value;
 using exec::ValueType;
 
-Table KeyedTable(int rows) {
-  Table t;
-  t.schema = {{"k", ValueType::kInt64}, {"v", ValueType::kString}};
-  for (int i = 0; i < rows; ++i) {
-    t.rows.push_back({Value(i), Value("row" + std::to_string(i))});
+Table KeyedTable(int n) {
+  std::vector<exec::Row> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back({Value(i), Value("row" + std::to_string(i))});
   }
-  return t;
+  return Table::FromRows({{"k", ValueType::kInt64}, {"v", ValueType::kString}},
+                         rows)
+      .ValueOrDie();
 }
 
 TEST(PartitionTest, HashPartitionCoversAllRowsDisjointly) {
@@ -29,7 +30,7 @@ TEST(PartitionTest, HashPartitionCoversAllRowsDisjointly) {
   EXPECT_EQ(pt->LogicalRows(), 1000u);
   // Every row lands in the partition of its key hash.
   for (size_t p = 0; p < pt->partitions.size(); ++p) {
-    for (const auto& row : pt->partitions[p].rows) {
+    for (const auto& row : pt->partitions[p].ToRows()) {
       EXPECT_EQ(row[0].Hash() % 7, p);
     }
   }
@@ -101,10 +102,10 @@ TEST(DistributeTpchTest, OrderkeyCoPartitioning) {
   const auto& lineitem = pd->table(TpchTable::kLineitem);
   for (size_t p = 0; p < 4; ++p) {
     std::set<int64_t> order_keys;
-    for (const auto& row : orders.partitions[p].rows) {
+    for (const auto& row : orders.partitions[p].ToRows()) {
       order_keys.insert(row[0].AsInt64());
     }
-    for (const auto& row : lineitem.partitions[p].rows) {
+    for (const auto& row : lineitem.partitions[p].ToRows()) {
       EXPECT_TRUE(order_keys.count(row[0].AsInt64()))
           << "lineitem not co-located with its order";
     }

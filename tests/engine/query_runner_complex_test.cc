@@ -49,14 +49,14 @@ std::map<std::pair<std::string, std::string>, int64_t> ReferenceQ1C(
     const datagen::TpchDatabase& db) {
   std::map<std::pair<std::string, std::string>, std::pair<double, int64_t>>
       sums;
-  for (const auto& row : db.lineitem.rows) {
+  for (const auto& row : db.lineitem.ToRows()) {
     if (row[10].AsInt64() > params::kQ1ShipdateCutoff) continue;
     auto& [sum, cnt] = sums[{row[8].AsString(), row[9].AsString()}];
     sum += row[5].AsDouble();
     ++cnt;
   }
   std::map<std::pair<std::string, std::string>, int64_t> counts;
-  for (const auto& row : db.lineitem.rows) {
+  for (const auto& row : db.lineitem.ToRows()) {
     if (row[10].AsInt64() > params::kQ1ShipdateCutoff) continue;
     const auto key = std::make_pair(row[8].AsString(), row[9].AsString());
     const auto& [sum, cnt] = sums[key];
@@ -72,7 +72,7 @@ TEST(Q1CTest, MatchesReference) {
   ASSERT_TRUE(result.ok()) << result.status();
   const auto ref = ReferenceQ1C(f.db);
   ASSERT_EQ(result->result.num_rows(), ref.size());
-  for (const auto& row : result->result.rows) {
+  for (const auto& row : result->result.ToRows()) {
     const auto it = ref.find({row[0].AsString(), row[1].AsString()});
     ASSERT_NE(it, ref.end());
     EXPECT_EQ(row[2].AsInt64(), it->second);
@@ -103,11 +103,11 @@ struct Q2CReference {
 
 Q2CReference ReferenceQ2C(const datagen::TpchDatabase& db) {
   std::map<int64_t, std::pair<std::string, double>> part_info;
-  for (const auto& row : db.part.rows) {
+  for (const auto& row : db.part.ToRows()) {
     part_info[row[0].AsInt64()] = {row[2].AsString(), row[3].AsDouble()};
   }
   std::map<int64_t, double> min_cost;
-  for (const auto& row : db.partsupp.rows) {
+  for (const auto& row : db.partsupp.ToRows()) {
     const auto& [type, price] = part_info[row[0].AsInt64()];
     if (type < "STANDARD" || type >= "STANDARE") continue;
     auto it = min_cost.find(row[0].AsInt64());
@@ -116,7 +116,7 @@ Q2CReference ReferenceQ2C(const datagen::TpchDatabase& db) {
     }
   }
   Q2CReference ref;
-  for (const auto& row : db.partsupp.rows) {
+  for (const auto& row : db.partsupp.ToRows()) {
     const auto it = min_cost.find(row[0].AsInt64());
     if (it == min_cost.end() || row[2].AsDouble() != it->second) continue;
     const double price = part_info[row[0].AsInt64()].second;
@@ -148,7 +148,7 @@ TEST(Q2CTest, ResultsAreMinCostPairs) {
   EXPECT_EQ(n2, std::min<size_t>(100, ref.outer2.size()));
   ASSERT_EQ(result->result.num_rows(), n1 + n2);
   for (size_t i = 0; i < result->result.num_rows(); ++i) {
-    const auto& row = result->result.rows[i];
+    const auto& row = result->result.GetRow(i);
     const std::pair<int64_t, int64_t> pair = {row[0].AsInt64(),
                                               row[1].AsInt64()};
     if (i < n1) {
@@ -167,7 +167,7 @@ TEST(Q2CTest, OuterResultsSortedBySupplycost) {
   const size_t n1 = result->stage_output_rows[kOuter1TopK];
   double prev = -1.0;
   for (size_t i = 0; i < n1; ++i) {
-    const double c = result->result.rows[i][2].AsDouble();
+    const double c = result->result.GetValue(i, 2).AsDouble();
     EXPECT_GE(c, prev);
     prev = c;
   }
@@ -203,7 +203,7 @@ TEST(ComplexQueriesTest, ResultsIndependentOfPartitionCount) {
   ASSERT_TRUE(a1.ok());
   ASSERT_EQ(an->result.num_rows(), a1->result.num_rows());
   for (size_t i = 0; i < an->result.num_rows(); ++i) {
-    EXPECT_TRUE(exec::RowEq{}(an->result.rows[i], a1->result.rows[i]));
+    EXPECT_TRUE(exec::RowEq{}(an->result.GetRow(i), a1->result.GetRow(i)));
   }
 }
 

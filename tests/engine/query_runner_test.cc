@@ -54,7 +54,7 @@ ReferenceQ1(const datagen::TpchDatabase& db) {
   std::map<std::pair<std::string, std::string>,
            std::tuple<double, double, int64_t>>
       groups;
-  for (const auto& row : db.lineitem.rows) {
+  for (const auto& row : db.lineitem.ToRows()) {
     if (row[10].AsInt64() > params::kQ1ShipdateCutoff) continue;
     auto& [qty, price, cnt] =
         groups[{row[8].AsString(), row[9].AsString()}];
@@ -68,30 +68,30 @@ ReferenceQ1(const datagen::TpchDatabase& db) {
 // Q5 reference: revenue per nation name.
 std::map<std::string, double> ReferenceQ5(const datagen::TpchDatabase& db) {
   std::map<int64_t, int64_t> cust_nation;
-  for (const auto& row : db.customer.rows) {
+  for (const auto& row : db.customer.ToRows()) {
     cust_nation[row[0].AsInt64()] = row[2].AsInt64();
   }
   std::map<int64_t, int64_t> supp_nation;
-  for (const auto& row : db.supplier.rows) {
+  for (const auto& row : db.supplier.ToRows()) {
     supp_nation[row[0].AsInt64()] = row[2].AsInt64();
   }
   std::map<int64_t, std::string> nation_name;
   std::set<int64_t> region_nations;
-  for (const auto& row : db.nation.rows) {
+  for (const auto& row : db.nation.ToRows()) {
     nation_name[row[0].AsInt64()] = row[1].AsString();
     if (row[2].AsInt64() == params::kQ5Region) {
       region_nations.insert(row[0].AsInt64());
     }
   }
   std::map<int64_t, std::pair<int64_t, bool>> order_info;  // cust, in-range
-  for (const auto& row : db.orders.rows) {
+  for (const auto& row : db.orders.ToRows()) {
     const int64_t d = row[2].AsInt64();
     order_info[row[0].AsInt64()] = {
         row[1].AsInt64(),
         d >= params::kQ5YearStart && d < params::kQ5YearEnd};
   }
   std::map<std::string, double> revenue;
-  for (const auto& row : db.lineitem.rows) {
+  for (const auto& row : db.lineitem.ToRows()) {
     const auto& [cust, in_range] = order_info[row[0].AsInt64()];
     if (!in_range) continue;
     const int64_t cnat = cust_nation[cust];
@@ -112,7 +112,7 @@ TEST(QueryRunnerTest, Q1MatchesReference) {
   EXPECT_EQ(result->recovery_executions, 0);
   const auto ref = ReferenceQ1(f.db);
   ASSERT_EQ(result->result.num_rows(), ref.size());
-  for (const auto& row : result->result.rows) {
+  for (const auto& row : result->result.ToRows()) {
     const auto it = ref.find({row[0].AsString(), row[1].AsString()});
     ASSERT_NE(it, ref.end());
     const auto& [qty, price, cnt] = it->second;
@@ -147,7 +147,7 @@ TEST(QueryRunnerTest, Q3ReturnsTopTenByRevenue) {
   const auto rev = result->result.schema.Find("revenue");
   ASSERT_TRUE(rev.ok());
   double prev = 1e300;
-  for (const auto& row : result->result.rows) {
+  for (const auto& row : result->result.ToRows()) {
     const double r = row[static_cast<size_t>(*rev)].AsDouble();
     EXPECT_LE(r, prev);
     prev = r;
@@ -159,19 +159,19 @@ TEST(QueryRunnerTest, Q3TopRevenueMatchesReference) {
   // Reference: max revenue over qualifying orders.
   const Fixture& f = GetFixture();
   std::set<int64_t> segment_customers;
-  for (const auto& row : f.db.customer.rows) {
+  for (const auto& row : f.db.customer.ToRows()) {
     if (row[3].AsString() == params::kQ3Segment) {
       segment_customers.insert(row[0].AsInt64());
     }
   }
   std::map<int64_t, bool> order_ok;
-  for (const auto& row : f.db.orders.rows) {
+  for (const auto& row : f.db.orders.ToRows()) {
     order_ok[row[0].AsInt64()] =
         row[2].AsInt64() < params::kQ3Date &&
         segment_customers.count(row[1].AsInt64()) > 0;
   }
   std::map<int64_t, double> order_rev;
-  for (const auto& row : f.db.lineitem.rows) {
+  for (const auto& row : f.db.lineitem.ToRows()) {
     if (!order_ok[row[0].AsInt64()]) continue;
     if (row[10].AsInt64() <= params::kQ3Date) continue;
     order_rev[row[0].AsInt64()] +=
@@ -185,7 +185,7 @@ TEST(QueryRunnerTest, Q3TopRevenueMatchesReference) {
   ASSERT_TRUE(result.ok());
   ASSERT_GT(result->result.num_rows(), 0u);
   const auto rev = result->result.schema.Find("revenue");
-  EXPECT_NEAR(result->result.rows[0][static_cast<size_t>(*rev)].AsDouble(),
+  EXPECT_NEAR(result->result.GetValue(0, static_cast<size_t>(*rev)).AsDouble(),
               max_rev, max_rev * 1e-9);
 }
 
@@ -198,7 +198,7 @@ TEST(QueryRunnerTest, Q5MatchesReference) {
   EXPECT_EQ(result->recovery_executions, 0);
   const auto ref = ReferenceQ5(f.db);
   ASSERT_EQ(result->result.num_rows(), ref.size());
-  for (const auto& row : result->result.rows) {
+  for (const auto& row : result->result.ToRows()) {
     const auto it = ref.find(row[0].AsString());
     ASSERT_NE(it, ref.end()) << row[0].AsString();
     EXPECT_NEAR(row[1].AsDouble(), it->second,
@@ -239,10 +239,10 @@ TEST(QueryRunnerTest, ResultsIndependentOfPartitionCount) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->result.num_rows(), b->result.num_rows());
   for (size_t i = 0; i < a->result.num_rows(); ++i) {
-    EXPECT_EQ(a->result.rows[i][0], b->result.rows[i][0]);
-    EXPECT_NEAR(a->result.rows[i][1].AsDouble(),
-                b->result.rows[i][1].AsDouble(),
-                std::fabs(a->result.rows[i][1].AsDouble()) * 1e-9);
+    EXPECT_EQ(a->result.GetValue(i, 0), b->result.GetValue(i, 0));
+    EXPECT_NEAR(a->result.GetValue(i, 1).AsDouble(),
+                b->result.GetValue(i, 1).AsDouble(),
+                std::fabs(a->result.GetValue(i, 1).AsDouble()) * 1e-9);
   }
 }
 

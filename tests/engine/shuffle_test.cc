@@ -34,11 +34,11 @@ const Fixture& GetFixture() {
 std::vector<std::pair<int64_t, double>> ReferenceTopCustomers(
     const datagen::TpchDatabase& db) {
   std::map<int64_t, int64_t> order_cust;
-  for (const auto& row : db.orders.rows) {
+  for (const auto& row : db.orders.ToRows()) {
     order_cust[row[0].AsInt64()] = row[1].AsInt64();
   }
   std::map<int64_t, double> revenue;
-  for (const auto& row : db.lineitem.rows) {
+  for (const auto& row : db.lineitem.ToRows()) {
     revenue[order_cust[row[0].AsInt64()]] +=
         row[5].AsDouble() * (1.0 - row[6].AsDouble());
   }
@@ -61,8 +61,8 @@ TEST(ShuffleTest, FailureFreeMatchesReference) {
   const auto ref = ReferenceTopCustomers(f.db);
   ASSERT_EQ(r->result.num_rows(), ref.size());
   for (size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(r->result.rows[i][0].AsInt64(), ref[i].first) << i;
-    EXPECT_NEAR(r->result.rows[i][1].AsDouble(), ref[i].second,
+    EXPECT_EQ(r->result.GetValue(i, 0).AsInt64(), ref[i].first) << i;
+    EXPECT_NEAR(r->result.GetValue(i, 1).AsDouble(), ref[i].second,
                 std::fabs(ref[i].second) * 1e-9)
         << i;
   }
@@ -89,7 +89,7 @@ TEST(ShuffleTest, ProducerLossForcesRecomputeAndStaysCorrect) {
   EXPECT_EQ(r->recovery_executions, 2);
   ASSERT_EQ(r->result.num_rows(), clean->result.num_rows());
   for (size_t i = 0; i < r->result.num_rows(); ++i) {
-    EXPECT_TRUE(exec::RowEq{}(r->result.rows[i], clean->result.rows[i]));
+    EXPECT_TRUE(exec::RowEq{}(r->result.GetRow(i), clean->result.GetRow(i)));
   }
 }
 
@@ -123,7 +123,7 @@ TEST(ShuffleTest, RandomFailuresStayCorrect) {
     ASSERT_TRUE(r.ok()) << seed;
     ASSERT_EQ(r->result.num_rows(), clean->result.num_rows()) << seed;
     for (size_t i = 0; i < r->result.num_rows(); ++i) {
-      EXPECT_TRUE(exec::RowEq{}(r->result.rows[i], clean->result.rows[i]))
+      EXPECT_TRUE(exec::RowEq{}(r->result.GetRow(i), clean->result.GetRow(i)))
           << seed;
     }
   }
@@ -142,7 +142,7 @@ TEST(ShuffleTest, ShuffleDisjointAndComplete) {
   // total (checked through the global stage being a top-10: compare the
   // number of distinct customers instead).
   std::set<int64_t> custkeys;
-  for (const auto& row : r->result.rows) {
+  for (const auto& row : r->result.ToRows()) {
     EXPECT_TRUE(custkeys.insert(row[0].AsInt64()).second)
         << "customer appears in two shuffle partitions";
   }
@@ -177,12 +177,9 @@ TEST(ShuffleTest, OutOfRangeShuffleKeyIsRejected) {
   a.label = "pairs";
   a.run = [](int partition, const std::vector<const exec::Table*>&,
              obs::QueryProfile*) -> Result<exec::Table> {
-    exec::Table t;
-    t.schema = {{"k", exec::ValueType::kInt64},
-                {"v", exec::ValueType::kInt64}};
-    t.rows.push_back(
-        {exec::Value(int64_t{partition}), exec::Value(int64_t{1})});
-    return t;
+    return exec::Table::FromRows(
+        {{"k", exec::ValueType::kInt64}, {"v", exec::ValueType::kInt64}},
+        {{exec::Value(int64_t{partition}), exec::Value(int64_t{1})}});
   };
   const int s = plan.AddStage(std::move(a));
   Stage b;

@@ -16,19 +16,21 @@ namespace {
 
 // (id, val) with val NULL on every third row.
 Table TableWithNulls(int n) {
-  Table t;
-  t.schema = {{"id", ValueType::kInt64}, {"val", ValueType::kDouble}};
+  std::vector<Row> rows;
   for (int i = 0; i < n; ++i) {
-    t.rows.push_back({Value(i), i % 3 == 0 ? Value() : Value(i * 1.5)});
+    rows.push_back({Value(i), i % 3 == 0 ? Value() : Value(i * 1.5)});
   }
-  return t;
+  return Table::FromRows(
+             {{"id", ValueType::kInt64}, {"val", ValueType::kDouble}}, rows)
+      .ValueOrDie();
 }
 
 Table AllNullVals(int n) {
-  Table t;
-  t.schema = {{"id", ValueType::kInt64}, {"val", ValueType::kDouble}};
-  for (int i = 0; i < n; ++i) t.rows.push_back({Value(i % 2), Value()});
-  return t;
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) rows.push_back({Value(i % 2), Value()});
+  return Table::FromRows(
+             {{"id", ValueType::kInt64}, {"val", ValueType::kDouble}}, rows)
+      .ValueOrDie();
 }
 
 // ---- NULL semantics in aggregates ----
@@ -42,8 +44,8 @@ TEST(AggNullSemanticsTest, CountExprSkipsNullArguments) {
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->num_rows(), 1u);
-  EXPECT_EQ(r->rows[0][0], Value(int64_t{6}));  // COUNT(val): NULLs skipped
-  EXPECT_EQ(r->rows[0][1], Value(int64_t{9}));  // COUNT(*): all rows
+  EXPECT_EQ(r->GetValue(0, 0), Value(int64_t{6}));  // COUNT(val): NULLs skipped
+  EXPECT_EQ(r->GetValue(0, 1), Value(int64_t{9}));  // COUNT(*): all rows
 }
 
 TEST(AggNullSemanticsTest, SumOfZeroNonNullInputsIsNull) {
@@ -58,11 +60,11 @@ TEST(AggNullSemanticsTest, SumOfZeroNonNullInputsIsNull) {
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->num_rows(), 1u);
-  EXPECT_TRUE(r->rows[0][0].is_null());  // SUM, not 0
-  EXPECT_TRUE(r->rows[0][1].is_null());  // AVG, not NaN
-  EXPECT_TRUE(r->rows[0][2].is_null());  // MIN
-  EXPECT_TRUE(r->rows[0][3].is_null());  // MAX
-  EXPECT_EQ(r->rows[0][4], Value(int64_t{0}));  // COUNT(expr) is 0
+  EXPECT_TRUE(r->GetValue(0, 0).is_null());  // SUM, not 0
+  EXPECT_TRUE(r->GetValue(0, 1).is_null());  // AVG, not NaN
+  EXPECT_TRUE(r->GetValue(0, 2).is_null());  // MIN
+  EXPECT_TRUE(r->GetValue(0, 3).is_null());  // MAX
+  EXPECT_EQ(r->GetValue(0, 4), Value(int64_t{0}));  // COUNT(expr) is 0
 }
 
 TEST(AggNullSemanticsTest, SumSkipsNullsButKeepsNonNull) {
@@ -71,24 +73,25 @@ TEST(AggNullSemanticsTest, SumSkipsNullsButKeepsNonNull) {
                               {{AggFunc::kSum, Expr::Col(1), "s"}});
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->rows[0][0], Value(18.0));
+  EXPECT_EQ(r->GetValue(0, 0), Value(18.0));
 }
 
 TEST(AggNullSemanticsTest, PerGroupNullHandlingIsIndependent) {
   // Group 0 has only NULL vals, group 1 only non-NULL.
-  Table t;
-  t.schema = {{"g", ValueType::kInt64}, {"val", ValueType::kDouble}};
-  t.rows.push_back({Value(0), Value()});
-  t.rows.push_back({Value(1), Value(2.0)});
-  t.rows.push_back({Value(0), Value()});
-  t.rows.push_back({Value(1), Value(3.0)});
+  Table t = Table::FromRows(
+                {{"g", ValueType::kInt64}, {"val", ValueType::kDouble}},
+                {{Value(0), Value()},
+                 {Value(1), Value(2.0)},
+                 {Value(0), Value()},
+                 {Value(1), Value(3.0)}})
+                .ValueOrDie();
   auto op = MakeHashAggregate(MakeScan(&t), {0},
                               {{AggFunc::kSum, Expr::Col(1), "s"}});
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->num_rows(), 2u);
-  EXPECT_TRUE(r->rows[0][1].is_null());  // group 0 (first occurrence)
-  EXPECT_EQ(r->rows[1][1], Value(5.0));  // group 1
+  EXPECT_TRUE(r->GetValue(0, 1).is_null());  // group 0 (first occurrence)
+  EXPECT_EQ(r->GetValue(1, 1), Value(5.0));  // group 1
 }
 
 // ---- re-Open idempotence ----
@@ -100,18 +103,17 @@ void ExpectReOpenIdempotent(Operator* op, const Table& expect) {
   // Full drain, then re-Open without Close.
   for (int round = 0; round < 2; ++round) {
     ASSERT_TRUE(op->Open().ok()) << "round " << round;
-    Table got;
-    got.schema = op->schema();
+    std::vector<Row> got;
     Row row;
     while (true) {
       auto more = op->Next(&row);
       ASSERT_TRUE(more.ok()) << more.status();
       if (!*more) break;
-      got.rows.push_back(row);
+      got.push_back(row);
     }
-    ASSERT_EQ(got.num_rows(), expect.num_rows()) << "round " << round;
-    for (size_t i = 0; i < got.rows.size(); ++i) {
-      EXPECT_EQ(got.rows[i], expect.rows[i]) << "round " << round;
+    ASSERT_EQ(got.size(), expect.num_rows()) << "round " << round;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], expect.GetRow(i)) << "round " << round;
     }
   }
   // Abandon a partial read, re-Open, and expect a full result again.
@@ -134,10 +136,11 @@ void ExpectReOpenIdempotent(Operator* op, const Table& expect) {
 }
 
 Table Numbers(int n) {
-  Table t;
-  t.schema = {{"id", ValueType::kInt64}, {"val", ValueType::kDouble}};
-  for (int i = 0; i < n; ++i) t.rows.push_back({Value(i), Value(i * 1.5)});
-  return t;
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) rows.push_back({Value(i), Value(i * 1.5)});
+  return Table::FromRows(
+             {{"id", ValueType::kInt64}, {"val", ValueType::kDouble}}, rows)
+      .ValueOrDie();
 }
 
 TEST(ReOpenTest, Scan) {

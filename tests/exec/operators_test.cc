@@ -6,12 +6,11 @@ namespace xdbft::exec {
 namespace {
 
 Table NumbersTable(int n) {
-  Table t;
-  t.schema = {{"id", ValueType::kInt64}, {"val", ValueType::kDouble}};
-  for (int i = 0; i < n; ++i) {
-    t.rows.push_back({Value(i), Value(i * 1.5)});
-  }
-  return t;
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) rows.push_back({Value(i), Value(i * 1.5)});
+  return Table::FromRows(
+             {{"id", ValueType::kInt64}, {"val", ValueType::kDouble}}, rows)
+      .ValueOrDie();
 }
 
 TEST(ScanTest, ProducesAllRows) {
@@ -52,7 +51,7 @@ TEST(ProjectTest, ComputesExpressions) {
   ASSERT_EQ(r->num_rows(), 3u);
   EXPECT_EQ(r->schema.column(0).name, "plus");
   EXPECT_EQ(r->schema.column(0).type, ValueType::kInt64);  // inferred
-  EXPECT_EQ(r->rows[2][0], Value(102));
+  EXPECT_EQ(r->GetValue(2, 0), Value(102));
 }
 
 TEST(ProjectTest, RejectsSizeMismatch) {
@@ -62,30 +61,30 @@ TEST(ProjectTest, RejectsSizeMismatch) {
 }
 
 TEST(HashJoinTest, InnerEquiJoin) {
-  Table left;
-  left.schema = {{"k", ValueType::kInt64}, {"l", ValueType::kString}};
-  left.rows = {{Value(1), Value("a")}, {Value(2), Value("b")}};
-  Table right;
-  right.schema = {{"k2", ValueType::kInt64}, {"r", ValueType::kString}};
-  right.rows = {{Value(2), Value("x")},
+  Table left = Table::FromRows(
+      {{"k", ValueType::kInt64}, {"l", ValueType::kString}},
+      {{Value(1), Value("a")}, {Value(2), Value("b")}}).ValueOrDie();
+  Table right = Table::FromRows(
+      {{"k2", ValueType::kInt64}, {"r", ValueType::kString}},
+      {{Value(2), Value("x")},
                 {Value(2), Value("y")},
-                {Value(3), Value("z")}};
+                {Value(3), Value("z")}}).ValueOrDie();
   auto op = MakeHashJoin(MakeScan(&left), MakeScan(&right), {0}, {0});
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok());
   // Only k=2 matches, twice (probe side is `right`).
   EXPECT_EQ(r->num_rows(), 2u);
   EXPECT_EQ(r->schema.num_columns(), 4u);
-  for (const auto& row : r->rows) {
+  for (const auto& row : r->ToRows()) {
     EXPECT_EQ(row[0], Value(2));  // probe columns first
     EXPECT_EQ(row[3], Value("b"));
   }
 }
 
 TEST(HashJoinTest, MultiColumnKeys) {
-  Table left;
-  left.schema = {{"a", ValueType::kInt64}, {"b", ValueType::kInt64}};
-  left.rows = {{Value(1), Value(2)}, {Value(1), Value(3)}};
+  Table left = Table::FromRows(
+      {{"a", ValueType::kInt64}, {"b", ValueType::kInt64}},
+      {{Value(1), Value(2)}, {Value(1), Value(3)}}).ValueOrDie();
   Table right = left;
   auto op = MakeHashJoin(MakeScan(&left), MakeScan(&right), {0, 1}, {0, 1});
   auto r = Drain(op.get());
@@ -108,11 +107,11 @@ TEST(HashJoinTest, RejectsEmptyKeys) {
 }
 
 TEST(HashAggregateTest, GroupBySums) {
-  Table t;
-  t.schema = {{"g", ValueType::kInt64}, {"v", ValueType::kInt64}};
-  t.rows = {{Value(1), Value(10)},
+  Table t = Table::FromRows(
+      {{"g", ValueType::kInt64}, {"v", ValueType::kInt64}},
+      {{Value(1), Value(10)},
             {Value(2), Value(20)},
-            {Value(1), Value(5)}};
+            {Value(1), Value(5)}}).ValueOrDie();
   auto op = MakeHashAggregate(
       MakeScan(&t), {0},
       {{AggFunc::kSum, Expr::Col(1), "s"},
@@ -123,7 +122,7 @@ TEST(HashAggregateTest, GroupBySums) {
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->num_rows(), 2u);
-  for (const auto& row : r->rows) {
+  for (const auto& row : r->ToRows()) {
     if (row[0] == Value(1)) {
       EXPECT_DOUBLE_EQ(row[1].AsDouble(), 15.0);
       EXPECT_EQ(row[2], Value(2));
@@ -144,7 +143,7 @@ TEST(HashAggregateTest, GlobalAggregateOnEmptyInput) {
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->num_rows(), 1u);
-  EXPECT_EQ(r->rows[0][0], Value(int64_t{0}));
+  EXPECT_EQ(r->GetValue(0, 0), Value(int64_t{0}));
 }
 
 TEST(HashAggregateTest, RejectsMissingArgument) {
@@ -155,18 +154,18 @@ TEST(HashAggregateTest, RejectsMissingArgument) {
 }
 
 TEST(SortTest, SortsAscendingAndDescending) {
-  Table t;
-  t.schema = {{"v", ValueType::kInt64}};
-  t.rows = {{Value(3)}, {Value(1)}, {Value(2)}};
+  Table t = Table::FromRows(
+      {{"v", ValueType::kInt64}},
+      {{Value(3)}, {Value(1)}, {Value(2)}}).ValueOrDie();
   auto asc = MakeSort(MakeScan(&t), {0}, {true});
   auto r = Drain(asc.get());
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->rows[0][0], Value(1));
-  EXPECT_EQ(r->rows[2][0], Value(3));
+  EXPECT_EQ(r->GetValue(0, 0), Value(1));
+  EXPECT_EQ(r->GetValue(2, 0), Value(3));
   auto desc = MakeSort(MakeScan(&t), {0}, {false});
   auto r2 = Drain(desc.get());
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->rows[0][0], Value(3));
+  EXPECT_EQ(r2->GetValue(0, 0), Value(3));
 }
 
 TEST(SortTest, TopKLimit) {
@@ -175,20 +174,20 @@ TEST(SortTest, TopKLimit) {
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->num_rows(), 5u);
-  EXPECT_EQ(r->rows[0][0], Value(99));
-  EXPECT_EQ(r->rows[4][0], Value(95));
+  EXPECT_EQ(r->GetValue(0, 0), Value(99));
+  EXPECT_EQ(r->GetValue(4, 0), Value(95));
 }
 
 TEST(SortTest, MultiKeyWithTies) {
-  Table t;
-  t.schema = {{"a", ValueType::kInt64}, {"b", ValueType::kInt64}};
-  t.rows = {{Value(1), Value(2)}, {Value(1), Value(1)}, {Value(0), Value(9)}};
+  Table t = Table::FromRows(
+      {{"a", ValueType::kInt64}, {"b", ValueType::kInt64}},
+      {{Value(1), Value(2)}, {Value(1), Value(1)}, {Value(0), Value(9)}}).ValueOrDie();
   auto op = MakeSort(MakeScan(&t), {0, 1}, {true, true});
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->rows[0][1], Value(9));
-  EXPECT_EQ(r->rows[1][1], Value(1));
-  EXPECT_EQ(r->rows[2][1], Value(2));
+  EXPECT_EQ(r->GetValue(0, 1), Value(9));
+  EXPECT_EQ(r->GetValue(1, 1), Value(1));
+  EXPECT_EQ(r->GetValue(2, 1), Value(2));
 }
 
 TEST(SortTest, RejectsDirectionMismatch) {
@@ -199,11 +198,11 @@ TEST(SortTest, RejectsDirectionMismatch) {
 
 TEST(PipelineTest, ComposedQuery) {
   // SELECT g, SUM(v) FROM t WHERE v >= 2 GROUP BY g ORDER BY s DESC
-  Table t;
-  t.schema = {{"g", ValueType::kInt64}, {"v", ValueType::kInt64}};
-  for (int i = 0; i < 20; ++i) {
-    t.rows.push_back({Value(i % 3), Value(i)});
-  }
+  std::vector<Row> rows;
+  for (int i = 0; i < 20; ++i) rows.push_back({Value(i % 3), Value(i)});
+  const Table t = Table::FromRows(
+      {{"g", ValueType::kInt64}, {"v", ValueType::kInt64}}, rows)
+      .ValueOrDie();
   auto op = MakeFilter(MakeScan(&t), Ge(Expr::Col(1), Expr::Lit(Value(2))));
   op = MakeHashAggregate(std::move(op), {0},
                          {{AggFunc::kSum, Expr::Col(1), "s"}});
@@ -212,9 +211,9 @@ TEST(PipelineTest, ComposedQuery) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->num_rows(), 3u);
   // Group 0: 3+6+..+18=63; group 1: 4+7+..+19=69; group 2: 2+5+..+17=57.
-  EXPECT_DOUBLE_EQ(r->rows[0][1].AsDouble(), 69.0);
-  EXPECT_DOUBLE_EQ(r->rows[1][1].AsDouble(), 63.0);
-  EXPECT_DOUBLE_EQ(r->rows[2][1].AsDouble(), 57.0);
+  EXPECT_DOUBLE_EQ(r->GetValue(0, 1).AsDouble(), 69.0);
+  EXPECT_DOUBLE_EQ(r->GetValue(1, 1).AsDouble(), 63.0);
+  EXPECT_DOUBLE_EQ(r->GetValue(2, 1).AsDouble(), 57.0);
 }
 
 }  // namespace

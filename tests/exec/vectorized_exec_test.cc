@@ -1,7 +1,6 @@
 // Tests of the morsel-driven vectorized engine (exec/pipeline.h) against
-// the row-engine baseline: batch helpers, vectorized expression
-// evaluation (EvalVector / EvalSelection / FilterRows) versus per-row
-// Eval, and bit-identical plan execution across every VecOp and several
+// the row-engine baseline: chunk views, vectorized expression evaluation
+// (EvalVector / EvalSelection) versus per-row Eval, and bit-identical plan execution across every VecOp and several
 // thread counts. Bit identity — not approximate equality — is the
 // contract the FT executor's determinism check relies on: the ordered
 // serial sink accumulates floating-point state in exact input-row order
@@ -19,16 +18,17 @@ namespace xdbft::exec {
 namespace {
 
 Table Numbers(int n, int key_mod = 5) {
-  Table t;
-  t.schema = {{"k", ValueType::kInt64},
-              {"price", ValueType::kDouble},
-              {"disc", ValueType::kDouble}};
+  std::vector<Row> rows;
   for (int i = 0; i < n; ++i) {
     Value disc;  // NULL every 7th row
     if (i % 7 != 0) disc = Value((i % 10) * 0.01);
-    t.rows.push_back({Value(i % key_mod), Value(i * 1.25), std::move(disc)});
+    rows.push_back({Value(i % key_mod), Value(i * 1.25), std::move(disc)});
   }
-  return t;
+  return Table::FromRows({{"k", ValueType::kInt64},
+                          {"price", ValueType::kDouble},
+                          {"disc", ValueType::kDouble}},
+                         rows)
+      .ValueOrDie();
 }
 
 Result<Table> RunRow(const VecNodePtr& plan) {
@@ -50,52 +50,36 @@ void ExpectBitIdentical(const VecNodePtr& plan,
   }
 }
 
-// ---- batch helpers ----
+// ---- chunk views ----
 
-TEST(BatchTest, RoundTripThroughTable) {
-  Table t = Numbers(100);
-  Batch b;
-  BatchFromTable(t, 10, 30, &b);
-  EXPECT_EQ(b.num_rows(), 20u);
-  EXPECT_EQ(b.num_columns(), 3u);
-  Table out;
-  out.schema = t.schema;
-  AppendBatchToTable(std::move(b), &out);
-  ASSERT_EQ(out.num_rows(), 20u);
-  for (size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(out.rows[i], t.rows[10 + i]);
-  }
+TEST(ChunkViewTest, BatchSharesTheChunksColumns) {
+  const Table t = Numbers(100);
+  const ChunkPtr chunk = t.Flatten();
+  const Batch b = Batch::Of(chunk);
+  ASSERT_EQ(b.num_columns(), 3u);
+  for (size_t c = 0; c < 3; ++c) EXPECT_EQ(b.columns[c], &chunk->columns[c]);
+  // The NULL discounts live in a validity bitmap, the keys have none.
+  EXPECT_FALSE(chunk->columns[0].has_nulls());
+  EXPECT_TRUE(chunk->columns[2].IsNull(0));
+  EXPECT_FALSE(chunk->columns[2].IsNull(1));
 }
 
-TEST(BatchTest, ResetKeepsColumnsEmpty) {
-  Table t = Numbers(50);
-  Batch b;
-  BatchFromTable(t, 0, 50, &b);
-  b.Reset(2);
-  EXPECT_EQ(b.num_columns(), 2u);
-  EXPECT_EQ(b.num_rows(), 0u);
-}
-
-TEST(BatchTest, AppendGrowsGeometrically) {
-  // Appending many small batches must stay linear (regression: reserving
-  // to exactly size+n reallocated the accumulated table per batch).
-  Table t = Numbers(64);
-  Table out;
-  out.schema = t.schema;
-  for (int i = 0; i < 200; ++i) {
-    Batch b;
-    BatchFromTable(t, 0, 64, &b);
-    AppendBatchToTable(std::move(b), &out);
-  }
-  EXPECT_EQ(out.num_rows(), 200u * 64u);
+TEST(ChunkViewTest, CopiesAndAppendsShareChunks) {
+  const Table t = Numbers(10);
+  Table copy = t;
+  copy.Append(t);
+  ASSERT_EQ(copy.num_rows(), 20u);
+  ASSERT_EQ(copy.chunks().size(), 2u);
+  EXPECT_EQ(copy.chunks()[0].get(), t.chunks()[0].get());
+  EXPECT_EQ(copy.chunks()[1].get(), t.chunks()[0].get());
+  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(copy.GetRow(10 + i), t.GetRow(i));
 }
 
 // ---- vectorized expression evaluation vs per-row Eval ----
 
 TEST(VectorizedExprTest, EvalVectorMatchesRowEval) {
   Table t = Numbers(200);
-  Batch b;
-  BatchFromTable(t, 0, t.num_rows(), &b);
+  const Batch b = Batch::Of(t.Flatten());
   std::vector<int32_t> sel;
   for (int32_t i = 0; i < 200; i += 3) sel.push_back(i);  // sparse sel
 
@@ -104,14 +88,18 @@ TEST(VectorizedExprTest, EvalVectorMatchesRowEval) {
       Expr::Col(0) + Expr::Lit(Value(int64_t{7})),
       Lt(Expr::Col(1), Expr::Lit(Value(100.0))),
       Eq(Expr::Col(0), Expr::Col(0)),
+      Or(Gt(Expr::Col(2), Expr::Lit(Value(0.05))),
+         Lt(Expr::Col(0), Expr::Lit(Value(int64_t{2})))),
+      Not(Expr::Col(2)),
+      Expr::Col(0) / Expr::Lit(Value(int64_t{0})),
   };
   for (const auto& e : exprs) {
-    std::vector<Value> out;
+    Vector out;
     e->EvalVector(b, sel, &out);
-    ASSERT_EQ(out.size(), sel.size());
+    ASSERT_EQ(out.size, sel.size());
     for (size_t i = 0; i < sel.size(); ++i) {
-      const Value expect = e->Eval(t.rows[static_cast<size_t>(sel[i])]);
-      EXPECT_TRUE(BitIdenticalValue(expect, out[i]))
+      const Value expect = e->Eval(t.GetRow(static_cast<size_t>(sel[i])));
+      EXPECT_TRUE(BitIdenticalValue(expect, out.GetValue(i)))
           << "expr=" << e->ToString() << " pos=" << sel[i];
     }
   }
@@ -119,12 +107,12 @@ TEST(VectorizedExprTest, EvalVectorMatchesRowEval) {
 
 TEST(VectorizedExprTest, EvalSelectionMatchesEvalBool) {
   Table t = Numbers(150);
-  Batch b;
-  BatchFromTable(t, 0, t.num_rows(), &b);
+  const Batch b = Batch::Of(t.Flatten());
   const std::vector<Expr::Ptr> preds = {
       Lt(Expr::Col(0), Expr::Lit(Value(int64_t{3}))),
       Gt(Expr::Col(2), Expr::Lit(Value(0.05))),  // NULL disc -> dropped
       Eq(Expr::Col(0), Expr::Lit(Value(int64_t{1}))),
+      Le(Expr::Col(1), Expr::Col(0)),
   };
   for (const auto& p : preds) {
     std::vector<int32_t> sel(t.num_rows());
@@ -132,30 +120,32 @@ TEST(VectorizedExprTest, EvalSelectionMatchesEvalBool) {
     p->EvalSelection(b, &sel);
     std::vector<int32_t> expect;
     for (size_t i = 0; i < t.num_rows(); ++i) {
-      if (p->EvalBool(t.rows[i])) expect.push_back(static_cast<int32_t>(i));
+      if (p->EvalBool(t.GetRow(i))) expect.push_back(static_cast<int32_t>(i));
     }
     EXPECT_EQ(sel, expect) << p->ToString();
   }
 }
 
-TEST(VectorizedExprTest, FilterRowsMatchesEvalBool) {
+TEST(VectorizedExprTest, EvalSelectionOverRowRangeMatchesEvalBool) {
+  // A morsel is a row range of a chunk: the selection starts as the
+  // range's row indices and keeps them (not range offsets).
   Table t = Numbers(120);
+  const Batch b = Batch::Of(t.Flatten());
   const std::vector<Expr::Ptr> preds = {
-      // Direct-operand comparison: the in-place fast path.
+      // Direct-operand comparison: the in-place typed loop.
       Lt(Expr::Col(0), Expr::Lit(Value(int64_t{2}))),
-      // Composite operand: the EvalBool fallback.
+      // Composite operand: evaluated, then filtered by truthiness.
       Gt(Expr::Col(1) * (Expr::Lit(Value(1.0)) - Expr::Col(2)),
          Expr::Lit(Value(20.0))),
   };
   for (const auto& p : preds) {
-    std::vector<int32_t> sel;
     const size_t lo = 13, hi = 97;
-    p->FilterRows(t.rows, lo, hi, &sel);
+    std::vector<int32_t> sel;
+    for (size_t i = lo; i < hi; ++i) sel.push_back(static_cast<int32_t>(i));
+    p->EvalSelection(b, &sel);
     std::vector<int32_t> expect;
     for (size_t i = lo; i < hi; ++i) {
-      if (p->EvalBool(t.rows[i])) {
-        expect.push_back(static_cast<int32_t>(i - lo));
-      }
+      if (p->EvalBool(t.GetRow(i))) expect.push_back(static_cast<int32_t>(i));
     }
     EXPECT_EQ(sel, expect) << p->ToString();
   }
@@ -216,23 +206,31 @@ TEST(VectorizedPlanTest, GlobalAggregateOverEmptyInput) {
   auto r = RunRow(plan);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->num_rows(), 1u);
-  EXPECT_TRUE(r->rows[0][0].is_null());
+  EXPECT_TRUE(r->GetValue(0, 0).is_null());
 }
 
 TEST(VectorizedPlanTest, AggregateIntKeyDemotion) {
-  // Group keys that start int64 and later produce non-int64 values make
-  // the aggregate sink demote its integer key index mid-stream; grouping
-  // and first-occurrence order must be unaffected.
-  Table t;
-  t.schema = {{"k", ValueType::kNull}, {"v", ValueType::kDouble}};
+  // int64 keys within +-2^53 group by value; a larger key (which
+  // Value::Compare compares as a double, so 2^53 + 1 groups with 2^53)
+  // makes the aggregate sink demote to full-key grouping mid-stream.
+  // Grouping and first-occurrence order must be unaffected.
+  constexpr int64_t kBig = int64_t{1} << 53;
+  std::vector<Row> rows;
   for (int i = 0; i < 300; ++i) {
-    Value key = i < 150 ? Value(i % 10)
-                        : (i % 2 == 0 ? Value("g" + std::to_string(i % 3))
-                                      : Value(i % 10));
-    t.rows.push_back({key, Value(i * 0.5)});
+    const int64_t key =
+        i < 150 ? i % 10 : (i % 2 == 0 ? kBig + i % 3 : i % 10);
+    rows.push_back({Value(key), Value(i * 0.5)});
   }
-  ExpectBitIdentical(VHashAggregate(
-      VScan(&t), {0}, {{AggFunc::kSum, Expr::Col(1), "s"}}));
+  const Table t =
+      Table::FromRows({{"k", ValueType::kInt64}, {"v", ValueType::kDouble}},
+                      rows)
+          .ValueOrDie();
+  const auto plan =
+      VHashAggregate(VScan(&t), {0}, {{AggFunc::kSum, Expr::Col(1), "s"}});
+  ExpectBitIdentical(plan);
+  auto row = RunRow(plan);
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ(row->num_rows(), 12u);  // 0..9, 2^53 (with 2^53 + 1), 2^53 + 2
 }
 
 TEST(VectorizedPlanTest, HashJoin) {
@@ -256,9 +254,10 @@ TEST(VectorizedPlanTest, IllTypedPlanIsInvalidArgument) {
   // Mixing string and numeric operands would abort either engine's
   // evaluator; both reject the plan with InvalidArgument instead.
   Table t = Numbers(5);
-  Table named;
-  named.schema = {{"name", ValueType::kString}, {"v", ValueType::kDouble}};
-  named.rows.push_back({Value("a"), Value(1.0)});
+  Table named =
+      Table::FromRows({{"name", ValueType::kString}, {"v", ValueType::kDouble}},
+                      {{Value("a"), Value(1.0)}})
+          .ValueOrDie();
   const auto scan = VScan(&named);
   const auto plus_one =
       VProject(scan, {Expr::Col(0) + Expr::Lit(Value(1.0))}, {"x"});

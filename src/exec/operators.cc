@@ -27,7 +27,7 @@ class ScanOperator final : public Operator {
     const Chunk& c = *chunks[chunk_];
     out->resize(c.columns.size());
     for (size_t i = 0; i < c.columns.size(); ++i) {
-      (*out)[i] = c.columns[i].GetValue(pos_);
+      c.columns[i].ReadInto(pos_, &(*out)[i]);
     }
     ++pos_;
     return true;

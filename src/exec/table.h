@@ -59,6 +59,26 @@ struct Vector {
   std::string_view StringAt(size_t i) const { return dict->values[codes[i]]; }
   /// \brief Cell i as a Value (the row view).
   Value GetValue(size_t i) const;
+  /// \brief GetValue into an existing Value, reusing its string buffer.
+  void ReadInto(size_t i, Value* out) const {
+    if (IsNull(i)) {
+      out->SetNull();
+      return;
+    }
+    switch (type) {
+      case ValueType::kInt64:
+        out->SetInt64(i64[i]);
+        return;
+      case ValueType::kDouble:
+        out->SetDouble(f64[i]);
+        return;
+      case ValueType::kString:
+        out->AssignString(StringAt(i));
+        return;
+      case ValueType::kNull:
+        return;
+    }
+  }
   /// \brief Drop every cell, keeping capacity and the type.
   void Clear();
 };

@@ -30,6 +30,20 @@ class Value {
   Value(const char* s) : v_(std::string(s)) {}  // NOLINT(runtime/explicit)
 
   bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
+
+  // In-place setters: the row view refills one Row per scanned row, and a
+  // cell that keeps its type is assigned without a temporary Value (a
+  // string reuses its buffer).
+  void SetNull() { v_ = std::monostate{}; }
+  void SetInt64(int64_t i) { v_ = i; }
+  void SetDouble(double d) { v_ = d; }
+  void AssignString(std::string_view s) {
+    if (auto* p = std::get_if<std::string>(&v_)) {
+      p->assign(s.data(), s.size());
+    } else {
+      v_ = std::string(s);
+    }
+  }
   ValueType type() const;
 
   int64_t AsInt64() const { return std::get<int64_t>(v_); }

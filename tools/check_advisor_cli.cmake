@@ -9,6 +9,10 @@
 #   greedy_recovery  --greedy with --wal-write-cost 0.1 reports the
 #                    write-ahead lineage recovery mode its estimate was
 #                    priced under.
+#   search_once      the default invocation (no --scheme, no --greedy)
+#                    runs findBestFTPlan once: with --threads 1 its trace
+#                    holds exactly one enum.chunk span on the enumeration
+#                    pid (2).
 file(REMOVE_RECURSE "${OUT_DIR}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
 execute_process(
@@ -48,6 +52,15 @@ elseif(CHECK STREQUAL "greedy_recovery")
   if(NOT greedy MATCHES "recovery: write-ahead lineage")
     message(FATAL_ERROR "greedy answer lost the WAL recovery mode:\n"
                         "${greedy}")
+  endif()
+elseif(CHECK STREQUAL "search_once")
+  advise(out --threads 1 --trace-out "${OUT_DIR}/trace.json")
+  # The trace writer puts one event per line.
+  file(STRINGS "${OUT_DIR}/trace.json" chunks
+       REGEX "\"name\": \"enum\\.chunk\".*\"pid\": 2,")
+  list(LENGTH chunks n)
+  if(NOT n EQUAL 1)
+    message(FATAL_ERROR "expected one enum.chunk span on pid 2, got ${n}")
   endif()
 else()
   message(FATAL_ERROR "unknown CHECK '${CHECK}'")

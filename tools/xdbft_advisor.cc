@@ -468,12 +468,21 @@ int main(int argc, char** argv) {
   if (trace_ptr != nullptr) {
     trace.SetProcessName(2, "ft-plan enumeration (wall clock)");
   }
+  // The comparison instantiates every scheme, the cost-based one included,
+  // so the default answer is its cost-based entry: one findBestFTPlan
+  // search per invocation, as in cluster_advisor.
+  const Result<ft::SchemeComparison> comparison =
+      ft::CompareSchemes(*plan, context, eopts);
   Result<ft::SchemePlan> chosen = [&]() -> Result<ft::SchemePlan> {
     if (forced_scheme) {
       return ft::ApplyScheme(forced_kind, *plan, context, eopts);
     }
     if (!args.greedy) {
-      return ft::ApplyCostBasedScheme({*plan}, context, eopts);
+      XDBFT_RETURN_NOT_OK(comparison.status());
+      for (const ft::SchemePlan& sp : comparison->schemes) {
+        if (sp.kind == ft::SchemeKind::kCostBased) return sp;
+      }
+      return Status::Internal("scheme comparison has no cost-based entry");
     }
     // Greedy hill climbing for plans too wide to enumerate.
     XDBFT_ASSIGN_OR_RETURN(ft::GreedyResult g,
@@ -512,7 +521,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto comparison = ft::CompareSchemes(*plan, context, eopts);
   if (comparison.ok()) {
     std::printf("\nScheme comparison (estimated runtime under failures):\n");
     for (const ft::SchemePlan& sp : comparison->schemes) {

@@ -550,15 +550,19 @@ class AggSink final : public Sink {
  public:
   explicit AggSink(const VecNode& node)
       : node_(node),
+        key_schema_(KeySchema(node)),
+        keys_(key_schema_),
         encoders_(node.group_by.size()),
         accs_(node.aggs.size()),
-        encoded_(!node.group_by.empty() && node.group_by.size() <= 2) {}
+        encoded_(!node.group_by.empty() && node.group_by.size() <= 2) {
+    seen_keys_.schema = key_schema_;
+  }
 
   Status Consume(Morsel&& morsel) override {
     const size_t n = morsel.live_rows();
     if (n == 0) return Status::OK();
     const Batch& batch = morsel.batch;
-    AssignSlots(batch, morsel.sel);
+    XDBFT_RETURN_NOT_OK(AssignSlots(batch, morsel.sel));
     for (size_t a = 0; a < node_.aggs.size(); ++a) {
       Accumulate(node_.aggs[a], batch, morsel.sel, &accs_[a]);
     }
@@ -566,24 +570,39 @@ class AggSink final : public Sink {
   }
 
   Result<Table> Finish() override {
-    if (keys_.empty() && node_.group_by.empty()) {
-      NewGroup(Row{});  // empty input still yields one global row
+    if (num_groups_ == 0 && node_.group_by.empty()) {
+      NewGroup();  // empty input still yields one global row
     }
-    TableBuilder out(node_.schema);
-    Row row;
-    for (size_t s = 0; s < keys_.size(); ++s) {
-      row = keys_[s];
-      for (size_t a = 0; a < node_.aggs.size(); ++a) {
-        const Acc& acc = accs_[a];
+    // One chunk: the group keys (first-occurrence order), then one
+    // finalized column per aggregate.
+    seen_keys_.Append(keys_.Finish());
+    auto chunk = std::make_shared<Chunk>();
+    chunk->num_rows = num_groups_;
+    if (!node_.group_by.empty()) {
+      const ChunkPtr key_chunk = seen_keys_.Flatten();
+      chunk->columns = key_chunk->columns;
+    }
+    const size_t nkeys = node_.group_by.size();
+    for (size_t a = 0; a < node_.aggs.size(); ++a) {
+      ColumnBuilder col(node_.schema.column(static_cast<int>(nkeys + a)).type);
+      const Acc& acc = accs_[a];
+      for (size_t s = 0; s < num_groups_; ++s) {
         AggState st;
         st.count = acc.count[s];
         st.sum = acc.sum.empty() ? 0.0 : acc.sum[s];
         if (!acc.extreme.empty()) st.min = st.max = acc.extreme[s];
-        row.push_back(FinalizeAgg(node_.aggs[a].func, st));
+        XDBFT_RETURN_NOT_OK(col.Append(FinalizeAgg(node_.aggs[a].func, st)));
       }
-      XDBFT_RETURN_NOT_OK(out.AppendRow(row));
+      chunk->columns.push_back(col.Finish());
     }
-    return out.Finish();
+    std::vector<Column> cols = node_.schema.columns();
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (cols[c].type == ValueType::kNull) cols[c].type = chunk->columns[c].type;
+    }
+    Table out;
+    out.schema = Schema(std::move(cols));
+    out.AppendChunk(std::move(chunk));
+    return out;
   }
 
  private:
@@ -594,9 +613,18 @@ class AggSink final : public Sink {
     std::vector<Value> extreme;   // MIN / MAX
   };
 
-  uint32_t NewGroup(Row key) {
-    const auto slot = static_cast<uint32_t>(keys_.size());
-    keys_.push_back(std::move(key));
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
+  static Schema KeySchema(const VecNode& node) {
+    std::vector<Column> cols;
+    for (const int g : node.group_by) {
+      cols.push_back(node.children[0]->schema.column(g));
+    }
+    return Schema(std::move(cols));
+  }
+
+  uint32_t NewGroup() {
+    const auto slot = static_cast<uint32_t>(num_groups_++);
     for (size_t a = 0; a < node_.aggs.size(); ++a) {
       Acc& acc = accs_[a];
       acc.count.push_back(0);
@@ -616,6 +644,16 @@ class AggSink final : public Sink {
     return slot;
   }
 
+  // A new group whose key is batch row r.
+  Result<uint32_t> NewGroup(const Batch& batch, int32_t r) {
+    key_cols_.clear();
+    for (const int g : node_.group_by) {
+      key_cols_.push_back(batch.columns[static_cast<size_t>(g)]);
+    }
+    XDBFT_RETURN_NOT_OK(keys_.AppendGather(key_cols_, &r, 1));
+    return NewGroup();
+  }
+
   Row KeyAt(const Batch& batch, size_t r) const {
     Row key;
     key.reserve(node_.group_by.size());
@@ -627,13 +665,13 @@ class AggSink final : public Sink {
 
   // slots_[i]: group slot of live position i, new groups created in
   // position order (first-occurrence order).
-  void AssignSlots(const Batch& batch, const std::vector<int32_t>& sel) {
+  Status AssignSlots(const Batch& batch, const std::vector<int32_t>& sel) {
     const size_t n = sel.size();
     slots_.resize(n);
     if (node_.group_by.empty()) {
-      if (keys_.empty()) NewGroup(Row{});
+      if (num_groups_ == 0) NewGroup();
       std::fill(slots_.begin(), slots_.end(), 0u);
-      return;
+      return Status::OK();
     }
     if (encoded_) {
       ids_.resize(node_.group_by.size());
@@ -642,21 +680,13 @@ class AggSink final : public Sink {
             *batch.columns[static_cast<size_t>(node_.group_by[c])], sel,
             &ids_[c]);
       }
-      if (encoded_) {
-        for (size_t i = 0; i < n; ++i) {
-          uint64_t key = ids_[0][i];
-          if (ids_.size() == 2) key = (key << 32) | ids_[1][i];
-          bool inserted = false;
-          slots_[i] = by_id_.FindOrInsert(
-              key, static_cast<uint32_t>(keys_.size()), &inserted);
-          if (inserted) NewGroup(KeyAt(batch, static_cast<size_t>(sel[i])));
-        }
-        return;
-      }
+      if (encoded_) return AssignEncoded(batch, sel);
       // A key the encoders cannot represent: index every group seen so
       // far by its full key (same slots, same order) and continue there.
-      for (size_t s = 0; s < keys_.size(); ++s) {
-        full_index_.emplace(keys_[s], static_cast<uint32_t>(s));
+      seen_keys_.Append(keys_.Finish());
+      const std::vector<Row> seen = seen_keys_.ToRows();
+      for (size_t s = 0; s < seen.size(); ++s) {
+        full_index_.emplace(seen[s], static_cast<uint32_t>(s));
       }
     }
     for (size_t i = 0; i < n; ++i) {
@@ -666,10 +696,39 @@ class AggSink final : public Sink {
         slots_[i] = it->second;
         continue;
       }
-      const uint32_t slot = NewGroup(key);
-      full_index_.emplace(std::move(key), slot);
-      slots_[i] = slot;
+      XDBFT_ASSIGN_OR_RETURN(slots_[i], NewGroup(batch, sel[i]));
+      full_index_.emplace(std::move(key), slots_[i]);
     }
+    return Status::OK();
+  }
+
+  Status AssignEncoded(const Batch& batch, const std::vector<int32_t>& sel) {
+    const size_t n = sel.size();
+    if (ids_.size() == 1) {
+      // One key column: its ids are dense, so a flat array maps them.
+      const uint32_t* ids = ids_[0].data();
+      for (size_t i = 0; i < n; ++i) {
+        if (ids[i] >= slot_of_id_.size()) {
+          slot_of_id_.resize(std::max<size_t>(ids[i] + 1,
+                                              slot_of_id_.size() * 2),
+                             kNoSlot);
+        }
+        uint32_t& slot = slot_of_id_[ids[i]];
+        if (slot == kNoSlot) {
+          XDBFT_ASSIGN_OR_RETURN(slot, NewGroup(batch, sel[i]));
+        }
+        slots_[i] = slot;
+      }
+      return Status::OK();
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = (uint64_t{ids_[0][i]} << 32) | ids_[1][i];
+      bool inserted = false;
+      slots_[i] = by_id_.FindOrInsert(key, static_cast<uint32_t>(num_groups_),
+                                      &inserted);
+      if (inserted) XDBFT_RETURN_NOT_OK(NewGroup(batch, sel[i]).status());
+    }
+    return Status::OK();
   }
 
   // Folds one aggregate's argument over the live positions, in position
@@ -762,15 +821,22 @@ class AggSink final : public Sink {
   }
 
   const VecNode& node_;
+  Schema key_schema_;
+  // Group keys in first-occurrence order: finished parts, then the part
+  // being built.
+  Table seen_keys_;
+  TableBuilder keys_;
+  size_t num_groups_ = 0;
   std::vector<KeyEncoder> encoders_;
   std::vector<Acc> accs_;
   bool encoded_;
   std::vector<std::vector<uint32_t>> ids_;  // per group column, scratch
-  U64Map by_id_;                            // encoded key -> slot
+  std::vector<uint32_t> slot_of_id_;        // one encoded column: id -> slot
+  U64Map by_id_;                            // two encoded columns -> slot
   std::unordered_map<Row, uint32_t, RowHash, RowEq> full_index_;
-  std::vector<Row> keys_;  // first-occurrence order
-  std::vector<uint32_t> slots_;  // scratch, per live position
-  Vector arg_;                   // scratch, evaluated argument
+  std::vector<const Vector*> key_cols_;  // scratch
+  std::vector<uint32_t> slots_;         // scratch, per live position
+  Vector arg_;                          // scratch, evaluated argument
 };
 
 // Value::Compare order of one sort key over a flattened chunk column:

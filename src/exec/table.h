@@ -131,7 +131,6 @@ class ColumnBuilder {
   explicit ColumnBuilder(ValueType type = ValueType::kNull);
 
   ValueType type() const { return type_; }
-  size_t size() const { return vec_.size; }
 
   /// \brief Append one cell; InvalidArgument when its type differs from
   /// the builder's.

@@ -196,7 +196,8 @@ struct Operand {
   }
 
   bool may_be_null() const {
-    return type == ValueType::kNull || (vec != nullptr && !vec->validity.empty());
+    return type == ValueType::kNull ||
+           (vec != nullptr && !vec->validity.empty());
   }
   size_t Index(size_t pos) const {
     return kind == kSel ? static_cast<size_t>(sel[pos]) : pos;
@@ -336,7 +337,9 @@ class StringCompare {
     if (!lut_.empty()) {
       const uint32_t code = a_.vec->codes[ia];
       int8_t& r = lut_[code];
-      if (r < 0) r = CompareResult(op_, Three(a_.vec->dict->values[code], b_.s)) ? 1 : 0;
+      if (r < 0) {
+        r = CompareResult(op_, Three(a_.vec->dict->values[code], b_.s));
+      }
       return r == 1;
     }
     if (same_dict_ && (op_ == ExprOp::kEq || op_ == ExprOp::kNe)) {
@@ -495,6 +498,10 @@ bool Truthy(const Vector& v, size_t i) {
   }
 }
 
+size_t At(const std::vector<int32_t>& sel, size_t i) {
+  return static_cast<size_t>(sel[i]);
+}
+
 void Gather(const Vector& src, const std::vector<int32_t>& sel, Vector* out) {
   const size_t n = sel.size();
   out->Clear();
@@ -504,15 +511,15 @@ void Gather(const Vector& src, const std::vector<int32_t>& sel, Vector* out) {
   switch (src.type) {
     case ValueType::kInt64:
       out->i64.resize(n);
-      for (size_t i = 0; i < n; ++i) out->i64[i] = src.i64[static_cast<size_t>(sel[i])];
+      for (size_t i = 0; i < n; ++i) out->i64[i] = src.i64[At(sel, i)];
       break;
     case ValueType::kDouble:
       out->f64.resize(n);
-      for (size_t i = 0; i < n; ++i) out->f64[i] = src.f64[static_cast<size_t>(sel[i])];
+      for (size_t i = 0; i < n; ++i) out->f64[i] = src.f64[At(sel, i)];
       break;
     case ValueType::kString:
       out->codes.resize(n);
-      for (size_t i = 0; i < n; ++i) out->codes[i] = src.codes[static_cast<size_t>(sel[i])];
+      for (size_t i = 0; i < n; ++i) out->codes[i] = src.codes[At(sel, i)];
       break;
     case ValueType::kNull:
       return;

@@ -597,7 +597,9 @@ class AggSink final : public Sink {
     }
     std::vector<Column> cols = node_.schema.columns();
     for (size_t c = 0; c < cols.size(); ++c) {
-      if (cols[c].type == ValueType::kNull) cols[c].type = chunk->columns[c].type;
+      if (cols[c].type == ValueType::kNull) {
+        cols[c].type = chunk->columns[c].type;
+      }
     }
     Table out;
     out.schema = Schema(std::move(cols));
@@ -1126,7 +1128,9 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
     // selection lists the morsel's rows; the fused filter narrows it.
     out->batch = Batch::Of(range.chunk);
     IdentitySelection(range.lo, range.hi, &out->sel);
-    if (scan_filter != nullptr) scan_filter->EvalSelection(out->batch, &out->sel);
+    if (scan_filter != nullptr) {
+      scan_filter->EvalSelection(out->batch, &out->sel);
+    }
     if (acc != nullptr) {
       // The scan reports the rows it read (hi - lo); the fused filter
       // reports the survivors — the same counts the row operators yield.

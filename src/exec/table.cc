@@ -86,7 +86,7 @@ ChunkPtr Table::Flatten() const {
   const size_t ncols = schema.num_columns();
   std::vector<ColumnBuilder> cols;
   cols.reserve(ncols);
-  for (size_t c = 0; c < ncols; ++c) cols.emplace_back(schema.column(static_cast<int>(c)).type);
+  for (const Column& c : schema.columns()) cols.emplace_back(c.type);
   std::vector<int32_t> idx;
   for (const ChunkPtr& chunk : chunks_) {
     idx.resize(chunk->num_rows);
@@ -472,8 +472,9 @@ Result<std::vector<Table>> HashPartition(const Table& table, int key,
 
 Result<Table> HashSlice(const Table& table, int key, size_t partition,
                         size_t n) {
-  XDBFT_ASSIGN_OR_RETURN(std::vector<Table> one,
-                         Split(table, key, n, partition % std::max<size_t>(n, 1)));
+  XDBFT_ASSIGN_OR_RETURN(
+      std::vector<Table> one,
+      Split(table, key, n, partition % std::max<size_t>(n, 1)));
   return std::move(one[0]);
 }
 

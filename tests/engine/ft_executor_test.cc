@@ -1,9 +1,9 @@
 // Tests of real fault-tolerant execution: injected mid-query failures with
 // actual recomputation, asserting result correctness (recovery
 // transparency) under every materialization configuration.
-#include <algorithm>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 

@@ -3,9 +3,9 @@
 // random injectors), concurrent failure injection under TSan, and the
 // recursion-depth bomb the old recursive recovery implementation could not
 // survive.
-#include <algorithm>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 

@@ -229,8 +229,9 @@ VecNodePtr RandomPlan(Rng& rng, const Table* t, const Table* dim) {
         keys.push_back(static_cast<int>(rng.NextBounded(6)));
         asc.push_back(rng.NextBounded(2) == 0);
       }
-      const int64_t limit =
-          rng.NextBounded(2) == 0 ? -1 : static_cast<int64_t>(rng.NextBounded(50));
+      const int64_t limit = rng.NextBounded(2) == 0
+                                ? -1
+                                : static_cast<int64_t>(rng.NextBounded(50));
       return VSort(scan, keys, asc, limit);
     }
     default:

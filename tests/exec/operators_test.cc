@@ -181,7 +181,8 @@ TEST(SortTest, TopKLimit) {
 TEST(SortTest, MultiKeyWithTies) {
   Table t = Table::FromRows(
       {{"a", ValueType::kInt64}, {"b", ValueType::kInt64}},
-      {{Value(1), Value(2)}, {Value(1), Value(1)}, {Value(0), Value(9)}}).ValueOrDie();
+      {{Value(1), Value(2)}, {Value(1), Value(1)}, {Value(0), Value(9)}})
+      .ValueOrDie();
   auto op = MakeSort(MakeScan(&t), {0, 1}, {true, true});
   auto r = Drain(op.get());
   ASSERT_TRUE(r.ok());

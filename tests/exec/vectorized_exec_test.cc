@@ -1,10 +1,11 @@
 // Tests of the morsel-driven vectorized engine (exec/pipeline.h) against
 // the row-engine baseline: chunk views, vectorized expression evaluation
-// (EvalVector / EvalSelection) versus per-row Eval, and bit-identical plan execution across every VecOp and several
-// thread counts. Bit identity — not approximate equality — is the
-// contract the FT executor's determinism check relies on: the ordered
-// serial sink accumulates floating-point state in exact input-row order
-// no matter how many workers run the morsels.
+// (EvalVector / EvalSelection) versus per-row Eval, and bit-identical
+// plan execution across every VecOp and several thread counts. Bit
+// identity — not approximate equality — is the contract the FT executor's
+// determinism check relies on: the ordered serial sink accumulates
+// floating-point state in exact input-row order no matter how many
+// workers run the morsels.
 #include <gtest/gtest.h>
 
 #include <cstdint>

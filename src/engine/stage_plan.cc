@@ -90,15 +90,6 @@ constexpr const char* kQ2TypePrefixHi = "STANDARE";  // prefix upper bound
 // The two outer queries split parts by retail price.
 constexpr double kQ2PriceSplit = 1400.0;
 
-// Hash-slice of a replicated table so each partition processes a disjoint
-// share (emulating RREF partial replication).
-Result<Table> SliceReplica(const Table& replica, int key_column,
-                           int partition, int num_partitions) {
-  return exec::HashSlice(replica, key_column,
-                         static_cast<size_t>(partition),
-                         static_cast<size_t>(num_partitions));
-}
-
 // Runs one stage task's plan on the engine selected by `opts`. Stage tasks
 // execute inside the FT executor's pool, so morsel execution stays serial
 // (ParallelForEach is not reentrant). With opts.profile set the plan runs
@@ -428,11 +419,11 @@ StagePlan MakeQ2CStagePlan(const PartitionedDatabase& db, ExecOptions opts) {
     const Table& psrep = partsupp->partitions[static_cast<size_t>(partition)];
     XDBFT_ASSIGN_OR_RETURN(const int pkey_col, prep.schema.Find("p_partkey"));
     XDBFT_ASSIGN_OR_RETURN(
-        const Table pslice, SliceReplica(prep, pkey_col, partition, n));
+        const Table pslice, exec::HashSlice(prep, pkey_col, partition, n));
     XDBFT_ASSIGN_OR_RETURN(const int pskey_col,
                            psrep.schema.Find("ps_partkey"));
     XDBFT_ASSIGN_OR_RETURN(
-        const Table psslice, SliceReplica(psrep, pskey_col, partition, n));
+        const Table psslice, exec::HashSlice(psrep, pskey_col, partition, n));
     XDBFT_ASSIGN_OR_RETURN(auto ptype, Expr::Col(pslice.schema, "p_type"));
     auto build = VFilter(
         VScan(&pslice),
@@ -468,11 +459,11 @@ StagePlan MakeQ2CStagePlan(const PartitionedDatabase& db, ExecOptions opts) {
       XDBFT_ASSIGN_OR_RETURN(const int pskey_col,
                              psrep.schema.Find("ps_partkey"));
       XDBFT_ASSIGN_OR_RETURN(
-          const Table psslice, SliceReplica(psrep, pskey_col, partition, n));
+          const Table psslice, exec::HashSlice(psrep, pskey_col, partition, n));
       XDBFT_ASSIGN_OR_RETURN(const int pkey_col,
                              prep.schema.Find("p_partkey"));
       XDBFT_ASSIGN_OR_RETURN(
-          const Table pslice, SliceReplica(prep, pkey_col, partition, n));
+          const Table pslice, exec::HashSlice(prep, pkey_col, partition, n));
       // (partkey, min_cost) = (ps_partkey, ps_supplycost).
       XDBFT_ASSIGN_OR_RETURN(const int ckey,
                              cte_part.schema.Find("ps_partkey"));
@@ -720,7 +711,7 @@ StagePlan MakeQ5StagePlan(const PartitionedDatabase& db, ExecOptions opts) {
     XDBFT_ASSIGN_OR_RETURN(const int ckey_col,
                            crep.schema.Find("c_custkey"));
     XDBFT_ASSIGN_OR_RETURN(
-        const Table cslice, SliceReplica(crep, ckey_col, partition, n));
+        const Table cslice, exec::HashSlice(crep, ckey_col, partition, n));
     XDBFT_ASSIGN_OR_RETURN(const int nk,
                            rn_table.schema.Find("n_nationkey"));
     XDBFT_ASSIGN_OR_RETURN(const int cnk, cslice.schema.Find("c_nationkey"));

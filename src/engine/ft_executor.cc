@@ -14,9 +14,12 @@ using exec::Table;
 
 namespace {
 
-// In-memory size estimate of a table (cells are variant values; string
-// payloads are not walked — this feeds relative materialized-vs-recomputed
-// accounting, not an allocator budget).
+// Size estimate of a table: sizeof(exec::Value) per cell, whatever the
+// columnar encoding actually holds, so bytes_materialized/bytes_logged and
+// the tm calibrated from them stay comparable across layouts (an encoded
+// byte count is a separate accounting change). String payloads are not
+// walked: this feeds relative materialized-vs-recomputed accounting, not
+// an allocator budget.
 uint64_t ApproxTableBytes(const Table& t) {
   return static_cast<uint64_t>(t.num_rows()) *
          static_cast<uint64_t>(t.schema.num_columns()) * sizeof(exec::Value);

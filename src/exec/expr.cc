@@ -338,7 +338,7 @@ class StringCompare {
       const uint32_t code = a_.vec->codes[ia];
       int8_t& r = lut_[code];
       if (r < 0) {
-        r = CompareResult(op_, Three(a_.vec->dict->values[code], b_.s));
+        r = CompareResult(op_, CompareStrings(a_.vec->dict->values[code], b_.s));
       }
       return r == 1;
     }
@@ -346,15 +346,10 @@ class StringCompare {
       const bool eq = a_.vec->codes[ia] == b_.vec->codes[b_.Index(pos)];
       return op_ == ExprOp::kEq ? eq : !eq;
     }
-    return CompareResult(op_, Three(a_.StringAt(pos), b_.StringAt(pos)));
+    return CompareResult(op_, CompareStrings(a_.StringAt(pos), b_.StringAt(pos)));
   }
 
  private:
-  static int Three(std::string_view x, std::string_view y) {
-    const int c = x.compare(y);
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-
   ExprOp op_;
   const Operand& a_;
   const Operand& b_;
@@ -498,43 +493,11 @@ bool Truthy(const Vector& v, size_t i) {
   }
 }
 
-size_t At(const std::vector<int32_t>& sel, size_t i) {
-  return static_cast<size_t>(sel[i]);
-}
-
 void Gather(const Vector& src, const std::vector<int32_t>& sel, Vector* out) {
-  const size_t n = sel.size();
   out->Clear();
   out->type = src.type;
-  out->size = n;
   out->dict = src.dict;
-  switch (src.type) {
-    case ValueType::kInt64:
-      out->i64.resize(n);
-      for (size_t i = 0; i < n; ++i) out->i64[i] = src.i64[At(sel, i)];
-      break;
-    case ValueType::kDouble:
-      out->f64.resize(n);
-      for (size_t i = 0; i < n; ++i) out->f64[i] = src.f64[At(sel, i)];
-      break;
-    case ValueType::kString:
-      out->codes.resize(n);
-      for (size_t i = 0; i < n; ++i) out->codes[i] = src.codes[At(sel, i)];
-      break;
-    case ValueType::kNull:
-      return;
-  }
-  if (src.validity.empty()) return;
-  std::vector<uint64_t> bits((n + 63) / 64, 0);
-  bool any_null = false;
-  for (size_t i = 0; i < n; ++i) {
-    if (src.IsNull(static_cast<size_t>(sel[i]))) {
-      any_null = true;
-    } else {
-      bits[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-  if (any_null) out->validity = std::move(bits);
+  AppendGathered(src, sel.data(), sel.size(), out);
 }
 
 void Broadcast(const Value& v, size_t n, Vector* out) {

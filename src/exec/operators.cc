@@ -276,16 +276,10 @@ class SortOperator final : public Operator {
     }
     input_->Close();
     const std::vector<uint32_t> perm = SortPermutation(
-        rows_.size(),
-        [&](uint32_t a, uint32_t b) {
-          const Row& x = rows_[a];
-          const Row& y = rows_[b];
-          for (size_t i = 0; i < keys_.size(); ++i) {
-            const size_t k = static_cast<size_t>(keys_[i]);
-            const int c = x[k].Compare(y[k]);
-            if (c != 0) return ascending_[i] ? c < 0 : c > 0;
-          }
-          return false;
+        rows_.size(), ascending_,
+        [&](size_t k, uint32_t a, uint32_t b) {
+          const auto c = static_cast<size_t>(keys_[k]);
+          return rows_[a][c].Compare(rows_[b][c]);
         },
         limit_);
     std::vector<Row> sorted;

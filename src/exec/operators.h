@@ -70,14 +70,23 @@ OperatorPtr MakeSort(OperatorPtr input, std::vector<int> keys,
                      int64_t limit = -1);
 
 /// \brief The order of MakeSort, shared with the vectorized sort sink so
-/// both engines order rows (ties included) identically: positions
-/// 0..n-1 stably sorted by `less` (a strict "row a sorts before row b"),
+/// both engines order rows (ties included) identically: positions 0..n-1
+/// stably sorted key by key, where `compare(k, a, b)` is Value::Compare of
+/// sort key k's cells in rows a and b, reversed where !ascending[k]; then
 /// cut to the first `limit` (all when negative).
-template <typename Less>
-std::vector<uint32_t> SortPermutation(size_t n, Less less, int64_t limit) {
+template <typename KeyCompare>
+std::vector<uint32_t> SortPermutation(size_t n,
+                                      const std::vector<bool>& ascending,
+                                      KeyCompare compare, int64_t limit) {
   std::vector<uint32_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
-  std::stable_sort(perm.begin(), perm.end(), less);
+  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < ascending.size(); ++k) {
+      const int c = compare(k, a, b);
+      if (c != 0) return ascending[k] ? c < 0 : c > 0;
+    }
+    return false;
+  });
   if (limit >= 0 && perm.size() > static_cast<size_t>(limit)) {
     perm.resize(static_cast<size_t>(limit));
   }

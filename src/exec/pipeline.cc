@@ -257,6 +257,16 @@ double NumericAt(const Vector& v, size_t i) {
                                      : v.f64[i];
 }
 
+// Value::Compare of cells i and j of one column.
+int CompareCells(const Vector& v, size_t i, size_t j) {
+  const bool ni = v.IsNull(i), nj = v.IsNull(j);
+  if (ni || nj) return static_cast<int>(nj) - static_cast<int>(ni);
+  if (v.type == ValueType::kString) {
+    return CompareStrings(v.StringAt(i), v.StringAt(j));
+  }
+  return CompareDoubles(NumericAt(v, i), NumericAt(v, j));
+}
+
 // Value::Compare(cell a, cell b) == 0: the key equality of RowEq.
 bool CellsEqual(const Vector& a, size_t i, const Vector& b, size_t j) {
   const bool na = a.IsNull(i), nb = b.IsNull(j);
@@ -503,7 +513,7 @@ class KeyEncoder {
         }
         return true;
       case ValueType::kString: {
-        std::vector<int64_t>& tr = Translation(v.dict);
+        std::vector<int64_t>& tr = translations_.For(v.dict);
         for (size_t i = 0; i < n; ++i) {
           const auto r = static_cast<size_t>(sel[i]);
           if (v.IsNull(r)) {
@@ -528,22 +538,10 @@ class KeyEncoder {
  private:
   static constexpr int64_t kExactInt = int64_t{1} << 53;
 
-  std::vector<int64_t>& Translation(
-      const std::shared_ptr<const Dictionary>& dict) {
-    for (auto& [d, tr] : translations_) {
-      if (d == dict) return tr;
-    }
-    translations_.emplace_back(dict,
-                               std::vector<int64_t>(dict->values.size(), -1));
-    return translations_.back().second;
-  }
-
   uint32_t next_id_ = 1;
   U64Map ints_;
   std::unordered_map<std::string, uint32_t> strings_;
-  std::vector<std::pair<std::shared_ptr<const Dictionary>,
-                        std::vector<int64_t>>>
-      translations_;
+  DictTranslations translations_;  // source code -> id
 };
 
 class AggSink final : public Sink {
@@ -812,8 +810,7 @@ class AggSink final : public Sink {
                      bool is_min) {
     int c = 0;
     if (v.type == ValueType::kString) {
-      const int k = v.StringAt(r).compare(cur.AsString());
-      c = k < 0 ? -1 : (k > 0 ? 1 : 0);
+      c = CompareStrings(v.StringAt(r), cur.AsString());
     } else {
       XDBFT_CHECK(cur.type() != ValueType::kString)
           << "comparing string with numeric value";
@@ -841,45 +838,6 @@ class AggSink final : public Sink {
   Vector arg_;                          // scratch, evaluated argument
 };
 
-// Value::Compare order of one sort key over a flattened chunk column:
-// NULLs first, numbers as doubles, strings by dictionary rank.
-class SortKey {
- public:
-  SortKey(const Vector& v, bool ascending) : v_(v), ascending_(ascending) {
-    if (v.type == ValueType::kString) {
-      std::vector<uint32_t> order(v.dict->values.size());
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        return v.dict->values[a] < v.dict->values[b];
-      });
-      rank_.resize(order.size());
-      for (size_t k = 0; k < order.size(); ++k) {
-        rank_[order[k]] = static_cast<uint32_t>(k);
-      }
-    }
-  }
-
-  // Three-way compare of rows a and b, direction applied.
-  int Compare(size_t a, size_t b) const {
-    const bool na = v_.IsNull(a), nb = v_.IsNull(b);
-    int c = 0;
-    if (na || nb) {
-      c = static_cast<int>(nb) - static_cast<int>(na);
-    } else if (v_.type == ValueType::kString) {
-      const uint32_t x = rank_[v_.codes[a]], y = rank_[v_.codes[b]];
-      c = x < y ? -1 : (x > y ? 1 : 0);
-    } else {
-      c = CompareDoubles(NumericAt(v_, a), NumericAt(v_, b));
-    }
-    return ascending_ ? c : -c;
-  }
-
- private:
-  const Vector& v_;
-  bool ascending_;
-  std::vector<uint32_t> rank_;
-};
-
 class SortSink final : public Sink {
  public:
   explicit SortSink(const VecNode& node) : node_(node), rows_(node.schema) {}
@@ -893,21 +851,14 @@ class SortSink final : public Sink {
     Table all = rows_.Finish();
     if (all.num_rows() == 0) return all;
     const ChunkPtr flat = all.Flatten();
-    std::vector<SortKey> keys;
-    keys.reserve(node_.sort_keys.size());
-    for (size_t i = 0; i < node_.sort_keys.size(); ++i) {
-      keys.emplace_back(
-          flat->columns[static_cast<size_t>(node_.sort_keys[i])],
-          node_.ascending[i]);
+    std::vector<const Vector*> keys;
+    for (const int k : node_.sort_keys) {
+      keys.push_back(&flat->columns[static_cast<size_t>(k)]);
     }
     const std::vector<uint32_t> perm = SortPermutation(
-        flat->num_rows,
-        [&keys](uint32_t a, uint32_t b) {
-          for (const SortKey& k : keys) {
-            const int c = k.Compare(a, b);
-            if (c != 0) return c < 0;
-          }
-          return false;
+        flat->num_rows, node_.ascending,
+        [&keys](size_t k, uint32_t a, uint32_t b) {
+          return CompareCells(*keys[k], a, b);
         },
         node_.limit);
     std::vector<const Vector*> cols;

@@ -30,6 +30,64 @@ void Vector::Clear() {
   validity.clear();
 }
 
+void Vector::PushValidity(bool valid) {
+  const size_t i = size;
+  if (valid) {
+    if (!validity.empty()) {
+      if ((i & 63) == 0) validity.push_back(0);
+      validity[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+  } else if (type != ValueType::kNull) {
+    if (validity.empty()) {
+      // First NULL: every earlier cell was valid.
+      validity.assign((i + 63) / 64, ~uint64_t{0});
+      if ((i & 63) != 0) validity.back() = (uint64_t{1} << (i & 63)) - 1;
+    }
+    if ((i & 63) == 0) validity.push_back(0);
+  }
+  ++size;
+}
+
+void AppendGathered(const Vector& src, const int32_t* idx, size_t n,
+                    Vector* out) {
+  const auto gather = [&](const auto& in, auto* dst) {
+    const size_t at = dst->size();
+    dst->resize(at + n);
+    auto* o = dst->data() + at;
+    for (size_t i = 0; i < n; ++i) o[i] = in[static_cast<size_t>(idx[i])];
+  };
+  switch (src.type) {
+    case ValueType::kInt64:
+      gather(src.i64, &out->i64);
+      break;
+    case ValueType::kDouble:
+      gather(src.f64, &out->f64);
+      break;
+    case ValueType::kString:
+      gather(src.codes, &out->codes);
+      break;
+    case ValueType::kNull:
+      break;
+  }
+  // The bitmap stays absent while nothing is NULL.
+  if (src.validity.empty() && out->validity.empty()) {
+    out->size += n;
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    out->PushValidity(!src.IsNull(static_cast<size_t>(idx[i])));
+  }
+}
+
+std::vector<int64_t>& DictTranslations::For(
+    const std::shared_ptr<const Dictionary>& dict) {
+  for (auto& [d, codes] : maps_) {
+    if (d == dict) return codes;
+  }
+  maps_.emplace_back(dict, std::vector<int64_t>(dict->values.size(), -1));
+  return maps_.back().second;
+}
+
 // ---------------------------------------------------------------------------
 // Table
 
@@ -138,24 +196,6 @@ Status ColumnBuilder::Adopt(ValueType t) {
   return Status::OK();
 }
 
-void ColumnBuilder::MarkValid(bool valid) {
-  const size_t i = vec_.size;
-  if (valid) {
-    if (!vec_.validity.empty()) {
-      if ((i & 63) == 0) vec_.validity.push_back(0);
-      vec_.validity[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  } else if (type_ != ValueType::kNull) {
-    if (vec_.validity.empty()) {
-      // First NULL: every earlier cell was valid.
-      vec_.validity.assign((i + 63) / 64, ~uint64_t{0});
-      if ((i & 63) != 0) vec_.validity.back() = (uint64_t{1} << (i & 63)) - 1;
-    }
-    if ((i & 63) == 0) vec_.validity.push_back(0);
-  }
-  ++vec_.size;
-}
-
 void ColumnBuilder::AppendNull() {
   switch (type_) {
     case ValueType::kInt64:
@@ -170,7 +210,7 @@ void ColumnBuilder::AppendNull() {
     case ValueType::kNull:
       break;
   }
-  MarkValid(false);
+  vec_.PushValidity(false);
 }
 
 void ColumnBuilder::AppendInt64(int64_t v) {
@@ -179,7 +219,7 @@ void ColumnBuilder::AppendInt64(int64_t v) {
         << "INT64 cell in a " << ValueTypeName(type_) << " column";
   }
   vec_.i64.push_back(v);
-  MarkValid(true);
+  vec_.PushValidity(true);
 }
 
 void ColumnBuilder::AppendDouble(double v) {
@@ -188,7 +228,7 @@ void ColumnBuilder::AppendDouble(double v) {
         << "DOUBLE cell in a " << ValueTypeName(type_) << " column";
   }
   vec_.f64.push_back(v);
-  MarkValid(true);
+  vec_.PushValidity(true);
 }
 
 void ColumnBuilder::OwnDictionary() {
@@ -219,7 +259,7 @@ void ColumnBuilder::AppendString(std::string_view v) {
         << "STRING cell in a " << ValueTypeName(type_) << " column";
   }
   vec_.codes.push_back(Encode(v));
-  MarkValid(true);
+  vec_.PushValidity(true);
 }
 
 Status ColumnBuilder::Append(const Value& v) {
@@ -241,73 +281,38 @@ Status ColumnBuilder::Append(const Value& v) {
   return Status::OK();
 }
 
-std::vector<int64_t>* ColumnBuilder::TranslationFor(
-    const std::shared_ptr<const Dictionary>& src) {
-  for (auto& [dict, codes] : translations_) {
-    if (dict == src) return &codes;
-  }
-  translations_.emplace_back(src,
-                             std::vector<int64_t>(src->values.size(), -1));
-  return &translations_.back().second;
-}
-
 Status ColumnBuilder::AppendGather(const Vector& src, const int32_t* idx,
                                    size_t n) {
   XDBFT_RETURN_NOT_OK(Adopt(src.type));
-  if (n == 0) return Status::OK();
   if (src.type == ValueType::kNull) {
     for (size_t i = 0; i < n; ++i) AppendNull();
     return Status::OK();
   }
-  const size_t base = vec_.size;
-  switch (type_) {
-    case ValueType::kInt64: {
-      const size_t at = vec_.i64.size();
-      vec_.i64.resize(at + n);
-      int64_t* out = vec_.i64.data() + at;
-      const int64_t* in = src.i64.data();
-      for (size_t i = 0; i < n; ++i) out[i] = in[idx[i]];
-      break;
-    }
-    case ValueType::kDouble: {
-      const size_t at = vec_.f64.size();
-      vec_.f64.resize(at + n);
-      double* out = vec_.f64.data() + at;
-      const double* in = src.f64.data();
-      for (size_t i = 0; i < n; ++i) out[i] = in[idx[i]];
-      break;
-    }
-    case ValueType::kString: {
-      if (own_ == nullptr && (shared_ == nullptr || shared_ == src.dict)) {
-        shared_ = src.dict;  // same dictionary: codes carry over
-        const size_t at = vec_.codes.size();
-        vec_.codes.resize(at + n);
-        uint32_t* out = vec_.codes.data() + at;
-        const uint32_t* in = src.codes.data();
-        for (size_t i = 0; i < n; ++i) out[i] = in[idx[i]];
-      } else {
-        OwnDictionary();
-        std::vector<int64_t>* tr = TranslationFor(src.dict);
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t c = src.codes[static_cast<size_t>(idx[i])];
-          int64_t& t = (*tr)[c];
-          if (t < 0) t = Encode(src.dict->values[c]);
-          vec_.codes.push_back(static_cast<uint32_t>(t));
-        }
-      }
-      break;
-    }
-    case ValueType::kNull:
-      break;
+  if (type_ != ValueType::kString) {
+    AppendGathered(src, idx, n, &vec_);
+    return Status::OK();
   }
-  // Validity: the fast path keeps the bitmap absent while nothing is NULL.
-  if (!src.validity.empty() || !vec_.validity.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      vec_.size = base + i;
-      MarkValid(!src.IsNull(static_cast<size_t>(idx[i])));
-    }
+  // A shared dictionary with no strings means every cell so far is NULL,
+  // so src's dictionary can take its place.
+  if (own_ == nullptr && (shared_ == nullptr || shared_ == src.dict ||
+                          shared_->values.empty())) {
+    shared_ = src.dict;  // codes carry over
+    AppendGathered(src, idx, n, &vec_);
+    return Status::OK();
   }
-  vec_.size = base + n;
+  OwnDictionary();
+  std::vector<int64_t>& tr = translations_.For(src.dict);
+  for (size_t i = 0; i < n; ++i) {
+    const auto r = static_cast<size_t>(idx[i]);
+    if (src.IsNull(r)) {
+      AppendNull();  // a NULL's code indexes no dictionary
+      continue;
+    }
+    int64_t& t = tr[src.codes[r]];
+    if (t < 0) t = Encode(src.dict->values[src.codes[r]]);
+    vec_.codes.push_back(static_cast<uint32_t>(t));
+    vec_.PushValidity(true);
+  }
   return Status::OK();
 }
 

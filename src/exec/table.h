@@ -81,6 +81,27 @@ struct Vector {
   }
   /// \brief Drop every cell, keeping capacity and the type.
   void Clear();
+  /// \brief Record cell `size` (already pushed to the payload) as valid or
+  /// NULL and count it. The bitmap is created at the first NULL.
+  void PushValidity(bool valid);
+};
+
+/// \brief Append src[idx[0..n)] to `out`, a vector of src's type: payload
+/// and validity. String codes are copied as they are, so `out` must read
+/// them through src's dictionary.
+void AppendGathered(const Vector& src, const int32_t* idx, size_t n,
+                    Vector* out);
+
+/// \brief Per-source-dictionary code maps, filled lazily by the caller:
+/// For(dict)[code] starts at -1 for every code of `dict`.
+class DictTranslations {
+ public:
+  std::vector<int64_t>& For(const std::shared_ptr<const Dictionary>& dict);
+
+ private:
+  std::vector<std::pair<std::shared_ptr<const Dictionary>,
+                        std::vector<int64_t>>>
+      maps_;
 };
 
 /// \brief `rows` rows of aligned column vectors. Immutable once shared.
@@ -149,11 +170,7 @@ class ColumnBuilder {
 
  private:
   Status Adopt(ValueType t);
-  void MarkValid(bool valid);
   uint32_t Encode(std::string_view s);
-  // Codes of `src` in the builder's own dictionary (filled lazily).
-  std::vector<int64_t>* TranslationFor(
-      const std::shared_ptr<const Dictionary>& src);
   void OwnDictionary();
 
   ValueType type_;
@@ -168,9 +185,8 @@ class ColumnBuilder {
     }
   };
   std::unordered_map<std::string, uint32_t, SvHash, std::equal_to<>> index_;
-  std::vector<std::pair<std::shared_ptr<const Dictionary>,
-                        std::vector<int64_t>>>
-      translations_;
+  // Codes of each source dictionary in `own_`.
+  DictTranslations translations_;
 };
 
 /// \brief Builds a Table column by column, sealing a chunk every

@@ -41,10 +41,7 @@ int Value::Compare(const Value& other) const {
   const bool s1 = type() == ValueType::kString;
   const bool s2 = other.type() == ValueType::kString;
   XDBFT_CHECK(s1 == s2) << "comparing string with numeric value";
-  if (s1) {
-    const int c = AsString().compare(other.AsString());
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
+  if (s1) return CompareStrings(AsString(), other.AsString());
   return CompareDoubles(AsDouble(), other.AsDouble());
 }
 

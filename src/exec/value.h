@@ -98,6 +98,12 @@ inline int CompareDoubles(double a, double b) {
   return 0;
 }
 
+/// \brief Value::Compare of two strings (bytewise): -1, 0 or 1.
+inline int CompareStrings(std::string_view a, std::string_view b) {
+  const int c = a.compare(b);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
 /// \brief A row of values.
 using Row = std::vector<Value>;
 

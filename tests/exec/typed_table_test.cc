@@ -5,7 +5,10 @@
 //     ill-typed over the resolved schema returns a Status on both engines
 //     (it used to abort in Value::Compare),
 //   - int64 +, - and * wrap in two's complement on both engines (defined
-//     behaviour, so the UBSan build runs these plans clean).
+//     behaviour, so the UBSan build runs these plans clean),
+//   - chunks built by different builders (an all-NULL string chunk next
+//     to an encoded one) gather, partition, sort and aggregate as one
+//     table built row by row does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -110,6 +113,67 @@ TEST(TypedTableTest, Int64ArithmeticWrapsOnBothEngines) {
   EXPECT_EQ(row->GetValue(1, 2).AsInt64(), 0);   // INT64_MIN squared
   EXPECT_TRUE(row->GetValue(4, 3).is_null());    // NULL propagates
   EXPECT_EQ(row->GetValue(3, 5).AsInt64(), kMin);
+}
+
+TEST(TypedTableTest, AllNullStringChunkMixesWithEncodedChunks) {
+  // An all-NULL string chunk has an empty dictionary; gathering it after
+  // an encoded chunk (or before one) re-encodes through a translation
+  // table that NULL cells must not index.
+  const Schema schema({{"s", ValueType::kString}, {"k", ValueType::kInt64}});
+  const Table strings =
+      Table::FromRows(schema, {{Value("x"), Value(int64_t{1})},
+                               {Value("y"), Value(int64_t{2})},
+                               {Value(), Value(int64_t{3})},
+                               {Value("x"), Value(int64_t{4})}})
+          .ValueOrDie();
+  const Table nulls = Table::FromRows(schema, {{Value(), Value(int64_t{5})},
+                                               {Value(), Value(int64_t{6})}})
+                          .ValueOrDie();
+  for (const bool nulls_first : {false, true}) {
+    SCOPED_TRACE(nulls_first ? "nulls first" : "strings first");
+    Table t = nulls_first ? nulls : strings;
+    t.Append(nulls_first ? strings : nulls);
+    ASSERT_EQ(t.chunks().size(), 2u);
+    const Table expected = Table::FromRows(schema, t.ToRows()).ValueOrDie();
+
+    Table flat;
+    flat.schema = schema;
+    flat.AppendChunk(t.Flatten());
+    EXPECT_TRUE(BitIdenticalTables(flat, expected));
+
+    auto parts = HashPartition(t, 0, 3);
+    auto want_parts = HashPartition(expected, 0, 3);
+    ASSERT_TRUE(parts.ok() && want_parts.ok());
+    for (size_t p = 0; p < 3; ++p) {
+      EXPECT_TRUE(BitIdenticalTables((*parts)[p], (*want_parts)[p]))
+          << "partition " << p;
+    }
+
+    const auto scan = VScan(&t);
+    const std::vector<VecNodePtr> plans = {
+        VFilter(scan, Gt(Expr::Col(1), Expr::Lit(Value(int64_t{0})))),
+        VSort(scan, {0, 1}, {false, true}),
+        VHashAggregate(scan, {0}, {{AggFunc::kSum, Expr::Col(1), "sum"}}),
+        VHashJoin(scan, scan, {0}, {0}),
+    };
+    for (const VecNodePtr& plan : plans) {
+      auto op = ToOperator(plan);
+      auto row = Drain(op.get());
+      ASSERT_TRUE(row.ok()) << row.status();
+      for (const int threads : {1, 2, 8}) {
+        for (const size_t morsel : {size_t{1}, size_t{7}, size_t{1024}}) {
+          VecExecOptions opts;
+          opts.num_threads = threads;
+          opts.morsel_rows = morsel;
+          auto vec = ExecuteVectorized(plan, opts);
+          ASSERT_TRUE(vec.ok()) << vec.status();
+          EXPECT_TRUE(BitIdenticalTables(*row, *vec))
+              << "op=" << static_cast<int>(plan->op)
+              << " threads=" << threads << " morsel=" << morsel;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "cluster/failure_trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 
 namespace xdbft::cluster {
@@ -154,6 +155,20 @@ double ClusterTrace::NextFailureAfter(double t, int* which_node) {
 
 std::vector<ClusterTrace> GenerateTraceSet(const cost::ClusterStats& stats,
                                            int count, uint64_t base_seed) {
+  if (stats.has_bursts()) {
+    // The burst process `stats` prices, with the kill window and horizon
+    // of perf_correlated and correlated_model_vs_sim, over the independent
+    // per-node process at stats.mtbf_seconds.
+    BurstOptions burst;
+    burst.mean_interval = stats.burst_mtbf_seconds;
+    burst.horizon = 1.0e6;
+    burst.width = 1.0;
+    burst.min_nodes = std::max(
+        1, static_cast<int>(std::lround(stats.burst_fanout * stats.num_nodes)));
+    burst.max_nodes = burst.min_nodes;
+    burst.background_mtbf = stats.mtbf_seconds;
+    return GenerateBurstTraceSet(stats, burst, count, base_seed);
+  }
   std::vector<ClusterTrace> out;
   out.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {

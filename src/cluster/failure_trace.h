@@ -176,6 +176,11 @@ class ClusterTrace {
 };
 
 /// \brief The standard experiment setup: `count` independent trace sets.
+/// When `stats` has bursts, each set is GenerateWithBursts of its seed:
+/// bursts every stats.burst_mtbf_seconds on average, each killing
+/// max(1, round(burst_fanout * num_nodes)) nodes within 1 s, over the
+/// per-node process at stats.mtbf_seconds, so a simulation sees the
+/// failures the cost model priced.
 std::vector<ClusterTrace> GenerateTraceSet(const cost::ClusterStats& stats,
                                            int count, uint64_t base_seed);
 

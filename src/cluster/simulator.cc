@@ -61,29 +61,6 @@ void LogAttempt(obs::AttemptTimeline* log, const std::string& label,
 
 }  // namespace
 
-// Simulated seconds map to trace microseconds 1:1000 (1 simulated second
-// renders as 1 ms), keeping hour-long simulations navigable in the viewer.
-constexpr double kTraceUsPerSimSecond = 1000.0;
-
-void ClusterSimulator::TraceSpan(std::string_view name, const char* category,
-                                 double start_s, double dur_s,
-                                 int node_idx) const {
-  if (options_.trace == nullptr) return;
-  options_.trace->AddComplete(std::string(name), category,
-                              start_s * kTraceUsPerSimSecond,
-                              dur_s * kTraceUsPerSimSecond,
-                              options_.trace_pid, node_idx);
-}
-
-void ClusterSimulator::TraceInstant(std::string_view name,
-                                    const char* category, double at_s,
-                                    int node_idx) const {
-  if (options_.trace == nullptr) return;
-  options_.trace->AddInstant(std::string(name), category,
-                             at_s * kTraceUsPerSimSecond, options_.trace_pid,
-                             node_idx);
-}
-
 template <typename FailureSource>
 double ClusterSimulator::RunRetryUnit(double ready, double duration,
                                       double replay_factor,
@@ -91,7 +68,6 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
                                       const RetryUnit& unit, int* restarts,
                                       bool* aborted) const {
   if (duration <= 0.0) return ready;
-  const bool whole_query = unit.node < 0;
   double logged = 0.0;  // durable logged progress, in work seconds
   double start = ready;
   for (int attempt = 0;; ++attempt) {
@@ -104,8 +80,6 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
     const double span = duration - (1.0 - replay_factor) * logged;
     const double fail = failures.NextFailureAfter(start);
     if (fail >= start + span) {
-      TraceSpan(unit.label, whole_query ? "query" : "subplan", start, span,
-                unit.lane);
       LogAttempt(options_.attempt_log, unit.label, unit.node, attempt, start,
                  start + span, /*killed=*/false);
       return start + span;
@@ -117,11 +91,6 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
     const double elapsed = fail - start;
     if (elapsed > replay) logged += elapsed - replay;
     ++(*restarts);
-    if (options_.trace != nullptr) {
-      TraceSpan(unit.label + " (killed)", "killed", start, elapsed,
-                unit.lane);
-      TraceInstant("failure", "failure", fail, unit.lane);
-    }
     LogAttempt(options_.attempt_log, unit.label, unit.node, attempt, start,
                fail, /*killed=*/true);
     // The coordinator notices the failure at the next monitoring tick,
@@ -130,7 +99,6 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
     if (options_.monitoring_interval > 0.0) {
       const double ticks = std::ceil(fail / options_.monitoring_interval);
       detected = ticks * options_.monitoring_interval;
-      TraceSpan("detect", "wait", fail, detected - fail, unit.lane);
     }
     if (attempt + 1 >= options_.max_restarts) {
       // This retry unit keeps dying: give up after max_restarts restarts,
@@ -139,7 +107,6 @@ double ClusterSimulator::RunRetryUnit(double ready, double duration,
       *aborted = true;
       return detected + stats_.mttr_seconds;
     }
-    TraceSpan("mttr", "wait", detected, stats_.mttr_seconds, unit.lane);
     start = detected + stats_.mttr_seconds;
   }
 }
@@ -167,7 +134,7 @@ SimulationResult ClusterSimulator::Walk(const Collapsed& collapsed,
     static const std::string kQuery = "query";
     return conclude(RunRetryUnit(start_time, cp.MakespanNoFailure(),
                                  /*replay_factor=*/1.0, trace,
-                                 {kQuery, /*lane=*/0, /*node=*/-1},
+                                 {kQuery, /*node=*/-1},
                                  &result.restarts, &aborted));
   }
   // Write-ahead lineage pays the log writes up front and is never cut
@@ -208,7 +175,7 @@ SimulationResult ClusterSimulator::Walk(const Collapsed& collapsed,
             completion,
             work + (s + 1 < segments ? options_.checkpoint_cost : 0.0),
             replay_factor, trace.node(k),
-            {seg_label.empty() ? label : seg_label, k, k}, &result.restarts,
+            {seg_label.empty() ? label : seg_label, k}, &result.restarts,
             &aborted);
       }
       // A retry unit hit max_restarts: the query gives up at that unit's
@@ -241,16 +208,14 @@ Result<ClusterSimulator::Collapsed> ClusterSimulator::Collapse(
   XDBFT_ASSIGN_OR_RETURN(
       CollapsedPlan cp,
       CollapsedPlan::Create(plan, config, options_.pipe_constant));
-  // Timeline labels only when a trace or a ledger shows them: collapsed
-  // ops by their materializing anchor in a trace, by id in a ledger.
+  // Ledger labels only when a ledger records them: a collapsed op by its
+  // id and materializing anchor.
   std::vector<std::string> labels;
-  if (options_.trace != nullptr || options_.attempt_log != nullptr) {
+  if (options_.attempt_log != nullptr) {
     labels.reserve(cp.num_ops());
     for (const auto& c : cp.ops()) {
       labels.push_back(
-          options_.trace != nullptr
-              ? StrFormat("c%d:%s", c.id, plan.node(c.anchor).label.c_str())
-              : StrFormat("c%d", c.id));
+          StrFormat("c%d:%s", c.id, plan.node(c.anchor).label.c_str()));
     }
   }
   std::vector<double> node_stretch;

@@ -32,7 +32,6 @@
 
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -41,7 +40,6 @@
 #include "ft/collapsed_plan.h"
 #include "ft/scheme.h"
 #include "obs/attempt_log.h"
-#include "obs/trace.h"
 
 namespace xdbft::cluster {
 
@@ -83,21 +81,15 @@ struct SimulationOptions {
   /// them), but defaults to a free log replayed at full length.
   double wal_write_cost = 0.0;
   double wal_replay_factor = 1.0;
-  /// When set, the discrete-event timeline is exported into this recorder
-  /// as Chrome trace spans on *virtual* time (1 simulated second = 1 ms in
-  /// the viewer; lane = node): sub-plan runs, killed attempts, failure
-  /// markers, detection and MTTR waits, and full-query restarts. The
-  /// recorder must outlive the simulator calls. Null disables.
-  obs::TraceRecorder* trace = nullptr;
-  /// Trace process id for the emitted spans, so simulator (virtual-time)
-  /// lanes can be kept apart from executor (wall-clock) lanes when both
-  /// write into one recorder.
-  int trace_pid = 0;
   /// When set, every simulated task attempt (killed and successful, plus
   /// full-query restarts) is appended as an AttemptRecord on *virtual*
   /// time: dispatch = attempt start, finish = completion or failure
-  /// instant. The timeline must outlive the simulator calls; records
-  /// accumulate across Run/RunMany invocations. Null (default) disables.
+  /// instant. A collapsed op's records are labeled `c<id>:<anchor label>`
+  /// (plus ` [seg i/n]` for a checkpoint segment) on node k; whole-query
+  /// attempts are labeled `query` on node -1. obs::AddToTrace draws the
+  /// timeline as a Chrome trace. The timeline must outlive the simulator
+  /// calls; records accumulate across Run/RunMany invocations. Null
+  /// (default) disables.
   obs::AttemptTimeline* attempt_log = nullptr;
 };
 
@@ -196,12 +188,10 @@ class ClusterSimulator {
   const SimulationOptions& options() const { return options_; }
 
  private:
-  /// Identity of one retry unit in the exported timeline and the attempt
-  /// ledger: `label` names its spans and records, `lane` is its trace
-  /// lane and `node` its ledger node (-1 = the whole query).
+  /// Identity of one retry unit in the attempt ledger: `label` names its
+  /// records and `node` is its node (-1 = the whole query).
   struct RetryUnit {
     const std::string& label;
-    int lane;
     int node;
   };
 
@@ -217,9 +207,9 @@ class ClusterSimulator {
                       FailureSource& failures, const RetryUnit& unit,
                       int* restarts, bool* aborted) const;
 
-  /// What every walk of one scheme shares: the collapsed plan, its
-  /// timeline labels (one per collapsed op, or none when neither a trace
-  /// nor a ledger is attached) and, per node k, the factor
+  /// What every walk of one scheme shares: the collapsed plan, its ledger
+  /// labels (one per collapsed op, or none when no attempt_log is
+  /// attached) and, per node k, the factor
   /// 1 + partition_skew * u_k its durations take.
   struct Collapsed {
     ft::CollapsedPlan cp;
@@ -238,13 +228,6 @@ class ClusterSimulator {
   /// the file comment) and folds their completion times.
   SimulationResult Walk(const Collapsed& collapsed, ft::RecoveryMode recovery,
                         ClusterTrace& trace, double start_time) const;
-
-  /// Virtual-time trace emission helpers (no-ops when options_.trace is
-  /// null). Durations/timestamps are simulated seconds.
-  void TraceSpan(std::string_view name, const char* category, double start_s,
-                 double dur_s, int node_idx) const;
-  void TraceInstant(std::string_view name, const char* category, double at_s,
-                    int node_idx) const;
 
   cost::ClusterStats stats_;
   SimulationOptions options_;

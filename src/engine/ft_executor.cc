@@ -146,15 +146,6 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
   // out kept as its own entry rather than dropped.
   std::vector<std::vector<obs::QueryProfile>> profiles(
       static_cast<size_t>(num_stages));
-  // Trace lanes: tid = pool worker executing the task; the coordinator
-  // (global stages, inline helping, killed-attempt markers) on the lane
-  // after the workers.
-  const int coordinator_tid = pool.num_threads();
-  if (trace_ != nullptr) {
-    trace_->SetProcessName(0, "ft_executor: " + plan_->name());
-    obs::NameWorkerLanes(trace_, 0, pool.num_threads());
-  }
-
   const auto start = std::chrono::steady_clock::now();
   const int last = num_stages - 1;
   auto elapsed = [&start] {
@@ -207,14 +198,11 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
       demand_closure([](int, int) { return false; }).second);
 
   // Runs one attempt: resolves inputs per edge mode from the current
-  // state (read-only during a wave), executes the stage, records the
-  // span on the executing worker's lane. The attempt's time includes its
-  // input assembly (concatenation, shuffle slicing), as tr(o) does.
-  // Accounting is applied later by the coordinator, in deterministic
-  // order, at the wave barrier.
+  // state (read-only during a wave) and executes the stage. The attempt's
+  // time includes its input assembly (concatenation, shuffle slicing), as
+  // tr(o) does. Accounting is applied later by the coordinator, in
+  // deterministic order, at the wave barrier.
   auto run_attempt = [&](WaveTask& t) {
-    const double span_start_us =
-        trace_ != nullptr ? trace_->NowMicros() : 0.0;
     const auto task_start = std::chrono::steady_clock::now();
     const Stage& stage = plan_->stage(t.stage);
     std::vector<Table> edge_storage;
@@ -252,17 +240,6 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
     if (!out.ok()) {
       t.status = out.status();
       return;
-    }
-    if (trace_ != nullptr) {
-      const int worker = pool.CurrentWorkerId();
-      trace_->AddComplete(
-          stage.label, t.attempt > 0 ? "recovery" : "task", span_start_us,
-          trace_->NowMicros() - span_start_us, 0,
-          worker >= 0 ? worker : coordinator_tid,
-          {obs::IntArg("stage", t.stage),
-           obs::IntArg("partition", stage.global ? -1 : t.slot),
-           obs::IntArg("attempt", t.attempt),
-           obs::IntArg("rows", static_cast<int64_t>(out->num_rows()))});
     }
     t.table = std::move(*out);
   };
@@ -446,16 +423,7 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
     // demand closure of the next wave re-schedules whatever is still
     // needed.
     for (const WaveTask& t : wave) {
-      if (!t.killed) continue;
-      const Stage& stage = plan_->stage(t.stage);
-      if (trace_ != nullptr) {
-        trace_->AddInstant(
-            "failure", "failure", trace_->NowMicros(), 0, coordinator_tid,
-            {obs::IntArg("stage", t.stage),
-             obs::IntArg("partition", stage.global ? -1 : t.slot),
-             obs::IntArg("attempt", t.attempt)});
-      }
-      if (stage.global) continue;
+      if (!t.killed || plan_->stage(t.stage).global) continue;
       for (int s2 = 0; s2 < num_stages; ++s2) {
         if (plan_->stage(s2).global) continue;
         if (config.materialized(static_cast<plan::OpId>(s2))) continue;
@@ -470,14 +438,6 @@ Result<FtExecutionResult> FaultTolerantExecutor::Execute(
           ++result.replay_executions;
           result.rows_replayed += lost.rows;
           result.bytes_replayed += lost.bytes;
-          if (trace_ != nullptr) {
-            trace_->AddInstant(
-                "replay", "recovery", trace_->NowMicros(), 0,
-                coordinator_tid,
-                {obs::IntArg("stage", s2), obs::IntArg("partition", t.slot),
-                 obs::IntArg("rows",
-                             static_cast<int64_t>(lost.rows))});
-          }
           continue;
         }
         result.rows_lost += lost.rows;

@@ -58,7 +58,6 @@
 #include "ft/mat_config.h"
 #include "obs/attempt_log.h"
 #include "obs/query_profile.h"
-#include "obs/trace.h"
 
 namespace xdbft::engine {
 
@@ -179,6 +178,7 @@ struct FtExecutionResult {
   /// finish - dispatch is that attempt's own duration; a killed attempt
   /// dies at dispatch (dispatch == finish). Records for completed outputs
   /// later destroyed by a failure carry the rows lost in `rows_lost`.
+  /// obs::AddToTrace draws it as a Chrome trace timeline.
   obs::AttemptTimeline timeline;
 };
 
@@ -194,11 +194,6 @@ class FaultTolerantExecutor {
   FaultTolerantExecutor(const StagePlan* plan,
                         const PartitionedDatabase* db)
       : plan_(plan), db_(db) {}
-
-  /// \brief Record per-attempt spans and failure markers into `trace`
-  /// (wall-clock timeline; lane = executing pool worker, coordinator
-  /// last). Null disables tracing. The recorder must outlive Execute.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
 
   /// \brief Worker threads for partition tasks (0 = one per hardware
   /// thread, 1 = everything on the calling thread). The query result and
@@ -238,7 +233,6 @@ class FaultTolerantExecutor {
  private:
   const StagePlan* plan_;
   const PartitionedDatabase* db_;
-  obs::TraceRecorder* trace_ = nullptr;
   int num_threads_ = 1;
   bool wal_ = false;
   std::string postmortem_dir_;

@@ -1,7 +1,12 @@
 #include "obs/attempt_log.h"
 
+#include <algorithm>
+#include <map>
+#include <utility>
+
 #include "common/string_util.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace xdbft::obs {
 
@@ -43,6 +48,54 @@ std::string AttemptTimeline::ToJson() const {
   }
   out += "]";
   return out;
+}
+
+void AddToTrace(const AttemptTimeline& timeline, TraceRecorder* trace,
+                int pid, const std::string& process_name,
+                double us_per_second) {
+  int coordinator = 0;  // lane after the highest node
+  bool has_coordinator = false;
+  for (const AttemptRecord& r : timeline.records) {
+    coordinator = std::max(coordinator, r.node + 1);
+    has_coordinator = has_coordinator || r.node < 0;
+  }
+  trace->SetProcessName(pid, process_name);
+  for (int k = 0; k < coordinator; ++k) {
+    trace->SetThreadName(pid, k, "node " + std::to_string(k));
+  }
+  if (has_coordinator) trace->SetThreadName(pid, coordinator, "coordinator");
+
+  // Killed attempts whose retry is not drawn yet, by (label, node): the
+  // failure time in trace microseconds and the killed attempt's number.
+  std::map<std::pair<std::string, int>, std::pair<double, int>> waiting;
+  for (const AttemptRecord& r : timeline.records) {
+    const int lane = r.node < 0 ? coordinator : r.node;
+    const double start_us = r.dispatch_seconds * us_per_second;
+    const double finish_us = r.finish_seconds * us_per_second;
+    const auto key = std::make_pair(r.label, r.node);
+    if (auto it = waiting.find(key); it != waiting.end()) {
+      const auto [failed_us, killed_attempt] = it->second;
+      if (r.attempt == killed_attempt + 1) {
+        trace->AddComplete("wait", "wait", failed_us, start_us - failed_us,
+                           pid, lane);
+      }
+      waiting.erase(it);
+    }
+    std::vector<TraceArg> args = {
+        IntArg("stage", r.stage), IntArg("node", r.node),
+        IntArg("attempt", r.attempt),
+        IntArg("rows_out", static_cast<int64_t>(r.rows_out)),
+        IntArg("rows_lost", static_cast<int64_t>(r.rows_lost))};
+    const char* category =
+        r.killed ? "killed" : r.attempt > 0 ? "recovery" : "attempt";
+    trace->AddComplete(r.label, category, start_us, finish_us - start_us, pid,
+                       lane, args);
+    if (r.killed) {
+      trace->AddInstant("failure", "failure", finish_us, pid, lane,
+                        std::move(args));
+      waiting[key] = {finish_us, r.attempt};
+    }
+  }
 }
 
 }  // namespace xdbft::obs

@@ -8,6 +8,9 @@
 // AttemptTimeline is not thread-safe: both producers record from a single
 // thread by contract (the executor's wave loop, the simulator's event
 // loop).
+//
+// The timeline is the only per-attempt record: Chrome trace timelines are
+// drawn from it by AddToTrace, never written by the producers themselves.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +18,8 @@
 #include <vector>
 
 namespace xdbft::obs {
+
+class TraceRecorder;
 
 struct AttemptRecord {
   std::string label;            // stage / collapsed-operator label
@@ -38,5 +43,19 @@ struct AttemptTimeline {
   // JSON array of attempt objects.
   std::string ToJson() const;
 };
+
+/// \brief Draws `timeline` into `trace` as process `pid`, named
+/// `process_name`, with timestamps scaled by `us_per_second` (1e6 for
+/// wall-clock seconds). Per record: one "X" span over [dispatch, finish]
+/// on lane `node`, or on a final lane named "coordinator" for node -1 (a
+/// global stage or a whole-query restart); its category is "attempt" for a
+/// successful attempt 0, "recovery" for a successful later attempt and
+/// "killed" for a killed one, and its args carry stage, node, attempt,
+/// rows_out and rows_lost. A killed record also draws a "failure" instant
+/// at its finish and a "wait" span from there to the dispatch of the next
+/// attempt of the same (label, node).
+void AddToTrace(const AttemptTimeline& timeline, TraceRecorder* trace,
+                int pid, const std::string& process_name,
+                double us_per_second);
 
 }  // namespace xdbft::obs

@@ -7,10 +7,6 @@
 
 namespace xdbft::obs {
 
-TraceArg NumArg(const std::string& key, double value) {
-  return TraceArg{key, JsonNumber(value)};
-}
-
 TraceArg IntArg(const std::string& key, int64_t value) {
   return TraceArg{key, StrFormat("%lld", static_cast<long long>(value))};
 }
@@ -131,15 +127,6 @@ Status TraceRecorder::WriteFile(const std::string& path) const {
     return Status::Internal("failed writing trace output file: " + path);
   }
   return Status::OK();
-}
-
-void NameWorkerLanes(TraceRecorder* trace, int pid, int num_workers,
-                     const std::string& coordinator_name) {
-  if (trace == nullptr) return;
-  for (int k = 0; k < num_workers; ++k) {
-    trace->SetThreadName(pid, k, "worker " + std::to_string(k));
-  }
-  trace->SetThreadName(pid, num_workers, coordinator_name);
 }
 
 }  // namespace xdbft::obs

@@ -1,10 +1,10 @@
 // TraceRecorder: collects Chrome trace-event-format events ("X" complete
 // spans, "i" instant events, "M" metadata) and serializes them to the JSON
 // object form ({"traceEvents": [...]}) that chrome://tracing and Perfetto
-// load directly. Timestamps are microseconds; callers either stamp events
-// with real wall time (NowMicros(), used by the in-process executor) or
-// with virtual time (the discrete-event cluster simulator maps simulated
-// seconds to microseconds). Thread-safe; events may be added concurrently.
+// load directly. Timestamps are microseconds: real wall time (NowMicros(),
+// used by the parallel enumerator) or a scaled AttemptTimeline (see
+// obs::AddToTrace, which draws executor and simulator attempts). Thread-safe;
+// events may be added concurrently.
 #pragma once
 
 #include <chrono>
@@ -24,7 +24,6 @@ struct TraceArg {
   std::string json_value;
 };
 
-TraceArg NumArg(const std::string& key, double value);
 TraceArg IntArg(const std::string& key, int64_t value);
 TraceArg StrArg(const std::string& key, const std::string& value);
 
@@ -79,47 +78,6 @@ class TraceRecorder {
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
   std::chrono::steady_clock::time_point epoch_;
-};
-
-/// \brief Labels the per-worker lanes of a task-pool client: tid k in
-/// [0, num_workers) becomes "worker k" and tid num_workers becomes
-/// `coordinator_name` (the submitting/orchestrating thread — the
-/// convention the parallel executor and enumerator share). A null
-/// recorder disables it.
-void NameWorkerLanes(TraceRecorder* trace, int pid, int num_workers,
-                     const std::string& coordinator_name = "coordinator");
-
-/// \brief RAII wall-clock span: records a complete event over the scope's
-/// lifetime. A null recorder disables it.
-class ScopedTraceSpan {
- public:
-  ScopedTraceSpan(TraceRecorder* recorder, std::string name,
-                  std::string category, int tid,
-                  std::vector<TraceArg> args = {})
-      : recorder_(recorder),
-        name_(std::move(name)),
-        category_(std::move(category)),
-        tid_(tid),
-        args_(std::move(args)),
-        start_us_(recorder != nullptr ? recorder->NowMicros() : 0.0) {}
-
-  ~ScopedTraceSpan() {
-    if (recorder_ == nullptr) return;
-    recorder_->AddComplete(name_, category_, start_us_,
-                           recorder_->NowMicros() - start_us_, /*pid=*/0,
-                           tid_, std::move(args_));
-  }
-
-  ScopedTraceSpan(const ScopedTraceSpan&) = delete;
-  ScopedTraceSpan& operator=(const ScopedTraceSpan&) = delete;
-
- private:
-  TraceRecorder* recorder_;
-  std::string name_;
-  std::string category_;
-  int tid_;
-  std::vector<TraceArg> args_;
-  double start_us_;
 };
 
 }  // namespace xdbft::obs

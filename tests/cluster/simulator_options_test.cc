@@ -133,7 +133,6 @@ TEST(MatchModelTest, CopiesTheModelFieldsAndKeepsTheRest) {
   model.pipe_constant = 0.5;
   model.wal_write_cost = 0.7;
   model.wal_replay_factor = 0.125;
-  obs::TraceRecorder trace;
   obs::AttemptTimeline attempts;
   SimulationOptions base;
   base.pipe_constant = 3.0;
@@ -144,8 +143,6 @@ TEST(MatchModelTest, CopiesTheModelFieldsAndKeepsTheRest) {
   base.checkpoint_cost = 0.5;
   base.wal_write_cost = 9.0;
   base.wal_replay_factor = 9.0;
-  base.trace = &trace;
-  base.trace_pid = 3;
   base.attempt_log = &attempts;
 
   const SimulationOptions got = MatchModel(model, base);
@@ -157,8 +154,6 @@ TEST(MatchModelTest, CopiesTheModelFieldsAndKeepsTheRest) {
   EXPECT_EQ(got.monitoring_interval, 2.0);
   EXPECT_EQ(got.checkpoint_interval, 30.0);
   EXPECT_EQ(got.checkpoint_cost, 0.5);
-  EXPECT_EQ(got.trace, &trace);
-  EXPECT_EQ(got.trace_pid, 3);
   EXPECT_EQ(got.attempt_log, &attempts);
 
   // Without a base, the other fields are SimulationOptions' defaults.
@@ -169,7 +164,6 @@ TEST(MatchModelTest, CopiesTheModelFieldsAndKeepsTheRest) {
   EXPECT_EQ(plain.wal_replay_factor, 0.125);
   EXPECT_EQ(plain.max_restarts, defaults.max_restarts);
   EXPECT_EQ(plain.checkpoint_interval, defaults.checkpoint_interval);
-  EXPECT_EQ(plain.trace, nullptr);
   EXPECT_EQ(plain.attempt_log, nullptr);
 }
 

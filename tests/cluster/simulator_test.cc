@@ -5,7 +5,6 @@
 #include "common/math_util.h"
 #include "ft/ft_cost.h"
 #include "obs/attempt_log.h"
-#include "obs/trace.h"
 
 namespace xdbft::cluster {
 namespace {
@@ -343,13 +342,10 @@ TEST(SimulatorTest, RunManyEqualsAFoldOfRunsBitForBit) {
         sp.recovery = recovery;
         const std::vector<ClusterTrace> traces = GenerateTraceSet(stats, 6, 5);
         obs::AttemptTimeline many_log, fold_log;
-        obs::TraceRecorder many_trace, fold_trace;
         SimulationOptions many_options = base;
         many_options.attempt_log = &many_log;
-        many_options.trace = &many_trace;
         SimulationOptions fold_options = base;
         fold_options.attempt_log = &fold_log;
-        fold_options.trace = &fold_trace;
 
         std::vector<ClusterTrace> many_traces = traces;
         auto many =
@@ -366,7 +362,6 @@ TEST(SimulatorTest, RunManyEqualsAFoldOfRunsBitForBit) {
         EXPECT_EQ(many->runtime_p50, want.runtime_p50);
         EXPECT_EQ(many->runtime_p95, want.runtime_p95);
         ExpectSameRecords(many_log, fold_log);
-        EXPECT_EQ(many_trace.ToJson(), fold_trace.ToJson());
         aborted_seen += many->aborted;
       }
     }

@@ -1,13 +1,15 @@
-// The simulator's discrete-event timeline exported as Chrome trace spans
-// on virtual time (1 simulated second = 1000 trace microseconds): killed
-// attempts and failure markers must agree with the SimulationResult, and
-// the exported document must parse as trace-event JSON.
+// The simulator's attempt ledger, and the Chrome trace obs::AddToTrace
+// draws from it on virtual time (1 simulated second = 1000 trace
+// microseconds): killed attempts and failure markers must agree with the
+// SimulationResult, every attempt span must be one ledger record, and the
+// drawn document must parse as trace-event JSON.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "cluster/simulator.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace xdbft::cluster {
 namespace {
@@ -29,105 +31,134 @@ plan::Plan ChainPlan(double op_seconds, double mat_seconds, int length) {
   return std::move(b).Build();
 }
 
-struct TraceCounts {
-  int subplans = 0;
-  int killed = 0;
-  int failures = 0;
-  int waits = 0;
-};
+// 1 simulated second = 1000 trace microseconds, as xdbft_advisor draws it.
+constexpr double kUsPerSimSecond = 1000.0;
 
-TraceCounts CountByCategory(const obs::JsonValue& doc) {
-  TraceCounts counts;
-  const obs::JsonValue* events = doc.Find("traceEvents");
-  EXPECT_NE(events, nullptr);
-  if (events == nullptr) return counts;
-  for (const obs::JsonValue& e : events->array) {
-    const obs::JsonValue* cat = e.Find("cat");
-    if (cat == nullptr) continue;
-    if (cat->string_value == "subplan") ++counts.subplans;
-    if (cat->string_value == "killed") ++counts.killed;
-    if (cat->string_value == "failure") ++counts.failures;
-    if (cat->string_value == "wait") ++counts.waits;
+// Runs `p` under `recovery` with an attempt ledger attached and draws the
+// ledger; returns the result and fills `timeline` and `doc`.
+SimulationResult RunTraced(const plan::Plan& p,
+                           const MaterializationConfig& config,
+                           RecoveryMode recovery,
+                           const cost::ClusterStats& stats, uint64_t seed,
+                           obs::AttemptTimeline* timeline,
+                           obs::JsonValue* doc) {
+  SimulationOptions options;
+  options.attempt_log = timeline;
+  ClusterTrace failures = ClusterTrace::Generate(stats, seed);
+  auto r = ClusterSimulator(stats, options).Run(p, config, recovery, failures);
+  EXPECT_TRUE(r.ok()) << r.status();
+  obs::TraceRecorder trace;
+  obs::AddToTrace(*timeline, &trace, /*pid=*/1, "simulator", kUsPerSimSecond);
+  auto parsed = obs::ParseJson(trace.ToJson());
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  if (parsed.ok()) *doc = std::move(*parsed);
+  return r.ok() ? *r : SimulationResult{};
+}
+
+int CountCategory(const obs::JsonValue& doc, const std::string& category) {
+  int n = 0;
+  for (const obs::JsonValue& e : doc.Find("traceEvents")->array) {
+    if (e.Find("cat")->string_value == category) ++n;
   }
-  return counts;
+  return n;
+}
+
+// The trace's attempt, recovery and killed spans, in emission order, are
+// the timeline's records one to one.
+void ExpectSpansMatchRecords(const obs::JsonValue& doc,
+                             const obs::AttemptTimeline& timeline) {
+  size_t i = 0;
+  for (const obs::JsonValue& e : doc.Find("traceEvents")->array) {
+    const std::string& cat = e.Find("cat")->string_value;
+    if (e.Find("ph")->string_value != "X" ||
+        (cat != "attempt" && cat != "recovery" && cat != "killed")) {
+      continue;
+    }
+    ASSERT_LT(i, timeline.records.size());
+    const obs::AttemptRecord& rec = timeline.records[i++];
+    EXPECT_EQ(e.Find("name")->string_value, rec.label);
+    EXPECT_EQ(cat, rec.killed          ? "killed"
+                   : rec.attempt > 0 ? "recovery"
+                                     : "attempt");
+    EXPECT_EQ(e.FindPath("args.attempt")->number_value, rec.attempt);
+    EXPECT_EQ(e.FindPath("args.node")->number_value, rec.node);
+    EXPECT_EQ(e.Find("ts")->number_value,
+              rec.dispatch_seconds * kUsPerSimSecond);
+  }
+  EXPECT_EQ(i, timeline.records.size());
 }
 
 TEST(SimulatorTraceTest, FineGrainedTimelineMatchesResult) {
   const plan::Plan p = ChainPlan(30.0, 1.0, 3);
   const cost::ClusterStats stats = cost::MakeCluster(2, 20.0, 2.0);
-  obs::TraceRecorder trace;
-  SimulationOptions options;
-  options.trace = &trace;
-  const ClusterSimulator sim(stats, options);
-  ClusterTrace failures = ClusterTrace::Generate(stats, 11);
-
-  auto r = sim.Run(p, MaterializationConfig::AllMat(p),
-                   RecoveryMode::kFineGrained, failures);
-  ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_TRUE(r->completed);
-
-  auto doc = obs::ParseJson(trace.ToJson());
-  ASSERT_TRUE(doc.ok()) << doc.status();
-  const TraceCounts counts = CountByCategory(*doc);
+  obs::AttemptTimeline timeline;
+  obs::JsonValue doc;
+  const SimulationResult r =
+      RunTraced(p, MaterializationConfig::AllMat(p),
+                RecoveryMode::kFineGrained, stats, 11, &timeline, &doc);
+  ASSERT_TRUE(r.completed);
+  ExpectSpansMatchRecords(doc, timeline);
   // Every sub-plan (3 collapsed ops x 2 nodes) eventually completes.
-  EXPECT_EQ(counts.subplans, 3 * 2);
+  EXPECT_EQ(CountCategory(doc, "attempt") + CountCategory(doc, "recovery"),
+            3 * 2);
   // One killed span and one failure marker per restart; every restart
-  // waits out the MTTR.
-  EXPECT_EQ(counts.killed, r->restarts);
-  EXPECT_EQ(counts.failures, r->restarts);
-  EXPECT_EQ(counts.waits, r->restarts);
-  EXPECT_GT(r->restarts, 0) << "MTBF=20s over ~93s of work per node should "
-                               "inject at least one failure";
+  // waits out the MTTR before its retry.
+  EXPECT_EQ(CountCategory(doc, "killed"), r.restarts);
+  EXPECT_EQ(CountCategory(doc, "failure"), r.restarts);
+  EXPECT_EQ(CountCategory(doc, "wait"), r.restarts);
+  EXPECT_GT(r.restarts, 0) << "MTBF=20s over ~93s of work per node should "
+                              "inject at least one failure";
 }
 
 TEST(SimulatorTraceTest, VirtualTimestampsScaleWithRuntime) {
   const plan::Plan p = ChainPlan(10.0, 1.0, 2);
   const cost::ClusterStats stats = cost::MakeCluster(1, 1e18, 1.0);
-  obs::TraceRecorder trace;
-  SimulationOptions options;
-  options.trace = &trace;
-  const ClusterSimulator sim(stats, options);
-  ClusterTrace failures = ClusterTrace::Generate(stats, 1);
-
-  auto r = sim.Run(p, MaterializationConfig::NoMat(p),
-                   RecoveryMode::kFineGrained, failures);
-  ASSERT_TRUE(r.ok()) << r.status();
-  auto doc = obs::ParseJson(trace.ToJson());
-  ASSERT_TRUE(doc.ok());
+  obs::AttemptTimeline timeline;
+  obs::JsonValue doc;
+  const SimulationResult r =
+      RunTraced(p, MaterializationConfig::NoMat(p),
+                RecoveryMode::kFineGrained, stats, 1, &timeline, &doc);
+  ExpectSpansMatchRecords(doc, timeline);
   // 1 simulated second = 1000 trace us: the last span must end at
   // runtime * 1000.
   double max_end = 0.0;
-  for (const obs::JsonValue& e : doc->Find("traceEvents")->array) {
+  for (const obs::JsonValue& e : doc.Find("traceEvents")->array) {
     if (e.Find("ph")->string_value != "X") continue;
     max_end = std::max(max_end, e.Find("ts")->number_value +
                                     e.Find("dur")->number_value);
   }
-  EXPECT_DOUBLE_EQ(max_end, r->runtime * 1000.0);
+  EXPECT_DOUBLE_EQ(max_end, r.runtime * kUsPerSimSecond);
 }
 
 TEST(SimulatorTraceTest, FullRestartEmitsQueryAttempts) {
   const plan::Plan p = ChainPlan(50.0, 1.0, 3);
   const cost::ClusterStats stats = cost::MakeCluster(2, 40.0, 2.0);
-  obs::TraceRecorder trace;
-  SimulationOptions options;
-  options.trace = &trace;
-  const ClusterSimulator sim(stats, options);
-  ClusterTrace failures = ClusterTrace::Generate(stats, 5);
-
-  auto r = sim.Run(p, MaterializationConfig::NoMat(p),
-                   RecoveryMode::kFullRestart, failures);
-  ASSERT_TRUE(r.ok()) << r.status();
-  auto doc = obs::ParseJson(trace.ToJson());
-  ASSERT_TRUE(doc.ok());
-  int query_spans = 0, killed = 0;
-  for (const obs::JsonValue& e : doc->Find("traceEvents")->array) {
-    const obs::JsonValue* cat = e.Find("cat");
-    if (cat == nullptr) continue;
-    if (cat->string_value == "query") ++query_spans;
-    if (cat->string_value == "killed") ++killed;
+  obs::AttemptTimeline timeline;
+  obs::JsonValue doc;
+  const SimulationResult r =
+      RunTraced(p, MaterializationConfig::NoMat(p),
+                RecoveryMode::kFullRestart, stats, 5, &timeline, &doc);
+  ExpectSpansMatchRecords(doc, timeline);
+  EXPECT_EQ(CountCategory(doc, "killed"), r.restarts);
+  EXPECT_EQ(CountCategory(doc, "attempt") + CountCategory(doc, "recovery"),
+            r.completed ? 1 : 0);
+  // Whole-query attempts have no node: they sit on the coordinator lane,
+  // the only lane of this process.
+  for (const obs::JsonValue& e : doc.Find("traceEvents")->array) {
+    EXPECT_EQ(e.Find("tid")->number_value, 0);
   }
-  EXPECT_EQ(killed, r->restarts);
-  EXPECT_EQ(query_spans, r->completed ? 1 : 0);
+}
+
+TEST(SimulatorTraceTest, LabelsNameTheCollapsedOpAndItsAnchor) {
+  const plan::Plan p = ChainPlan(30.0, 1.0, 3);
+  const cost::ClusterStats stats = cost::MakeCluster(2, 1e18, 1.0);
+  obs::AttemptTimeline timeline;
+  obs::JsonValue doc;
+  RunTraced(p, MaterializationConfig::AllMat(p), RecoveryMode::kFineGrained,
+            stats, 1, &timeline, &doc);
+  ASSERT_EQ(timeline.records.size(), 3u * 2u);
+  EXPECT_EQ(timeline.records[0].label, "c0:" + p.node(0).label);
+  EXPECT_EQ(timeline.records[5].label, "c2:" + p.node(2).label);
 }
 
 TEST(SimulatorAttemptLogTest, FineGrainedLedgerMatchesResult) {

@@ -81,19 +81,6 @@ TEST(TraceRecorderTest, ConcurrentAddsAreSafe) {
             static_cast<size_t>(kThreads) * kEvents);
 }
 
-TEST(TraceRecorderTest, ScopedSpanRecordsCompleteEvent) {
-  TraceRecorder rec;
-  {
-    ScopedTraceSpan span(&rec, "scope", "cat", 2);
-  }
-  EXPECT_EQ(rec.num_events(), 1u);
-  // Null recorder: no crash, nothing recorded.
-  {
-    ScopedTraceSpan span(nullptr, "scope", "cat", 2);
-  }
-  EXPECT_EQ(rec.num_events(), 1u);
-}
-
 TEST(TraceRecorderTest, EscapesEventNames) {
   TraceRecorder rec;
   rec.AddComplete("weird \"name\"\n", "c\\at", 0.0, 1.0, 0, 0);

@@ -1,8 +1,9 @@
 // Checked numeric flag values for the command-line tools. A value is
 // accepted only if strtod consumes the whole token and the result is
-// finite; an integer value must also be integral and fit in an int. This
-// keeps "10x" from silently reading as 10, "abc" as 0, and "1e10" or
-// "nan" from reaching an undefined double-to-int conversion.
+// finite; an integer value must also be integral and within [lo, hi]
+// (default: int range). This keeps "10x" from silently reading as 10,
+// "abc" as 0, and "1e10" or "nan" from reaching an undefined double-to-int
+// conversion.
 #pragma once
 
 #include <climits>
@@ -19,10 +20,11 @@ inline bool ParseDouble(const char* text, double* out) {
   return true;
 }
 
-inline bool ParseInt(const char* text, int* out) {
+inline bool ParseInt(const char* text, int* out, int lo = INT_MIN,
+                     int hi = INT_MAX) {
   double v = 0.0;
   if (!ParseDouble(text, &v) || v != std::trunc(v) ||
-      v < static_cast<double>(INT_MIN) || v > static_cast<double>(INT_MAX)) {
+      v < static_cast<double>(lo) || v > static_cast<double>(hi)) {
     return false;
   }
   *out = static_cast<int>(v);

@@ -40,9 +40,11 @@
 // enumeration (see DESIGN.md §13). Non-finite or non-positive
 // cluster/model inputs are rejected up front with an InvalidArgument.
 //
-// Every numeric flag value must be a whole, finite number (integer flags
-// also integral and within int range); otherwise the tool names the flag
-// and exits 1. Unknown or incomplete flags print the usage and exit 2.
+// Every numeric flag value must be a whole, finite number; integer flags
+// must also be integral and within their bounds (--nodes and
+// --placement-groups in [1, 4096]; --simulate, --threads and
+// --exec-threads in [0, 1024]). Otherwise the tool names the flag and
+// exits 1. Unknown or incomplete flags print the usage and exit 2.
 //
 // --threads N runs the FT-plan enumeration on N worker threads (default 0
 // = one per hardware thread; the chosen plan is identical at any value).
@@ -68,9 +70,11 @@
 //                        with --simulate, simulator.* from the simulated
 //                        traces.
 //   --trace-out PATH     write a Chrome trace-event JSON timeline (load in
-//                        chrome://tracing or https://ui.perfetto.dev):
-//                        wall-clock spans from the validation execution and
-//                        virtual-time spans from one simulated run.
+//                        chrome://tracing or https://ui.perfetto.dev) drawn
+//                        from attempt timelines: the validation execution
+//                        on wall-clock time (pid 0), with --simulate the
+//                        first simulated trace on virtual time (pid 1), and
+//                        the enumeration's worker spans (pid 2).
 //   --profile            run TPC-H Q1/Q3/Q5/Q1C/Q2C over a tiny generated
 //                        database on both engines with per-operator
 //                        profiling and print one EXPLAIN ANALYZE tree per
@@ -91,6 +95,7 @@
 
 #include "api/xdbft.h"
 #include "engine/ft_executor.h"
+#include "obs/attempt_log.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "plan/plan_text.h"
@@ -238,12 +243,20 @@ int ParseArgs(int argc, char** argv, Args* args) {
       {"--wal-write-cost", &args->wal_write_cost},
       {"--emit-q5", &args->emit_q5_sf},
       {"--storage-mibps", &args->storage_mibps}};
-  const std::pair<const char*, int*> ints[] = {
-      {"--nodes", &args->nodes},
-      {"--placement-groups", &args->placement_groups},
-      {"--threads", &args->threads},
-      {"--exec-threads", &args->exec_threads},
-      {"--simulate", &args->simulate_traces}};
+  // Integer flags size worker threads, the simulated cluster, its trace set
+  // or the placement search; the bounds keep each from asking for millions.
+  struct IntFlag {
+    const char* name;
+    int* value;
+    int lo;
+    int hi;
+  };
+  const IntFlag ints[] = {
+      {"--nodes", &args->nodes, 1, 4096},
+      {"--placement-groups", &args->placement_groups, 1, 4096},
+      {"--threads", &args->threads, 0, 1024},
+      {"--exec-threads", &args->exec_threads, 0, 1024},
+      {"--simulate", &args->simulate_traces, 0, 1024}};
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (bool* on = Lookup(switches, a)) {
@@ -252,24 +265,30 @@ int ParseArgs(int argc, char** argv, Args* args) {
     }
     std::string* text = Lookup(strings, a);
     double* real = Lookup(doubles, a);
-    int* integer = Lookup(ints, a);
+    const IntFlag* integer = nullptr;
+    for (const IntFlag& flag : ints) {
+      if (a == flag.name) integer = &flag;
+    }
     if ((text == nullptr && real == nullptr && integer == nullptr) ||
         i + 1 >= argc) {
       std::fprintf(stderr, "unknown or incomplete argument: %s\n", a.c_str());
       return 2;
     }
     const char* value = argv[++i];
-    const char* expected = nullptr;
+    std::string expected;
     if (text != nullptr) {
       *text = value;
     } else if (real != nullptr && !tools::ParseDouble(value, real)) {
       expected = "a finite number";
-    } else if (integer != nullptr && !tools::ParseInt(value, integer)) {
-      expected = "an integer in int range";
+    } else if (integer != nullptr &&
+               !tools::ParseInt(value, integer->value, integer->lo,
+                                integer->hi)) {
+      expected = "an integer in [" + std::to_string(integer->lo) + ", " +
+                 std::to_string(integer->hi) + "]";
     }
-    if (expected != nullptr) {
+    if (!expected.empty()) {
       std::fprintf(stderr, "invalid value for %s: '%s' (expected %s)\n",
-                   a.c_str(), value, expected);
+                   a.c_str(), value, expected.c_str());
       return 1;
     }
   }
@@ -279,8 +298,9 @@ int ParseArgs(int argc, char** argv, Args* args) {
 // Runs the built-in Q5 stage plan over a tiny generated TPC-H database
 // with scripted failures on the first two partition-parallel stages. This
 // adds the run's executor.* numbers, with real recovery work, to
-// `metrics` and yields an observed row for the accuracy report.
-// Wall-clock spans go into `trace` when non-null.
+// `metrics` and yields an observed row for the accuracy report. When
+// `trace` is non-null, the run's attempt timeline is drawn into it on
+// wall-clock time as pid 0.
 Result<ft::ObservedExecution> RunValidationExecution(
     obs::TraceRecorder* trace, int exec_threads,
     const std::string& postmortem_dir,
@@ -303,12 +323,15 @@ Result<ft::ObservedExecution> RunValidationExecution(
   }
   engine::ScriptedInjector injector(std::move(victims));
   engine::FaultTolerantExecutor executor(&q5, &pd);
-  executor.set_trace(trace);
   executor.set_num_threads(exec_threads);
   if (!postmortem_dir.empty()) executor.set_postmortem_dir(postmortem_dir);
   XDBFT_ASSIGN_OR_RETURN(engine::FtExecutionResult r,
                          executor.Execute(config, &injector));
   engine::AddRunMetrics(r, metrics);
+  if (trace != nullptr) {
+    obs::AddToTrace(r.timeline, trace, /*pid=*/0, "ft_executor: " + q5.name(),
+                    /*us_per_second=*/1e6);
+  }
   ft::ObservedExecution observed;
   observed.source = "ft_executor (validation: tiny TPC-H Q5)";
   observed.failures = r.failures_injected;
@@ -546,22 +569,20 @@ int main(int argc, char** argv) {
           result->restarts);
     }
     if (trace_ptr != nullptr) {
-      // One extra single run exports the discrete-event timeline (virtual
-      // time: 1 simulated second = 1 ms) into the trace on its own pid.
+      // The first of those traces once more with its attempts recorded,
+      // drawn on virtual time (1 simulated second = 1 ms) as pid 1.
+      obs::AttemptTimeline attempts;
       cluster::SimulationOptions sim_options = cluster::MatchModel(model);
-      sim_options.trace = trace_ptr;
-      sim_options.trace_pid = 1;
-      trace.SetProcessName(1, "simulator (virtual time: 1 sim s = 1 ms)");
-      for (int k = 0; k < stats.num_nodes; ++k) {
-        trace.SetThreadName(1, k, "node " + std::to_string(k));
-      }
-      cluster::ClusterSimulator traced(stats, sim_options);
-      auto single = cluster::GenerateTraceSet(stats, 1, /*base_seed=*/43);
-      auto r = traced.Run(*chosen, single[0]);
+      sim_options.attempt_log = &attempts;
+      auto r = cluster::ClusterSimulator(stats, sim_options)
+                   .Run(*chosen, traces[0]);
       if (!r.ok()) {
         std::fprintf(stderr, "traced simulation failed: %s\n",
                      r.status().ToString().c_str());
       }
+      obs::AddToTrace(attempts, trace_ptr, /*pid=*/1,
+                      "simulator (virtual time: 1 sim s = 1 ms)",
+                      /*us_per_second=*/1000.0);
     }
   }
 

@@ -210,7 +210,6 @@ int RunSweep(bool quick) {
         api::AdvisorServiceOptions options;
         options.cache_enabled = cached;
         options.cache_capacity = quick ? 64 : 256;
-        options.memo_cache_capacity = quick ? 32 : 128;
         api::AdvisorService service(default_cluster, {}, options);
 
         LoadConfig cfg;
@@ -259,11 +258,8 @@ int RunSweep(bool quick) {
             .Set("hit_rate", stats.hit_rate())
             .Set("hits", static_cast<double>(stats.hits))
             .Set("misses", static_cast<double>(stats.misses))
-            .Set("coalesced", static_cast<double>(stats.coalesced))
             .Set("evictions", static_cast<double>(stats.evictions))
             .Set("bypassed", static_cast<double>(stats.bypassed))
-            .Set("memo_warm_starts",
-                 static_cast<double>(stats.memo_warm_starts))
             .Set("p50_speedup_vs_cold", speedup)
             .Set("quick", quick);
         json.Write(row);

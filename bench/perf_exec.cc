@@ -2,24 +2,20 @@
 // throughputs (scan, filter, hash join, aggregation, sort),
 // TPC-H data generation rate and partition-parallel Q5 end-to-end.
 //
-// Before the microbenchmarks, main() runs a thread-scaling sweep of the
-// parallel FaultTolerantExecutor over TPC-H Q5 with failure injection and
-// emits one row per (workload, threads) into BENCH_exec.json when
-// $XDBFT_BENCH_JSON_DIR is set — the artifact the CI speedup check reads.
-// The sweep asserts the query table and every deterministic counter are
-// identical at each thread count. Flags (handled before google-benchmark):
-//   --quick       tiny scale factor, thread counts {1, 2, 4}, skip the
-//                 microbenchmarks (the bench-smoke ctest entry)
+// Before the microbenchmarks, main() runs a row-vs-batch vectorization
+// sweep of scan -> filter -> hash-aggregate across thread counts and
+// emits its rows into BENCH_exec.json when $XDBFT_BENCH_JSON_DIR is set —
+// the artifact the CI speedup check reads. The sweep asserts the batch
+// result is bit-identical to the row engine at every thread count. Flags
+// (handled before google-benchmark):
 //   --sweep-only  full sweep, skip the microbenchmarks (the CI artifact)
-//   --vectorized  run only the row-vs-batch vectorization sweep in quick
-//                 mode (the bench-smoke vectorized ctest entry)
+//   --vectorized  quick sweep (smaller input), skip the microbenchmarks
+//                 (the bench-smoke ctest entry)
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -139,118 +135,6 @@ void BM_Q5EndToEnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Q5EndToEnd)->Unit(benchmark::kMillisecond);
-
-bool SameTable(const Table& a, const Table& b) {
-  const std::vector<exec::Row> ra = a.ToRows();
-  const std::vector<exec::Row> rb = b.ToRows();
-  return std::equal(ra.begin(), ra.end(), rb.begin(), rb.end(),
-                    exec::RowEq{});
-}
-
-// One timed FaultTolerantExecutor run. The injector is re-created per run
-// so every thread count sees the same failure schedule.
-engine::FtExecutionResult RunOnce(const engine::StagePlan& plan,
-                                  const engine::PartitionedDatabase& pd,
-                                  const ft::MaterializationConfig& config,
-                                  bool inject, int threads) {
-  engine::FaultTolerantExecutor executor(&plan, &pd);
-  executor.set_num_threads(threads);
-  engine::ScriptedInjector injector(
-      {{3, 1}, {4, 2}, {4, 5}, {5, 3}, {5, 6}}, /*times=*/2);
-  auto r = executor.Execute(config, inject ? &injector : nullptr);
-  if (!r.ok()) {
-    std::fprintf(stderr, "exec sweep failed: %s\n",
-                 r.status().ToString().c_str());
-    std::exit(1);
-  }
-  return std::move(*r);
-}
-
-// Thread-scaling sweep of the parallel executor over TPC-H Q5, with and
-// without injected failures, asserting the result table and every
-// deterministic counter match the single-threaded run. Returns non-zero
-// on a determinism violation.
-int RunExecSweep(bench::BenchJsonWriter* json, bool quick) {
-  bench::PrintHeader(
-      "Parallel fault-tolerant execution: thread scaling (TPC-H Q5)",
-      "SIGMOD'15 \"Cost-based Fault-tolerance\" §5.1 execution layer");
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  datagen::TpchGenOptions opts;
-  opts.scale_factor = quick ? 0.005 : 0.05;
-  opts.seed = 7;
-  const auto db = *datagen::GenerateTpch(opts);
-  const auto pd = *engine::DistributeTpch(db, 8);
-  const engine::StagePlan plan = engine::MakeQ5StagePlan(pd);
-  // No-mat maximizes recovery recomputation: each injected failure forces
-  // the victim partition's whole chain to re-run, which is exactly the
-  // work the pool should parallelize.
-  const auto config = ft::MaterializationConfig::NoMat(plan.ToPlanSkeleton());
-  const std::vector<int> thread_counts =
-      quick ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
-  const int repeats = quick ? 1 : 3;
-
-  bench::Table table({"workload", "threads", "seconds", "speedup",
-                      "failures", "recoveries"},
-                     {12, 7, 9, 8, 8, 10});
-  table.PrintHeaderRow();
-  int violations = 0;
-  for (const bool inject : {false, true}) {
-    const std::string workload = inject ? "q5_inject" : "q5_clean";
-    engine::FtExecutionResult baseline;
-    double baseline_seconds = 0.0;
-    for (const int threads : thread_counts) {
-      engine::FtExecutionResult best;
-      double best_seconds = 0.0;
-      for (int rep = 0; rep < repeats; ++rep) {
-        auto r = RunOnce(plan, pd, config, inject, threads);
-        if (rep == 0 || r.wall_seconds < best_seconds) {
-          best_seconds = r.wall_seconds;
-          best = std::move(r);
-        }
-      }
-      if (threads == thread_counts.front()) {
-        baseline_seconds = best_seconds;
-        baseline = best;
-      } else if (!SameTable(best.result, baseline.result) ||
-                 best.failures_injected != baseline.failures_injected ||
-                 best.recovery_executions != baseline.recovery_executions ||
-                 best.task_executions != baseline.task_executions ||
-                 best.rows_lost != baseline.rows_lost) {
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: %s at %d threads diverges "
-                     "from the single-threaded run\n",
-                     workload.c_str(), threads);
-        ++violations;
-      }
-      const double speedup =
-          best_seconds > 0.0 ? baseline_seconds / best_seconds : 0.0;
-      table.PrintRow({workload, StrFormat("%d", threads),
-                      StrFormat("%.4f", best_seconds),
-                      StrFormat("%.2fx", speedup),
-                      StrFormat("%d", best.failures_injected),
-                      StrFormat("%d", best.recovery_executions)});
-      bench::JsonLine row;
-      row.Set("workload", workload)
-          .Set("threads", static_cast<double>(threads))
-          .Set("seconds", best_seconds)
-          .Set("speedup_vs_1", speedup)
-          .Set("failures_injected",
-               static_cast<double>(best.failures_injected))
-          .Set("recovery_executions",
-               static_cast<double>(best.recovery_executions))
-          .Set("task_executions", static_cast<double>(best.task_executions))
-          .Set("result_rows", static_cast<double>(best.result.num_rows()))
-          .Set("scale_factor", opts.scale_factor)
-          .Set("hardware_concurrency", static_cast<double>(hw))
-          .Set("quick", quick);
-      json->Write(row);
-    }
-  }
-  if (violations == 0) {
-    std::printf("\nAll thread counts bit-identical to threads=1.\n");
-  }
-  return violations == 0 ? 0 : 1;
-}
 
 // Row-engine vs morsel-driven vectorized engine on the canonical
 // scan -> filter -> hash-aggregate microbenchmark, across thread counts.
@@ -470,27 +354,20 @@ int RunVectorizationSweep(bench::BenchJsonWriter* json, bool quick) {
 int main(int argc, char** argv) {
   bool quick = false;
   bool sweep_only = false;
-  bool vectorized_only = false;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-      sweep_only = true;
-    } else if (std::strcmp(argv[i], "--sweep-only") == 0) {
+    if (std::strcmp(argv[i], "--sweep-only") == 0) {
       sweep_only = true;
     } else if (std::strcmp(argv[i], "--vectorized") == 0) {
       quick = true;
       sweep_only = true;
-      vectorized_only = true;
     } else {
       passthrough.push_back(argv[i]);
     }
   }
   bench::BenchJsonWriter json("exec");
-  if (vectorized_only) return RunVectorizationSweep(&json, quick);
-  int rc = RunExecSweep(&json, quick);
-  if (rc == 0) rc = RunVectorizationSweep(&json, quick);
+  const int rc = RunVectorizationSweep(&json, quick);
   if (rc != 0 || sweep_only) return rc;
   int pargc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pargc, passthrough.data());

@@ -1,30 +1,21 @@
 // AdvisorService: the long-lived, cache-backed serving layer over
 // findBestFTPlan. Where ft::ApplyCostBasedScheme answers one request,
-// AdvisorService answers a sustained stream of best-FT-plan requests at
-// high QPS:
+// AdvisorService answers a sustained stream of best-FT-plan requests from
+// one sharded LRU cache of answers keyed on the canonical request
+// fingerprint (api/fingerprint.h). A hit copies the cached decision; a
+// miss enumerates with no lock held and inserts its answer unless a
+// concurrent miss of the same key already did. Errors are never cached,
+// and a 128-bit hash collision with a different canonical request is
+// served by fresh enumeration, never from the entry.
 //
-//   * a sharded cross-request cache of enumeration results keyed on the
-//     canonical request fingerprint (api/fingerprint.h) with LRU eviction
-//     under a bounded capacity;
-//   * request coalescing: concurrent requests with equal fingerprints
-//     share one enumeration — the first becomes the owner, the rest block
-//     on its completion and receive the same answer;
-//   * a second-chance memo cache: evicting a result parks its rule-3
-//     dominant-path memo, so re-enumerating an evicted key warm-starts
-//     pruning (bit-identical answer, less work; ft/enumerator.h
-//     shared_memo contract);
-//   * bounded admission: at most max_inflight distinct enumerations run
-//     concurrently; excess misses bypass the cache and enumerate
-//     uncached, so an overload of cold keys cannot wedge the cache.
-//
-// Serving invariant: a cached, coalesced, warm-started or bypassed answer
-// — plan index, configuration, cost, placement and recovery mode — is
-// bit-identical to a fresh one-shot ApplyCostBasedScheme of the same
-// request: the cache can only change latency, never the plan (DESIGN.md
-// §12). Only a miss carries search counters (SchemePlan::stats). The
-// fingerprint covers the cluster statistics (MTBF, burst MTBF, fanout,
-// placement), so a changed cluster is a different key: no cached entry
-// ever goes stale and nothing needs invalidating.
+// Serving invariant: a cached or bypassed answer — plan index,
+// configuration, cost, placement and recovery mode — is bit-identical to
+// a fresh one-shot ApplyCostBasedScheme of the same request: the cache can
+// only change latency, never the plan (DESIGN.md §12). Only a miss carries
+// search counters (SchemePlan::stats). The fingerprint covers the cluster
+// statistics (MTBF, burst MTBF, fanout, placement), so a changed cluster
+// is a different key: no cached entry ever goes stale and nothing needs
+// invalidating.
 #pragma once
 
 #include <atomic>
@@ -50,49 +41,39 @@ struct AdvisorRequest {
 struct AdvisorServiceOptions {
   /// Cached results across all shards; at least one per shard is kept.
   size_t cache_capacity = 4096;
-  /// Parked dominant-path memos of evicted results (second-chance warm
-  /// starts); 0 disables the memo cache.
-  size_t memo_cache_capacity = 1024;
   /// Cache shards; the fingerprint's high hash word selects the shard.
   int num_shards = 8;
-  /// Concurrent distinct enumerations admitted into the cache; further
-  /// misses enumerate uncached (counted as bypassed). 0 = never admit
-  /// (every request bypasses; useful as a no-cache baseline).
-  int max_inflight = 64;
   /// false = serve every request by fresh enumeration (cold baseline for
   /// the perf_advisor load generator).
   bool cache_enabled = true;
   /// Enumeration configuration shared by every request (pruning rules,
-  /// per-enumeration worker threads). trace/shared_memo are overridden
-  /// per call by the service.
+  /// per-enumeration worker threads).
   ft::EnumerationOptions enumeration;
 };
 
 /// \brief Monotonic serving counters (snapshot via AdvisorService::stats).
 struct AdvisorServiceStats {
   uint64_t requests = 0;
-  /// Served from a ready cache entry (no enumeration, no waiting).
+  /// Served from a cache entry (no enumeration).
   uint64_t hits = 0;
-  /// Enumerated and inserted (the coalescing owners).
+  /// Enumerated on a cache miss (the answer is inserted unless it is an
+  /// error or a concurrent miss of the same key inserted it first).
   uint64_t misses = 0;
-  /// Waited on another request's in-flight enumeration of the same key.
-  uint64_t coalesced = 0;
-  /// Ready entries evicted by LRU.
+  /// Entries evicted by LRU.
   uint64_t evictions = 0;
-  /// Enumerated uncached: admission bound hit, cache disabled, or a
-  /// 128-bit hash collision with a different canonical key.
+  /// Enumerated uncached: cache disabled, or a 128-bit hash collision
+  /// with a different canonical key.
   uint64_t bypassed = 0;
-  /// Misses whose enumeration started from a parked (evicted) memo.
+  /// Always 0: no enumeration starts from an earlier search's memo. Kept
+  /// only because perfbench's plan_validate reports it as
+  /// api.memo_warm_starts; it goes when that metric does.
   uint64_t memo_warm_starts = 0;
   /// Requests answered with a non-OK status (never cached).
   uint64_t errors = 0;
-  /// Point-in-time: distinct enumerations currently running under the
-  /// admission bound, and ready entries resident across all shards.
-  uint64_t inflight = 0;
+  /// Point-in-time: entries resident across all shards.
   uint64_t entries = 0;
-  uint64_t memo_entries = 0;
 
-  /// \brief Fraction of requests served from a ready entry.
+  /// \brief Fraction of requests served from a cache entry.
   double hit_rate() const {
     return requests == 0 ? 0.0
                          : static_cast<double>(hits) /
@@ -113,7 +94,7 @@ class AdvisorService {
   AdvisorService& operator=(const AdvisorService&) = delete;
 
   /// \brief Answer one request, serving from the cache when possible.
-  /// Thread-safe; concurrent equal requests share one enumeration.
+  /// Thread-safe.
   Result<ft::SchemePlan> Advise(const AdvisorRequest& request);
 
   /// \brief Convenience: one plan under the service's default cluster
@@ -129,31 +110,26 @@ class AdvisorService {
   struct Shard;
 
   Shard& ShardFor(const RequestFingerprint& fp) const;
-  /// \brief One fresh answer, uncached: ApplyCostBasedScheme with `memo`
-  /// (may be null) as its shared rule-3 memo, so a served answer has
-  /// exactly the one-shot answer's shape, recovery mode included.
-  Result<ft::SchemePlan> Enumerate(const AdvisorRequest& request,
-                                   ft::ConcurrentDominantPathMemo* memo);
+  /// \brief One fresh answer, uncached: ApplyCostBasedScheme, so a served
+  /// answer has exactly the one-shot answer's shape, recovery mode
+  /// included.
+  Result<ft::SchemePlan> Enumerate(const AdvisorRequest& request);
   Result<ft::SchemePlan> AdviseCached(const AdvisorRequest& request,
                                       const RequestFingerprint& fp);
 
   cost::ClusterStats default_cluster_;
   cost::CostModelParams default_model_;
   AdvisorServiceOptions options_;
-  size_t shard_capacity_ = 0;       // ready entries per shard
-  size_t memo_shard_capacity_ = 0;  // parked memos per shard
+  size_t shard_capacity_ = 0;  // entries per shard
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> coalesced_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> bypassed_{0};
-  std::atomic<uint64_t> memo_warm_starts_{0};
   std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> inflight_{0};
 };
 
 }  // namespace xdbft::api

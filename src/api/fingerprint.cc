@@ -79,8 +79,8 @@ RequestFingerprint FingerprintRequest(
   w.Add(context.model.wal_write_cost);
   w.Add(context.model.wal_replay_factor);
 
-  // Enumeration knobs that shape the search space. num_threads, trace and
-  // shared_memo are excluded: the chosen plan is identical at any value.
+  // Enumeration knobs that shape the search space. num_threads and trace
+  // are excluded: the chosen plan is identical at any value.
   w.Add(options.pruning.rule1);
   w.Add(options.pruning.rule2);
   w.Add(options.pruning.rule3);

@@ -52,7 +52,7 @@ struct RequestFingerprint {
 /// row width; the cluster statistics; the cost-model constants; the
 /// pruning rules and max_free_operators. Excluded: plan names, node
 /// labels (renaming-invariant) and execution knobs that cannot change the
-/// chosen plan (num_threads, trace sinks, shared_memo).
+/// chosen plan (num_threads, trace sinks).
 ///
 /// Candidate order matters: the enumerator's deterministic tie-break is
 /// (cost, plan index, mask), so permuting candidates can change which of

@@ -1060,7 +1060,7 @@ Status RunPipeline(const VecNode& node, Sink* sink, ExecContext* ctx) {
   }
   const size_t nmorsels = ranges.size();
 
-  // Read only by the profile fold, which metrics-off builds compile out.
+  // Read only by the profile fold below (when profiling is on).
   const int pipeline_id = ctx->next_pipeline_id++;
 
   // Profiling slot layout per task: [0] source batch formation, [1] the

@@ -124,10 +124,8 @@ struct FtPlanEnumerator::SearchState {
   /// (cost > bound), so a configuration tying the final best always
   /// survives to the deterministic tie-break below.
   std::atomic<double> bound{std::numeric_limits<double>::infinity()};
-  ConcurrentDominantPathMemo owned_memo;
-  /// Points at owned_memo, or at EnumerationOptions::shared_memo when the
-  /// caller warm-starts rule 3 across FindBest calls of the same search.
-  ConcurrentDominantPathMemo* memo = nullptr;
+  /// Rule-3 dominant paths of this search only (Eq. 9).
+  ConcurrentDominantPathMemo memo;
   std::atomic<bool> failed{false};
   /// Parameters of the per-configuration cost pass (ComputePlacement).
   const FailureParams fparams;
@@ -274,10 +272,10 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
         }
         // Extension: Eq. 9 dominance over a memoized dominant path, in
         // both cost dimensions (durable t, per-attempt refetch).
-        if (state->use_memo && !state->memo->empty()) {
+        if (state->use_memo && !state->memo.empty()) {
           fill_path_costs(path);
           SortPathCosts(&path_costs);
-          if (state->memo->DominatesSorted(path_costs)) {
+          if (state->memo.DominatesSorted(path_costs)) {
             ++local->rule3_memo_hits;
             pruned = true;
             return false;
@@ -337,7 +335,7 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
       AtomicMin(&state->bound, dom_cost);
       if (rule3 && state->use_memo) {
         fill_path_costs(dom_path);
-        state->memo->Record(path_costs, dom_cost);
+        state->memo.Record(path_costs, dom_cost);
       }
     }
   }
@@ -412,8 +410,6 @@ Result<FtPlanChoice> FtPlanEnumerator::FindBest(
                     model_.context().MakePlacementParams(),
                     model_.context().MakeWalParams(),
                     options_.pruning.memoize_dominant_paths);
-  state.memo = options_.shared_memo != nullptr ? options_.shared_memo
-                                               : &state.owned_memo;
   std::vector<EnumerationStats> per_slot(static_cast<size_t>(workers) + 1);
   pool_->ParallelForEach(tasks.size(), [&](size_t i) {
     const int worker = pool_->CurrentWorkerId();

@@ -46,21 +46,6 @@ struct EnumerationOptions {
   /// (trace_pid, worker id) — the per-thread timeline of the search.
   obs::TraceRecorder* trace = nullptr;
   int trace_pid = 0;
-  /// Optional cross-call rule-3 memo (the AdvisorService's warm-start
-  /// hook). When set, FindBest records and probes dominant paths in this
-  /// memo instead of a per-call one, so a later FindBest over the *same*
-  /// search — identical candidates, context and pruning options — starts
-  /// with the previous run's memoized paths and prunes harder.
-  ///
-  /// Correctness contract: entries memoize complete FT plans of one
-  /// specific search, so a memo must never be shared across different
-  /// (candidates, context, pruning) keys — a foreign entry could prune
-  /// this search's true optimum. Within the same key the result is
-  /// bit-identical to a cold run: rule-3 tests are strict, so a warm memo
-  /// only removes configurations that provably cost more than the final
-  /// bestT (the same argument that makes the parallel search's
-  /// mid-enumeration memo fills harmless; DESIGN.md §8).
-  ConcurrentDominantPathMemo* shared_memo = nullptr;
 
   /// \brief Reject structurally unusable options (negative thread counts,
   /// free-operator budgets outside the 62-bit mask range) up front instead

@@ -71,8 +71,8 @@ struct SchemePlan {
   /// extension); empty when placement is inactive.
   std::vector<int> placement_groups;
   /// Counters of the search ApplyCostBasedScheme ran for this plan; all
-  /// zero for the fixed schemes and for an AdvisorService answer that ran
-  /// no search (cache hit or coalesced wait).
+  /// zero for the fixed schemes and for an AdvisorService cache hit,
+  /// which ran no search.
   EnumerationStats stats;
 };
 

@@ -79,6 +79,11 @@ const JsonValue* JsonValue::FindPath(const std::string& dotted_path) const {
 
 namespace {
 
+// Deepest nesting of arrays and objects ParseJson accepts. The parser
+// recurses once per level, so an unbounded depth lets a hostile document
+// (a reproducer file the user names) overflow the stack.
+constexpr int kMaxJsonDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -118,11 +123,17 @@ class Parser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        return Error(
+            StrFormat("nesting deeper than %d levels", kMaxJsonDepth));
+      }
+      ++depth_;
+      Result<JsonValue> v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     switch (c) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
       case '"':
         return ParseString();
       case 't':
@@ -292,6 +303,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open arrays and objects around pos_
 };
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <condition_variable>
 #include <mutex>
@@ -94,7 +93,6 @@ TEST(AdvisorServiceTest, LruEvictsLeastRecentlyUsed) {
   AdvisorServiceOptions options;
   options.num_shards = 1;
   options.cache_capacity = 2;
-  options.memo_cache_capacity = 0;
   AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0), {}, options);
   const AdvisorRequest a = MakeRequest(SmallPlan("a"), 1000.0);
   const AdvisorRequest b = MakeRequest(SmallPlan("b"), 2000.0);
@@ -117,47 +115,36 @@ TEST(AdvisorServiceTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(stats.misses, 4u);  // a, b, c, b again
 }
 
-TEST(AdvisorServiceTest, EvictedKeyWarmStartsFromParkedMemo) {
-  AdvisorServiceOptions options;
-  options.num_shards = 1;
-  options.cache_capacity = 1;
-  options.memo_cache_capacity = 8;
-  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0), {}, options);
-  const AdvisorRequest a = MakeRequest(SmallPlan("a"), 1000.0);
-  const AdvisorRequest b = MakeRequest(SmallPlan("b"), 2000.0);
-  const auto cold = service.Advise(a);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_TRUE(service.Advise(b).ok());  // evicts a, parks its memo
-  EXPECT_EQ(service.stats().evictions, 1u);
-  const auto warm = service.Advise(a);  // re-enumerates with the memo
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(service.stats().memo_warm_starts, 1u);
-  ExpectSameScheme(warm.ValueOrDie(), cold.ValueOrDie());
-}
-
-// 8 concurrent identical requests share one enumeration (run under TSan
-// in CI). The starting gun makes all threads issue the request together;
-// whichever thread wins becomes the single miss, and every other request
-// is a coalesced waiter or (if it arrived after completion) a hit.
-TEST(AdvisorServiceTest, ConcurrentIdenticalRequestsEnumerateOnce) {
+// 8 concurrent identical requests (run under TSan in CI). The starting
+// gun makes all threads issue the request together; each is a hit or a
+// miss that enumerates on its own, every answer equals the fresh one, and
+// the key is cached once.
+TEST(AdvisorServiceTest, ConcurrentIdenticalRequestsGetTheFreshAnswer) {
   AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0));
   const AdvisorRequest request = MakeRequest(SmallPlan("shared"));
+  ft::FtCostContext context;
+  context.cluster = request.cluster;
+  context.model = request.model;
+  const auto fresh = ft::ApplyCostBasedScheme(request.candidates, context,
+                                              service.options().enumeration);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
   constexpr int kThreads = 8;
   std::mutex mu;
   std::condition_variable cv;
   int ready = 0;
   bool go = false;
-  std::atomic<int> failures{0};
+  std::vector<Result<ft::SchemePlan>> answers(
+      kThreads, Status::Internal("not answered"));
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       {
         std::unique_lock<std::mutex> lock(mu);
         if (++ready == kThreads) cv.notify_all();
         cv.wait(lock, [&] { return go; });
       }
-      if (!service.Advise(request).ok()) failures.fetch_add(1);
+      answers[static_cast<size_t>(t)] = service.Advise(request);
     });
   }
   {
@@ -167,27 +154,21 @@ TEST(AdvisorServiceTest, ConcurrentIdenticalRequestsEnumerateOnce) {
   }
   cv.notify_all();
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  const AdvisorServiceStats stats = service.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits + stats.coalesced, static_cast<uint64_t>(kThreads - 1));
+  for (const auto& answer : answers) {
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    ExpectSameScheme(answer.ValueOrDie(), fresh.ValueOrDie());
+  }
+  AdvisorServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, static_cast<uint64_t>(kThreads));
-}
-
-TEST(AdvisorServiceTest, MaxInflightZeroBypassesEveryRequest) {
-  AdvisorServiceOptions options;
-  options.max_inflight = 0;
-  AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0), {}, options);
-  const AdvisorRequest request = MakeRequest(SmallPlan("p"));
-  const auto first = service.Advise(request);
-  const auto second = service.Advise(request);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  ExpectSameScheme(second.ValueOrDie(), first.ValueOrDie());
-  const AdvisorServiceStats stats = service.stats();
-  EXPECT_EQ(stats.bypassed, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(stats.entries, 1u);
+  const uint64_t hits_before = stats.hits;
+  const auto ninth = service.Advise(request);
+  ASSERT_TRUE(ninth.ok());
+  ExpectSameScheme(ninth.ValueOrDie(), fresh.ValueOrDie());
+  stats = service.stats();
+  EXPECT_EQ(stats.hits, hits_before + 1);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 TEST(AdvisorServiceTest, CacheDisabledStillAnswersCorrectly) {

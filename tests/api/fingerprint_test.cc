@@ -76,8 +76,8 @@ TEST(FingerprintTest, PruningOptionsAreCovered) {
 }
 
 TEST(FingerprintTest, ExecutionKnobsAreExcluded) {
-  // num_threads (and shared_memo) cannot change the chosen plan, so they
-  // must not fragment the cache key space.
+  // num_threads cannot change the chosen plan, so it must not fragment
+  // the cache key space.
   ft::EnumerationOptions seq, par;
   seq.num_threads = 1;
   par.num_threads = 8;

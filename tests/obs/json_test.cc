@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace xdbft::obs {
 namespace {
@@ -45,6 +46,37 @@ TEST(ParseJsonTest, ParsesNestedDocument) {
   const JsonValue* d = doc->FindPath("c.d");
   ASSERT_NE(d, nullptr);
   EXPECT_DOUBLE_EQ(d->number_value, -2.0);
+}
+
+// The parser recurses once per array or object level; a hostile document
+// nested far past the limit is rejected instead of overflowing the stack.
+TEST(ParseJsonTest, RejectsDeepNesting) {
+  constexpr int kDeep = 100000;
+  const std::string arrays = std::string(kDeep, '[') + std::string(kDeep, ']');
+  auto a = ParseJson(arrays);
+  ASSERT_FALSE(a.ok());
+  EXPECT_TRUE(a.status().IsInvalidArgument()) << a.status();
+  std::string objects;
+  for (int i = 0; i < kDeep; ++i) objects += "{\"k\":";
+  objects += "0" + std::string(kDeep, '}');
+  auto o = ParseJson(objects);
+  ASSERT_FALSE(o.ok());
+  EXPECT_TRUE(o.status().IsInvalidArgument()) << o.status();
+}
+
+TEST(ParseJsonTest, ParsesNestingAtTheLimit) {
+  constexpr int kLimit = 256;
+  auto at = ParseJson(std::string(kLimit, '[') + std::string(kLimit, ']'));
+  ASSERT_TRUE(at.ok()) << at.status();
+  int depth = 1;
+  for (const JsonValue* v = &*at; !v->array.empty(); v = &v->array[0]) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, kLimit);
+  auto over =
+      ParseJson(std::string(kLimit + 1, '[') + std::string(kLimit + 1, ']'));
+  ASSERT_FALSE(over.ok());
+  EXPECT_TRUE(over.status().IsInvalidArgument()) << over.status();
 }
 
 TEST(ParseJsonTest, QuoteRoundTrips) {

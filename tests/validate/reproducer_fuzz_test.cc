@@ -95,6 +95,16 @@ TEST(ReproducerFuzzTest, HostileFieldsAreRejected) {
   EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
 }
 
+// A reproducer file nested far past the JSON depth limit is an
+// InvalidArgument, not a stack overflow.
+TEST(ReproducerFuzzTest, DeeplyNestedDocumentIsRejected) {
+  constexpr int kDeep = 1000000;
+  const std::string text = std::string(kDeep, '[') + std::string(kDeep, ']');
+  auto r = ReproFromJson(text);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+}
+
 class ReproducerFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ReproducerFuzz, MutatedInputNeverCrashes) {

@@ -3,7 +3,8 @@
 
 Compares the JSON-lines bench artifacts of the current run against the
 committed snapshots in bench/baselines/. Rows are joined per bench on
-stable keys (workload + threads, mode + clients + hot fraction, ...).
+stable keys (workload + engine + threads, mode + clients + hot fraction,
+...).
 
 Two kinds of bench:
 
@@ -78,8 +79,11 @@ SPECS = {
             "speedup_vs_1": "lower_bad",
         },
     },
+    # Row-engine and batch rows of one workload share a thread count, as
+    # do the per-operator profile rows; engine and op keep them apart
+    # (absent fields join as None).
     "exec": {
-        "keys": ("workload", "threads"),
+        "keys": ("workload", "engine", "op", "threads"),
         "metrics": {
             "seconds": "higher_bad",
             "speedup_vs_1": "lower_bad",
@@ -241,6 +245,15 @@ def self_test():
     eworse = [dict(ebase[0], speedup_vs_1=2.0)]
     found = compare_bench("enum", ebase, eworse, 0.25)
     assert len(found) == 1 and "speedup_vs_1" in found[0], found
+    # exec spec joins on engine too: a row-engine and a batch row of one
+    # workload at one thread count are two sweep points, not one.
+    xbase = [{"type": "row", "workload": "vec", "engine": "row",
+              "threads": 1, "seconds": 0.6},
+             {"type": "row", "workload": "vec", "engine": "batch",
+              "threads": 1, "seconds": 0.4}]
+    assert compare_bench("exec", xbase, [dict(r) for r in xbase], 0.25) == []
+    found = compare_bench("exec", xbase, [dict(xbase[1], seconds=0.6)], 0.25)
+    assert len(found) == 1 and "engine=batch" in found[0], found
     # Exact specs: identical rows pass; a last-digit change, a new field,
     # a missing row or an extra row each fail.
     sbase = [{"type": "row", "scale": 0.5, "scheme": "wal",

@@ -4,7 +4,7 @@
 #   asan       Debug + AddressSanitizer  (XDBFT_SANITIZE=address)
 #   tsan       Debug + ThreadSanitizer   (XDBFT_SANITIZE=thread; exercises
 #              the parallel enumerator / task-pool / advisor-service
-#              coalescing tests for data races)
+#              concurrent-request tests for data races)
 #   ubsan      Debug + UndefinedBehaviorSanitizer (XDBFT_SANITIZE=undefined,
 #              plus float-cast-overflow; any finding aborts the test)
 #

@@ -3,6 +3,14 @@
 //      cost-based plan for Q5/SF=100 under MTBFs from 1 month to 30 min.
 //  (b) Actual vs estimated runtime of all 32 materialization
 //      configurations of Q5 at MTBF = 1 hour, sorted by estimate.
+//
+// Everything is deterministic (fixed trace seeds), so the JSON rows
+// (BENCH_fig12_accuracy.json when $XDBFT_BENCH_JSON_DIR is set) are an
+// exact gate: one row per MTBF (pick, estimate, simulated time), one row
+// per configuration keyed by its config string (the sort by estimate is
+// not stable, so ranks are not keys), and one summary row with the
+// model pick's regret against the simulator's best configuration and
+// both correlations.
 #include <cstdio>
 
 #include <algorithm>
@@ -52,6 +60,7 @@ int main() {
   bench::Table ta({"MTBF", "estimated(s)", "actual(s)", "error(%)"},
                   {10, 14, 12, 10});
   ta.PrintHeaderRow();
+  bench::BenchJsonWriter json("fig12_accuracy");
   struct M {
     const char* name;
     double seconds;
@@ -73,6 +82,13 @@ int main() {
                  StrFormat("%.1f", actual),
                  StrFormat("%+.1f",
                            (best->estimated_cost / actual - 1.0) * 100.0)});
+    json.Write(bench::JsonLine()
+                   .Set("section", "mtbf")
+                   .Set("mtbf", m.name)
+                   .Set("mtbf_seconds", m.seconds)
+                   .Set("pick", best->config.ToString())
+                   .Set("estimated_s", best->estimated_cost)
+                   .Set("actual_s", actual));
   }
 
   // (b) All 32 materialization configurations at MTBF = 1 hour.
@@ -101,23 +117,65 @@ int main() {
                   {6, 18, 14, 12});
   tb.PrintHeaderRow();
   std::vector<double> est, act;
+  // The simulator's best configuration, first in enumeration order on a
+  // tie, and the simulated time of the model's pick.
+  auto pick = enumerator.FindBest(*plan);
+  if (!pick.ok()) {
+    std::fprintf(stderr, "enumeration error: %s\n",
+                 pick.status().ToString().c_str());
+    return 1;
+  }
+  std::vector<double> actual_by_index(all->size());
+  size_t best_index = 0;
+  for (size_t i = 0; i < all->size(); ++i) {
+    actual_by_index[i] = SimulateMean(*plan, (*all)[i].first, ctx.cluster);
+    if (actual_by_index[i] < actual_by_index[best_index]) best_index = i;
+  }
+  double pick_actual = 0.0;
   for (size_t rank = 0; rank < order.size(); ++rank) {
     const auto& [config, estimate] = (*all)[order[rank]];
-    const double actual = SimulateMean(*plan, config, ctx.cluster);
+    const double actual = actual_by_index[order[rank]];
+    if (config == pick->config) pick_actual = actual;
     est.push_back(estimate);
     act.push_back(actual);
+    json.Write(bench::JsonLine()
+                   .Set("section", "config")
+                   .Set("config", config.ToString())
+                   .Set("estimated_s", estimate)
+                   .Set("actual_s", actual));
     std::string tag = config.ToString();
     if (config == all_mat) tag += " (all-mat)";
     if (config == no_mat) tag += " (no-mat)";
     tb.PrintRow({StrFormat("%zu", rank + 1), tag,
                  StrFormat("%.1f", estimate), StrFormat("%.1f", actual)});
   }
+  const double pearson = PearsonCorrelation(est, act);
+  const double spearman = SpearmanCorrelation(est, act);
+  const auto& [best_config, best_estimate] = (*all)[best_index];
+  const double best_actual = actual_by_index[best_index];
+  const double regret = pick_actual / best_actual - 1.0;
   std::printf(
       "\nPearson correlation(estimated, actual) = %.3f (paper: \"high "
       "correlation ... which validates our cost model\")\n",
-      PearsonCorrelation(est, act));
+      pearson);
   std::printf(
-      "Spearman rank correlation                = %.3f\n",
-      SpearmanCorrelation(est, act));
+      "Spearman rank correlation                = %.3f\n", spearman);
+  std::printf(
+      "Model pick %s: estimated %.1f s, actual %.1f s; simulator's best "
+      "%s: actual %.1f s (estimated %.1f s); regret %.1f%%\n",
+      pick->config.ToString().c_str(), pick->estimated_cost, pick_actual,
+      best_config.ToString().c_str(), best_actual, best_estimate,
+      regret * 100.0);
+  json.Write(bench::JsonLine()
+                 .Set("section", "summary")
+                 .Set("pick", pick->config.ToString())
+                 .Set("pick_estimated_s", pick->estimated_cost)
+                 .Set("pick_actual_s", pick_actual)
+                 .Set("best", best_config.ToString())
+                 .Set("best_estimated_s", best_estimate)
+                 .Set("best_actual_s", best_actual)
+                 .Set("regret", regret)
+                 .Set("pearson", pearson)
+                 .Set("spearman", spearman));
   return 0;
 }

@@ -43,8 +43,8 @@ struct AdvisorServiceOptions {
   size_t cache_capacity = 4096;
   /// Cache shards; the fingerprint's high hash word selects the shard.
   int num_shards = 8;
-  /// false = serve every request by fresh enumeration (cold baseline for
-  /// the perf_advisor load generator).
+  /// false = serve every request by fresh enumeration (the uncached
+  /// baseline a caller measures the cache against).
   bool cache_enabled = true;
   /// Enumeration configuration shared by every request (pruning rules,
   /// per-enumeration worker threads).

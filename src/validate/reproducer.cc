@@ -53,7 +53,6 @@ Result<double> Num(const obs::JsonValue& obj, const std::string& key) {
 // Bounds on the integer fields of a reproducer. Generated cases stay far
 // below them; they keep a hostile file from requesting unbounded work.
 constexpr int64_t kMaxNodes = 4096;
-constexpr int64_t kMaxTraces = 1024;
 constexpr int64_t kMaxRestarts = 100000;
 // Budget on the worst-case failures a case's trace set generates (each
 // costs 8 bytes of trace and a simulator step). MakeSimCase cases stay

@@ -15,6 +15,10 @@
 
 namespace xdbft::validate {
 
+/// \brief Most failure traces a reproducer may request; `xdbft_crosscheck
+/// --traces` takes no more, so every reproducer it writes replays.
+inline constexpr int kMaxTraces = 1024;
+
 /// \brief Everything needed to re-run one crosscheck case.
 struct ReproCase {
   /// Name of the violated check (a key of the crosscheck registry).

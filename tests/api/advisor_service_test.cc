@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "api/xdbft.h"  // umbrella header must compile standalone
+#include "common/rng.h"
 #include "ft/scheme.h"
 #include "tpch/queries.h"
 
@@ -169,6 +170,87 @@ TEST(AdvisorServiceTest, ConcurrentIdenticalRequestsGetTheFreshAnswer) {
   stats = service.stats();
   EXPECT_EQ(stats.hits, hits_before + 1);
   EXPECT_EQ(stats.entries, 1u);
+}
+
+// Serving load: 4 client threads send a hot/cold mix (80 % of requests on
+// 4 hot keys) over 48 keys — Q1/Q3/Q5 shapes, one MTBF per key — to a
+// 16-entry cache, so entries are evicted and re-enumerated while other
+// clients hit. Every answer, with the cache on and off, equals the key's
+// one-shot ApplyCostBasedScheme (run under TSan in CI).
+TEST(AdvisorServiceTest, ConcurrentHotColdMixWithEvictionsMatchesFresh) {
+  constexpr size_t kKeys = 48;
+  constexpr size_t kHotKeys = 4;
+  constexpr int kClients = 4;
+  constexpr int kRequestsPerClient = 100;
+  std::vector<plan::Plan> shapes;
+  for (const tpch::TpchQuery q : {tpch::TpchQuery::kQ1, tpch::TpchQuery::kQ3,
+                                  tpch::TpchQuery::kQ5}) {
+    tpch::TpchPlanConfig cfg;
+    cfg.scale_factor = 10.0;
+    auto plan = tpch::BuildQuery(q, cfg);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    shapes.push_back(*plan);
+  }
+  std::vector<AdvisorRequest> population;
+  std::vector<ft::SchemePlan> fresh;
+  for (size_t i = 0; i < kKeys; ++i) {
+    population.push_back(MakeRequest(shapes[i % shapes.size()],
+                                     1800.0 + 60.0 * static_cast<double>(i)));
+    ft::FtCostContext context;
+    context.cluster = population.back().cluster;
+    context.model = population.back().model;
+    auto answer =
+        ft::ApplyCostBasedScheme(population.back().candidates, context);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    fresh.push_back(std::move(*answer));
+  }
+  for (const bool cached : {true, false}) {
+    AdvisorServiceOptions options;
+    options.cache_enabled = cached;
+    options.cache_capacity = 16;
+    AdvisorService service(cost::MakeCluster(10, 3600.0, 1.0), {}, options);
+    struct Served {
+      size_t key;
+      Result<ft::SchemePlan> answer;
+    };
+    std::vector<std::vector<Served>> served(kClients);
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kClients; ++t) {
+      clients.emplace_back([&, t] {
+        Rng rng(0xC0FFEEULL + static_cast<uint64_t>(t) * 977);
+        for (int i = 0; i < kRequestsPerClient; ++i) {
+          const size_t key =
+              rng.NextDouble() < 0.8
+                  ? rng.NextBounded(kHotKeys)
+                  : kHotKeys + rng.NextBounded(kKeys - kHotKeys);
+          served[static_cast<size_t>(t)].push_back(
+              {key, service.Advise(population[key])});
+        }
+      });
+    }
+    for (std::thread& c : clients) c.join();
+    for (const auto& answers : served) {
+      for (const Served& s : answers) {
+        ASSERT_TRUE(s.answer.ok()) << s.answer.status();
+        SCOPED_TRACE(testing::Message() << "cached=" << cached
+                                        << " key=" << s.key);
+        ExpectSameScheme(s.answer.ValueOrDie(), fresh[s.key]);
+      }
+    }
+    const AdvisorServiceStats stats = service.stats();
+    constexpr uint64_t kRequests = kClients * kRequestsPerClient;
+    EXPECT_EQ(stats.requests, kRequests);
+    EXPECT_EQ(stats.errors, 0u);
+    if (cached) {
+      EXPECT_EQ(stats.hits + stats.misses, kRequests);
+      EXPECT_GT(stats.hits, 0u);
+      EXPECT_GT(stats.evictions, 0u);
+      EXPECT_LE(stats.entries, options.cache_capacity);
+    } else {
+      EXPECT_EQ(stats.bypassed, kRequests);
+      EXPECT_EQ(stats.entries, 0u);
+    }
+  }
 }
 
 TEST(AdvisorServiceTest, CacheDisabledStillAnswersCorrectly) {

@@ -3,7 +3,8 @@
 // tree per stage of the same shape on both engines, and per-operator output
 // row counts must match exactly between the Volcano row engine and the
 // morsel-driven vectorized engine (the operators are semantically
-// identical; only timing may differ).
+// identical; only timing may differ). Profiling changes no result bit:
+// both profiled runs equal an unprofiled vectorized run.
 #include <gtest/gtest.h>
 
 #include "engine/ft_executor.h"
@@ -30,12 +31,12 @@ const Fixture& GetFixture() {
 
 using MakePlanFn = StagePlan (*)(const PartitionedDatabase&, ExecOptions);
 
-Result<FtExecutionResult> RunProfiled(MakePlanFn make,
-                                      const PartitionedDatabase& pd,
-                                      ExecMode mode, int threads) {
+Result<FtExecutionResult> Run(MakePlanFn make, const PartitionedDatabase& pd,
+                              ExecMode mode, int threads,
+                              bool profile = true) {
   ExecOptions opts;
   opts.mode = mode;
-  opts.profile = true;
+  opts.profile = profile;
   const StagePlan plan = make(pd, opts);
   FaultTolerantExecutor executor(&plan, &pd);
   executor.set_num_threads(threads);
@@ -65,10 +66,14 @@ uint64_t TotalRows(const obs::OperatorProfile& p) {
 
 void CrosscheckQuery(MakePlanFn make, const char* name) {
   const Fixture& f = GetFixture();
-  auto row = RunProfiled(make, f.pd, ExecMode::kRow, 1);
+  auto row = Run(make, f.pd, ExecMode::kRow, 1);
   ASSERT_TRUE(row.ok()) << name << ": " << row.status();
-  auto vec = RunProfiled(make, f.pd, ExecMode::kVectorized, 4);
+  auto vec = Run(make, f.pd, ExecMode::kVectorized, 4);
   ASSERT_TRUE(vec.ok()) << name << ": " << vec.status();
+  auto plain = Run(make, f.pd, ExecMode::kVectorized, 4, /*profile=*/false);
+  ASSERT_TRUE(plain.ok()) << name << ": " << plain.status();
+  EXPECT_TRUE(exec::BitIdenticalTables(plain->result, vec->result)) << name;
+  EXPECT_TRUE(exec::BitIdenticalTables(plain->result, row->result)) << name;
 
   ASSERT_EQ(row->stage_profiles.size(), vec->stage_profiles.size()) << name;
   ASSERT_FALSE(row->stage_profiles.empty()) << name;

@@ -2,8 +2,9 @@
 // FindBest returns a bit-identical [P, M_P] and cost at every thread
 // count, and the deterministic stats (space sizes, rule-1/2 marks)
 // aggregate exactly from the per-thread snapshots. Exercised on TPC-H Q3
-// and Q5 single plans, the Q5 top-k join-order workload, and random
-// chains. This suite is the TSan CI leg's main concurrency workload.
+// and Q5 single plans, the Q5 top-k and all-join-order workloads, and
+// random chains. This suite is the TSan CI leg's main concurrency
+// workload.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -37,14 +38,17 @@ Plan TpchPlan(tpch::TpchQuery q, double sf = 10.0) {
   return *plan;
 }
 
-std::vector<Plan> Q5TopKPlans(int k) {
+// The k cheapest Q5 join orders, or all 1344 when k is 0.
+std::vector<Plan> Q5JoinOrderPlans(int k) {
   tpch::TpchPlanConfig cfg;
   cfg.scale_factor = 10.0;
   auto graph = tpch::MakeQ5JoinGraph(cfg);
   EXPECT_TRUE(graph.ok());
   const auto params = tpch::MakePhysicalCostParams(cfg);
   optimizer::JoinTreeArena arena;
-  auto roots = optimizer::EnumerateTopKJoinTrees(*graph, k, params, &arena);
+  auto roots =
+      k > 0 ? optimizer::EnumerateTopKJoinTrees(*graph, k, params, &arena)
+            : optimizer::EnumerateAllJoinTrees(*graph, &arena);
   EXPECT_TRUE(roots.ok());
   std::vector<Plan> plans;
   for (int root : *roots) {
@@ -85,20 +89,26 @@ TEST(ParallelEnumeratorTest, DeterministicAcrossThreadCountsOnQ3AndQ5) {
   }
 }
 
+// The Q5 top-16 candidates, and all 1344 join orders (the Fig. 13
+// workload), at 2/4/8 threads against the zero-worker pool.
 TEST(ParallelEnumeratorTest, DeterministicOnQ5TopKWorkload) {
-  const std::vector<Plan> plans = Q5TopKPlans(16);
-  ASSERT_GT(plans.size(), 1u);
-  FtPlanEnumerator sequential(MakeContext(3600.0), WithThreads(1));
-  auto base = sequential.FindBest(plans);
-  ASSERT_TRUE(base.ok()) << base.status();
-  for (int threads : {2, 4, 8}) {
-    FtPlanEnumerator parallel(MakeContext(3600.0), WithThreads(threads));
-    auto got = parallel.FindBest(plans);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->plan_index, base->plan_index) << "threads=" << threads;
-    EXPECT_TRUE(got->config == base->config) << "threads=" << threads;
-    EXPECT_EQ(got->estimated_cost, base->estimated_cost)
-        << "threads=" << threads;
+  for (const int k : {16, 0}) {
+    const std::vector<Plan> plans = Q5JoinOrderPlans(k);
+    ASSERT_EQ(plans.size(), k > 0 ? 16u : 1344u);
+    FtPlanEnumerator sequential(MakeContext(3600.0), WithThreads(1));
+    auto base = sequential.FindBest(plans);
+    ASSERT_TRUE(base.ok()) << base.status();
+    for (int threads : {2, 4, 8}) {
+      FtPlanEnumerator parallel(MakeContext(3600.0), WithThreads(threads));
+      auto got = parallel.FindBest(plans);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->plan_index, base->plan_index)
+          << "k=" << k << " threads=" << threads;
+      EXPECT_TRUE(got->config == base->config)
+          << "k=" << k << " threads=" << threads;
+      EXPECT_EQ(got->estimated_cost, base->estimated_cost)
+          << "k=" << k << " threads=" << threads;
+    }
   }
 }
 
@@ -136,7 +146,7 @@ TEST(ParallelEnumeratorTest, DeterministicOnRandomChains) {
 // run's (rule-3 counters are schedule-dependent by design and are checked
 // as invariants instead).
 TEST(ParallelEnumeratorTest, StatsAggregateExactlyUnderConcurrency) {
-  const std::vector<Plan> plans = Q5TopKPlans(16);
+  const std::vector<Plan> plans = Q5JoinOrderPlans(16);
   FtPlanEnumerator sequential(MakeContext(3600.0), WithThreads(1));
   ASSERT_TRUE(sequential.FindBest(plans).ok());
   const EnumerationStats& base = sequential.stats();
@@ -194,7 +204,7 @@ TEST(ParallelEnumeratorTest, RecordsPerThreadTraceLanes) {
   opts.trace = &trace;
   opts.trace_pid = 7;
   FtPlanEnumerator enumerator(MakeContext(3600.0), opts);
-  ASSERT_TRUE(enumerator.FindBest(Q5TopKPlans(8)).ok());
+  ASSERT_TRUE(enumerator.FindBest(Q5JoinOrderPlans(8)).ok());
   // Thread-name metadata plus at least one "enum.chunk" span per task.
   EXPECT_GT(trace.num_events(), 3u);
   EXPECT_NE(trace.ToJson().find("enum.chunk"), std::string::npos);

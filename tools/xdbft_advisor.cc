@@ -24,7 +24,8 @@
 // the enumerator's max_free_operators guard admits.
 //
 // A sustained request load against the cached AdvisorService is
-// bench/perf_advisor, which also checks every answer for bit-identity.
+// perfbench's plan_validate workload; AdvisorServiceTest checks that
+// concurrent cached answers equal fresh ones bit for bit.
 //
 // --scheme NAME forces one fixed fault-tolerance scheme instead of the
 // cost-based search: all-mat, no-mat-lineage, no-mat-restart, cost-based

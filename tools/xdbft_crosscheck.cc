@@ -14,11 +14,15 @@
 //                    [--list]
 //   xdbft_crosscheck --replay FILE
 //
+// --seeds and --traces take a positive integer, --traces at most 1024 (the
+// most a reproducer may hold, so every reproducer written replays);
+// --seed-base takes an unsigned 64-bit integer.
+//
 // Exit codes: 0 all checks passed, 1 violations found (reproducers
 // written to --out-dir), 2 usage or environmental error.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "parse_number.h"
@@ -52,22 +56,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto next_int = [&](int* out) {
+    auto reject = [&](const char* value, const std::string& expected) {
+      std::fprintf(stderr, "invalid value for %s: '%s' (expected %s)\n",
+                   arg.c_str(), value, expected.c_str());
+      std::exit(2);
+    };
+    auto next_int = [&](int* out, int hi) {
       const char* value = next();
-      if (!tools::ParseInt(value, out)) {
-        std::fprintf(stderr,
-                     "invalid value for %s: '%s' (expected an integer in "
-                     "int range)\n",
-                     arg.c_str(), value);
-        std::exit(2);
+      if (!tools::ParseInt(value, out, 1, hi)) {
+        reject(value, "an integer in [1, " + std::to_string(hi) + "]");
       }
     };
     if (arg == "--seeds") {
-      next_int(&options.seeds);
+      next_int(&options.seeds, INT_MAX);
     } else if (arg == "--seed-base") {
-      options.seed_base = std::strtoull(next(), nullptr, 10);
+      const char* value = next();
+      if (!tools::ParseUint64(value, &options.seed_base)) {
+        reject(value, "an unsigned 64-bit integer");
+      }
     } else if (arg == "--traces") {
-      next_int(&options.traces);
+      // A reproducer of more traces would not replay (LoadReproducer).
+      next_int(&options.traces, validate::kMaxTraces);
     } else if (arg == "--quick") {
       options.quick = true;
     } else if (arg == "--out-dir") {
@@ -110,11 +119,6 @@ int main(int argc, char** argv) {
     }
     std::printf("violation no longer reproduces: %s\n", replay_path.c_str());
     return 0;
-  }
-
-  if (options.seeds <= 0 || options.traces <= 0) {
-    std::fprintf(stderr, "--seeds and --traces must be positive\n");
-    return 2;
   }
 
   auto report = validate::RunCrosscheck(options);

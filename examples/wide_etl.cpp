@@ -1,8 +1,7 @@
 // Wide ETL pipeline: a 30-stage transformation DAG has 2^30 possible
 // materialization configurations — far beyond exhaustive enumeration.
-// This example uses the greedy hill climber to pick checkpoints, explains
-// the choice with per-operator marginals, and adds intra-operator
-// checkpointing (the paper's §7 extension) for the one long-running stage.
+// This example uses the greedy hill climber to pick checkpoints and
+// explains the choice with per-operator marginals.
 //
 //   $ ./wide_etl
 #include <cstdio>
@@ -78,22 +77,5 @@ int main() {
                   ops[i].benefit());
     }
   }
-
-  // The 30-minute ML stage is itself failure-prone: add operator-state
-  // checkpoints at the optimal interval (§7 extension).
-  const ft::FailureParams params = ctx.MakeFailureParams();
-  const double t_ml = 1800.0 + 40.0;
-  const double opt =
-      ft::OptimalCheckpointInterval(t_ml, /*checkpoint_cost=*/5.0, params);
-  ft::CheckpointParams ckpt;
-  ckpt.checkpoint_cost = 5.0;
-  ckpt.interval = opt;
-  std::printf(
-      "\nML stage (t=%.0fs) without operator checkpoints: %.1fs expected;\n"
-      "with state checkpoints every %.0fs: %.1fs expected "
-      "(Young/Daly suggests %.0fs)\n",
-      t_ml, ft::OperatorTotalRuntime(t_ml, params), opt,
-      ft::OperatorTotalRuntimeWithCheckpoints(t_ml, ckpt, params),
-      ft::YoungDalyInterval(5.0, params.mtbf_cost));
   return 0;
 }

@@ -27,7 +27,6 @@
 #include "common/status.h"          // IWYU pragma: export
 #include "cost/cost_params.h"       // IWYU pragma: export
 #include "cost/storage_model.h"     // IWYU pragma: export
-#include "ft/checkpointing.h"       // IWYU pragma: export
 #include "ft/collapsed_plan.h"      // IWYU pragma: export
 #include "ft/enumerator.h"          // IWYU pragma: export
 #include "ft/explain.h"             // IWYU pragma: export

@@ -5,7 +5,6 @@
 
 #include "common/math_util.h"
 #include "common/string_util.h"
-#include "ft/checkpointing.h"
 
 namespace xdbft::cluster {
 
@@ -137,12 +136,10 @@ SimulationResult ClusterSimulator::Walk(const Collapsed& collapsed,
                                  {kQuery, /*node=*/-1},
                                  &result.restarts, &aborted));
   }
-  // Write-ahead lineage pays the log writes up front and is never cut
-  // into checkpoint segments: the log holds lineage, not operator state.
+  // Write-ahead lineage pays the log writes up front.
   const bool wal = recovery == RecoveryMode::kWalReplay;
   const double replay_factor = wal ? options_.wal_replay_factor : 1.0;
   static const std::string kNoLabel;
-  std::string seg_label;
   std::vector<double> finish(cp.num_ops(), start_time);
   for (const auto& c : cp.ops()) {  // ascending id = topological
     const std::string& label =
@@ -156,28 +153,10 @@ SimulationResult ClusterSimulator::Walk(const Collapsed& collapsed,
             : c.total_cost();
     double done = ready;
     for (int k = 0; k < trace.num_nodes(); ++k) {
-      const double duration =
-          t * collapsed.node_stretch[static_cast<size_t>(k)];
-      const int segments =
-          wal ? 1
-              : ft::NumCheckpointSegments(duration,
-                                          options_.checkpoint_interval);
-      const double work = duration / static_cast<double>(segments);
-      double completion = ready;
-      for (int s = 0; s < segments && !aborted; ++s) {
-        seg_label.clear();
-        if (segments > 1 && !labels.empty()) {
-          seg_label =
-              StrFormat("%s [seg %d/%d]", label.c_str(), s + 1, segments);
-        }
-        // All but the last segment also write a state checkpoint.
-        completion = RunRetryUnit(
-            completion,
-            work + (s + 1 < segments ? options_.checkpoint_cost : 0.0),
-            replay_factor, trace.node(k),
-            {seg_label.empty() ? label : seg_label, k}, &result.restarts,
-            &aborted);
-      }
+      const double completion = RunRetryUnit(
+          ready, t * collapsed.node_stretch[static_cast<size_t>(k)],
+          replay_factor, trace.node(k), {label, k}, &result.restarts,
+          &aborted);
       // A retry unit hit max_restarts: the query gives up at that unit's
       // give-up time.
       if (aborted) return conclude(completion);

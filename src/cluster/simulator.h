@@ -14,15 +14,13 @@
 // runs some work, restarts after each failure (detection at the next
 // monitoring tick, then MTTR) and gives up after max_restarts. What each
 // ft::RecoveryMode feeds it:
-//   kFineGrained  - per (collapsed op, node): t(c), cut into
-//                   checkpoint_interval segments that are retry units of
-//                   their own, recomputed from the materialized inputs
-//                   (replay factor 1); under a no-mat configuration this
-//                   is lineage-style recomputation of the failed
-//                   partition's full chain.
+//   kFineGrained  - per (collapsed op, node): t(c), recomputed from the
+//                   materialized inputs (replay factor 1); under a no-mat
+//                   configuration this is lineage-style recomputation of
+//                   the failed partition's full chain.
 //   kWalReplay    - write-ahead lineage: per (collapsed op, node),
-//                   t(c) + wal_write_cost * lineage_volume, unsegmented; a
-//                   retry replays the logged progress at wal_replay_factor
+//                   t(c) + wal_write_cost * lineage_volume; a retry
+//                   replays the logged progress at wal_replay_factor
 //                   speed, and logged progress survives the failure.
 //   kFullRestart  - one unit of the failure-free makespan over the
 //                   cluster-wide failure stream: any failure restarts the
@@ -50,10 +48,10 @@ struct SimulationOptions {
   double pipe_constant = 1.0;
   /// Abort the query after this many restarts (paper: 100). Full restart
   /// counts query restarts; fine-grained recovery counts the restarts of
-  /// each retry unit (collapsed op x node, or checkpoint segment)
-  /// separately — the same per-task cap the FaultTolerantExecutor's
-  /// max_attempts enforces — so both recovery schemes share one abort
-  /// semantics and can be compared fairly under extreme failure rates.
+  /// each retry unit (collapsed op x node) separately — the same per-task
+  /// cap the FaultTolerantExecutor's max_attempts enforces — so both
+  /// recovery schemes share one abort semantics and can be compared
+  /// fairly under extreme failure rates.
   int max_restarts = 100;
   /// Per-partition execution-time skew: node k's duration for a collapsed
   /// op is t(c) * (1 + skew * u_k) with u_k deterministic in [-1, 1].
@@ -65,13 +63,6 @@ struct SimulationOptions {
   /// detection (the default; the paper folds the average detection delay
   /// into its MTTR=1 s).
   double monitoring_interval = 0.0;
-  /// Intra-operator checkpointing (the paper's §7 extension, see
-  /// ft/checkpointing.h): sub-plans longer than `checkpoint_interval`
-  /// write an operator-state checkpoint every interval seconds of
-  /// progress (costing `checkpoint_cost` each); a failure repeats only
-  /// the current segment. 0 disables (paper behavior).
-  double checkpoint_interval = 0.0;
-  double checkpoint_cost = 1.0;
   /// Write-ahead lineage (used when recovery == kWalReplay): every
   /// sub-plan logs lineage ahead of its results, inflating its duration by
   /// wal_write_cost * lineage_volume; a failed partition replays the
@@ -85,11 +76,10 @@ struct SimulationOptions {
   /// full-query restarts) is appended as an AttemptRecord on *virtual*
   /// time: dispatch = attempt start, finish = completion or failure
   /// instant. A collapsed op's records are labeled `c<id>:<anchor label>`
-  /// (plus ` [seg i/n]` for a checkpoint segment) on node k; whole-query
-  /// attempts are labeled `query` on node -1. obs::AddToTrace draws the
-  /// timeline as a Chrome trace. The timeline must outlive the simulator
-  /// calls; records accumulate across Run/RunMany invocations. Null
-  /// (default) disables.
+  /// on node k; whole-query attempts are labeled `query` on node -1.
+  /// obs::AddToTrace draws the timeline as a Chrome trace. The timeline
+  /// must outlive the simulator calls; records accumulate across
+  /// Run/RunMany invocations. Null (default) disables.
   obs::AttemptTimeline* attempt_log = nullptr;
 };
 

@@ -12,7 +12,6 @@
 #include "common/string_util.h"
 #include "engine/ft_executor.h"
 #include "exec/batch.h"
-#include "ft/checkpointing.h"
 #include "ft/collapsed_plan.h"
 #include "ft/enumerator.h"
 #include "ft/failure_math.h"
@@ -236,9 +235,7 @@ std::optional<std::string> CheckAnalyticBounds(const ReproCase& c) {
 /// band (the paper's own Fig. 12 reports the model is mildly optimistic).
 std::optional<std::string> CheckAnalyticVsSim(const ReproCase& c) {
   if (c.trace.kind != TraceKind::kIndependent) return std::nullopt;
-  if (c.sim.monitoring_interval != 0.0 || c.sim.checkpoint_interval != 0.0) {
-    return std::nullopt;
-  }
+  if (c.sim.monitoring_interval != 0.0) return std::nullopt;
   auto cp = CollapsedPlan::Create(c.plan, c.config, c.sim.pipe_constant);
   if (!cp.ok()) return "collapse failed: " + cp.status().ToString();
   const double makespan = cp->MakespanNoFailure();
@@ -316,9 +313,7 @@ std::optional<std::string> CheckMttrMonotonicAnalytic(const ReproCase& c) {
 /// can dodge a failure the good-MTBF run hits), only means converge.
 std::optional<std::string> CheckSimMtbfMonotonic(const ReproCase& c) {
   if (c.trace.kind != TraceKind::kIndependent) return std::nullopt;
-  if (c.sim.monitoring_interval != 0.0 || c.sim.checkpoint_interval != 0.0) {
-    return std::nullopt;
-  }
+  if (c.sim.monitoring_interval != 0.0) return std::nullopt;
   ClusterSimulator lo_sim(c.cluster, c.sim);
   ft::SchemePlan scheme = MakeScheme(c, RecoveryMode::kFineGrained);
   std::vector<ClusterTrace> lo_traces = c.trace.Materialize(c.cluster);
@@ -463,21 +458,6 @@ std::optional<std::string> CheckFailureMath(const ReproCase& c) {
     const double a = ft::ExpectedAttempts(mtbf * 50.0, mtbf, 0.95);
     if (!std::isfinite(a) || a < 0.0) {
       return StrFormat("ExpectedAttempts(eta->1) = %.9g", a);
-    }
-    // Checkpointing with a single segment is exactly Eq. 8.
-    ft::FailureParams params;
-    params.mtbf_cost = mtbf;
-    params.mttr_cost = LogUniform(rng, 0.1, 100.0);
-    ft::CheckpointParams ckpt;
-    ckpt.interval = t;  // one segment
-    ckpt.checkpoint_cost = 123.0;
-    const double with = ft::OperatorTotalRuntimeWithCheckpoints(t, ckpt,
-                                                               params);
-    const double without = ft::OperatorTotalRuntime(t, params);
-    if (!Near(with, without, 1e-12)) {
-      return StrFormat(
-          "single-segment checkpointing %.12g != uncheckpointed %.12g",
-          with, without);
     }
   }
   return std::nullopt;
@@ -676,18 +656,11 @@ std::optional<std::string> CheckCorrelatedModelVsSim(const ReproCase& c) {
 /// replay (factor 1) every WAL attempt spans exactly the operator's
 /// duration, so the WAL simulator must reproduce the fine-grained
 /// simulator bit for bit on the case's own plan, config and traces.
-/// Intra-operator checkpointing is pinned off on both sides: WAL logs
-/// lineage instead of writing state checkpoints, so its reference point
-/// is the unsegmented fine-grained run (a fuzzed checkpoint_interval
-/// would make fine-grained pay checkpoint costs and lose less work per
-/// failure — a real semantic difference, not a bug).
 std::optional<std::string> CheckWalReplayUnityIdentity(const ReproCase& c) {
-  cluster::SimulationOptions fine_opts = c.sim;
-  fine_opts.checkpoint_interval = 0.0;
-  cluster::SimulationOptions wal_opts = fine_opts;
+  cluster::SimulationOptions wal_opts = c.sim;
   wal_opts.wal_write_cost = 0.0;
   wal_opts.wal_replay_factor = 1.0;
-  ClusterSimulator fine_sim(c.cluster, fine_opts);
+  ClusterSimulator fine_sim(c.cluster, c.sim);
   ClusterSimulator wal_sim(c.cluster, wal_opts);
   std::vector<ClusterTrace> fine_traces = c.trace.Materialize(c.cluster);
   std::vector<ClusterTrace> wal_traces = c.trace.Materialize(c.cluster);
@@ -1083,10 +1056,6 @@ ReproCase MakeSimCase(uint64_t seed, int traces) {
   c.cluster = RandomCluster(rng);
   c.config = RandomConfig(rng, c.plan);
   if (rng.NextDouble() < 0.25) c.sim.monitoring_interval = 2.0;
-  if (rng.NextDouble() < 0.2) {
-    c.sim.checkpoint_interval = LogUniform(rng, 50.0, 500.0);
-    c.sim.checkpoint_cost = 1.0;
-  }
   c.trace = RandomTraceSpec(rng, traces);
   return c;
 }

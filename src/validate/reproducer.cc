@@ -81,8 +81,8 @@ Result<int> Int(const obs::JsonValue& obj, const std::string& key,
 }
 
 // The simulator knobs ClusterSimulator assumes: a CONST_pipe in (0, 1],
-// a skew that keeps every partition's duration non-negative, and finite
-// non-negative intervals and costs.
+// a skew that keeps every partition's duration non-negative, and a finite
+// non-negative monitoring interval.
 Status ValidateSimOptions(const cluster::SimulationOptions& sim) {
   if (!(sim.pipe_constant > 0.0) || sim.pipe_constant > 1.0) {
     return Status::InvalidArgument("sim.pipe_constant must be in (0, 1]");
@@ -90,35 +90,28 @@ Status ValidateSimOptions(const cluster::SimulationOptions& sim) {
   if (!(sim.partition_skew >= 0.0) || sim.partition_skew > 1.0) {
     return Status::InvalidArgument("sim.partition_skew must be in [0, 1]");
   }
-  for (const double v : {sim.monitoring_interval, sim.checkpoint_interval,
-                         sim.checkpoint_cost}) {
-    if (!(v >= 0.0) || !std::isfinite(v)) {
-      return Status::InvalidArgument(
-          "sim intervals and costs must be non-negative and finite");
-    }
+  if (!(sim.monitoring_interval >= 0.0) ||
+      !std::isfinite(sim.monitoring_interval)) {
+    return Status::InvalidArgument(
+        "sim.monitoring_interval must be non-negative and finite");
   }
   return Status::OK();
 }
 
 // Worst-case failures the trace set of one check generates: each node's
-// trace extends to the simulated horizon, where every retry unit (plan
-// operator x checkpoint segment) may exhaust its restarts and a failed
-// attempt lasts about one MTBF plus repair, detection and checkpoint
-// delays. abort_cap reruns the case with one restart and an MTBF of its
-// longest collapsed operator (at least 1 s).
+// trace extends to the simulated horizon, where every retry unit (one
+// per plan operator) may exhaust its restarts and a failed attempt lasts
+// about one MTBF plus repair and detection delays. abort_cap reruns the
+// case with one restart and an MTBF of its longest collapsed operator
+// (at least 1 s).
 double WorstCaseTraceFailures(const ReproCase& c) {
   double work = 0.0;
   for (const plan::PlanNode& n : c.plan.nodes()) {
     work += n.runtime_cost + n.materialize_cost;
   }
   work *= 1.0 + c.sim.partition_skew;
-  const double segments =
-      c.sim.checkpoint_interval > 0.0
-          ? std::max(1.0, std::ceil(work / c.sim.checkpoint_interval))
-          : 1.0;
-  const double units = segments * static_cast<double>(c.plan.num_nodes());
-  const double delay = c.cluster.mttr_seconds + c.sim.monitoring_interval +
-                       c.sim.checkpoint_cost;
+  const double units = static_cast<double>(c.plan.num_nodes());
+  const double delay = c.cluster.mttr_seconds + c.sim.monitoring_interval;
   const auto per_node = [&](double mtbf, double attempts) {
     return (work + units * attempts * delay) / mtbf + units * attempts;
   };
@@ -182,11 +175,7 @@ std::string ReproToJson(const ReproCase& c) {
       << ", \"max_restarts\": " << c.sim.max_restarts
       << ", \"partition_skew\": " << obs::JsonNumber(c.sim.partition_skew)
       << ", \"monitoring_interval\": "
-      << obs::JsonNumber(c.sim.monitoring_interval)
-      << ", \"checkpoint_interval\": "
-      << obs::JsonNumber(c.sim.checkpoint_interval)
-      << ", \"checkpoint_cost\": " << obs::JsonNumber(c.sim.checkpoint_cost)
-      << "},\n";
+      << obs::JsonNumber(c.sim.monitoring_interval) << "},\n";
   out << "  \"trace\": {\"kind\": "
       << obs::JsonQuote(TraceKindName(c.trace.kind))
       << ", \"count\": " << c.trace.count
@@ -257,10 +246,15 @@ Result<ReproCase> ReproFromJson(const std::string& text) {
   XDBFT_ASSIGN_OR_RETURN(c.sim.partition_skew, Num(*sim, "partition_skew"));
   XDBFT_ASSIGN_OR_RETURN(c.sim.monitoring_interval,
                          Num(*sim, "monitoring_interval"));
-  XDBFT_ASSIGN_OR_RETURN(c.sim.checkpoint_interval,
-                         Num(*sim, "checkpoint_interval"));
-  XDBFT_ASSIGN_OR_RETURN(c.sim.checkpoint_cost,
-                         Num(*sim, "checkpoint_cost"));
+  // Older files carry the removed intra-operator checkpoint settings. An
+  // interval of 0 (checkpointing off) replays as written; any other
+  // interval named a case the simulator no longer has.
+  const obs::JsonValue* ckpt = sim->Find("checkpoint_interval");
+  if (ckpt != nullptr && !(ckpt->is_number() && ckpt->number_value == 0.0)) {
+    return Status::InvalidArgument(
+        "sim.checkpoint_interval must be 0: intra-operator checkpointing "
+        "was removed, so this case cannot be replayed");
+  }
   XDBFT_RETURN_NOT_OK(ValidateSimOptions(c.sim));
 
   const obs::JsonValue* trace = root.Find("trace");

@@ -49,7 +49,9 @@ std::string ReproToJson(const ReproCase& c);
 /// untrusted input: integer fields must be finite, integral and in range,
 /// the cluster, simulator options and trace spec must validate, and the
 /// case may not request unbounded simulation (an MTBF far below the
-/// plan's time scale); anything else is InvalidArgument.
+/// plan's time scale) nor a non-zero `sim.checkpoint_interval` (the
+/// removed intra-operator checkpointing); anything else is
+/// InvalidArgument.
 Result<ReproCase> ReproFromJson(const std::string& text);
 
 /// \brief Write `c` into `dir` (created if missing) as

@@ -11,12 +11,12 @@
 //     could spin forever while full restart aborted after max_restarts,
 //     so the two recovery schemes were compared under different abort
 //     semantics. Fine-grained now aborts when any single retry unit
-//     (collapsed op x node, or checkpoint segment) hits the cap.
+//     (collapsed op x node) hits the cap.
 //  4. RunMany with a mixed trace set (some completed, some aborted)
 //     dropped the aborted runs' burned time entirely; aborted_seconds is
 //     now the mean over aborted traces and runtime stays completed-basis.
 // Plus exact-clock pins of the write-ahead-lineage replay factor and of
-// checkpoint segments on a scheduled failure.
+// plain fine-grained recomputation on a scheduled failure.
 #include "cluster/simulator.h"
 
 #include <gtest/gtest.h>
@@ -307,8 +307,8 @@ TEST(SimulatorRegressionTest, DetectionDelayParityWithFineGrained) {
 }
 
 // One 100 s scan on one node (MTTR 10) with a single scheduled failure at
-// t=60: pins the exact clock of the replay-factor and checkpoint-segment
-// paths, which no statistical test resolves to the last bit.
+// t=60: pins the exact clock of the WAL-replay and fine-grained paths,
+// which no statistical test resolves to the last bit.
 Plan SingleScanPlan() {
   PlanBuilder b("scan");
   const OpId scan = b.Scan("R", 1e6, 64, 100.0);
@@ -334,24 +334,20 @@ TEST(SimulatorRegressionTest, WalReplayScheduledFailureExactClock) {
   EXPECT_EQ(r->runtime, 125.0);
 }
 
-TEST(SimulatorRegressionTest, CheckpointSegmentsScheduledFailureExactClock) {
-  // interval 40 splits the 100 s scan into three segments of 100/3 s; the
-  // first two also write a 2 s checkpoint. The failure at 60 kills
-  // segment 2 (started at 35.33), which reruns from 70 after MTTR; then
-  // segment 3 runs to 138.67.
+TEST(SimulatorRegressionTest, FineGrainedScheduledFailureExactClock) {
+  // Fine-grained recovery keeps no progress: the failure at 60 kills the
+  // only attempt, which reruns the whole 100 s scan from 70 (MTTR 10) and
+  // finishes at exactly 60 + 10 + 100 = 170.
   Plan p = SingleScanPlan();
   cost::ClusterStats stats = cost::MakeCluster(1, 1e9, 10.0);
-  SimulationOptions opts;
-  opts.checkpoint_interval = 40.0;
-  opts.checkpoint_cost = 2.0;
-  ClusterSimulator sim(stats, opts);
+  ClusterSimulator sim(stats);
   ClusterTrace trace = ClusterTrace::FromScheduled({{60.0}});
   auto r = sim.Run(p, MaterializationConfig::NoMat(p),
                    RecoveryMode::kFineGrained, trace);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->completed);
   EXPECT_EQ(r->restarts, 1);
-  EXPECT_EQ(r->runtime, 138.66666666666669);
+  EXPECT_EQ(r->runtime, 170.0);
 }
 
 }  // namespace

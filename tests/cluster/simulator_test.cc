@@ -323,13 +323,12 @@ TEST(SimulatorTest, RunManyEqualsAFoldOfRunsBitForBit) {
   const MaterializationConfig configs[] = {
       MaterializationConfig::NoMat(p), MaterializationConfig::AllMat(p),
       MaterializationConfig::FromFreeMask(p, 0b101)};
-  SimulationOptions variants[5];
-  variants[1].checkpoint_interval = 20.0;  // segment labels
-  variants[2].max_restarts = 3;            // aborted traces
-  variants[3].monitoring_interval = 2.0;
-  variants[3].partition_skew = 0.3;
-  variants[4].wal_write_cost = 0.1;
-  variants[4].wal_replay_factor = 0.5;
+  SimulationOptions variants[4];
+  variants[1].max_restarts = 3;  // aborted traces
+  variants[2].monitoring_interval = 2.0;
+  variants[2].partition_skew = 0.3;
+  variants[3].wal_write_cost = 0.1;
+  variants[3].wal_replay_factor = 0.5;
   int aborted_seen = 0;
   for (const SimulationOptions& base : variants) {
     for (const MaterializationConfig& config : configs) {

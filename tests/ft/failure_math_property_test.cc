@@ -2,15 +2,13 @@
 // sweeps over the parameter space instead of hand-picked points, pinning
 // the numerical edges the crosscheck harness exercises — the small-x
 // series branch of the exact wasted time, the CDF shape of the attempts
-// bound, the eta -> 1 regime of the attempts percentile, and the
-// single-segment degeneration of intra-operator checkpointing.
+// bound and the eta -> 1 regime of the attempts percentile.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
 #include "common/rng.h"
-#include "ft/checkpointing.h"
 #include "ft/failure_math.h"
 
 namespace xdbft::ft {
@@ -101,48 +99,6 @@ TEST(FailureMathPropertyTest, ExpectedAttemptsMonotoneInDuration) {
       ASSERT_FALSE(std::isnan(a));
       prev = a;
     }
-  }
-}
-
-TEST(FailureMathPropertyTest, SingleCheckpointSegmentIsExactlyEq8) {
-  // An interval >= t yields one segment and no checkpoint writes: the
-  // checkpointed runtime must degenerate to the plain Eq. 8 value
-  // bit-for-bit, whatever the checkpoint cost.
-  Rng rng(20240805);
-  for (int iter = 0; iter < 200; ++iter) {
-    FailureParams params;
-    params.mtbf_cost = LogUniform(rng, 1.0, 1e6);
-    params.mttr_cost = LogUniform(rng, 0.01, 100.0);
-    const double t = LogUniform(rng, params.mtbf_cost * 1e-3,
-                                params.mtbf_cost * 5.0);
-    CheckpointParams ckpt;
-    ckpt.interval = t * (1.0 + rng.NextDouble());
-    ckpt.checkpoint_cost = LogUniform(rng, 0.01, 1e3);
-    ASSERT_EQ(NumCheckpointSegments(t, ckpt.interval), 1);
-    EXPECT_DOUBLE_EQ(OperatorTotalRuntimeWithCheckpoints(t, ckpt, params),
-                     OperatorTotalRuntime(t, params))
-        << "t=" << t << " mtbf=" << params.mtbf_cost;
-  }
-}
-
-TEST(FailureMathPropertyTest, CheckpointingNeverHelpsWithFreeFailures) {
-  // With zero MTTR and zero checkpoint cost, splitting an operator into
-  // segments can only reduce (or keep) the expected runtime: each segment
-  // retries less work. Sanity-pins the segment recursion's direction.
-  Rng rng(20240806);
-  for (int iter = 0; iter < 100; ++iter) {
-    FailureParams params;
-    params.mtbf_cost = LogUniform(rng, 1.0, 1e4);
-    params.mttr_cost = 0.0;
-    const double t = LogUniform(rng, params.mtbf_cost * 0.1,
-                                params.mtbf_cost * 5.0);
-    CheckpointParams ckpt;
-    ckpt.checkpoint_cost = 0.0;
-    ckpt.interval = t / (2.0 + rng.NextBounded(6));
-    EXPECT_LE(OperatorTotalRuntimeWithCheckpoints(t, ckpt, params),
-              OperatorTotalRuntime(t, params) * (1.0 + 1e-9))
-        << "t=" << t << " mtbf=" << params.mtbf_cost
-        << " interval=" << ckpt.interval;
   }
 }
 

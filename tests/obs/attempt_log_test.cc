@@ -62,13 +62,13 @@ std::vector<std::string> Describe(const TraceRecorder& trace) {
 TEST(AttemptTraceTest, DrawsEveryRecordOnItsNodeLane) {
   AttemptTimeline timeline;
   // Node 0's first scan output is later lost and recomputed; node 1's
-  // first scan attempt is killed and retried; a checkpoint segment runs on
-  // node 1 and a global stage on the coordinator.
+  // first scan attempt is killed and retried; a simulated collapsed op
+  // runs on node 1 and a global stage on the coordinator.
   timeline.records = {
       Record("scan", 0, 0, 0, 0.0, 2.0, false, 10, 10),
       Record("scan", 0, 1, 0, 0.0, 1.0, /*killed=*/true),
       Record("scan", 0, 1, 1, 3.0, 5.0, false, 7),
-      Record("c2:join [seg 1/2]", -1, 1, 0, 5.0, 6.0),
+      Record("c2:join", -1, 1, 0, 5.0, 6.0),
       Record("scan", 0, 0, 1, 6.0, 8.0, false, 10),
       Record("merge", 1, -1, 0, 8.0, 9.0, false, 3),
   };
@@ -89,7 +89,7 @@ TEST(AttemptTraceTest, DrawsEveryRecordOnItsNodeLane) {
       "X wait/wait 3:1 ts=1000 dur=2000",
       "X scan/recovery 3:1 ts=3000 dur=2000 attempt=1 node=1 rows_lost=0 "
       "rows_out=7 stage=0",
-      "X c2:join [seg 1/2]/attempt 3:1 ts=5000 dur=1000 attempt=0 node=1 "
+      "X c2:join/attempt 3:1 ts=5000 dur=1000 attempt=0 node=1 "
       "rows_lost=0 rows_out=0 stage=-1",
       "X scan/recovery 3:0 ts=6000 dur=2000 attempt=1 node=0 rows_lost=0 "
       "rows_out=10 stage=0",

@@ -71,8 +71,8 @@ TEST(CrosscheckTest, ReproducerJsonRoundTrips) {
   EXPECT_EQ(parsed->config, c.config);
   EXPECT_EQ(parsed->cluster.num_nodes, c.cluster.num_nodes);
   EXPECT_DOUBLE_EQ(parsed->cluster.mtbf_seconds, c.cluster.mtbf_seconds);
-  EXPECT_DOUBLE_EQ(parsed->sim.checkpoint_interval,
-                   c.sim.checkpoint_interval);
+  EXPECT_DOUBLE_EQ(parsed->sim.monitoring_interval,
+                   c.sim.monitoring_interval);
   EXPECT_EQ(parsed->trace.kind, c.trace.kind);
   EXPECT_EQ(parsed->trace.count, c.trace.count);
   EXPECT_EQ(parsed->trace.base_seed, c.trace.base_seed);

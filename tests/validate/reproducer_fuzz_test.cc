@@ -78,8 +78,7 @@ TEST(ReproducerFuzzTest, HostileFieldsAreRejected) {
     EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
   }
   // An MTBF far below the plan's time scale made the failure traces grow
-  // without bound (std::bad_alloc), and a tiny checkpoint interval
-  // overflowed the segment count's cast to int.
+  // without bound (std::bad_alloc).
   ReproCase c = MakeSimCase(1, 4);
   c.check = "runtime_lower_bound";
   for (const double mtbf : {1e-300, 1e-9}) {
@@ -89,10 +88,20 @@ TEST(ReproducerFuzzTest, HostileFieldsAreRejected) {
     ASSERT_FALSE(r.ok()) << mtbf;
     EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
   }
-  c.sim.checkpoint_interval = 1e-300;
-  auto r = ReproFromJson(ReproToJson(c));
+  // A file written while intra-operator checkpointing existed replays
+  // only if its interval was 0: without segments a non-zero interval
+  // would check a different case.
+  const std::string sim = "\"monitoring_interval\": ";
+  ASSERT_TRUE(ReproFromJson(Replace(base, sim,
+                                    "\"checkpoint_interval\": 0, " + sim))
+                  .ok());
+  auto r = ReproFromJson(
+      Replace(base, sim, "\"checkpoint_interval\": 100, " + sim));
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  EXPECT_NE(r.status().message().find("sim.checkpoint_interval"),
+            std::string::npos)
+      << r.status();
 }
 
 // A reproducer file nested far past the JSON depth limit is an

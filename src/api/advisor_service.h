@@ -9,12 +9,12 @@
 // served by fresh enumeration, never from the entry.
 //
 // Serving invariant: a cached or bypassed answer — plan index,
-// configuration, cost, placement and recovery mode — is bit-identical to
-// a fresh one-shot ApplyCostBasedScheme of the same request: the cache can
-// only change latency, never the plan (DESIGN.md §12). Only a miss carries
+// configuration, cost and recovery mode — is bit-identical to a fresh
+// one-shot ApplyCostBasedScheme of the same request: the cache can only
+// change latency, never the plan (DESIGN.md §12). Only a miss carries
 // search counters (SchemePlan::stats). The fingerprint covers the cluster
-// statistics (MTBF, burst MTBF, fanout, placement), so a changed cluster
-// is a different key: no cached entry ever goes stale and nothing needs
+// statistics (MTBF, burst MTBF, fanout), so a changed cluster is a
+// different key: no cached entry ever goes stale and nothing needs
 // invalidating.
 #pragma once
 

@@ -53,18 +53,15 @@ RequestFingerprint FingerprintRequest(
 
   // Format version: bump when the encoding changes so persisted keys (if
   // any ever exist) cannot alias across releases.
-  w.Add(uint64_t{0x7864626674763033ULL});  // "xdbftv03"
+  w.Add(uint64_t{0x7864626674763034ULL});  // "xdbftv04"
 
-  // Cluster statistics, including the correlated-failure and placement
-  // dimensions (two requests differing only in burst rate or group count
-  // enumerate different plans).
+  // Cluster statistics, including the correlated-failure dimensions (two
+  // requests differing only in burst rate enumerate different plans).
   w.Add(context.cluster.num_nodes);
   w.Add(context.cluster.mtbf_seconds);
   w.Add(context.cluster.mttr_seconds);
   w.Add(context.cluster.burst_mtbf_seconds);
   w.Add(context.cluster.burst_fanout);
-  w.Add(context.cluster.num_placement_groups);
-  w.Add(context.cluster.remote_read_penalty);
 
   // Cost-model constants.
   w.Add(context.model.pipe_constant);

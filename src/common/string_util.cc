@@ -80,4 +80,17 @@ std::string PadRight(const std::string& s, size_t width) {
   return s + std::string(width - s.size(), ' ');
 }
 
+bool ParseUint64(std::string_view text, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t v = 0;
+  for (char ch : text) {
+    if (ch < '0' || ch > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(ch - '0');
+    if (v > (UINT64_MAX - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace xdbft

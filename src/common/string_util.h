@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace xdbft {
@@ -29,5 +30,11 @@ std::string PadLeft(const std::string& s, size_t width);
 
 /// \brief Right-pad `s` with spaces to at least `width` characters.
 std::string PadRight(const std::string& s, size_t width);
+
+/// \brief Parse all of `text` as an unsigned 64-bit decimal: digits only
+/// (no sign, space or embedded NUL), at least one, and no overflow, so
+/// "-1" never wraps to 2^64 - 1 and 2^64 + 1 never wraps to 1. Leaves
+/// `out` untouched and returns false otherwise.
+bool ParseUint64(std::string_view text, uint64_t* out);
 
 }  // namespace xdbft

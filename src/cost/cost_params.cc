@@ -23,13 +23,6 @@ Status ClusterStats::Validate() const {
   if (!(burst_fanout > 0.0) || burst_fanout > 1.0) {
     return Status::InvalidArgument("burst_fanout must be in (0, 1]");
   }
-  if (num_placement_groups <= 0) {
-    return Status::InvalidArgument("num_placement_groups must be positive");
-  }
-  if (remote_read_penalty < 0.0 || !std::isfinite(remote_read_penalty)) {
-    return Status::InvalidArgument(
-        "remote_read_penalty must be non-negative and finite");
-  }
   return Status::OK();
 }
 
@@ -40,9 +33,6 @@ std::string ClusterStats::ToString() const {
   if (has_bursts()) {
     out += StrFormat(", burstMTBF=%s, fanout=%.2f",
                      HumanDuration(burst_mtbf_seconds).c_str(), burst_fanout);
-  }
-  if (num_placement_groups > 1) {
-    out += StrFormat(", groups=%d", num_placement_groups);
   }
   out += ")";
   return out;
@@ -62,7 +52,7 @@ Status CostModelParams::Validate() const {
     return Status::InvalidArgument(
         "wal_write_cost must be non-negative and finite");
   }
-  if (wal_replay_factor < 0.0 || wal_replay_factor > 1.0) {
+  if (!(wal_replay_factor >= 0.0 && wal_replay_factor <= 1.0)) {
     return Status::InvalidArgument("wal_replay_factor must be in [0, 1]");
   }
   return Status::OK();

@@ -20,19 +20,12 @@ struct ClusterStats {
   double mttr_seconds = 1.0;
 
   /// Correlated-failure extension (arXiv:1508.04907): mean seconds between
-  /// correlated burst events that take down several nodes of one placement
-  /// group at once. 0 = no correlated failures (the paper's independent
-  /// model); must otherwise be positive and finite.
+  /// correlated burst events that take down several nodes at once. 0 = no
+  /// correlated failures (the paper's independent model); must otherwise
+  /// be positive and finite.
   double burst_mtbf_seconds = 0.0;
-  /// Fraction of a placement group a single burst takes down, in (0, 1].
+  /// Fraction of the nodes a single burst takes down, in (0, 1].
   double burst_fanout = 1.0;
-  /// Number of shared-fate placement groups (racks / power domains) the
-  /// enumerator may place materialization points on. 1 = placement-unaware.
-  int num_placement_groups = 1;
-  /// Relative cost penalty for reading a materialized input from a
-  /// *different* placement group (cross-rack bandwidth): the placed runtime
-  /// of an operator grows by penalty * materialize_cost per remote input.
-  double remote_read_penalty = 0.25;
 
   /// \brief Effective MTBF seen by a partition-parallel operator: any of the
   /// n independent nodes failing interrupts it, so the cluster-level failure

@@ -127,9 +127,8 @@ struct FtPlanEnumerator::SearchState {
   /// Rule-3 dominant paths of this search only (Eq. 9).
   ConcurrentDominantPathMemo memo;
   std::atomic<bool> failed{false};
-  /// Parameters of the per-configuration cost pass (ComputePlacement).
+  /// Parameters of the per-configuration cost pass (ComputeCostPass).
   const FailureParams fparams;
-  const PlacementParams pparams;
   const WalParams wal;
   const bool use_memo;
 
@@ -143,9 +142,8 @@ struct FtPlanEnumerator::SearchState {
   uint64_t error_mask = 0;
   Status error;
 
-  SearchState(FailureParams fp, PlacementParams pp, WalParams wp,
-              bool memoize)
-      : fparams(fp), pparams(pp), wal(wp), use_memo(memoize) {}
+  SearchState(FailureParams fp, WalParams wp, bool memoize)
+      : fparams(fp), wal(wp), use_memo(memoize) {}
 
   /// Keep the error with the smallest (plan, mask) key so the reported
   /// failure does not depend on task interleaving.
@@ -221,13 +219,13 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
   // memo.
   MaterializationConfig config = MaterializationConfig::NoMat(prepared.plan);
   CollapsedPlan cp;
-  PlacementResult pass;
+  CostPassResult pass;
   CollapsedPath dom_path;
   std::vector<PathOpCost> path_costs;
   const auto fill_path_costs = [&](const CollapsedPath& path) {
     path_costs.clear();
     for (CollapsedId id : path) {
-      const PlacedOp& op = pass.ops[static_cast<size_t>(id)];
+      const CostPassOp& op = pass.ops[static_cast<size_t>(id)];
       path_costs.push_back(PathOpCost{op.durable_t, op.refetch});
     }
   };
@@ -241,8 +239,8 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
     }
 
     // The cost pass: every collapsed operator's durable t, refetch
-    // charge and T(c) under this configuration's placement.
-    ComputePlacement(cp, state->pparams, state->fparams, state->wal, &pass);
+    // charge and T(c) under this configuration.
+    ComputeCostPass(cp, state->fparams, state->wal, &pass);
 
     // Path enumeration with rule-3 early stopping (Listing 1 lines 9-13
     // plus §4.3). Every test is strict (> bound, strict Eq. 9 dominance):
@@ -256,11 +254,10 @@ void FtPlanEnumerator::EvaluateMaskRange(const PreparedPlan& prepared,
       const double bound = state->bound.load(std::memory_order_relaxed);
       if (rule3) {
         // Test 1: RPt > bestT — no failure math needed. RPt sums the
-        // durable t (placed runtime plus the WAL log-write overhead), a
-        // lower bound on TPt. Rule 3 and the memo must see the durable t:
-        // per-op TPt is monotone in it, which the placed runtime alone
-        // does not guarantee once lineage volume varies per
-        // configuration.
+        // durable t (runtime plus the WAL log-write overhead), a lower
+        // bound on TPt. Rule 3 and the memo must see the durable t: per-op
+        // TPt is monotone in it, which the plain runtime alone does not
+        // guarantee once lineage volume varies per configuration.
         double rpt = 0.0;
         for (CollapsedId id : path) {
           rpt += pass.ops[static_cast<size_t>(id)].durable_t;
@@ -407,7 +404,6 @@ Result<FtPlanChoice> FtPlanEnumerator::FindBest(
   // (single-writer); the slots are merged below — the per-thread snapshot
   // merge that keeps the totals exact under concurrency.
   SearchState state(model_.context().MakeFailureParams(),
-                    model_.context().MakePlacementParams(),
                     model_.context().MakeWalParams(),
                     options_.pruning.memoize_dominant_paths);
   std::vector<EnumerationStats> per_slot(static_cast<size_t>(workers) + 1);
@@ -450,7 +446,6 @@ Result<FtPlanChoice> FtPlanEnumerator::FindBest(
                          model_.Estimate(wp.plan, best.config));
   best.estimated_cost = est.dominant_cost;
   best.dominant_path = std::move(est.dominant_path);
-  best.placement_groups = std::move(est.placement_groups);
   return best;
 }
 

@@ -112,10 +112,6 @@ struct FtPlanChoice {
   /// Estimated runtime under failures (dominant-path TPt) — bestT.
   double estimated_cost = 0.0;
   CollapsedPath dominant_path;
-  /// Placement group per CollapsedId of the chosen configuration's
-  /// collapsed plan (empty when placement is inactive: one group and no
-  /// correlated failures).
-  std::vector<int> placement_groups;
 };
 
 /// \brief Implements findBestFTPlan (Listing 1).

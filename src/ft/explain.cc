@@ -63,19 +63,19 @@ Result<AccuracyReport> BuildAccuracyReport(const plan::Plan& plan,
   // gamma, a(c) and w(c) are those T(c) was priced with (durable t at the
   // burst-adjusted MTBF).
   FtCostModel model(context);
-  const PlacementResult pass = model.CostPass(cp);
+  const CostPassResult pass = model.CostPass(cp);
 
   AccuracyReport out;
   out.operators.reserve(cp.ops().size());
   for (const CollapsedOp& c : cp.ops()) {
-    const PlacedOp& placed = pass.ops[static_cast<size_t>(c.id)];
+    const CostPassOp& op = pass.ops[static_cast<size_t>(c.id)];
     PredictedOperator p;
     p.label = StrFormat("c%d:%s", c.id, plan.node(c.anchor).label.c_str());
-    p.t = placed.durable_t;
+    p.t = op.durable_t;
     p.gamma = SuccessProbability(p.t, mtbf);
     p.attempts = ExpectedAttempts(p.t, mtbf, params.success_target);
     p.wasted = WastedTime(p.t, params);
-    p.total = placed.total;
+    p.total = op.total;
     out.predicted_attempts += p.attempts;
     out.operators.push_back(std::move(p));
   }

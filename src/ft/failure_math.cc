@@ -123,21 +123,6 @@ double QuerySuccessProbability(double t, double mtbf_per_node,
   return std::exp(-t * static_cast<double>(num_nodes) / mtbf_per_node);
 }
 
-double QuerySuccessProbabilityCorrelated(double t, double mtbf_per_node,
-                                         int num_nodes,
-                                         double total_burst_rate) {
-  if (!(total_burst_rate > 0.0)) {
-    return QuerySuccessProbability(t, mtbf_per_node, num_nodes);
-  }
-  if (t <= 0.0) return 1.0;
-  double independent_rate = 0.0;
-  if (num_nodes > 0) {
-    if (!(mtbf_per_node > 0.0)) return 0.0;
-    independent_rate = static_cast<double>(num_nodes) / mtbf_per_node;
-  }
-  return std::exp(-t * (independent_rate + total_burst_rate));
-}
-
 double SuccessWithinAttempts(double t, double mtbf_cost, double attempts) {
   const double eta = FailureProbability(t, mtbf_cost);
   if (eta <= 0.0) return 1.0;

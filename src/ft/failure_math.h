@@ -52,7 +52,7 @@ struct FailureParams {
   /// \brief Share of failures attributable to bursts:
   /// burst_hazard() / (1/mtbf_cost + burst_hazard()), in [0, 1). Used to
   /// price shared-fate re-reads: a burst that kills an operator likely also
-  /// killed co-placed materialized inputs.
+  /// killed its materialized inputs.
   double burst_failure_share() const;
 
   Status Validate() const;
@@ -95,8 +95,8 @@ struct RecoveryTerms {
   /// downstream, so a retry replays the logged frontier instead of
   /// recomputing it; must be in [0, 1], and 1 is plain recomputation.
   double replay_factor = 1.0;
-  /// Extra charge per attempt (shared-fate refetch of co-placed
-  /// materialized inputs); must be >= 0.
+  /// Extra charge per attempt (shared-fate refetch of materialized
+  /// inputs); must be >= 0.
   double extra_cost_per_attempt = 0.0;
 };
 
@@ -117,13 +117,6 @@ double OperatorTotalRuntime(double t, const FailureParams& params,
 /// can fail (P = 1); a non-positive or non-finite MTBF means failures are
 /// certain (P = 0 for t > 0).
 double QuerySuccessProbability(double t, double mtbf_per_node, int num_nodes);
-
-/// \brief QuerySuccessProbability with an additional cluster-wide correlated
-/// burst rate (events per second): P = e^{-t (n/MTBF + lambda)}.
-/// total_burst_rate <= 0 reproduces the independent value exactly.
-double QuerySuccessProbabilityCorrelated(double t, double mtbf_per_node,
-                                         int num_nodes,
-                                         double total_burst_rate);
 
 /// \brief Cumulative probability that an operator succeeds within N
 /// additional attempts (Eq. 5 closed form): 1 - eta^{N+1}.

@@ -16,27 +16,6 @@
 
 namespace xdbft::ft {
 
-/// \brief Placement dimensions of the cost model (correlated-failure
-/// extension): how many shared-fate groups materialization points can be
-/// placed on, what a cross-group read costs, and which share of failures
-/// are correlated bursts (those also destroy co-placed materialized state).
-struct PlacementParams {
-  int num_groups = 1;
-  /// Placed runtime grows by penalty * materialize_cost per input read
-  /// from a different group.
-  double remote_read_penalty = 0.0;
-  /// rho = burst_hazard / total hazard, in [0, 1): fraction of an
-  /// operator's failures that also wipe its co-placed materialized inputs,
-  /// charging their re-fetch on every recovery attempt.
-  double burst_failure_share = 0.0;
-
-  /// \brief Placement affects costs only when there is more than one group
-  /// or a correlated-failure share to price.
-  bool active() const {
-    return num_groups > 1 || burst_failure_share > 0.0;
-  }
-};
-
 /// \brief Write-ahead-lineage dimensions of the cost model
 /// (arXiv:2403.08062): every collapsed operator logs the lineage of its
 /// internal intermediates before results flow downstream (runtime grows by
@@ -63,28 +42,25 @@ double CollapsedOpTotalRuntime(double durable_t, const FailureParams& fparams,
                                double extra_cost_per_attempt = 0.0);
 
 /// \brief One collapsed operator's values in a configuration's cost pass.
-struct PlacedOp {
-  /// Shared-fate group (always 0 with one group).
-  int group = 0;
-  /// Durable runtime: t(c) + penalty * (materialize cost of inputs read
-  /// from another group) + write_cost * lineage_volume. The t that the
+struct CostPassOp {
+  /// Durable runtime: t(c) + write_cost * lineage_volume. The t that the
   /// recovery terms, rule 3 and the dominant-path memo see.
   double durable_t = 0.0;
-  /// Extra recovery charge per attempt: rho * (materialize cost of inputs
-  /// co-placed in the same group).
+  /// Extra recovery charge per attempt: rho * (materialize cost of the
+  /// operator's inputs). Every materialized input shares fate with its
+  /// consumer, so a burst that fails the consumer also loses its inputs.
   double refetch = 0.0;
-  /// T(c) (Eq. 8) in the chosen group.
+  /// T(c) (Eq. 8).
   double total = 0.0;
 };
 
 /// \brief The cost pass over one configuration: each collapsed operator's
-/// group, durable runtime, refetch charge and T(c), indexed by
-/// CollapsedId. Placement, bursts and WAL are parameter values of the
-/// pass, not branches: with one group and no bursts every operator sits
-/// in group 0 with no remote reads and refetch = 0, and with WAL disabled
-/// too durable_t = t(c) and T(c) is plain Eq. 8, bit for bit.
-struct PlacementResult {
-  std::vector<PlacedOp> ops;
+/// durable runtime, refetch charge and T(c), indexed by CollapsedId.
+/// Bursts and WAL are parameter values of the pass, not branches: with no
+/// bursts refetch = 0, and with WAL disabled too durable_t = t(c) and T(c)
+/// is plain Eq. 8, bit for bit.
+struct CostPassResult {
+  std::vector<CostPassOp> ops;
 
   /// \brief TPt (Eq. 7): the sum of T(c) along `path`.
   double PathCost(const CollapsedPath& path) const {
@@ -92,26 +68,20 @@ struct PlacementResult {
     for (CollapsedId id : path) total += ops[static_cast<size_t>(id)].total;
     return total;
   }
-
-  /// \brief Placement group per CollapsedId.
-  std::vector<int> groups() const;
 };
 
-/// \brief The cost pass: greedily assign each collapsed operator (in
-/// ascending = topological id order) to the group minimizing its T(c)
-/// given the already-placed inputs, ties toward the lowest group id, and
-/// keep that group's values. A pure function of (cp, pparams, fparams,
-/// wal) — bit-identical at any thread count. One allocation per call.
-PlacementResult ComputePlacement(const CollapsedPlan& cp,
-                                 const PlacementParams& pparams,
-                                 const FailureParams& fparams,
-                                 const WalParams& wal = {});
+/// \brief The cost pass: price every collapsed operator under (fparams,
+/// wal), with refetch = fparams.burst_failure_share() * sum of its inputs'
+/// materialize costs. A pure function of (cp, fparams, wal) —
+/// bit-identical at any thread count. One allocation per call.
+CostPassResult ComputeCostPass(const CollapsedPlan& cp,
+                               const FailureParams& fparams,
+                               const WalParams& wal = {});
 
 /// \brief The same pass written into `out`, whose buffer is reused: no
 /// allocation once it has held a plan of as many collapsed operators.
-void ComputePlacement(const CollapsedPlan& cp, const PlacementParams& pparams,
-                      const FailureParams& fparams, const WalParams& wal,
-                      PlacementResult* out);
+void ComputeCostPass(const CollapsedPlan& cp, const FailureParams& fparams,
+                     const WalParams& wal, CostPassResult* out);
 
 /// \brief Everything the cost function needs (paper: getCostStats output).
 struct FtCostContext {
@@ -150,15 +120,6 @@ struct FtCostContext {
     return p;
   }
 
-  /// \brief Placement dimensions derived from the cluster statistics.
-  PlacementParams MakePlacementParams() const {
-    PlacementParams p;
-    p.num_groups = cluster.num_placement_groups;
-    p.remote_read_penalty = cluster.remote_read_penalty;
-    p.burst_failure_share = MakeFailureParams().burst_failure_share();
-    return p;
-  }
-
   /// \brief Write-ahead-lineage dimensions from the model knobs.
   /// Disabled WAL is the identity parameters, whatever the write cost and
   /// replay factor say.
@@ -184,9 +145,6 @@ struct FtPlanEstimate {
   CollapsedPath dominant_path;
   /// Number of source->sink paths evaluated.
   size_t paths_evaluated = 0;
-  /// Placement group per CollapsedId (empty when placement is inactive,
-  /// i.e. one group and no correlated failures).
-  std::vector<int> placement_groups;
 };
 
 /// \brief Cost model over collapsed plans.
@@ -197,11 +155,11 @@ class FtCostModel {
   const FtCostContext& context() const { return context_; }
 
   /// \brief T(c) (Eq. 8) for one collapsed operator priced on its own (no
-  /// placement).
+  /// refetch).
   double OperatorCost(const CollapsedOp& c) const;
 
-  /// \brief The cost pass (ComputePlacement) of `cp` under this context.
-  PlacementResult CostPass(const CollapsedPlan& cp) const;
+  /// \brief The cost pass (ComputeCostPass) of `cp` under this context.
+  CostPassResult CostPass(const CollapsedPlan& cp) const;
 
   /// \brief TPt (Eq. 7): total runtime of one execution path under
   /// mid-query failures.

@@ -57,9 +57,9 @@ int ApplyPruningRule2(plan::Plan* plan, const FtCostContext& context);
 
 /// \brief Cost of one collapsed operator along a path, in the dimensions
 /// the per-operator runtime U(t, extra) = t + a(t)(w(t) + MTTR + extra) is
-/// monotone in: the placed runtime t and the per-attempt refetch charge
-/// extra. Placement-unaware paths use extra == 0 throughout, which makes
-/// the pairwise comparison degenerate exactly to the scalar Eq. 9.
+/// monotone in: the durable runtime t and the per-attempt refetch charge
+/// extra. Without bursts extra == 0 throughout, which makes the pairwise
+/// comparison degenerate exactly to the scalar Eq. 9.
 struct PathOpCost {
   double t = 0.0;
   double extra = 0.0;
@@ -72,7 +72,7 @@ struct DominantPathEntry {
   double total = 0.0;
 };
 
-/// \brief Eq. 9 pairwise comparison, extended to placement: true iff
+/// \brief Eq. 9 pairwise comparison, extended to refetch: true iff
 /// `sorted_path` (descending lex) is >= `entry.sorted_costs` position by
 /// position in *both* dimensions (t and extra), padding the shorter memo
 /// with zero-cost operators. U is increasing in both arguments, so a

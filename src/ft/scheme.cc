@@ -102,7 +102,6 @@ Result<SchemePlan> ApplyScheme(SchemeKind kind, const plan::Plan& plan,
   XDBFT_ASSIGN_OR_RETURN(FtPlanEstimate est,
                          model.Estimate(out.plan, out.config));
   out.estimated_cost = est.dominant_cost;
-  out.placement_groups = std::move(est.placement_groups);
   return out;
 }
 
@@ -122,7 +121,6 @@ Result<SchemePlan> ApplyCostBasedScheme(
   out.plan_index = choice.plan_index;
   out.config = std::move(choice.config);
   out.estimated_cost = choice.estimated_cost;
-  out.placement_groups = std::move(choice.placement_groups);
   out.stats = enumerator.stats();
   return out;
 }

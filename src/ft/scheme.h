@@ -67,9 +67,6 @@ struct SchemePlan {
   MaterializationConfig config;
   /// Cost-model estimate of runtime under failures (dominant-path TPt).
   double estimated_cost = 0.0;
-  /// Placement group per collapsed operator (correlated-failure
-  /// extension); empty when placement is inactive.
-  std::vector<int> placement_groups;
   /// Counters of the search ApplyCostBasedScheme ran for this plan; all
   /// zero for the fixed schemes and for an AdvisorService cache hit,
   /// which ran no search.

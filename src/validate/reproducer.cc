@@ -31,13 +31,9 @@ std::string U64(uint64_t v) {
 }
 
 Result<uint64_t> ParseU64(const obs::JsonValue& v) {
-  if (!v.is_string()) return Status::InvalidArgument("expected u64 string");
   uint64_t out = 0;
-  for (char ch : v.string_value) {
-    if (ch < '0' || ch > '9') {
-      return Status::InvalidArgument("bad u64 digit");
-    }
-    out = out * 10 + static_cast<uint64_t>(ch - '0');
+  if (!v.is_string() || !ParseUint64(v.string_value, &out)) {
+    return Status::InvalidArgument("expected a u64 decimal string");
   }
   return out;
 }

@@ -40,7 +40,6 @@ void ExpectSameScheme(const ft::SchemePlan& served,
   EXPECT_EQ(served.plan_index, fresh.plan_index);
   EXPECT_EQ(served.recovery, fresh.recovery);
   EXPECT_TRUE(served.config == fresh.config);
-  EXPECT_EQ(served.placement_groups, fresh.placement_groups);
   EXPECT_TRUE(BitIdentical(served.estimated_cost, fresh.estimated_cost))
       << served.estimated_cost << " vs " << fresh.estimated_cost;
   EXPECT_EQ(served.plan.name(), fresh.plan.name());
@@ -297,7 +296,6 @@ TEST(AdvisorServiceTest, CachedAnswerBitIdenticalWithBurstsOn) {
   AdvisorRequest request = MakeRequest(SmallPlan("bursty"));
   request.cluster.burst_mtbf_seconds = 600.0;
   request.cluster.burst_fanout = 0.5;
-  request.cluster.num_placement_groups = 4;
   ft::FtCostContext context;
   context.cluster = request.cluster;
   context.model = request.model;

@@ -110,18 +110,6 @@ TEST(FingerprintTest, BurstParametersAreCovered) {
             FingerprintRequest({MakePlan("q", "a")}, fanout, {}));
 }
 
-TEST(FingerprintTest, PlacementParametersAreCovered) {
-  ft::FtCostContext placed = MakeContext();
-  placed.cluster.num_placement_groups = 4;
-  const auto a = FingerprintRequest({MakePlan("q", "a")}, MakeContext(), {});
-  const auto b = FingerprintRequest({MakePlan("q", "a")}, placed, {});
-  EXPECT_NE(a, b);
-  ft::FtCostContext penalty = placed;
-  penalty.cluster.remote_read_penalty = 0.75;
-  EXPECT_NE(FingerprintRequest({MakePlan("q", "a")}, placed, {}),
-            FingerprintRequest({MakePlan("q", "a")}, penalty, {}));
-}
-
 TEST(FingerprintTest, WalParametersAreCovered) {
   // Toggling write-ahead lineage (or retuning its log-write / replay
   // costs) changes what the enumerator returns, so each knob must be part

@@ -47,5 +47,22 @@ TEST(StringUtilTest, Padding) {
   EXPECT_EQ(PadLeft("abcd", 2), "abcd");
 }
 
+TEST(StringUtilTest, ParseUint64ReadsTheWholeString) {
+  uint64_t v = 42;
+  EXPECT_TRUE(ParseUint64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 42;
+  for (const std::string& bad :
+       {std::string(""), std::string("18446744073709551616"),
+        std::string("18446744073709551617"), std::string("-1"),
+        std::string("+1"), std::string(" 1"), std::string("1 "),
+        std::string("1\0" "2", 3)}) {
+    EXPECT_FALSE(ParseUint64(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, 42u);
+}
+
 }  // namespace
 }  // namespace xdbft

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace xdbft::cost {
 namespace {
 
@@ -47,6 +49,13 @@ TEST(CostModelParamsTest, ValidateRanges) {
   p = CostModelParams{};
   p.cost_constant = -2.0;
   EXPECT_FALSE(p.Validate().ok());
+  // NaN fails every comparison, so a range test written as "below 0 or
+  // above 1" let it through to NaN costs.
+  for (double factor : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    p = CostModelParams{};
+    p.wal_replay_factor = factor;
+    EXPECT_FALSE(p.Validate().ok()) << factor;
+  }
 }
 
 TEST(CostParamsTest, DurationConstants) {

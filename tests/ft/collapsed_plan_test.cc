@@ -302,12 +302,12 @@ void ExpectEveryMaskMatchesOracle(const Plan& plan, double pipe_constant) {
 
   FtCostContext context;
   context.cluster = cost::MakeCluster(4, 3600.0);
-  const PlacementParams pparams{3, 0.5, 0.2};
+  context.cluster.burst_mtbf_seconds = 900.0;
   const FailureParams fparams = context.MakeFailureParams();
   for (const auto& order : {ascending, descending, shuffled}) {
     MaterializationConfig config = MaterializationConfig::NoMat(plan);
     CollapsedPlan reused;
-    PlacementResult pass;
+    CostPassResult pass;
     for (uint64_t mask : order) {
       SCOPED_TRACE(mask);
       config.SetFreeMask(free_ops, mask);
@@ -334,11 +334,10 @@ void ExpectEveryMaskMatchesOracle(const Plan& plan, double pipe_constant) {
       EXPECT_EQ(reused.sources(), cp->sources());
       EXPECT_EQ(reused.sinks(), cp->sinks());
       EXPECT_EQ(reused.AllPaths(), cp->AllPaths());
-      ComputePlacement(reused, pparams, fparams, WalParams{}, &pass);
-      const PlacementResult fresh = ComputePlacement(*cp, pparams, fparams);
+      ComputeCostPass(reused, fparams, WalParams{}, &pass);
+      const CostPassResult fresh = ComputeCostPass(*cp, fparams);
       ASSERT_EQ(pass.ops.size(), fresh.ops.size());
       for (size_t i = 0; i < fresh.ops.size(); ++i) {
-        EXPECT_EQ(pass.ops[i].group, fresh.ops[i].group);
         EXPECT_EQ(pass.ops[i].durable_t, fresh.ops[i].durable_t);
         EXPECT_EQ(pass.ops[i].refetch, fresh.ops[i].refetch);
         EXPECT_EQ(pass.ops[i].total, fresh.ops[i].total);

@@ -140,19 +140,17 @@ TEST(ExplainTest, AccuracyReportRendersObservedNextToPredicted) {
   EXPECT_NE(s.find("T(c)"), std::string::npos);
 }
 
-// With WAL, bursts and two placement groups on, every row must be the
-// estimate's own per-operator pricing: the rows' T(c) along the dominant
-// path sum to the predicted runtime bit for bit, and a(c) is priced at the
-// durable t against the burst-adjusted MTBF.
-TEST(ExplainTest, AccuracyReportRowsMatchEstimateUnderWalBurstsPlacement) {
+// With WAL and bursts on, every row must be the estimate's own
+// per-operator pricing: the rows' T(c) along the dominant path sum to the
+// predicted runtime bit for bit, and a(c) is priced at the durable t
+// against the burst-adjusted MTBF.
+TEST(ExplainTest, AccuracyReportRowsMatchEstimateUnderWalAndBursts) {
   Plan p = ChainPlan();
   auto config = MaterializationConfig::NoMat(p);
   config.set_materialized(1, true);
   FtCostContext ctx = Ctx(400.0);
   ctx.cluster.burst_mtbf_seconds = 800.0;
   ctx.cluster.burst_fanout = 0.5;
-  ctx.cluster.num_placement_groups = 2;
-  ctx.cluster.remote_read_penalty = 0.1;
   ctx.model.wal_enabled = true;
   ctx.model.wal_write_cost = 0.05;
   auto report = BuildAccuracyReport(p, config, ctx);

@@ -271,15 +271,6 @@ TEST(FailureMathTest, ReplayFactorDiscountsOnlyWastedTime) {
             40.0 + a * (0.25 * WastedTime(40.0, p)) + a * p.mttr_cost);
 }
 
-TEST(FailureMathTest, QuerySuccessProbabilityCorrelatedDegrades) {
-  // Zero burst rate: exactly the independent value.
-  EXPECT_EQ(QuerySuccessProbabilityCorrelated(100.0, 3600.0, 10, 0.0),
-            QuerySuccessProbability(100.0, 3600.0, 10));
-  // A positive cluster-wide rate lowers the success probability.
-  EXPECT_LT(QuerySuccessProbabilityCorrelated(100.0, 3600.0, 10, 0.01),
-            QuerySuccessProbability(100.0, 3600.0, 10));
-}
-
 TEST(FailureMathTest, ValidateRejectsBadBurstParams) {
   FailureParams p;
   p.burst_rate_cost = -1.0;

@@ -156,7 +156,7 @@ TEST(PruningRule2Test, MarksLongChainsUnderHighMtbf) {
 
 using PathCosts = std::vector<PathOpCost>;
 
-// Placement-unaware path costs: runtimes only, extra == 0 throughout.
+// Burst-free path costs: runtimes only, extra == 0 throughout.
 PathCosts Runtimes(std::initializer_list<double> ts) {
   PathCosts out;
   for (const double t : ts) out.push_back({t, 0.0});
@@ -219,7 +219,7 @@ TEST(DominantPathMemoTest, ClearResets) {
   EXPECT_FALSE(memo.Dominates(Runtimes({5.0})));
 }
 
-// Placement-aware memo entries: dominance must hold componentwise over
+// Burst-priced memo entries: dominance must hold componentwise over
 // (runtime, per-attempt refetch), not runtime alone.
 TEST(DominantPathMemoTest, PairExtraBlocksDominance) {
   ConcurrentDominantPathMemo memo;

@@ -77,10 +77,23 @@ TEST(ReproducerFuzzTest, HostileFieldsAreRejected) {
     ASSERT_FALSE(r.ok()) << bad;
     EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
   }
-  // An MTBF far below the plan's time scale made the failure traces grow
-  // without bound (std::bad_alloc).
   ReproCase c = MakeSimCase(1, 4);
   c.check = "runtime_lower_bound";
+  // A seed must be the whole decimal it names: 2^64 + 1 once wrapped to 1
+  // and "" read as 0, replaying a different trace set than the file names.
+  ReproCase seeded = c;
+  seeded.trace.base_seed = 7;
+  const std::string seeded_text = ReproToJson(seeded);
+  ASSERT_TRUE(ReproFromJson(seeded_text).ok());
+  for (const char* bad : {"18446744073709551617", ""}) {
+    auto r = ReproFromJson(Replace(seeded_text, "\"base_seed\": \"7\"",
+                                   "\"base_seed\": \"" + std::string(bad) +
+                                       "\""));
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  }
+  // An MTBF far below the plan's time scale made the failure traces grow
+  // without bound (std::bad_alloc).
   for (const double mtbf : {1e-300, 1e-9}) {
     ReproCase bad = c;
     bad.cluster.mtbf_seconds = mtbf;

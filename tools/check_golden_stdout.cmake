@@ -1,10 +1,13 @@
-# Byte-compares the advice output of three deterministic runs with the
+# Byte-compares the advice output of four deterministic runs with the
 # goldens committed under tools/golden/:
-#   quickstart.txt       examples/quickstart
-#   cluster_advisor.txt  examples/cluster_advisor
-#   advisor_q5.txt       xdbft_advisor --plan <--emit-q5 100 output>
-#                                      --mtbf 3600 --simulate 10
-# Every line of the three outputs is fixed by the inputs (the enumeration
+#   quickstart.txt          examples/quickstart
+#   cluster_advisor.txt     examples/cluster_advisor
+#   advisor_q5.txt          xdbft_advisor --plan <--emit-q5 100 output>
+#                                         --mtbf 3600 --simulate 10
+#   advisor_q5_bursts.txt   the same with --burst-mtbf 1800
+#                                         --burst-fanout 0.5 (burst-priced,
+#                                         so refetch is charged)
+# Every line of the four outputs is fixed by the inputs (the enumeration
 # answer is identical at any thread count), so any difference is a change
 # in what the advisor recommends, estimates or simulates. Invoked by the
 # golden_stdout ctest with -DQUICKSTART=, -DCLUSTER_ADVISOR=, -DADVISOR=
@@ -44,3 +47,5 @@ check_golden(quickstart.txt "${QUICKSTART}")
 check_golden(cluster_advisor.txt "${CLUSTER_ADVISOR}")
 check_golden(advisor_q5.txt "${ADVISOR}" --plan "${OUT_DIR}/q5.txt"
              --mtbf 3600 --simulate 10)
+check_golden(advisor_q5_bursts.txt "${ADVISOR}" --plan "${OUT_DIR}/q5.txt"
+             --mtbf 3600 --burst-mtbf 1800 --burst-fanout 0.5 --simulate 10)

@@ -3,14 +3,12 @@
 // finite; an integer value must also be integral and within [lo, hi]
 // (default: int range). This keeps "10x" from silently reading as 10,
 // "abc" as 0, and "1e10" or "nan" from reaching an undefined double-to-int
-// conversion. An unsigned 64-bit value is decimal digits only: no sign,
-// no space, no overflow, so "-1" never wraps to 2^64 - 1.
+// conversion. (Unsigned 64-bit values: xdbft::ParseUint64 in
+// common/string_util.h.)
 #pragma once
 
-#include <cerrno>
 #include <climits>
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
 
 namespace xdbft::tools {
@@ -31,16 +29,6 @@ inline bool ParseInt(const char* text, int* out, int lo = INT_MIN,
     return false;
   }
   *out = static_cast<int>(v);
-  return true;
-}
-
-inline bool ParseUint64(const char* text, uint64_t* out) {
-  if (*text < '0' || *text > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  *out = v;
   return true;
 }
 

@@ -9,7 +9,6 @@
 // Usage:
 //   xdbft_advisor --plan plan.txt [--nodes N] [--mtbf SECONDS]
 //                 [--mttr SECONDS] [--burst-mtbf S] [--burst-fanout F]
-//                 [--placement-groups G] [--remote-read-penalty P]
 //                 [--success-target S] [--pipe-constant C]
 //                 [--scheme NAME] [--wal-write-cost C]
 //                 [--scale-success-with-cluster] [--greedy]
@@ -36,16 +35,15 @@
 //
 // --burst-mtbf S / --burst-fanout F enable the correlated-failure model:
 // S is the mean seconds between correlated bursts, F the fraction of the
-// cluster each burst takes down (0 disables it — the independent model).
-// --placement-groups G / --remote-read-penalty P turn on placement-aware
-// enumeration (see DESIGN.md §13). Non-finite or non-positive
-// cluster/model inputs are rejected up front with an InvalidArgument.
+// cluster each burst takes down (0 disables it — the independent model;
+// see DESIGN.md §13). Non-finite or non-positive cluster/model inputs are
+// rejected up front with an InvalidArgument.
 //
 // Every numeric flag value must be a whole, finite number; integer flags
-// must also be integral and within their bounds (--nodes and
-// --placement-groups in [1, 4096]; --simulate, --threads and
-// --exec-threads in [0, 1024]). Otherwise the tool names the flag and
-// exits 1. Unknown or incomplete flags print the usage and exit 2.
+// must also be integral and within their bounds (--nodes in [1, 4096];
+// --simulate, --threads and --exec-threads in [0, 1024]). Otherwise the
+// tool names the flag and exits 1. Unknown or incomplete flags print the
+// usage and exit 2.
 //
 // --threads N runs the FT-plan enumeration on N worker threads (default 0
 // = one per hardware thread; the chosen plan is identical at any value).
@@ -112,11 +110,9 @@ struct Args {
   int nodes = 10;
   double mtbf = cost::kSecondsPerDay;
   double mttr = 1.0;
-  // Correlated failures / placement (0 bursts = independent model).
+  // Correlated failures (0 bursts = independent model).
   double burst_mtbf = 0.0;
   double burst_fanout = 1.0;
-  int placement_groups = 1;
-  double remote_read_penalty = 0.25;
   double success_target = 0.95;
   double pipe_constant = 1.0;
   bool scale_success = false;
@@ -137,9 +133,6 @@ struct Args {
   std::string postmortem_dir;
 };
 
-// All clusters the advisor reasons about carry the burst/placement
-// parameters, so the one MakeCluster call site that forgets them cannot
-// silently fall back to the independent model.
 // Maps the --scheme spelling onto SchemeKind. Accepts the hyphenated
 // names printed by SchemeKindName plus the short "wal" alias.
 bool ParseSchemeKind(const std::string& name, ft::SchemeKind* out) {
@@ -171,12 +164,13 @@ void ApplyWalArgs(const Args& args, cost::CostModelParams* model) {
   }
 }
 
+// All clusters the advisor reasons about carry the burst parameters, so
+// the one MakeCluster call site that forgets them cannot silently fall
+// back to the independent model.
 cost::ClusterStats MakeStats(const Args& args, double mtbf) {
   cost::ClusterStats stats = cost::MakeCluster(args.nodes, mtbf, args.mttr);
   stats.burst_mtbf_seconds = args.burst_mtbf;
   stats.burst_fanout = args.burst_fanout;
-  stats.num_placement_groups = args.placement_groups;
-  stats.remote_read_penalty = args.remote_read_penalty;
   return stats;
 }
 
@@ -196,7 +190,6 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s --plan FILE [--nodes N] [--mtbf S] [--mttr S]\n"
       "          [--burst-mtbf S] [--burst-fanout F]\n"
-      "          [--placement-groups G] [--remote-read-penalty P]\n"
       "          [--success-target S] [--pipe-constant C]\n"
       "          [--scheme all-mat|no-mat-lineage|no-mat-restart|"
       "cost-based|wal]\n"
@@ -238,14 +231,13 @@ int ParseArgs(int argc, char** argv, Args* args) {
       {"--mttr", &args->mttr},
       {"--burst-mtbf", &args->burst_mtbf},
       {"--burst-fanout", &args->burst_fanout},
-      {"--remote-read-penalty", &args->remote_read_penalty},
       {"--success-target", &args->success_target},
       {"--pipe-constant", &args->pipe_constant},
       {"--wal-write-cost", &args->wal_write_cost},
       {"--emit-q5", &args->emit_q5_sf},
       {"--storage-mibps", &args->storage_mibps}};
-  // Integer flags size worker threads, the simulated cluster, its trace set
-  // or the placement search; the bounds keep each from asking for millions.
+  // Integer flags size worker threads, the simulated cluster or its trace
+  // set; the bounds keep each from asking for millions.
   struct IntFlag {
     const char* name;
     int* value;
@@ -254,7 +246,6 @@ int ParseArgs(int argc, char** argv, Args* args) {
   };
   const IntFlag ints[] = {
       {"--nodes", &args->nodes, 1, 4096},
-      {"--placement-groups", &args->placement_groups, 1, 4096},
       {"--threads", &args->threads, 0, 1024},
       {"--exec-threads", &args->exec_threads, 0, 1024},
       {"--simulate", &args->simulate_traces, 0, 1024}};

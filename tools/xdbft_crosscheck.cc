@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/string_util.h"
 #include "parse_number.h"
 #include "validate/crosscheck.h"
 
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
       next_int(&options.seeds, INT_MAX);
     } else if (arg == "--seed-base") {
       const char* value = next();
-      if (!tools::ParseUint64(value, &options.seed_base)) {
+      if (!ParseUint64(value, &options.seed_base)) {
         reject(value, "an unsigned 64-bit integer");
       }
     } else if (arg == "--traces") {
